@@ -19,7 +19,6 @@ of +-1 per unit of length not covered by the enumerated cells).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from sawcascade.cells import cell, level1_cell, level1_ids_at, locate
@@ -36,30 +35,6 @@ from sawcascade.construction import (
 from sawcascade.reports import WitnessReport, check, make_report
 
 ZERO = Fraction(0)
-
-
-@dataclass(frozen=True)
-class Enclosure:
-    """Closed interval [lower, upper] with exact rational endpoints."""
-
-    lower: Rat
-    upper: Rat
-
-    def __post_init__(self) -> None:
-        if self.lower > self.upper:
-            raise ValueError(f"empty enclosure [{self.lower}, {self.upper}]")
-
-    @property
-    def width(self) -> Rat:
-        return self.upper - self.lower
-
-    @property
-    def midpoint(self) -> Rat:
-        return (self.lower + self.upper) / 2
-
-    def contains(self, value: RatLike) -> bool:
-        v = as_rational(value)
-        return self.lower <= v <= self.upper
 
 
 # ---------------------------------------------------------------------------
@@ -113,7 +88,7 @@ def covered_length(k: int, index_budget: int) -> Rat:
     return 2 * factor**k
 
 
-def enclose_integral(k: int, upto: RatLike, index_budget: int) -> Enclosure:
+def enclose_integral(k: int, upto: RatLike, index_budget: int) -> Certified:
     """Certified enclosure of the integral of layer k over [-1, upto].
 
     Built purely from cell geometry: the layer is affine on each level-k
@@ -134,7 +109,7 @@ def enclose_integral(k: int, upto: RatLike, index_budget: int) -> Enclosure:
                 trapezoid = (
                     (c.value_at(c.lo) + c.value_at(upto)) / 2 * (upto - c.lo)
                 )
-    return Enclosure(trapezoid - gap, trapezoid + gap)
+    return Certified(trapezoid, gap)
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +167,7 @@ def eval_G(x: RatLike, K: int) -> Certified:
 # ---------------------------------------------------------------------------
 
 
-def darboux_gap(K: int, cells_budget: int) -> Enclosure:
+def darboux_gap(K: int, cells_budget: int) -> Certified:
     """Certified enclosure of the integral of the full series over [-1, 1].
 
     The K-term truncation is integrated tooth by tooth: on each complete
@@ -217,7 +192,7 @@ def darboux_gap(K: int, cells_budget: int) -> Enclosure:
         total += endpoint_sum / 2 * tooth.length
     longest_tail_tooth = Fraction(1, (cells_budget + 2) * (cells_budget + 3))
     radius = 2 * longest_tail_tooth + Fraction(2, 2**K)
-    return Enclosure(total - radius, total + radius)
+    return Certified(total, radius)
 
 
 # ---------------------------------------------------------------------------

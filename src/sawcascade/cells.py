@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from sawcascade.construction import (
     DomainError,
@@ -193,6 +193,45 @@ def cell(address: Sequence[int]) -> Cell:
     return current
 
 
+#: Largest level-k family (2 * index_budget + 1)^k that iter_cells enumerates.
+MAX_CELLS = 500_000
+
+
+def iter_cells(
+    k: int,
+    index_budget: int,
+    window: Optional[tuple[Rat, Rat]] = None,
+) -> Iterator[Cell]:
+    """Every cell of levels 1..k with all ids |j| <= index_budget.
+
+    Yields level by level; within a level, cells come in address order
+    (parent first, then child id ascending).  Cells disjoint from the closed
+    window are pruned with their whole subtree, since children stay inside
+    their parent.  Refuses, before building any cell, a level-k family
+    larger than MAX_CELLS.
+    """
+    if k < 1:
+        raise DomainError(f"level k must be >= 1, got {k}")
+    if index_budget < 0:
+        raise DomainError(f"index budget must be >= 0, got {index_budget}")
+    if (2 * index_budget + 1) ** k > MAX_CELLS:
+        raise DomainError(
+            f"enumerating (2*{index_budget}+1)^{k} cells is too large "
+            f"(limit {MAX_CELLS}); narrow the budget or the level"
+        )
+    lo, hi = (Fraction(-1), Fraction(1)) if window is None else window
+    ids = range(-index_budget, index_budget + 1)
+    level = [ROOT]
+    for _ in range(k):
+        level = [
+            c
+            for parent in level
+            for c in (child_cell(parent, j) for j in ids)
+            if c.hi >= lo and c.lo <= hi
+        ]
+        yield from level
+
+
 def children(address: Sequence[int], index_budget: int) -> list[Cell]:
     """All children of a cell with child id magnitude <= index_budget.
 
@@ -282,33 +321,12 @@ def e_points(
     if wlo > whi:
         raise DomainError(f"window must satisfy lo <= hi, got [{wlo}, {whi}]")
 
-    found: dict[Rat, int] = {}
-
-    def record(x: Rat, first_level: int) -> None:
-        if wlo <= x <= whi:
-            prev = found.get(x)
-            if prev is None or first_level < prev:
-                found[x] = first_level
-
-    for s in (Fraction(-1), Fraction(1)):
-        record(s, 1)
-
-    def visit(c: Cell, level: int) -> None:
-        record(c.lo, level + 1)
-        record(c.hi, level + 1)
-        if level + 1 < k:
-            for j in range(-index_budget, index_budget + 1):
-                kid = child_cell(c, j)
-                if kid.hi < wlo or kid.lo > whi:
-                    continue
-                visit(kid, level + 1)
-
+    found = {x: 1 for x in (Fraction(-1), Fraction(1)) if wlo <= x <= whi}
     if k >= 2:
-        for j in range(-index_budget, index_budget + 1):
-            top = level1_cell(j)
-            if top.hi < wlo or top.lo > whi:
-                continue
-            visit(top, 1)
+        for c in iter_cells(k - 1, index_budget, (wlo, whi)):
+            for x in (c.lo, c.hi):
+                if wlo <= x <= whi and x not in found:
+                    found[x] = c.level + 1
 
     return [EPoint(x, fl) for x, fl in sorted(found.items())]
 

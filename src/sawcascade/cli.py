@@ -7,7 +7,8 @@ output is emitted as exact fraction strings.  Given identical arguments
 timestamps, no environment lookups, keys sorted.
 
 Exit codes: 0 success (and all verifications passed), 1 at least one
-verification failed, 2 usage or domain error.
+verification failed, 2 usage or domain error (a suite with no cases, an
+unwritable --out and a too-large cell enumeration included).
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from sawcascade.antiderivative import (
     eval_Fk,
     eval_G,
 )
-from sawcascade.cells import cell, children, locate
+from sawcascade.cells import iter_cells
 from sawcascade.construction import (
     Certified,
     DomainError,
@@ -121,22 +122,7 @@ def emit_samples(cfg: SampleConfig) -> str:
 
 def render_intervals(k: int, index_budget: int, window: tuple[Rat, Rat], fmt: str) -> str:
     """Render the level-k cells meeting the window, in spatial order."""
-    if k < 1:
-        raise DomainError(f"level k must be >= 1, got {k}")
-    if (2 * index_budget + 1) ** k > 500_000:
-        raise DomainError(
-            f"listing (2*{index_budget}+1)^{k} cells is too large; "
-            "narrow the budget or the level"
-        )
-    lo, hi = window
-    ids = range(-index_budget, index_budget + 1)
-    frontier = [cell((j,)) for j in ids]
-    for _ in range(k - 1):
-        frontier = [
-            c for parent in frontier for c in children(parent.address, index_budget)
-        ]
-        frontier = [c for c in frontier if c.hi >= lo and c.lo <= hi]
-    frontier = [c for c in frontier if c.hi >= lo and c.lo <= hi]
+    frontier = [c for c in iter_cells(k, index_budget, window) if c.level == k]
     frontier.sort(key=lambda c: (c.lo, c.hi))
     if fmt == "csv":
         lines = ["address,lo,hi,slope,intercept"]
@@ -256,9 +242,12 @@ def build_parser() -> argparse.ArgumentParser:
 def _write(text: str, out: Optional[str], stdout: TextIO) -> None:
     if out is None:
         stdout.write(text)
-    else:
+        return
+    try:
         with open(out, "w", encoding="utf-8") as handle:
             handle.write(text)
+    except OSError as exc:
+        raise DomainError(f"cannot write --out: {exc}") from exc
 
 
 def run(

@@ -200,6 +200,10 @@ class Certified:
     def upper(self) -> Rat:
         return self.center + self.radius
 
+    @property
+    def width(self) -> Rat:
+        return 2 * self.radius
+
     def contains(self, value: RatLike) -> bool:
         return abs(as_rational(value) - self.center) <= self.radius
 

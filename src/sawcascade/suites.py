@@ -20,8 +20,8 @@ from math import ceil, floor
 from typing import Callable
 
 from sawcascade.antiderivative import darboux_gap, quotient_bound_check
-from sawcascade.cells import child_cell, level1_cell
-from sawcascade.construction import Rat
+from sawcascade.cells import iter_cells
+from sawcascade.construction import DomainError, Rat
 from sawcascade.reports import WitnessReport, check, make_report
 from sawcascade.verifier import (
     integral_crosscheck,
@@ -83,19 +83,16 @@ def tapered_endpoints(max_level: int, index_budget: int) -> list[tuple[Rat, int]
     Level-m cells are enumerated with per-coordinate budget
     _integer_root(index_budget, m), so each level contributes roughly
     index_budget^(something bounded) endpoints instead of blowing up
-    geometrically.  Returns (x, first_level) pairs sorted by x.
+    geometrically.  Levels are walked deepest first, so the size guard of
+    iter_cells checks the deepest family before any cell is built, and a
+    shallower level's first level overwrites a deeper one's.  Returns
+    (x, first_level) pairs sorted by x.
     """
     found: dict[Rat, int] = {F(-1): 1, F(1): 1}
-    for m in range(1, max_level):
-        budget = _integer_root(index_budget, m)
-        ids = range(-budget, budget + 1)
-        cells = [level1_cell(j) for j in ids]
-        for _ in range(m - 1):
-            cells = [child_cell(c, j) for c in cells for j in ids]
-        for c in cells:
-            for endpoint in (c.lo, c.hi):
-                if endpoint not in found:
-                    found[endpoint] = m + 1
+    for m in range(max_level - 1, 0, -1):
+        for c in iter_cells(m, _integer_root(index_budget, m)):
+            if c.level == m:
+                found[c.lo] = found[c.hi] = m + 1
     return sorted(found.items())
 
 
@@ -194,7 +191,7 @@ def suite_darboux(cfg: SuiteConfig) -> list[WitnessReport]:
             "cells_budget": cfg.cells_budget,
             "width": enc.width,
         },
-        [(F(0), enc.midpoint)],
+        [(F(0), enc.center)],
         certificate,
     )
     return [report]
@@ -215,12 +212,15 @@ SUITE_ORDER = list(SUITES) + ["all"]
 
 
 def run_suite_reports(name: str, cfg: SuiteConfig) -> list[WitnessReport]:
-    """Reports for one suite name, or every suite in order for 'all'."""
-    if name == "all":
-        reports: list[WitnessReport] = []
-        for suite_name in SUITES:
-            reports.extend(SUITES[suite_name](cfg))
-        return reports
-    if name not in SUITES:
-        raise KeyError(name)
-    return SUITES[name](cfg)
+    """Reports for one suite name, or every suite in order for 'all'.
+
+    A suite that yields no case under ``cfg`` (say ``count`` 0) raises
+    DomainError: a check with nothing to check must not pass.
+    """
+    reports: list[WitnessReport] = []
+    for suite_name in SUITES if name == "all" else [name]:
+        batch = SUITES[suite_name](cfg)
+        if not batch:
+            raise DomainError(f"suite {suite_name} yields no cases with these settings")
+        reports.extend(batch)
+    return reports

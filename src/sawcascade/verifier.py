@@ -30,6 +30,7 @@ from sawcascade.cells import (
     child_cell,
     child_map,
     first_level_of,
+    iter_cells,
     level1_cell,
     level1_ids_at,
     locate,
@@ -122,18 +123,6 @@ def _fan_scan(
     return above, below, fx0, k
 
 
-def _endpoint_certificate(
-    x0: Rat, fx0: Rat, first_level: int
-) -> list[Check]:
-    """Exactness facts for a fan center: why f(x0) is exactly known."""
-    if first_level == 1:
-        return [check("center_is_domain_end", "==", abs(x0), 1)]
-    return [
-        check("center_hits_unit", "==", abs(eval_fk(x0, first_level - 1)), 1),
-        check("center_absorbed", "==", eval_fk(x0, first_level), 0),
-    ]
-
-
 def _witness_checks(
     tag: str, x0: Rat, point: tuple[Rat, Rat], fx0: Rat, margin: Rat,
     delta: Rat, k: int, above: bool,
@@ -146,6 +135,45 @@ def _witness_checks(
         check(f"{tag}_distinct", ">", abs(y - x0), 0),
         check(f"{tag}_hits_unit", "==", abs(eval_fk(y, k)), 1),
     ]
+
+
+def _endpoint_fan_report(
+    kind: str, x0: Rat, fl: int, delta: Rat, fan_budget: int, inputs: dict
+) -> WitnessReport:
+    """Report of the fan scan around an enumerable endpoint x0.
+
+    Scans the fans of the cells abutting x0 until one point above
+    f(x0) + 2^-(k+1) and one below f(x0) - 2^-(k+1) turn up, and certifies
+    both together with why f(x0) is exactly known.  If the budget runs out
+    first, the failure report lists whichever witness was found.
+    """
+    above = below = None
+    fx0 = ZERO
+    k = fl
+    for side in _side_cells(x0, fl):
+        a, b, fx0, k = _fan_scan(side, x0, delta, fan_budget)
+        above = above or a
+        below = below or b
+        if above and below:
+            break
+    points = [(x0, fx0)]
+    if above is None or below is None:
+        points += [hit for hit in (above, below) if hit is not None]
+        return make_report(
+            kind, inputs, points, [],
+            error="fan budget exhausted before both witnesses appeared",
+        )
+    margin = Fraction(1, 2 ** (k + 1))
+    if fl == 1:
+        certificate = [check("center_is_domain_end", "==", abs(x0), 1)]
+    else:
+        certificate = [
+            check("center_hits_unit", "==", abs(eval_fk(x0, fl - 1)), 1),
+            check("center_absorbed", "==", eval_fk(x0, fl), 0),
+        ]
+    certificate += _witness_checks("upper", x0, above, fx0, margin, delta, k, above=True)
+    certificate += _witness_checks("lower", x0, below, fx0, margin, delta, k, above=False)
+    return make_report(kind, inputs, points + [above, below], certificate)
 
 
 # ---------------------------------------------------------------------------
@@ -179,30 +207,7 @@ def oscillation_witness(
         )
     inputs = {"x0": x0, "delta": delta, "first_level": fl,
               "depth": depth, "fan_budget": fan_budget}
-    above = below = None
-    fx0 = ZERO
-    k = fl
-    for side in _side_cells(x0, fl):
-        a, b, fx0, k = _fan_scan(side, x0, delta, fan_budget)
-        above = above or a
-        below = below or b
-        if above and below:
-            break
-    points = [(x0, fx0)]
-    if above is None or below is None:
-        for hit in (above, below):
-            if hit is not None:
-                points.append(hit)
-        return make_report(
-            "oscillation", inputs, points, [],
-            error="fan budget exhausted before both witnesses appeared",
-        )
-    margin = Fraction(1, 2 ** (k + 1))
-    certificate = _endpoint_certificate(x0, fx0, fl)
-    certificate += _witness_checks("upper", x0, above, fx0, margin, delta, k, above=True)
-    certificate += _witness_checks("lower", x0, below, fx0, margin, delta, k, above=False)
-    points += [above, below]
-    return make_report("oscillation", inputs, points, certificate)
+    return _endpoint_fan_report("oscillation", x0, fl, delta, fan_budget, inputs)
 
 
 # ---------------------------------------------------------------------------
@@ -259,27 +264,7 @@ def non_extremum_witness(
     if fl is not None:
         inputs["mode"] = "endpoint_fan"
         inputs["first_level"] = fl
-        above = below = None
-        fx0 = ZERO
-        k = fl
-        for side in _side_cells(x0, fl):
-            a, b, fx0, k = _fan_scan(side, x0, delta, fan_budget)
-            above = above or a
-            below = below or b
-            if above and below:
-                break
-        points = [(x0, fx0)]
-        if above is None or below is None:
-            return make_report(
-                "non_extremum", inputs, points, [],
-                error="fan budget exhausted before both witnesses appeared",
-            )
-        margin = Fraction(1, 2 ** (k + 1))
-        certificate = _endpoint_certificate(x0, fx0, fl)
-        certificate += _witness_checks("upper", x0, above, fx0, margin, delta, k, above=True)
-        certificate += _witness_checks("lower", x0, below, fx0, margin, delta, k, above=False)
-        points += [above, below]
-        return make_report("non_extremum", inputs, points, certificate)
+        return _endpoint_fan_report("non_extremum", x0, fl, delta, fan_budget, inputs)
 
     inputs["mode"] = "interior_chain"
     chain_cell, slope_sum, err = _walk_chain(x0, x0 - delta, x0 + delta, depth)
@@ -444,16 +429,10 @@ def structure_check(k: int, index_budget: int) -> WitnessReport:
         raise DomainError(f"level k must be >= 1, got {k}")
     if index_budget < 1:
         raise DomainError(f"index budget must be >= 1, got {index_budget}")
-    if (2 * index_budget + 1) ** k > 2_000_000:
-        raise DomainError(
-            f"enumeration of (2*{index_budget}+1)^{k} cells is too large"
-        )
     ids = range(-index_budget, index_budget + 1)
-    per_level: list[list[Cell]] = [[level1_cell(j) for j in ids]]
-    for _ in range(k - 1):
-        per_level.append(
-            [child_cell(parent, j) for parent in per_level[-1] for j in ids]
-        )
+    per_level: list[list[Cell]] = [[] for _ in range(k)]
+    for c in iter_cells(k, index_budget):
+        per_level[c.level - 1].append(c)
 
     affinity_mismatches = 0
     onto_failures = 0

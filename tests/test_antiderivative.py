@@ -16,7 +16,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sawcascade.antiderivative import (
-    Enclosure,
     covered_length,
     darboux_gap,
     enclose_integral,
@@ -131,12 +130,13 @@ def test_covered_length_frozen():
 
 def test_enclose_integral_frozen_example():
     enc = enclose_integral(1, F(0), 40)
-    assert enc == Enclosure(F(-1, 4) - F(1, 21), F(-1, 4) + F(1, 21))
+    assert enc == Certified(F(-1, 4), F(1, 21))
+    assert (enc.lower, enc.upper) == (F(-1, 4) - F(1, 21), F(-1, 4) + F(1, 21))
     assert enc.width == F(2, 21) <= F(1, 10)
 
 
 def test_enclose_integral_edge_windows():
-    assert enclose_integral(3, F(-1), 10) == Enclosure(F(0), F(0))
+    assert enclose_integral(3, F(-1), 10) == Certified(F(0), F(0))
     full = enclose_integral(1, F(1), 10)
     assert full.contains(0)
     assert full.width == 2 * (2 - covered_length(1, 10))
@@ -215,7 +215,7 @@ def test_signed_antiderivative_is_odd(x, K):
 def test_darboux_gap_frozen_width_and_zero():
     enc = darboux_gap(10, 60)
     assert enc.contains(0)
-    assert enc.midpoint == 0  # the trapezoid sum is exactly zero
+    assert enc.center == 0  # the trapezoid sum is exactly zero
     assert enc.width == F(2465, 499968)
     assert enc.width <= F(1, 128)
 
@@ -263,8 +263,10 @@ def test_quotient_bound_validates_band_and_layer():
 
 
 def test_enclosure_type_basics():
-    e = Enclosure(F(-1, 3), F(1, 6))
+    e = Certified(F(-1, 12), F(1, 4))
+    assert (e.lower, e.upper) == (F(-1, 3), F(1, 6))
     assert e.width == F(1, 2)
+    assert e.contains(F(-1, 3)) and e.contains(F(1, 6))
     assert e.contains(F(0)) and not e.contains(F(1, 4))
     with pytest.raises(ValueError):
-        Enclosure(F(1), F(0))
+        Certified(F(1, 2), F(-1, 2))  # empty: lower 1 above upper 0

@@ -24,7 +24,9 @@ from sawcascade.cells import (
     child_map,
     children,
     e_points,
+    MAX_CELLS,
     first_level_of,
+    iter_cells,
     level1_cell,
     level1_ids_at,
     locate,
@@ -309,6 +311,33 @@ def test_e_points_respects_window_and_budget():
         assert F(-1, 2) <= p.x <= F(1, 2)
     assert EPoint(F(1, 2), 2) in pts
     assert EPoint(F(-1, 2), 2) in pts
+
+
+def test_iter_cells_level_by_level_in_address_order():
+    got = [c.address for c in iter_cells(2, 1)]
+    ids = (-1, 0, 1)
+    assert got == [(j,) for j in ids] + [(i, j) for i in ids for j in ids]
+    for c in iter_cells(3, 2):
+        assert c == cell(c.address)
+
+
+def test_iter_cells_prunes_outside_the_closed_window():
+    window = (F(1, 4), F(1, 3))
+    kept = list(iter_cells(3, 4, window))
+    full = list(iter_cells(3, 4))
+    assert kept == [c for c in full if c.hi >= window[0] and c.lo <= window[1]]
+    assert 0 < len(kept) < len(full)
+
+
+def test_iter_cells_refuses_too_large_family_before_building():
+    assert 3**11 <= MAX_CELLS < 3**12
+    list(iter_cells(11, 1, (F(0), F(0))))
+    with pytest.raises(DomainError, match="too large"):
+        next(iter_cells(12, 1))
+    with pytest.raises(DomainError):
+        next(iter_cells(0, 1))
+    with pytest.raises(DomainError):
+        next(iter_cells(1, -1))
 
 
 def test_first_level_of_classifies():

@@ -6,8 +6,10 @@ the installed script, including exit codes and output streams.
 
 from __future__ import annotations
 
+import hashlib
 import io
 import json
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -283,6 +285,74 @@ def test_verify_out_file(tmp_path) -> None:
     assert out == ""
     payload = json.loads(target.read_text())
     assert payload["summary"]["fail"] == 0
+
+
+def _assert_one_line_usage_error(code: int, out: str, err: str) -> None:
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "no-extrema", "--count", "0"],
+        ["verify", "local-min", "--count", "-5"],
+        ["verify", "quotient-bound", "--n-max", "1"],
+        # the empty suites sit inside 'all'; a shallow oscillation keeps it quick
+        ["verify", "all", "--count", "0", "--max-level", "2"],
+    ],
+)
+def test_verify_zero_case_suite_is_usage_error(argv: list[str]) -> None:
+    code, out, err = invoke(argv)
+    _assert_one_line_usage_error(code, out, err)
+    assert "no cases" in err
+
+
+def test_unwritable_out_is_usage_error(tmp_path) -> None:
+    target = tmp_path / "missing" / "x.json"
+    code, out, err = invoke(["eval", "--fn", "f", "--x", "1/3", "--out", str(target)])
+    _assert_one_line_usage_error(code, out, err)
+    assert "cannot write" in err
+    assert not target.exists()
+
+
+def test_verify_max_level_guard_refuses_before_enumerating() -> None:
+    start = time.perf_counter()
+    code, out, err = invoke(["verify", "oscillation", "--max-level", "20"])
+    assert time.perf_counter() - start < 5
+    _assert_one_line_usage_error(code, out, err)
+    assert "too large" in err
+
+
+#: Full sha256 of stdout for cheap calls that cross every bulk cell
+#: enumeration, both integral enclosures and the endpoint fan: identical
+#: arguments must keep producing identical bytes.
+PINNED_STDOUT = {
+    "verify all --max-level 3 --count 4 --index-budget 2 --n-max 3":
+        "980ee33aedca024e5e494b3278235e2bcbf2a84ad9d11c2679f6d491cfa874d4",
+    "verify structure":
+        "7503136c790c1e54959747ef595f8331d52d6d2b9d4aa18e108c0c26bc848583",
+    "verify darboux":
+        "f6d10ca51b93ed92f4a01a68812b416b242b10c55bb7de524959cc1a985c8a4a",
+    "verify integral-crosscheck":
+        "da2d56a393c59e5f098ef1a31e0edbb0f918561ae044dda530dde661b0a4f815",
+    "intervals --k 2 --index-budget 5 --window 0 1 --format json":
+        "3ba1d77f374efaa2bcba4f503b1b31ffc45e6499019bc2879d2761bd2a74db03",
+    "intervals --k 3 --index-budget 4 --window 1/4 1/3":
+        "50daba7910fafa79c7f63b5154453e4358ab8508b2106e388da65c7b10e39554",
+    "integrate --k 1 --upto 0 --index-budget 1000":
+        "cd9e4efbe343357526abf1a84df5722c639d94645280b3ca5b05a335c650c3c5",
+    "integrate --k 3 --upto 7/10 --index-budget 20":
+        "9b226331af8730d0bdfaa5fc200186512668c1013ecf3010e3e55bdbfb405a1b",
+}
+
+
+@pytest.mark.parametrize("command", sorted(PINNED_STDOUT))
+def test_stdout_matches_pinned_digest(command: str) -> None:
+    code, out, _ = invoke(command.split())
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == PINNED_STDOUT[command]
 
 
 def test_run_suite_report_shape() -> None:

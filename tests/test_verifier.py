@@ -91,6 +91,15 @@ def test_oscillation_budget_exhaustion_is_reported():
     assert recheck(rep) and roundtrips(rep)
 
 
+@pytest.mark.parametrize("witness", [oscillation_witness, non_extremum_witness])
+def test_endpoint_fan_failure_lists_the_partial_hit(witness):
+    # one fan child at -4/5 yields a point below the margin but none above
+    rep = witness(F(-4, 5), F(1, 10), 40, 1)
+    assert not rep.verdict and "budget" in rep.error
+    assert rep.points == ((F(-4, 5), F(1, 2)), (F(-29, 36), F(1, 12)))
+    assert recheck(rep) and roundtrips(rep)
+
+
 # ---------------------------------------------------------------------------
 # no local extrema
 # ---------------------------------------------------------------------------
