@@ -7,38 +7,17 @@ arithmetic; approximate answers always come with a certified error radius.
 """
 
 from sawcascade.antiderivative import (
-    covered_length,
     darboux_gap,
     enclose_integral,
     eval_F,
-    eval_F0,
     eval_Fk,
     eval_G,
-    normalization_center,
     quotient_bound_check,
 )
-from sawcascade.cells import (
-    ROOT,
-    AffineMap,
-    Cell,
-    EPoint,
-    cell,
-    child_cell,
-    child_map,
-    children,
-    e_points,
-    first_level_of,
-    level1_cell,
-    level1_ids_at,
-    locate,
-)
+from sawcascade.cells import Cell, cell, level1_cell, locate
 from sawcascade.construction import (
-    ABSORBING_VALUES,
     Certified,
     DomainError,
-    OrbitInfo,
-    Rat,
-    as_rational,
     eval_f,
     eval_f1,
     eval_fk,
@@ -47,16 +26,13 @@ from sawcascade.construction import (
     partial_sum,
 )
 from sawcascade.reports import (
-    REPORT_KINDS,
     Check,
     WitnessReport,
-    make_report,
-    rat_str,
     recheck,
     report_from_dict,
     report_to_dict,
 )
-from sawcascade.suites import SUITE_ORDER, SUITES, SuiteConfig, run_suite_reports
+from sawcascade.suites import SUITES, SuiteConfig, run_suite_reports
 from sawcascade.verifier import (
     NotAnEPointError,
     integral_crosscheck,
@@ -68,54 +44,34 @@ from sawcascade.verifier import (
 )
 
 __all__ = [
-    "ABSORBING_VALUES",
-    "AffineMap",
     "Cell",
     "Certified",
     "Check",
     "DomainError",
-    "EPoint",
     "NotAnEPointError",
-    "OrbitInfo",
-    "REPORT_KINDS",
-    "ROOT",
-    "Rat",
     "SUITES",
-    "SUITE_ORDER",
     "SuiteConfig",
     "WitnessReport",
-    "as_rational",
     "cell",
-    "child_cell",
-    "child_map",
-    "children",
-    "covered_length",
     "darboux_gap",
-    "e_points",
     "enclose_integral",
     "eval_F",
-    "eval_F0",
     "eval_Fk",
     "eval_G",
     "eval_f",
     "eval_f1",
     "eval_fk",
     "eval_g",
-    "first_level_of",
     "integral_crosscheck",
     "level1_cell",
-    "level1_ids_at",
     "local_min_check",
     "locate",
-    "make_report",
     "non_extremum_witness",
     "non_monotone_witness",
-    "normalization_center",
     "orbit",
     "oscillation_witness",
     "partial_sum",
     "quotient_bound_check",
-    "rat_str",
     "recheck",
     "report_from_dict",
     "report_to_dict",

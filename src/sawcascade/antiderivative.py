@@ -7,19 +7,25 @@ composed with the base map and divided by the tooth's slope.  The division
 is legitimate because every complete tooth to the left carries zero net
 area, so only the tooth containing x contributes; both conventions agree at
 tooth endpoints since every layer's running integral vanishes at +-1.
+Unrolled along the orbit y_0 = x, y_1, y_2, ... of x under the base map,
+this gives F_k(x) = F_0(y_k) / prod_{i<k} slope(y_i), so every layer
+integral up to K is read off one walk of K steps.
 
 Summing layers k = 1..K with weights 2^-k gives the running integral of the
 truncated series exactly; the dropped tail integrates to at most 2^-K over
 an interval of length at most 2, which is the certified radius 2^(1-K).
 
-``enclose_integral`` is the independent oracle: it never uses the recursion
-above, only cell geometry (exact trapezoids on cells, plus a rigorous charge
-of +-1 per unit of length not covered by the enumerated cells).
+``enclose_integral`` is the independent oracle: it never uses the orbit
+relation above, only cell geometry (exact trapezoids on cells, plus a
+rigorous charge of +-1 per unit of length not covered by the enumerated
+cells).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain, islice, repeat
+from typing import Iterator
 
 from sawcascade.cells import cell, level1_cell, level1_ids_at, locate
 from sawcascade.construction import (
@@ -28,7 +34,7 @@ from sawcascade.construction import (
     Rat,
     RatLike,
     as_rational,
-    eval_f1,
+    iterates,
     partial_sum,
     require_unit_interval,
 )
@@ -48,23 +54,38 @@ def eval_F0(x: RatLike) -> Rat:
     return (x * x - 1) / 2
 
 
+def _layer_integrals(x: Rat, K: int) -> Iterator[Rat]:
+    """F_1(x), ..., F_K(x) from one walk of K steps along the orbit of x.
+
+    F_k(x) = F_0(y_k) / prod_{i<k} slope(y_i), with y_i the i-th iterate
+    (y_0 = x) and slope(y) the slope of the tooth containing y.  Once some
+    y_i with i < k is +-1, every later F_k(x) is 0 and the sequence ends.
+    """
+    ys = chain(iterates(x), repeat(ZERO))  # the walk ends at 0, which is fixed
+    y = x
+    slopes = Fraction(1)
+    for _ in range(K):
+        if abs(y) == 1:
+            return
+        slopes *= level1_cell(level1_ids_at(y)[0]).slope
+        y = next(ys)
+        yield eval_F0(y) / slopes
+
+
 def eval_Fk(x: RatLike, k: int) -> Rat:
     """Exact running integral from -1 of layer k at x (k >= 0).
 
-    Recursion: value at x is the layer-(k-1) running integral at the base
-    map's value, divided by the slope of the tooth containing x; +-1 map to
-    0.  At a shared tooth endpoint both teeth give the same value because
-    the inner running integral vanishes at +-1.
+    The layer-(k-1) running integral at the base map's value, divided by the
+    slope of the tooth containing x; +-1 map to 0.  At a shared tooth
+    endpoint both teeth give the same value because the inner running
+    integral vanishes at +-1.  Computed in one walk along the orbit of x.
     """
     x = require_unit_interval(as_rational(x))
     if k < 0:
         raise DomainError(f"layer index must be >= 0, got {k}")
     if k == 0:
         return eval_F0(x)
-    if abs(x) == 1:
-        return ZERO
-    tooth = level1_cell(level1_ids_at(x)[0])
-    return eval_Fk(eval_f1(x), k - 1) / tooth.slope
+    return next(islice(_layer_integrals(x, k), k - 1, None), ZERO)
 
 
 # ---------------------------------------------------------------------------
@@ -128,7 +149,7 @@ def eval_F(x: RatLike, K: int) -> Certified:
     if K < 1:
         raise DomainError(f"truncation K must be >= 1, got {K}")
     center = sum(
-        (eval_Fk(x, k) / Fraction(2**k) for k in range(1, K + 1)), ZERO
+        (Fk / 2**k for k, Fk in enumerate(_layer_integrals(x, K), 1)), ZERO
     )
     return Certified(center, Fraction(2, 2**K))
 

@@ -339,10 +339,4 @@ def first_level_of(x: RatLike, depth: int) -> Optional[int]:
     but denominators never grow along an orbit, so for x = p/q a depth of
     q + 1 steps is always conclusive.
     """
-    x = require_unit_interval(as_rational(x))
-    if abs(x) == 1:
-        return 1
-    info = orbit(x, depth)
-    if info.absorbed and info.absorber != 0:
-        return info.absorbed_step + 1
-    return None
+    return orbit(x, depth).first_level

@@ -22,7 +22,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from itertools import islice
+from typing import Iterable, Iterator, Optional, Union
 
 Rat = Fraction
 RatLike = Union[Rat, int, str]
@@ -100,6 +101,27 @@ def eval_f1(x: RatLike) -> Rat:
 # ---------------------------------------------------------------------------
 
 
+def iterates(x: RatLike) -> Iterator[Rat]:
+    """The forward orbit f_1(x), f_2(x), ... of x under the base map.
+
+    This is the one place that applies the base map repeatedly; every orbit
+    consumer reads it.  The walk ends right after the first 0: 0 is fixed,
+    so every later iterate is 0 and adds nothing to any sum.  An orbit that
+    never reaches 0 is endless, so callers bound it (``islice``).
+    """
+    y = require_unit_interval(as_rational(x))
+    while True:
+        y = eval_f1(y)
+        yield y
+        if y == 0:
+            return
+
+
+def _weighted_sum(values: Iterable[Rat]) -> Rat:
+    """sum_k y_k / 2^k over the iterates y_1, y_2, ... given."""
+    return sum((y / 2**k for k, y in enumerate(values, 1)), ZERO)
+
+
 @dataclass(frozen=True)
 class OrbitInfo:
     """Forward orbit of a point under the base map, tracked until absorption.
@@ -122,6 +144,30 @@ class OrbitInfo:
     def absorbed(self) -> bool:
         return self.absorbed_step is not None
 
+    @property
+    def first_level(self) -> Optional[int]:
+        """1 + the first step whose iterate is +-1 (1 when start is +-1).
+
+        None when the orbit absorbs at 0 or not at all within the record.
+        """
+        if abs(self.start) == 1:
+            return 1
+        return self.absorbed_step + 1 if self.absorber else None
+
+    def iterate(self, k: int) -> Rat:
+        """The k-th iterate y_k (k >= 1); every iterate past an absorption is 0."""
+        if 1 <= k <= len(self.values):
+            return self.values[k - 1]
+        if k < 1 or not self.absorbed:
+            raise DomainError(f"iterate {k} lies outside this orbit record")
+        return ZERO
+
+    def partial_sum(self, K: int) -> Rat:
+        """sum_{k=1..K} y_k / 2^k, read off the record."""
+        if K > len(self.values) and not self.absorbed:
+            raise DomainError(f"{K} terms lie outside this orbit record")
+        return _weighted_sum(self.values[:K])
+
 
 def orbit(x: RatLike, depth: int) -> OrbitInfo:
     """Iterate the base map up to ``depth`` times, stopping at {-1, 0, +1}."""
@@ -129,9 +175,7 @@ def orbit(x: RatLike, depth: int) -> OrbitInfo:
     if depth < 1:
         raise DomainError(f"depth must be a positive integer, got {depth}")
     values: list[Rat] = []
-    y = x
-    for _ in range(depth):
-        y = eval_f1(y)
+    for y in islice(iterates(x), depth):
         values.append(y)
         if y in ABSORBING_VALUES:
             return OrbitInfo(x, tuple(values), len(values), y, depth)
@@ -143,12 +187,7 @@ def eval_fk(x: RatLike, k: int) -> Rat:
     x = require_unit_interval(as_rational(x))
     if k < 1:
         raise DomainError(f"iterate index k must be >= 1, got {k}")
-    y = x
-    for _ in range(k):
-        if y == 0:
-            return ZERO
-        y = eval_f1(y)
-    return y
+    return next(islice(iterates(x), k - 1, None), ZERO)
 
 
 # ---------------------------------------------------------------------------
@@ -161,16 +200,7 @@ def partial_sum(x: RatLike, K: int) -> Rat:
     x = require_unit_interval(as_rational(x))
     if K < 1:
         raise DomainError(f"truncation K must be >= 1, got {K}")
-    total = ZERO
-    y = x
-    weight = ONE
-    for _ in range(K):
-        y = eval_f1(y)
-        weight /= 2
-        if y == 0:
-            break
-        total += y * weight
-    return total
+    return _weighted_sum(islice(iterates(x), K))
 
 
 @dataclass(frozen=True)
@@ -220,9 +250,7 @@ def eval_f(x: RatLike, K: int) -> Certified:
     if K < 1:
         raise DomainError(f"truncation K must be >= 1, got {K}")
     info = orbit(x, K)
-    if info.absorbed:
-        return Certified(partial_sum(x, info.absorbed_step), ZERO)
-    return Certified(partial_sum(x, K), Fraction(1, 2**K))
+    return Certified(info.partial_sum(K), ZERO if info.absorbed else Fraction(1, 2**K))
 
 
 def eval_g(x: RatLike, K: int) -> Certified:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Callable, Mapping, Optional
+from typing import Any, Callable, Mapping, Optional, Sequence
 
 from sawcascade.construction import Rat, as_rational
 
@@ -90,6 +90,12 @@ class WitnessReport:
         return [c for c in self.certificate if not c.holds()]
 
 
+def _verdict(certificate: Sequence[Check], error: Optional[str]) -> bool:
+    """The one verdict rule: no search error, at least one check, and every
+    check holds exactly."""
+    return error is None and bool(certificate) and all(c.holds() for c in certificate)
+
+
 def make_report(
     kind: str,
     inputs: Mapping[str, Any],
@@ -97,18 +103,12 @@ def make_report(
     certificate: list[Check],
     error: Optional[str] = None,
 ) -> WitnessReport:
-    """Assemble a report; the verdict is computed, never asserted.
-
-    Pass: no error, at least one check, and every check holds exactly.
-    """
-    verdict = error is None and bool(certificate) and all(
-        c.holds() for c in certificate
-    )
+    """Assemble a report; the verdict is computed, never asserted."""
     return WitnessReport(
         kind=kind,
         inputs=tuple((str(k), str(v)) for k, v in inputs.items()),
         points=tuple((as_rational(x), as_rational(v)) for x, v in points),
-        verdict=verdict,
+        verdict=_verdict(certificate, error),
         certificate=tuple(certificate),
         error=error,
     )
@@ -121,12 +121,7 @@ def recheck(report: WitnessReport) -> bool:
     report is internally consistent.  This is the bit-for-bit replay: it uses
     only the rationals inside the report.
     """
-    expected = (
-        report.error is None
-        and bool(report.certificate)
-        and all(c.holds() for c in report.certificate)
-    )
-    return expected == report.verdict
+    return _verdict(report.certificate, report.error) == report.verdict
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,6 @@ from sawcascade.cells import (
     cell,
     child_cell,
     child_map,
-    first_level_of,
     iter_cells,
     level1_cell,
     level1_ids_at,
@@ -37,10 +36,12 @@ from sawcascade.cells import (
 )
 from sawcascade.construction import (
     DomainError,
+    OrbitInfo,
     Rat,
     RatLike,
     as_rational,
     eval_fk,
+    orbit,
     partial_sum,
     require_unit_interval,
 )
@@ -81,8 +82,8 @@ def _side_cells(x0: Rat, first_level: int) -> list[Cell]:
 
 
 def _fan_scan(
-    side: Cell, x0: Rat, delta: Rat, fan_budget: int
-) -> tuple[Optional[tuple[Rat, Rat]], Optional[tuple[Rat, Rat]], Rat, int]:
+    side: Cell, x0: Rat, fx0: Rat, delta: Rat, fan_budget: int
+) -> tuple[Optional[tuple[Rat, Rat]], Optional[tuple[Rat, Rat]]]:
     """Scan the child fan of ``side`` accumulating at its endpoint x0.
 
     Children are preimages of the level-1 teeth; the teeth with ids of the
@@ -90,15 +91,14 @@ def _fan_scan(
     first index whose child can fit in the delta window (computed from the
     side's slope) and walks at most ``fan_budget`` children.  Each child
     endpoint y carries the exact series value partial_sum(y, k) where
-    k = side.level + 1; the scan returns the first endpoint whose value
-    exceeds f(x0) + 2^-(k+1) and the first below f(x0) - 2^-(k+1).
+    k = side.level + 1; given fx0 = f(x0), the scan returns the first
+    endpoint whose value exceeds fx0 + 2^-(k+1) and the first below fx0 - 2^-(k+1).
 
-    Returns (above, below, exact value at x0, k); either witness slot may
-    be None if the budget ran out first.
+    Returns (above, below); either witness slot may be None if the budget
+    ran out first.
     """
     k = side.level + 1
     margin = Fraction(1, 2 ** (k + 1))
-    fx0 = partial_sum(x0, side.level) if side.level >= 1 else ZERO
     v0 = side.value_at(x0)
     if abs(v0) != 1:
         raise DomainError(f"{x0} is not an endpoint of the given level-{side.level} cell")
@@ -120,7 +120,7 @@ def _fan_scan(
         if above is not None and below is not None:
             break
         m += 1
-    return above, below, fx0, k
+    return above, below
 
 
 def _witness_checks(
@@ -138,20 +138,22 @@ def _witness_checks(
 
 
 def _endpoint_fan_report(
-    kind: str, x0: Rat, fl: int, delta: Rat, fan_budget: int, inputs: dict
+    kind: str, info: OrbitInfo, delta: Rat, fan_budget: int, inputs: dict
 ) -> WitnessReport:
-    """Report of the fan scan around an enumerable endpoint x0.
+    """Report of the fan scan around the enumerable endpoint x0 = info.start.
 
     Scans the fans of the cells abutting x0 until one point above
     f(x0) + 2^-(k+1) and one below f(x0) - 2^-(k+1) turn up, and certifies
-    both together with why f(x0) is exactly known.  If the budget runs out
-    first, the failure report lists whichever witness was found.
+    both together with why f(x0) is exactly known, read off the orbit record.
+    If the budget runs out first, the failure report lists whichever witness
+    was found.
     """
+    x0 = info.start
+    k = info.first_level
+    fx0 = info.partial_sum(k - 1)
     above = below = None
-    fx0 = ZERO
-    k = fl
-    for side in _side_cells(x0, fl):
-        a, b, fx0, k = _fan_scan(side, x0, delta, fan_budget)
+    for side in _side_cells(x0, k):
+        a, b = _fan_scan(side, x0, fx0, delta, fan_budget)
         above = above or a
         below = below or b
         if above and below:
@@ -164,12 +166,12 @@ def _endpoint_fan_report(
             error="fan budget exhausted before both witnesses appeared",
         )
     margin = Fraction(1, 2 ** (k + 1))
-    if fl == 1:
+    if k == 1:
         certificate = [check("center_is_domain_end", "==", abs(x0), 1)]
     else:
         certificate = [
-            check("center_hits_unit", "==", abs(eval_fk(x0, fl - 1)), 1),
-            check("center_absorbed", "==", eval_fk(x0, fl), 0),
+            check("center_hits_unit", "==", abs(info.iterate(k - 1)), 1),
+            check("center_absorbed", "==", info.iterate(k), 0),
         ]
     certificate += _witness_checks("upper", x0, above, fx0, margin, delta, k, above=True)
     certificate += _witness_checks("lower", x0, below, fx0, margin, delta, k, above=False)
@@ -199,7 +201,8 @@ def oscillation_witness(
     """
     x0 = require_unit_interval(as_rational(x0), "x0")
     delta = _require_positive_delta(as_rational(delta))
-    fl = first_level_of(x0, depth)
+    info = orbit(x0, depth)
+    fl = info.first_level
     if fl is None:
         raise NotAnEPointError(
             f"orbit of {x0} does not hit +-1 within {depth} steps; "
@@ -207,7 +210,7 @@ def oscillation_witness(
         )
     inputs = {"x0": x0, "delta": delta, "first_level": fl,
               "depth": depth, "fan_budget": fan_budget}
-    return _endpoint_fan_report("oscillation", x0, fl, delta, fan_budget, inputs)
+    return _endpoint_fan_report("oscillation", info, delta, fan_budget, inputs)
 
 
 # ---------------------------------------------------------------------------
@@ -216,28 +219,25 @@ def oscillation_witness(
 
 
 def _walk_chain(
-    x0: Rat, window_lo: Rat, window_hi: Rat, depth: int
+    info: OrbitInfo, window_lo: Rat, window_hi: Rat
 ) -> tuple[Optional[Cell], Rat, Optional[str]]:
-    """Descend the cell chain of a non-endpoint x0 until the cell fits
-    strictly inside the window and the truncated series has nonzero slope
-    on it.  Returns (cell, that slope, error)."""
-    y = x0
+    """Descend the cell chain of the non-endpoint info.start along its orbit
+    record until the cell fits strictly inside the window and the truncated
+    series has nonzero slope on it.  Returns (cell, that slope, error)."""
+    depth = info.depth_limit
+    y = info.start
     current = ROOT
     slope_sum = ZERO
-    k = 0
-    while True:
-        if k + 2 > depth:
-            return None, ZERO, (
-                f"depth {depth} exhausted at level {k} before the cell chain "
-                "fit the window"
-            )
-        j = level1_ids_at(y)[0]
-        current = child_cell(current, j)
-        k += 1
+    for k in range(1, depth):
+        current = child_cell(current, level1_ids_at(y)[0])
         slope_sum += Fraction(current.slope) / 2**k
-        y = level1_cell(j).value_at(y)
         if current.strictly_inside(window_lo, window_hi) and slope_sum != 0:
             return current, slope_sum, None
+        y = info.iterate(k)
+    return None, ZERO, (
+        f"depth {depth} exhausted at level {depth - 1} before the cell chain "
+        "fit the window"
+    )
 
 
 def non_extremum_witness(
@@ -258,20 +258,21 @@ def non_extremum_witness(
     """
     x0 = require_unit_interval(as_rational(x0), "x0")
     delta = _require_positive_delta(as_rational(delta))
-    fl = first_level_of(x0, depth)
+    info = orbit(x0, depth)
+    fl = info.first_level
     inputs = {"x0": x0, "delta": delta, "depth": depth,
               "fan_budget": fan_budget}
     if fl is not None:
         inputs["mode"] = "endpoint_fan"
         inputs["first_level"] = fl
-        return _endpoint_fan_report("non_extremum", x0, fl, delta, fan_budget, inputs)
+        return _endpoint_fan_report("non_extremum", info, delta, fan_budget, inputs)
 
     inputs["mode"] = "interior_chain"
-    chain_cell, slope_sum, err = _walk_chain(x0, x0 - delta, x0 + delta, depth)
+    chain_cell, slope_sum, err = _walk_chain(info, x0 - delta, x0 + delta)
     if chain_cell is None:
-        return make_report("non_extremum", inputs, [(x0, partial_sum(x0, 1))], [], error=err)
+        return make_report("non_extremum", inputs, [(x0, info.partial_sum(1))], [], error=err)
     k = chain_cell.level
-    j0 = level1_ids_at(eval_fk(x0, k))[0]
+    j0 = level1_ids_at(info.iterate(k))[0]
     inner = child_cell(chain_cell, j0)
     sib_a = child_cell(chain_cell, j0 - 1)
     sib_b = child_cell(chain_cell, j0 + 1)
@@ -279,12 +280,12 @@ def non_extremum_witness(
     v = inner.value_at(x0)  # the (k+1)-th iterate of x0
     x1 = (v - left.intercept) / left.slope
     x2 = (v - right.intercept) / right.slope
-    s0 = partial_sum(x0, k)
+    s0 = info.partial_sum(k)
     s1 = partial_sum(x1, k)
     s2 = partial_sum(x2, k)
     certificate = [
-        check("left_tail_matches", "==", eval_fk(x1, k + 1), eval_fk(x0, k + 1)),
-        check("right_tail_matches", "==", eval_fk(x2, k + 1), eval_fk(x0, k + 1)),
+        check("left_tail_matches", "==", eval_fk(x1, k + 1), info.iterate(k + 1)),
+        check("right_tail_matches", "==", eval_fk(x2, k + 1), info.iterate(k + 1)),
         check("alternation", "<", (s1 - s0) * (s2 - s0), 0),
         check("left_inside_window", "<", x0 - x1, delta),
         check("right_inside_window", "<", x2 - x0, delta),
@@ -321,26 +322,28 @@ def non_monotone_witness(
     if a >= b:
         raise DomainError(f"need a < b, got a={a}, b={b}")
     mid = (a + b) / 2
-    fl = first_level_of(mid, depth)
+    info = orbit(mid, depth)
+    fl = info.first_level
     inputs = {"a": a, "b": b, "depth": depth, "fan_budget": fan_budget}
     if fl is not None:
         inputs["mode"] = "midpoint_fan"
         anchor = mid
+        fx0 = info.partial_sum(fl - 1)
         delta = min(mid - a, b - mid)
         sides = _side_cells(mid, fl)
     else:
         inputs["mode"] = "chain_cell_fan"
-        chain_cell, _slope, err = _walk_chain(mid, a, b, depth)
+        chain_cell, _slope, err = _walk_chain(info, a, b)
         if chain_cell is None:
             return make_report("non_monotone", inputs, [], [], error=err)
         anchor = chain_cell.lo
+        fx0 = partial_sum(anchor, chain_cell.level)
         delta = chain_cell.length
         sides = [chain_cell]
+    k = sides[0].level + 1
     above = below = None
-    fx0 = ZERO
-    k = 1
     for side in sides:
-        above, below, fx0, k = _fan_scan(side, anchor, delta, fan_budget)
+        above, below = _fan_scan(side, anchor, fx0, delta, fan_budget)
         if above and below:
             break
     if not (above and below):
@@ -390,11 +393,12 @@ def local_min_check(x: RatLike) -> WitnessReport:
         check("band_lower", "<", Fraction(1, 2 ** (k + 1)), x),
         check("band_upper", "<=", x, Fraction(1, 2**k)),
     ]
+    info = orbit(x, k)
     for layer in range(1, k + 1):
         certificate.append(
-            check(f"middle_ramp_layer_{layer}", "==", eval_fk(x, layer), x * 2**layer)
+            check(f"middle_ramp_layer_{layer}", "==", info.iterate(layer), x * 2**layer)
         )
-    s = partial_sum(x, k)
+    s = info.partial_sum(k)
     certificate += [
         check("truncation_is_k_x", "==", s, k * x),
         check("exceeds_band_floor", ">", s, Fraction(k, 2 ** (k + 1))),

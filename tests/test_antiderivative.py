@@ -1,10 +1,11 @@
 """Layer integrals, certified antiderivatives, integral gap, quotient bound.
 
-Two independent routes are kept separate throughout: the recursive layer
-integral (``eval_Fk``) versus the purely geometric enclosure
-(``enclose_integral``), and the closed-form normalization constant versus
-its term-by-term summation.  The trapezoid-difference identity ties layer
-integrals to plain iterate values with no shared code path.
+Two independent routes are kept separate throughout: the one-pass layer
+integral (``eval_Fk``, also checked against a recursive reference kept
+here) versus the purely geometric enclosure (``enclose_integral``), and the
+closed-form normalization constant versus its term-by-term summation.  The
+trapezoid-difference identity ties layer integrals to plain iterate values
+with no shared code path.
 """
 
 from __future__ import annotations
@@ -26,8 +27,8 @@ from sawcascade.antiderivative import (
     normalization_center,
     quotient_bound_check,
 )
-from sawcascade.cells import cell
-from sawcascade.construction import Certified, DomainError, eval_fk
+from sawcascade.cells import cell, level1_cell, level1_ids_at
+from sawcascade.construction import Certified, DomainError, eval_f1, eval_fk
 from sawcascade.reports import recheck
 
 F = Fraction
@@ -105,9 +106,6 @@ def test_trapezoid_difference_identity_inside_cells(address, t1, t2):
 def test_shared_endpoint_recursion_agrees_through_both_teeth():
     # at a shared tooth endpoint the recursion may divide by either slope;
     # both give the same value because the inner integral vanishes at +-1
-    from sawcascade.cells import level1_cell, level1_ids_at
-    from sawcascade.construction import eval_f1
-
     for e in (F(1, 2), F(2, 3), F(3, 4), F(-1, 2), F(-3, 4)):
         ids = level1_ids_at(e)
         assert len(ids) == 2
@@ -115,6 +113,29 @@ def test_shared_endpoint_recursion_agrees_through_both_teeth():
             inner = eval_Fk(eval_f1(e), k - 1)
             routes = {inner / level1_cell(j).slope for j in ids}
             assert routes == {eval_Fk(e, k)}
+
+
+def reference_Fk(x: F, k: int) -> F:
+    """The layer integral by recursion through the tooth containing x:
+    layer k at x is layer k-1 at f_1(x) over that tooth's slope."""
+    if k == 0:
+        return eval_F0(x)
+    if abs(x) == 1:
+        return F(0)
+    tooth = level1_cell(level1_ids_at(x)[0])
+    return reference_Fk(eval_f1(x), k - 1) / tooth.slope
+
+
+@given(
+    unit_fractions,
+    st.integers(min_value=0, max_value=10),
+    st.integers(min_value=1, max_value=10),
+)
+@settings(max_examples=150)
+def test_one_pass_layer_integrals_match_the_recursion(x, k, K):
+    assert eval_Fk(x, k) == reference_Fk(x, k)
+    expected = sum((reference_Fk(x, j) / 2**j for j in range(1, K + 1)), F(0))
+    assert eval_F(x, K).center == expected
 
 
 # ---------------------------------------------------------------------------

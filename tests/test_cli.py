@@ -93,6 +93,20 @@ def test_eval_G_at_one() -> None:
     assert F(payload["radius"]) == F(4, 8)
 
 
+@pytest.mark.parametrize(
+    "argv, radius",
+    [
+        ("eval --fn G --x 1/7 --K 1000", F(4, 2**1000)),
+        ("eval --fn Fk --x 1/7 --k 5000", F(0)),
+    ],
+    ids=["G-K1000", "Fk-k5000"],
+)
+def test_eval_deep_layer_index_runs_without_recursion(argv: str, radius: F) -> None:
+    code, out, err = invoke(argv.split())
+    assert (code, err) == (EXIT_OK, "")
+    assert F(json.loads(out)["radius"]) == radius
+
+
 def test_eval_outside_domain_is_usage_error() -> None:
     code, _, err = invoke(["eval", "--fn", "f", "--x", "3/2"])
     assert code == EXIT_USAGE
@@ -147,6 +161,15 @@ def test_sample_single_point_and_bad_range() -> None:
     code, _, err = invoke(["sample", "--fn", "f1", "--a", "1", "--b", "0"])
     assert code == EXIT_USAGE
     assert "a <= b" in err
+
+
+def test_sample_deep_layer_index_runs_without_recursion() -> None:
+    code, out, err = invoke(["sample", "--fn", "Fk", "--k", "2000", "--count", "3"])
+    assert (code, err) == (EXIT_OK, "")
+    lines = out.strip().splitlines()
+    assert [line.split(",")[0] for line in lines[1:]] == ["-1", "0", "1"]
+    # F_k(0) = -2^-(k+1) for every layer k
+    assert F(lines[2].split(",")[1]) == -F(1, 2**2001)
 
 
 def test_emit_samples_grid_is_exact() -> None:
@@ -345,6 +368,22 @@ PINNED_STDOUT = {
         "cd9e4efbe343357526abf1a84df5722c639d94645280b3ca5b05a335c650c3c5",
     "integrate --k 3 --upto 7/10 --index-budget 20":
         "9b226331af8730d0bdfaa5fc200186512668c1013ecf3010e3e55bdbfb405a1b",
+    "sample --fn F --count 33 --K 60":
+        "3026b2b66988e8332135063e356c00bf02b65e84b1e054da4c4f935636a60e5a",
+    "sample --fn G --count 33 --K 30 --format json":
+        "571ea6ff14403e1780bcc9c3ff8609ccdc17f9d1247ad00dc830d82c48826908",
+    "sample --fn Fk --k 7 --count 65":
+        "bb8ef4f254e6e2dc19e45002c18d253f203bd35a3cd13f1b148399bb0ebaca95",
+    "sample --fn f --a 1/7 --b 6/7 --count 13 --K 60":
+        "8fc6594690c69f52c3ea2e88f6e306ca3cd0fbbdf937fe2e428bc9b0778acad9",
+    "sample --fn g --count 21 --K 40 --format json":
+        "75b6b5f9f0fac58c128d302e90ffc78c0c50ea35e1b1f18e039de5d75613084b",
+    "eval --fn F --x=-123457/1000003 --K 60":
+        "33a1c14a976fed1a200ae924d1a80e24f3ae85d1d494d006a11f06ac6b203b7f",
+    "eval --fn G --x 999999/1000000 --K 60":
+        "b84ea53bb0201013d9214bfd190984c6179bbd79c513c62d1f5b50cafaf715bf",
+    "eval --fn fk --x 1/7 --k 300":
+        "a23be6e944f135b5bd341cc9f7bbebbdd572cdc5c7045d67973c0f6ffa89e2db",
 }
 
 

@@ -10,6 +10,7 @@ definition before the implementation existed.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
@@ -22,6 +23,7 @@ from sawcascade.construction import (
     eval_f1,
     eval_fk,
     eval_g,
+    iterates,
     orbit,
     partial_sum,
 )
@@ -152,6 +154,32 @@ def test_orbit_denominators_never_grow(x, depth):
 def test_orbit_validates_depth():
     with pytest.raises(DomainError):
         orbit(F(1, 3), 0)
+
+
+def test_iterates_end_right_after_the_first_zero():
+    assert list(iterates(F(7, 10))) == [F(-1, 5), F(-2, 5), F(-4, 5), F(1), F(0)]
+    assert list(iterates(F(0))) == [F(0)]
+    assert list(islice(iterates(F(1, 7)), 6)) == [F(2, 7), F(4, 7), F(1, 7)] * 2
+
+
+@given(rationals_in_unit, st.integers(min_value=1, max_value=30))
+def test_orbit_record_reads_match_stepwise_iteration(x, depth):
+    info = orbit(x, depth)
+    y, total = x, F(0)
+    for k in range(1, depth + 1):
+        y = eval_f1(y)
+        total += y / 2**k
+        assert info.iterate(k) == y
+        assert info.partial_sum(k) == total
+
+
+def test_orbit_record_refuses_reads_past_its_depth():
+    info = orbit(F(1, 7), 4)
+    with pytest.raises(DomainError):
+        info.iterate(5)
+    with pytest.raises(DomainError):
+        info.partial_sum(5)
+    assert orbit(F(7, 10), 4).iterate(9) == 0
 
 
 # ---------------------------------------------------------------------------
