@@ -45,6 +45,10 @@ EXIT_USAGE = 2
 
 POINT_FUNCTIONS = ("f1", "fk", "f", "g", "Fk", "F", "G")
 
+#: Largest --k and --K that eval and sample accept: each orbit walk takes
+#: one step per layer, so an unbounded index would hang the command.
+MAX_LAYER_INDEX = 5000
+
 
 def parse_rational(text: str) -> Rat:
     """Exact rational from 'p/q' or a terminating decimal string."""
@@ -67,6 +71,9 @@ class SampleConfig:
 
 def _evaluate(fn: str, x: Rat, k: int, K: int) -> Certified:
     """Uniform certified view of every evaluable function."""
+    for flag, index in (("--k", k), ("--K", K)):
+        if index > MAX_LAYER_INDEX:
+            raise DomainError(f"{flag} must be at most {MAX_LAYER_INDEX}, got {index}")
     if fn == "f1":
         return Certified(eval_f1(x), Fraction(0))
     if fn == "fk":

@@ -13,6 +13,11 @@ later term of the series vanishes and the series value itself becomes an
 exact rational.  Otherwise the dropped tail is bounded by 2^-K in absolute
 value, which is the certified radius reported by ``eval_f``.
 
+The base map sends p/q to p'/q with the same denominator q and |p'| <= q,
+so an orbit is walked on integer numerators over one fixed q
+(``f1_numerator``): no Fraction is built per step, and a partial sum is one
+integer Horner sum over the numerators, divided by q 2^m once at the end.
+
 No float ever enters or leaves this module: every scalar is a
 ``fractions.Fraction`` (or an int, coerced exactly), and every comparison
 is decided exactly.
@@ -29,11 +34,7 @@ Rat = Fraction
 RatLike = Union[Rat, int, str]
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 HALF = Fraction(1, 2)
-
-#: Values whose entire forward orbit is {0}: each maps to 0 and 0 is fixed.
-ABSORBING_VALUES = (Fraction(-1), ZERO, ONE)
 
 
 class DomainError(ValueError):
@@ -75,25 +76,39 @@ def tooth_index(x: Rat) -> int:
     return x.denominator // (x.denominator - x.numerator)
 
 
+def f1_numerator(p: int, q: int) -> int:
+    """Numerator over the same q of f_1(p/q), for q >= 1 and |p| <= q.
+
+    This integer step is the module's one formula for the base map.  On
+    [0, 1/2) the map doubles: 2p.  On tooth n = q // (q - p), that is
+    [1 - 1/n, 1 - 1/(n+1)) for n >= 2, it falls (n even) or rises (n odd)
+    linearly from (-1)^n to (-1)^(n+1): +-((2n^2 - 1) q - 2n(n+1) p).  The
+    points 0 and +-q map to 0, and negative p is the odd reflection.  The
+    result again lies in [-q, q], so an orbit never leaves denominator q.
+    """
+    a = -p if p < 0 else p
+    if 2 * a < q:
+        return 2 * p
+    if a == q:
+        return 0
+    n = q // (q - a)
+    value = (2 * n * n - 1) * q - 2 * n * (n + 1) * a
+    if n % 2:
+        value = -value
+    return -value if p < 0 else value
+
+
 def eval_f1(x: RatLike) -> Rat:
     """Exact value of the base sawtooth map at x in [-1, 1].
 
     Piecewise: 2x on [0, 1/2); on tooth n (that is, [1 - 1/n, 1 - 1/(n+1))
     for n >= 2) the value is (-1)^n (1 - 2t) where t in [0, 1) is the
     position within the tooth rescaled to unit length; 0 at x = 1; odd
-    reflection for x < 0.  Range is [-1, 1].
+    reflection for x < 0.  Range is [-1, 1].  One step of f1_numerator.
     """
     x = require_unit_interval(as_rational(x))
-    if x < 0:
-        return -eval_f1(-x)
-    if x == 0 or x == 1:
-        return ZERO
-    if x < HALF:
-        return 2 * x
-    n = tooth_index(x)
-    t = (x - 1 + Fraction(1, n)) * n * (n + 1)
-    value = 1 - 2 * t
-    return value if n % 2 == 0 else -value
+    q = x.denominator
+    return Fraction(f1_numerator(x.numerator, q), q)
 
 
 # ---------------------------------------------------------------------------
@@ -101,44 +116,66 @@ def eval_f1(x: RatLike) -> Rat:
 # ---------------------------------------------------------------------------
 
 
-def iterates(x: RatLike) -> Iterator[Rat]:
-    """The forward orbit f_1(x), f_2(x), ... of x under the base map.
+def _numerators(x: Rat) -> Iterator[int]:
+    """Numerators over x's denominator q of f_1(x), f_2(x), ...
 
     This is the one place that applies the base map repeatedly; every orbit
     consumer reads it.  The walk ends right after the first 0: 0 is fixed,
     so every later iterate is 0 and adds nothing to any sum.  An orbit that
     never reaches 0 is endless, so callers bound it (``islice``).
     """
-    y = require_unit_interval(as_rational(x))
+    p, q = x.numerator, x.denominator
     while True:
-        y = eval_f1(y)
-        yield y
-        if y == 0:
+        p = f1_numerator(p, q)
+        yield p
+        if p == 0:
             return
 
 
-def _weighted_sum(values: Iterable[Rat]) -> Rat:
-    """sum_k y_k / 2^k over the iterates y_1, y_2, ... given."""
-    return sum((y / 2**k for k, y in enumerate(values, 1)), ZERO)
+def _horner(numerators: Iterable[int], q: int) -> Rat:
+    """sum_k p_k / (q 2^k) over the numerators p_1, p_2, ... given.
+
+    Horner's rule on integers: acc = 2 acc + p_k over m terms leaves
+    acc / (q 2^m), so one Fraction is built at the end.
+    """
+    acc = m = 0
+    for p in numerators:
+        acc = 2 * acc + p
+        m += 1
+    return Fraction(acc, q << m)
+
+
+def iterates(x: RatLike) -> Iterator[Rat]:
+    """The forward orbit f_1(x), f_2(x), ... of x, ending right after the first 0."""
+    x = require_unit_interval(as_rational(x))
+    q = x.denominator
+    for p in _numerators(x):
+        yield Fraction(p, q)
 
 
 @dataclass(frozen=True)
 class OrbitInfo:
     """Forward orbit of a point under the base map, tracked until absorption.
 
-    ``values`` holds the iterates y_1, y_2, ... (y_0 = start is not
-    included).  ``absorbed_step`` is the first index m (1-based) with
-    y_m in {-1, 0, +1}, or None if no iterate reached an absorbing value
-    within ``depth_limit`` steps.  Denominators never grow along an orbit,
-    so an orbit either absorbs or cycles forever; a None here means the
-    point's series value keeps a nonzero certified radius at every depth.
+    ``numerators`` holds the iterates y_1, y_2, ... (y_0 = start is not
+    included) as integers over ``start``'s denominator q; ``values`` gives
+    them as Fractions.  ``absorbed_step`` is the first index m (1-based)
+    with y_m in {-1, 0, +1}, or None if no iterate reached an absorbing
+    value within ``depth_limit`` steps.  Denominators never grow along an
+    orbit, so an orbit either absorbs or cycles forever; a None here means
+    the point's series value keeps a nonzero certified radius at every depth.
     """
 
     start: Rat
-    values: tuple[Rat, ...]
+    numerators: tuple[int, ...]
     absorbed_step: Optional[int]
     absorber: Optional[Rat]
     depth_limit: int
+
+    @property
+    def values(self) -> tuple[Rat, ...]:
+        q = self.start.denominator
+        return tuple(Fraction(p, q) for p in self.numerators)
 
     @property
     def absorbed(self) -> bool:
@@ -156,17 +193,17 @@ class OrbitInfo:
 
     def iterate(self, k: int) -> Rat:
         """The k-th iterate y_k (k >= 1); every iterate past an absorption is 0."""
-        if 1 <= k <= len(self.values):
-            return self.values[k - 1]
+        if 1 <= k <= len(self.numerators):
+            return Fraction(self.numerators[k - 1], self.start.denominator)
         if k < 1 or not self.absorbed:
             raise DomainError(f"iterate {k} lies outside this orbit record")
         return ZERO
 
     def partial_sum(self, K: int) -> Rat:
         """sum_{k=1..K} y_k / 2^k, read off the record."""
-        if K > len(self.values) and not self.absorbed:
+        if K > len(self.numerators) and not self.absorbed:
             raise DomainError(f"{K} terms lie outside this orbit record")
-        return _weighted_sum(self.values[:K])
+        return _horner(self.numerators[:K], self.start.denominator)
 
 
 def orbit(x: RatLike, depth: int) -> OrbitInfo:
@@ -174,12 +211,13 @@ def orbit(x: RatLike, depth: int) -> OrbitInfo:
     x = require_unit_interval(as_rational(x))
     if depth < 1:
         raise DomainError(f"depth must be a positive integer, got {depth}")
-    values: list[Rat] = []
-    for y in islice(iterates(x), depth):
-        values.append(y)
-        if y in ABSORBING_VALUES:
-            return OrbitInfo(x, tuple(values), len(values), y, depth)
-    return OrbitInfo(x, tuple(values), None, None, depth)
+    q = x.denominator
+    numerators: list[int] = []
+    for p in islice(_numerators(x), depth):
+        numerators.append(p)
+        if p == 0 or abs(p) == q:
+            return OrbitInfo(x, tuple(numerators), len(numerators), Fraction(p, q), depth)
+    return OrbitInfo(x, tuple(numerators), None, None, depth)
 
 
 def eval_fk(x: RatLike, k: int) -> Rat:
@@ -187,7 +225,7 @@ def eval_fk(x: RatLike, k: int) -> Rat:
     x = require_unit_interval(as_rational(x))
     if k < 1:
         raise DomainError(f"iterate index k must be >= 1, got {k}")
-    return next(islice(iterates(x), k - 1, None), ZERO)
+    return Fraction(next(islice(_numerators(x), k - 1, None), 0), x.denominator)
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +238,7 @@ def partial_sum(x: RatLike, K: int) -> Rat:
     x = require_unit_interval(as_rational(x))
     if K < 1:
         raise DomainError(f"truncation K must be >= 1, got {K}")
-    return _weighted_sum(islice(iterates(x), K))
+    return _horner(islice(_numerators(x), K), x.denominator)
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,6 @@ from sawcascade.antiderivative import enclose_integral, eval_Fk
 from sawcascade.cells import (
     ROOT,
     Cell,
-    cell,
     child_cell,
     child_map,
     iter_cells,
@@ -69,16 +68,26 @@ def _require_positive_delta(delta: Rat) -> Rat:
 # ---------------------------------------------------------------------------
 
 
-def _side_cells(x0: Rat, first_level: int) -> list[Cell]:
-    """The cells of level first_level - 1 that have x0 as an endpoint.
+def _side_cells(info: OrbitInfo) -> list[Cell]:
+    """The cells of level first_level - 1 with endpoint x0 = info.start.
 
     For first_level 1 (x0 = +-1) the level-0 root stands in: the fan of
-    level-1 teeth accumulates at both domain ends.  Otherwise locate at
-    level first_level - 1 returns exactly the one or two abutting cells.
+    level-1 teeth accumulates at both domain ends.  Otherwise the cell chain
+    of x0 is walked along its orbit record, as in _walk_chain.  No iterate
+    before y_{m-1}, with m = first_level - 1, is a tooth endpoint (its image
+    would be +-1 a step early), so each such step has one level-1 id; the
+    walk branches only at its last step, into the one or two ids at
+    y_{m-1}, in ascending order as locate sorts them.
     """
-    if first_level == 1:
+    m = info.first_level - 1
+    if m == 0:
         return [ROOT]
-    return [cell(a) for a in locate(x0, first_level - 1)]
+    current = ROOT
+    y = info.start
+    for i in range(1, m):
+        current = child_cell(current, level1_ids_at(y)[0])
+        y = info.iterate(i)
+    return [child_cell(current, j) for j in level1_ids_at(y)]
 
 
 def _fan_scan(
@@ -93,6 +102,7 @@ def _fan_scan(
     endpoint y carries the exact series value partial_sum(y, k) where
     k = side.level + 1; given fx0 = f(x0), the scan returns the first
     endpoint whose value exceeds fx0 + 2^-(k+1) and the first below fx0 - 2^-(k+1).
+    Adjacent children share an endpoint, which is evaluated once.
 
     Returns (above, below); either witness slot may be None if the budget
     ran out first.
@@ -107,10 +117,11 @@ def _fan_scan(
     m = max(1, floor(entry))
     above: Optional[tuple[Rat, Rat]] = None
     below: Optional[tuple[Rat, Rat]] = None
+    shared: tuple[Rat, ...] = ()
     for _ in range(fan_budget):
         kid = child_cell(side, toward * m)
         for y in (kid.lo, kid.hi):
-            if y == x0 or abs(y - x0) >= delta:
+            if y in shared or y == x0 or abs(y - x0) >= delta:
                 continue
             fy = partial_sum(y, k)
             if above is None and fy - fx0 > margin:
@@ -119,6 +130,7 @@ def _fan_scan(
                 below = (y, fy)
         if above is not None and below is not None:
             break
+        shared = (kid.lo, kid.hi)
         m += 1
     return above, below
 
@@ -152,7 +164,7 @@ def _endpoint_fan_report(
     k = info.first_level
     fx0 = info.partial_sum(k - 1)
     above = below = None
-    for side in _side_cells(x0, k):
+    for side in _side_cells(info):
         a, b = _fan_scan(side, x0, fx0, delta, fan_budget)
         above = above or a
         below = below or b
@@ -330,7 +342,7 @@ def non_monotone_witness(
         anchor = mid
         fx0 = info.partial_sum(fl - 1)
         delta = min(mid - a, b - mid)
-        sides = _side_cells(mid, fl)
+        sides = _side_cells(info)
     else:
         inputs["mode"] = "chain_cell_fan"
         chain_cell, _slope, err = _walk_chain(info, a, b)

@@ -107,6 +107,22 @@ def test_eval_deep_layer_index_runs_without_recursion(argv: str, radius: F) -> N
     assert F(json.loads(out)["radius"]) == radius
 
 
+@pytest.mark.parametrize("fn, flag", [("fk", "--k"), ("Fk", "--k"), ("G", "--K")])
+def test_eval_layer_index_above_bound_is_refused_before_walking(fn: str, flag: str) -> None:
+    # 1/7 cycles forever, so an unbounded walk would never end
+    start = time.perf_counter()
+    code, out, err = invoke(["eval", "--fn", fn, "--x", "1/7", flag, "30000000"])
+    assert time.perf_counter() - start < 2
+    _assert_one_line_usage_error(code, out, err)
+    assert "at most 5000" in err
+
+
+def test_sample_layer_index_above_bound_is_refused() -> None:
+    code, out, err = invoke(["sample", "--fn", "f", "--K", "5001", "--count", "3"])
+    _assert_one_line_usage_error(code, out, err)
+    assert "--K must be at most 5000" in err
+
+
 def test_eval_outside_domain_is_usage_error() -> None:
     code, _, err = invoke(["eval", "--fn", "f", "--x", "3/2"])
     assert code == EXIT_USAGE
@@ -352,6 +368,8 @@ def test_verify_max_level_guard_refuses_before_enumerating() -> None:
 #: enumeration, both integral enclosures and the endpoint fan: identical
 #: arguments must keep producing identical bytes.
 PINNED_STDOUT = {
+    "verify all":
+        "defeb0b3ca0e3ed7e9b6c65629a0f6700e72ecf0c95c8f241c1926eb8c5cde77",
     "verify all --max-level 3 --count 4 --index-budget 2 --n-max 3":
         "980ee33aedca024e5e494b3278235e2bcbf2a84ad9d11c2679f6d491cfa874d4",
     "verify structure":

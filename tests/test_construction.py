@@ -3,6 +3,9 @@
 The base-map oracle here is deliberately independent of the implementation:
 it finds the containing tooth by linear scan and interpolates between the
 tooth's endpoint values instead of using the closed rescaling formula.
+A second oracle, ``reference_f1``, keeps that rescaling formula in Fraction
+arithmetic; the integer orbit kernel (step, iterates, iterate, partial sums)
+is checked against it.
 Expected values in the frozen tables were derived by hand from the piecewise
 definition before the implementation existed.
 """
@@ -23,6 +26,7 @@ from sawcascade.construction import (
     eval_f1,
     eval_fk,
     eval_g,
+    f1_numerator,
     iterates,
     orbit,
     partial_sum,
@@ -61,6 +65,46 @@ def f1_oracle(x: Fraction) -> Fraction:
     return vlo + (vhi - vlo) * (x - lo) / (hi - lo)
 
 
+def reference_f1(x: Fraction) -> Fraction:
+    """Base map via the Fraction rescaling formula, step by step.
+
+    On tooth n, t = (x - 1 + 1/n) n (n+1) in [0, 1) is the position within
+    the tooth and the value is (-1)^n (1 - 2t).  The implementation walks
+    integer numerators instead; this is its oracle.
+    """
+    if x < 0:
+        return -reference_f1(-x)
+    if x == 0 or x == 1:
+        return F(0)
+    if x < F(1, 2):
+        return 2 * x
+    n = x.denominator // (x.denominator - x.numerator)
+    t = (x - 1 + F(1, n)) * n * (n + 1)
+    value = 1 - 2 * t
+    return value if n % 2 == 0 else -value
+
+
+def reference_orbit(x: Fraction, steps: int) -> list[Fraction]:
+    ys = []
+    for _ in range(steps):
+        x = reference_f1(x)
+        ys.append(x)
+    return ys
+
+
+#: Random points plus the special ones: +-1, 0, +-1/2 and tooth endpoints.
+kernel_points = st.one_of(
+    rationals_in_unit,
+    st.fractions(min_value=F(-1), max_value=F(1), max_denominator=10**9),
+    st.sampled_from([F(1), F(-1), F(0), F(1, 2), F(-1, 2)]),
+    st.builds(
+        lambda n, sign: sign * (1 - F(1, n)),
+        st.integers(2, 10**6),
+        st.sampled_from([1, -1]),
+    ),
+)
+
+
 FROZEN_F1 = [
     (F(0), F(0)),
     (F(1), F(0)),
@@ -92,6 +136,39 @@ def test_f1_matches_scan_oracle(x):
 def test_f1_is_odd_and_bounded(x):
     assert eval_f1(-x) == -eval_f1(x)
     assert abs(eval_f1(x)) <= 1
+
+
+@given(st.integers(1, 10**12).flatmap(
+    lambda q: st.tuples(st.integers(-q, q), st.just(q))
+))
+def test_integer_step_matches_reference(pq):
+    # q need not be the reduced denominator: the step keeps any q
+    p, q = pq
+    assert F(f1_numerator(p, q), q) == reference_f1(F(p, q))
+    assert abs(f1_numerator(p, q)) <= q
+
+
+@given(kernel_points)
+def test_f1_matches_reference(x):
+    assert eval_f1(x) == reference_f1(x)
+    assert f1_numerator(x.numerator, x.denominator) == reference_f1(x) * x.denominator
+
+
+@given(kernel_points, st.integers(1, 40))
+def test_orbit_kernel_matches_reference(x, steps):
+    ys = reference_orbit(x, steps)
+    walked = list(islice(iterates(x), steps))
+    assert walked == ys[: len(walked)]
+    assert len(walked) == steps or walked[-1] == 0 == ys[-1]
+    info = orbit(x, steps)
+    total = F(0)
+    for k, y in enumerate(ys, 1):
+        total += y / 2**k
+        assert eval_fk(x, k) == y
+        assert partial_sum(x, k) == total
+        if k <= len(info.numerators) or info.absorbed:
+            assert info.iterate(k) == y
+            assert info.partial_sum(k) == total
 
 
 def test_f1_rejects_floats_and_out_of_range():

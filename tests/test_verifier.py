@@ -15,10 +15,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sawcascade.construction import DomainError, eval_fk, partial_sum
+import sawcascade.verifier as verifier
+from sawcascade.cells import ROOT, cell, locate
+from sawcascade.construction import DomainError, eval_fk, orbit, partial_sum
 from sawcascade.reports import recheck, report_from_dict, report_to_dict
+from sawcascade.suites import SUITES, SuiteConfig, tapered_endpoints
 from sawcascade.verifier import (
     NotAnEPointError,
+    _side_cells,
     integral_crosscheck,
     local_min_check,
     non_extremum_witness,
@@ -98,6 +102,33 @@ def test_endpoint_fan_failure_lists_the_partial_hit(witness):
     assert not rep.verdict and "budget" in rep.error
     assert rep.points == ((F(-4, 5), F(1, 2)), (F(-29, 36), F(1, 12)))
     assert recheck(rep) and roundtrips(rep)
+
+
+def test_side_cells_from_the_orbit_record_match_locate():
+    # same cells in the same order: scan order decides which witness is found
+    points = tapered_endpoints(5, 50)
+    assert len(points) > 1000
+    for x0, first_level in points:
+        info = orbit(x0, 40)
+        assert info.first_level == first_level
+        if first_level == 1:
+            expected = [ROOT]
+        else:
+            expected = [cell(a) for a in locate(x0, first_level - 1)]
+        assert _side_cells(info) == expected
+
+
+def test_fan_scan_evaluates_each_shared_endpoint_once(monkeypatch):
+    calls = []
+
+    def counting_partial_sum(x, K):
+        calls.append((x, K))
+        return partial_sum(x, K)
+
+    monkeypatch.setattr(verifier, "partial_sum", counting_partial_sum)
+    reports = SUITES["oscillation"](SuiteConfig(max_level=4))
+    assert all(r.verdict for r in reports)
+    assert len(calls) == len(set(calls)) == 2943
 
 
 # ---------------------------------------------------------------------------
