@@ -28,7 +28,6 @@ from sawcascade.construction import (
     as_rational,
     orbit,
     require_unit_interval,
-    tooth_index,
 )
 
 #: Signed index of a level-1 cell; 0 is the middle ramp, +-j are the teeth.
@@ -139,6 +138,25 @@ def level1_cell(j: Level1Id) -> Cell:
     return Cell((j,), -hi, -lo, slope, -intercept)
 
 
+def level1_ids_of(p: int, q: int) -> list[Level1Id]:
+    """Ids of every level-1 cell containing p/q, for q >= 1 and |p| <= q.
+
+    The integer form of level1_ids_at: p/q need not be in lowest terms, so
+    an orbit walked on numerators over one denominator reads its cell ids
+    without building a Fraction.  Ascending; two ids exactly at a shared
+    tooth endpoint p/q = (n-1)/n, none at +-1.
+    """
+    if p < 0:
+        return [-j for j in reversed(level1_ids_of(-p, q))]
+    ids = [0] if 2 * p <= q else []
+    if q <= 2 * p < 2 * q:
+        n = q // (q - p)  # tooth n holds [1 - 1/n, 1 - 1/(n+1))
+        if n >= 3 and n * p == (n - 1) * q:
+            ids.append(n - 2)
+        ids.append(n - 1)
+    return ids
+
+
 def level1_ids_at(x: RatLike) -> list[Level1Id]:
     """Ids of every level-1 cell containing x (closed cells: 0, 1 or 2 ids).
 
@@ -146,17 +164,7 @@ def level1_ids_at(x: RatLike) -> list[Level1Id]:
     teeth only accumulate.
     """
     x = require_unit_interval(as_rational(x))
-    if x < 0:
-        return sorted(-j for j in level1_ids_at(-x))
-    ids: set[int] = set()
-    if x <= Fraction(1, 2):
-        ids.add(0)
-    if Fraction(1, 2) <= x < 1:
-        n = tooth_index(x)
-        ids.add(n - 1)
-        if n >= 3 and x == 1 - Fraction(1, n):
-            ids.add(n - 2)
-    return sorted(ids)
+    return level1_ids_of(x.numerator, x.denominator)
 
 
 # ---------------------------------------------------------------------------

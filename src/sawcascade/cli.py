@@ -17,8 +17,9 @@ import argparse
 import dataclasses
 import json
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
-from typing import Optional, Sequence, TextIO
+from typing import Iterator, Optional, Sequence, TextIO
 
 from sawcascade.antiderivative import (
     enclose_integral,
@@ -241,9 +242,30 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--fan-budget", type=int, default=64)
     p_verify.add_argument("--delta", default="1/1000")
     p_verify.add_argument("--max-level", type=int, default=6)
+    p_verify.add_argument("--structure-max-level", type=int, default=3,
+                          help="deepest level of the structure scan")
     add_out(p_verify)
 
     return parser
+
+
+@contextmanager
+def _all_digits() -> Iterator[None]:
+    """Lift Python's int/str digit limit while exact output is rendered.
+
+    The limit (4300 digits by default) guards the parsing of untrusted
+    text, which happens before this; an exact center computed here may have
+    more digits.  The previous limit is restored on every exit.
+    """
+    if not hasattr(sys, "set_int_max_str_digits"):  # Python without the limit
+        yield
+        return
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(previous)
 
 
 def _write(text: str, out: Optional[str], stdout: TextIO) -> None:
@@ -271,8 +293,10 @@ def run(
     try:
         if args.command == "eval":
             enc = _evaluate(args.fn, parse_rational(args.x), args.k, args.K)
-            payload = {"center": rat_str(enc.center), "radius": rat_str(enc.radius)}
-            _write(json.dumps(payload, sort_keys=True) + "\n", args.out, stdout)
+            with _all_digits():
+                payload = {"center": rat_str(enc.center), "radius": rat_str(enc.radius)}
+                text = json.dumps(payload, sort_keys=True) + "\n"
+            _write(text, args.out, stdout)
             return EXIT_OK
         if args.command == "sample":
             cfg = SampleConfig(
@@ -284,21 +308,26 @@ def run(
                 K=args.K,
                 fmt=args.format,
             )
-            _write(emit_samples(cfg), args.out, stdout)
+            with _all_digits():
+                text = emit_samples(cfg)
+            _write(text, args.out, stdout)
             return EXIT_OK
         if args.command == "intervals":
             window = (parse_rational(args.window[0]), parse_rational(args.window[1]))
-            text = render_intervals(args.k, args.index_budget, window, args.format)
+            with _all_digits():
+                text = render_intervals(args.k, args.index_budget, window, args.format)
             _write(text, args.out, stdout)
             return EXIT_OK
         if args.command == "integrate":
             enc = enclose_integral(args.k, parse_rational(args.upto), args.index_budget)
-            payload = {
-                "lower": rat_str(enc.lower),
-                "upper": rat_str(enc.upper),
-                "width": rat_str(enc.width),
-            }
-            _write(json.dumps(payload, sort_keys=True) + "\n", args.out, stdout)
+            with _all_digits():
+                payload = {
+                    "lower": rat_str(enc.lower),
+                    "upper": rat_str(enc.upper),
+                    "width": rat_str(enc.width),
+                }
+                text = json.dumps(payload, sort_keys=True) + "\n"
+            _write(text, args.out, stdout)
             return EXIT_OK
         if args.command == "verify":
             cfg = SuiteConfig(
@@ -312,13 +341,12 @@ def run(
                 fan_budget=args.fan_budget,
                 delta=parse_rational(args.delta),
                 max_level=args.max_level,
+                structure_max_level=args.structure_max_level,
             )
-            report = run_suite(args.suite, cfg)
-            _write(
-                json.dumps(report, indent=2, sort_keys=True) + "\n",
-                args.out,
-                stdout,
-            )
+            with _all_digits():
+                report = run_suite(args.suite, cfg)
+                text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+            _write(text, args.out, stdout)
             summary = report["summary"]
             stderr.write(
                 f"suite {args.suite}: {summary['pass']} passed, "

@@ -34,7 +34,6 @@ Rat = Fraction
 RatLike = Union[Rat, int, str]
 
 ZERO = Fraction(0)
-HALF = Fraction(1, 2)
 
 
 class DomainError(ValueError):
@@ -64,16 +63,6 @@ def require_unit_interval(x: Rat, what: str = "x") -> Rat:
 # ---------------------------------------------------------------------------
 # base map
 # ---------------------------------------------------------------------------
-
-
-def tooth_index(x: Rat) -> int:
-    """For x in [1/2, 1), the unique n >= 2 with 1 - 1/n <= x < 1 - 1/(n+1).
-
-    Equals floor(1/(1-x)), computed exactly from the reduced fraction.
-    """
-    if not (HALF <= x < 1):
-        raise DomainError(f"tooth index needs x in [1/2, 1), got {x}")
-    return x.denominator // (x.denominator - x.numerator)
 
 
 def f1_numerator(p: int, q: int) -> int:

@@ -170,11 +170,17 @@ def suite_integral_crosscheck(cfg: SuiteConfig) -> list[WitnessReport]:
 
 
 def suite_structure(cfg: SuiteConfig) -> list[WitnessReport]:
+    """One structure scan per level 1..structure_max_level, in that order.
+
+    The scans run deepest first, so the size guard of iter_cells refuses a
+    too-deep level before any shallower scan has run.
+    """
     budget = min(6, cfg.index_budget)
-    return [
+    reports = [
         structure_check(k, budget)
-        for k in range(1, cfg.structure_max_level + 1)
+        for k in range(cfg.structure_max_level, 0, -1)
     ]
+    return reports[::-1]
 
 
 def suite_darboux(cfg: SuiteConfig) -> list[WitnessReport]:

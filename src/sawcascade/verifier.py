@@ -7,6 +7,17 @@ cell structure: endpoints of level-k cells have exactly known series values
 fan supplies points whose series values overshoot and undershoot by almost
 the full weight 2^-k of the k-th layer, beating the margin 2^-(k+1).
 
+The fan is scanned in closed form on integers.  A side cell of level
+m = k - 1 at x0 is described by its slope s (the product of the tooth
+slopes along the orbit record) and the Horner sum a = sum_{i<=m} s_i 2^(m-i)
+of the slopes of f_1..f_m on its ancestors.  With v0 = f_m(x0) = +-1 the fan
+endpoints are y_n = x0 - v0 / (n s), n >= 2, and
+f(y_n) - f(x0) = v0 ((-1)^n / 2^k - a / (2^m n s)), so the window and the
+margin tests are integer comparisons.  The closed form only chooses the
+witnesses: every chosen point is still walked (partial_sum, eval_fk), and
+its certificate compares those walked values exactly, so a wrong choice can
+only yield a failing report.
+
 For points whose deeper layers coincide (equal (k+1)-th iterates), series
 differences collapse to differences of k-term partial sums, which is what
 makes the interior non-extremum certificate exact despite the series being
@@ -19,7 +30,7 @@ reason attached; it never silently passes and never weakens a margin.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import floor
+from itertools import chain
 from typing import Optional, Sequence
 
 from sawcascade.antiderivative import enclose_integral, eval_Fk
@@ -31,6 +42,7 @@ from sawcascade.cells import (
     iter_cells,
     level1_cell,
     level1_ids_at,
+    level1_ids_of,
     locate,
 )
 from sawcascade.construction import (
@@ -68,70 +80,104 @@ def _require_positive_delta(delta: Rat) -> Rat:
 # ---------------------------------------------------------------------------
 
 
-def _side_cells(info: OrbitInfo) -> list[Cell]:
-    """The cells of level first_level - 1 with endpoint x0 = info.start.
+#: A level-m cell abutting an exactly known point, reduced to what the fan
+#: scan needs: (m, s, a) with s the slope of f_m on the cell and
+#: a = sum_{i<=m} s_i 2^(m-i) the Horner sum of the slopes s_i of f_i on its
+#: ancestors, so a / 2^m is the slope of the m-term partial sum there.
+FanSide = tuple[int, int, int]
 
-    For first_level 1 (x0 = +-1) the level-0 root stands in: the fan of
-    level-1 teeth accumulates at both domain ends.  Otherwise the cell chain
-    of x0 is walked along its orbit record, as in _walk_chain.  No iterate
-    before y_{m-1}, with m = first_level - 1, is a tooth endpoint (its image
-    would be +-1 a step early), so each such step has one level-1 id; the
-    walk branches only at its last step, into the one or two ids at
-    y_{m-1}, in ascending order as locate sorts them.
+
+def _tooth_slope(j: int) -> int:
+    return level1_cell(j).slope.numerator
+
+
+def _side_cells(info: OrbitInfo) -> list[FanSide]:
+    """The cells of level m = first_level - 1 with endpoint x0 = info.start.
+
+    For first_level 1 (x0 = +-1) the level-0 root (0, 1, 0) stands in: the
+    fan of level-1 teeth accumulates at both domain ends.  Otherwise the
+    cell chain of x0 is walked on the integer numerators of its orbit
+    record.  No iterate before y_{m-1} is a tooth endpoint (its image would
+    be +-1 a step early), so each such step has one level-1 id; the walk
+    branches only at its last step, into the one or two ids at y_{m-1}, in
+    ascending order as locate sorts them.
     """
     m = info.first_level - 1
     if m == 0:
-        return [ROOT]
-    current = ROOT
-    y = info.start
-    for i in range(1, m):
-        current = child_cell(current, level1_ids_at(y)[0])
-        y = info.iterate(i)
-    return [child_cell(current, j) for j in level1_ids_at(y)]
+        return [(0, 1, 0)]
+    q = info.start.denominator
+    ps = (info.start.numerator,) + info.numerators
+    s, a = 1, 0
+    for p in ps[: m - 1]:
+        s *= _tooth_slope(level1_ids_of(p, q)[0])
+        a = 2 * a + s
+    lasts = [s * _tooth_slope(j) for j in level1_ids_of(ps[m - 1], q)]
+    return [(m, last, 2 * a + last) for last in lasts]
+
+
+def _endpoint_value(info: OrbitInfo) -> int:
+    """f_m(x0) = +-1 at the endpoint x0 = info.start, m = first_level - 1
+    (f_0 is the identity)."""
+    m = info.first_level - 1
+    return int(info.iterate(m) if m else info.start)
+
+
+def _fan_point(x0: Rat, v0: int, s: int, n: int) -> Rat:
+    """y_n = x0 - v0 / (n s), the endpoint shared by fan children n-2 and n-1."""
+    return x0 - Fraction(v0, n * s)
+
+
+def _fan_sign(side: FanSide, v0: int, n: int) -> int:
+    """+1 if f(y_n) > f(x0) + 2^-(k+1), -1 if f(y_n) < f(x0) - 2^-(k+1), else 0.
+
+    With k = m + 1, f_k(y_n) = v0 (-1)^n and every later iterate vanishes,
+    while the m-term partial sum is affine on the side cell, so
+    f(y_n) - f(x0) = v0 ((-1)^n / 2^k - a / (2^m n s)).  Scaled by
+    2^(k+1) n |s| both margin tests are integer comparisons.
+    """
+    _m, s, a = side
+    size = abs(s)
+    t = 2 * n * size if n % 2 == 0 else -2 * n * size
+    t = v0 * (t - 4 * a if s > 0 else t + 4 * a)
+    if t > n * size:
+        return 1
+    return -1 if t < -n * size else 0
 
 
 def _fan_scan(
-    side: Cell, x0: Rat, fx0: Rat, delta: Rat, fan_budget: int
-) -> tuple[Optional[tuple[Rat, Rat]], Optional[tuple[Rat, Rat]]]:
+    side: FanSide, x0: Rat, v0: int, delta: Rat, fan_budget: int
+) -> tuple[Optional[Rat], Optional[Rat]]:
     """Scan the child fan of ``side`` accumulating at its endpoint x0.
 
     Children are preimages of the level-1 teeth; the teeth with ids of the
-    sign of the endpoint's value accumulate at x0.  Scanning starts at the
-    first index whose child can fit in the delta window (computed from the
-    side's slope) and walks at most ``fan_budget`` children.  Each child
-    endpoint y carries the exact series value partial_sum(y, k) where
-    k = side.level + 1; given fx0 = f(x0), the scan returns the first
-    endpoint whose value exceeds fx0 + 2^-(k+1) and the first below fx0 - 2^-(k+1).
-    Adjacent children share an endpoint, which is evaluated once.
+    sign of v0 = f_m(x0) = +-1 accumulate at x0, and child m (tooth m + 1)
+    spans the fan endpoints y_{m+1} and y_{m+2} (see _fan_point).  Scanning
+    starts at the child m0 = max(1, floor(1 / (delta |s|))), so every
+    endpoint visited satisfies n |s| delta > 1, that is, lies strictly
+    inside the punctured delta window, and walks at most ``fan_budget``
+    children: the endpoints of child m0 from left to right, then one new
+    endpoint per child, since adjacent children share one.  Each endpoint
+    is judged in closed form by _fan_sign; nothing is walked here.
 
-    Returns (above, below); either witness slot may be None if the budget
+    Returns (above, below), the first endpoint beating the margin above
+    f(x0) and the first beating it below; either may be None if the budget
     ran out first.
     """
-    k = side.level + 1
-    margin = Fraction(1, 2 ** (k + 1))
-    v0 = side.value_at(x0)
-    if abs(v0) != 1:
-        raise DomainError(f"{x0} is not an endpoint of the given level-{side.level} cell")
-    toward = 1 if v0 == 1 else -1
-    entry = Fraction(1) / (delta * abs(side.slope))
-    m = max(1, floor(entry))
-    above: Optional[tuple[Rat, Rat]] = None
-    below: Optional[tuple[Rat, Rat]] = None
-    shared: tuple[Rat, ...] = ()
-    for _ in range(fan_budget):
-        kid = child_cell(side, toward * m)
-        for y in (kid.lo, kid.hi):
-            if y in shared or y == x0 or abs(y - x0) >= delta:
-                continue
-            fy = partial_sum(y, k)
-            if above is None and fy - fx0 > margin:
-                above = (y, fy)
-            if below is None and fx0 - fy > margin:
-                below = (y, fy)
+    above: Optional[Rat] = None
+    below: Optional[Rat] = None
+    if fan_budget < 1:
+        return above, below
+    _m, s, _a = side
+    first = max(1, delta.denominator // (delta.numerator * abs(s))) + 1
+    order = (first, first + 1) if v0 * s > 0 else (first + 1, first)
+    for n in chain(order, range(first + 2, first + fan_budget + 1)):
+        sign = _fan_sign(side, v0, n)
+        if sign > 0 and above is None:
+            above = _fan_point(x0, v0, s, n)
+        elif sign < 0 and below is None:
+            below = _fan_point(x0, v0, s, n)
         if above is not None and below is not None:
             break
-        shared = (kid.lo, kid.hi)
-        m += 1
     return above, below
 
 
@@ -163,20 +209,22 @@ def _endpoint_fan_report(
     x0 = info.start
     k = info.first_level
     fx0 = info.partial_sum(k - 1)
+    v0 = _endpoint_value(info)
     above = below = None
     for side in _side_cells(info):
-        a, b = _fan_scan(side, x0, fx0, delta, fan_budget)
-        above = above or a
-        below = below or b
-        if above and below:
+        a, b = _fan_scan(side, x0, v0, delta, fan_budget)
+        above = a if above is None else above
+        below = b if below is None else below
+        if above is not None and below is not None:
             break
     points = [(x0, fx0)]
-    if above is None or below is None:
-        points += [hit for hit in (above, below) if hit is not None]
+    hits = [(y, partial_sum(y, k)) for y in (above, below) if y is not None]
+    if len(hits) < 2:
         return make_report(
-            kind, inputs, points, [],
+            kind, inputs, points + hits, [],
             error="fan budget exhausted before both witnesses appeared",
         )
+    above, below = hits
     margin = Fraction(1, 2 ** (k + 1))
     if k == 1:
         certificate = [check("center_is_domain_end", "==", abs(x0), 1)]
@@ -187,7 +235,7 @@ def _endpoint_fan_report(
         ]
     certificate += _witness_checks("upper", x0, above, fx0, margin, delta, k, above=True)
     certificate += _witness_checks("lower", x0, below, fx0, margin, delta, k, above=False)
-    return make_report(kind, inputs, points + [above, below], certificate)
+    return make_report(kind, inputs, points + hits, certificate)
 
 
 # ---------------------------------------------------------------------------
@@ -341,29 +389,32 @@ def non_monotone_witness(
         inputs["mode"] = "midpoint_fan"
         anchor = mid
         fx0 = info.partial_sum(fl - 1)
+        v0 = _endpoint_value(info)
         delta = min(mid - a, b - mid)
         sides = _side_cells(info)
     else:
         inputs["mode"] = "chain_cell_fan"
-        chain_cell, _slope, err = _walk_chain(info, a, b)
+        chain_cell, slope_sum, err = _walk_chain(info, a, b)
         if chain_cell is None:
             return make_report("non_monotone", inputs, [], [], error=err)
         anchor = chain_cell.lo
-        fx0 = partial_sum(anchor, chain_cell.level)
+        level = chain_cell.level
+        fx0 = partial_sum(anchor, level)
+        v0 = int(chain_cell.value_at(anchor))
         delta = chain_cell.length
-        sides = [chain_cell]
-    k = sides[0].level + 1
+        sides = [(level, int(chain_cell.slope), int(slope_sum * 2**level))]
+    k = sides[0][0] + 1
     above = below = None
     for side in sides:
-        above, below = _fan_scan(side, anchor, fx0, delta, fan_budget)
-        if above and below:
+        above, below = _fan_scan(side, anchor, v0, delta, fan_budget)
+        if above is not None and below is not None:
             break
-    if not (above and below):
+    if above is None or below is None:
         return make_report(
             "non_monotone", inputs, [(anchor, fx0)], [],
             error="fan budget exhausted before a same-side pair appeared",
         )
-    triple = sorted([(anchor, fx0), above, below])
+    triple = sorted([(anchor, fx0)] + [(y, partial_sum(y, k)) for y in (above, below)])
     (p1, v1), (p2, v2), (p3, v3) = triple
     certificate = [
         check("alternation", "<", (v2 - v1) * (v3 - v2), 0),

@@ -16,12 +16,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sawcascade.verifier as verifier
-from sawcascade.cells import ROOT, cell, locate
+from sawcascade.cells import ROOT, cell, child_cell, locate
 from sawcascade.construction import DomainError, eval_fk, orbit, partial_sum
 from sawcascade.reports import recheck, report_from_dict, report_to_dict
 from sawcascade.suites import SUITES, SuiteConfig, tapered_endpoints
 from sawcascade.verifier import (
     NotAnEPointError,
+    _endpoint_value,
+    _fan_point,
+    _fan_sign,
     _side_cells,
     integral_crosscheck,
     local_min_check,
@@ -104,21 +107,60 @@ def test_endpoint_fan_failure_lists_the_partial_hit(witness):
     assert recheck(rep) and roundtrips(rep)
 
 
+def _side_cell_list(x0, first_level):
+    """The level-(first_level - 1) cells at x0 as Cells, in locate's order."""
+    m = first_level - 1
+    return [cell(a) for a in locate(x0, m)] if m else [ROOT]
+
+
 def test_side_cells_from_the_orbit_record_match_locate():
-    # same cells in the same order: scan order decides which witness is found
+    # same sides in the same order: scan order decides which witness is found
     points = tapered_endpoints(5, 50)
     assert len(points) > 1000
     for x0, first_level in points:
         info = orbit(x0, 40)
         assert info.first_level == first_level
-        if first_level == 1:
-            expected = [ROOT]
-        else:
-            expected = [cell(a) for a in locate(x0, first_level - 1)]
+        m = first_level - 1
+        expected = []
+        for side in _side_cell_list(x0, first_level):
+            ancestors = [cell(side.address[:i]) for i in range(1, m + 1)]
+            slope_sum = sum((c.slope / 2**c.level for c in ancestors), F(0))
+            expected.append((m, side.slope, 2**m * slope_sum))
         assert _side_cells(info) == expected
 
 
-def test_fan_scan_evaluates_each_shared_endpoint_once(monkeypatch):
+def test_fan_closed_form_matches_child_cells_and_partial_sums():
+    margin_hits = set()
+    for x0, first_level in tapered_endpoints(4, 50):
+        info = orbit(x0, 40)
+        m, k = first_level - 1, first_level
+        fx0 = info.partial_sum(m)
+        v0 = _endpoint_value(info)
+        margin = F(1, 2 ** (k + 1))
+        sides = zip(_side_cells(info), _side_cell_list(x0, first_level), strict=True)
+        for side, side_cell in sides:
+            _m, s, a = side
+            assert v0 == side_cell.value_at(x0)
+            for child in range(1, 9):
+                kid = child_cell(side_cell, v0 * child)
+                ends = {_fan_point(x0, v0, s, n) for n in (child + 1, child + 2)}
+                assert ends == {kid.lo, kid.hi}
+                n = child + 1
+                y = _fan_point(x0, v0, s, n)
+                closed = fx0 + v0 * (F((-1) ** n, 2**k) - F(a, 2**m * n * s))
+                assert closed == partial_sum(y, k)
+                if closed > fx0 + margin:
+                    expected = 1
+                elif closed < fx0 - margin:
+                    expected = -1
+                else:
+                    expected = 0
+                assert _fan_sign(side, v0, n) == expected
+                margin_hits.add(expected)
+    assert margin_hits == {-1, 0, 1}
+
+
+def test_fan_scan_walks_only_the_chosen_witnesses(monkeypatch):
     calls = []
 
     def counting_partial_sum(x, K):
@@ -128,7 +170,7 @@ def test_fan_scan_evaluates_each_shared_endpoint_once(monkeypatch):
     monkeypatch.setattr(verifier, "partial_sum", counting_partial_sum)
     reports = SUITES["oscillation"](SuiteConfig(max_level=4))
     assert all(r.verdict for r in reports)
-    assert len(calls) == len(set(calls)) == 2943
+    assert len(calls) == len(set(calls)) == 2 * len(reports) == 1472
 
 
 # ---------------------------------------------------------------------------
