@@ -61,8 +61,9 @@ def main() -> None:
         non_monotone_witness(F(1, 3), F(1, 3) + F(1, 500), depth=40, fan_budget=64),
     )
 
-    # The signed antiderivative has a strict local minimum at 0: at any
-    # x in (0, 1/4) the truncated value already clears the tail bound.
+    # The signed series g = G' has a strict local minimum at 0: at any
+    # x in (0, 1/4) the truncated value already clears the tail bound, so
+    # g(x) > 0 = g(0), and g is even.
     show(
         "strict local-minimum margin at x = 3/16",
         local_min_check(F(3, 16)),

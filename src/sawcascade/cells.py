@@ -205,6 +205,15 @@ def cell(address: Sequence[int]) -> Cell:
 MAX_CELLS = 500_000
 
 
+def _checked_window(window: tuple[RatLike, RatLike]) -> tuple[Rat, Rat]:
+    """The window as exact rationals, checked to be a sub-interval of [-1, 1]."""
+    lo = require_unit_interval(as_rational(window[0]), "window lo")
+    hi = require_unit_interval(as_rational(window[1]), "window hi")
+    if lo > hi:
+        raise DomainError(f"window must satisfy lo <= hi, got [{lo}, {hi}]")
+    return lo, hi
+
+
 def iter_cells(
     k: int,
     index_budget: int,
@@ -215,19 +224,20 @@ def iter_cells(
     Yields level by level; within a level, cells come in address order
     (parent first, then child id ascending).  Cells disjoint from the closed
     window are pruned with their whole subtree, since children stay inside
-    their parent.  Refuses, before building any cell, a level-k family
-    larger than MAX_CELLS.
+    their parent.  Refuses, before building any cell, a window that is not
+    a sub-interval lo <= hi of [-1, 1] and a level-k family larger than
+    MAX_CELLS.
     """
     if k < 1:
         raise DomainError(f"level k must be >= 1, got {k}")
     if index_budget < 0:
         raise DomainError(f"index budget must be >= 0, got {index_budget}")
+    lo, hi = (Fraction(-1), Fraction(1)) if window is None else _checked_window(window)
     if (2 * index_budget + 1) ** k > MAX_CELLS:
         raise DomainError(
             f"enumerating (2*{index_budget}+1)^{k} cells is too large "
             f"(limit {MAX_CELLS}); narrow the budget or the level"
         )
-    lo, hi = (Fraction(-1), Fraction(1)) if window is None else window
     ids = range(-index_budget, index_budget + 1)
     level = [ROOT]
     for _ in range(k):
@@ -324,10 +334,7 @@ def e_points(
         raise DomainError(f"level k must be >= 1, got {k}")
     if index_budget < 0:
         raise DomainError(f"index budget must be >= 0, got {index_budget}")
-    wlo = require_unit_interval(as_rational(window[0]), "window lo")
-    whi = require_unit_interval(as_rational(window[1]), "window hi")
-    if wlo > whi:
-        raise DomainError(f"window must satisfy lo <= hi, got [{wlo}, {whi}]")
+    wlo, whi = _checked_window(window)
 
     found = {x: 1 for x in (Fraction(-1), Fraction(1)) if wlo <= x <= whi}
     if k >= 2:

@@ -19,7 +19,7 @@ import json
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
-from typing import Iterator, Optional, Sequence, TextIO
+from typing import Iterable, Iterator, Optional, Sequence, TextIO
 
 from sawcascade.antiderivative import (
     enclose_integral,
@@ -37,7 +37,7 @@ from sawcascade.construction import (
     eval_fk,
     eval_g,
 )
-from sawcascade.reports import rat_str, report_to_dict
+from sawcascade.reports import WitnessReport, document_chunks, rat_str, report_to_dict
 from sawcascade.suites import SUITE_ORDER, SuiteConfig, run_suite_reports
 
 EXIT_OK = 0
@@ -154,10 +154,8 @@ def render_intervals(k: int, index_budget: int, window: tuple[Rat, Rat], fmt: st
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def run_suite(name: str, cfg: SuiteConfig) -> dict:
-    """Full JSON-ready verification report for one suite (or 'all')."""
-    reports = run_suite_reports(name, cfg)
-    cases = [report_to_dict(r) for r in reports]
+def _envelope(name: str, cfg: SuiteConfig, reports: Sequence[WitnessReport]) -> dict:
+    """Everything in a verification report but its cases."""
     passed = sum(1 for r in reports if r.verdict)
     return {
         "suite": name,
@@ -174,9 +172,15 @@ def run_suite(name: str, cfg: SuiteConfig) -> dict:
             "max_level": cfg.max_level,
             "structure_max_level": cfg.structure_max_level,
         },
-        "cases": cases,
-        "summary": {"pass": passed, "fail": len(cases) - passed},
+        "summary": {"pass": passed, "fail": len(reports) - passed},
     }
+
+
+def run_suite(name: str, cfg: SuiteConfig) -> dict:
+    """Full JSON-ready verification report for one suite (or 'all'): the
+    dict view of the document ``verify`` writes."""
+    reports = run_suite_reports(name, cfg)
+    return {**_envelope(name, cfg, reports), "cases": [report_to_dict(r) for r in reports]}
 
 
 # ---------------------------------------------------------------------------
@@ -268,13 +272,14 @@ def _all_digits() -> Iterator[None]:
         sys.set_int_max_str_digits(previous)
 
 
-def _write(text: str, out: Optional[str], stdout: TextIO) -> None:
+def _write(chunks: Iterable[str], out: Optional[str], stdout: TextIO) -> None:
+    """Write the output, piece by piece, to stdout or to the --out file."""
     if out is None:
-        stdout.write(text)
+        stdout.writelines(chunks)
         return
     try:
         with open(out, "w", encoding="utf-8") as handle:
-            handle.write(text)
+            handle.writelines(chunks)
     except OSError as exc:
         raise DomainError(f"cannot write --out: {exc}") from exc
 
@@ -296,7 +301,7 @@ def run(
             with _all_digits():
                 payload = {"center": rat_str(enc.center), "radius": rat_str(enc.radius)}
                 text = json.dumps(payload, sort_keys=True) + "\n"
-            _write(text, args.out, stdout)
+            _write([text], args.out, stdout)
             return EXIT_OK
         if args.command == "sample":
             cfg = SampleConfig(
@@ -310,13 +315,13 @@ def run(
             )
             with _all_digits():
                 text = emit_samples(cfg)
-            _write(text, args.out, stdout)
+            _write([text], args.out, stdout)
             return EXIT_OK
         if args.command == "intervals":
             window = (parse_rational(args.window[0]), parse_rational(args.window[1]))
             with _all_digits():
                 text = render_intervals(args.k, args.index_budget, window, args.format)
-            _write(text, args.out, stdout)
+            _write([text], args.out, stdout)
             return EXIT_OK
         if args.command == "integrate":
             enc = enclose_integral(args.k, parse_rational(args.upto), args.index_budget)
@@ -327,7 +332,7 @@ def run(
                     "width": rat_str(enc.width),
                 }
                 text = json.dumps(payload, sort_keys=True) + "\n"
-            _write(text, args.out, stdout)
+            _write([text], args.out, stdout)
             return EXIT_OK
         if args.command == "verify":
             cfg = SuiteConfig(
@@ -343,11 +348,13 @@ def run(
                 max_level=args.max_level,
                 structure_max_level=args.structure_max_level,
             )
+            # every report is computed before --out is opened, so an error
+            # exits 2 without leaving a partial file
             with _all_digits():
-                report = run_suite(args.suite, cfg)
-                text = json.dumps(report, indent=2, sort_keys=True) + "\n"
-            _write(text, args.out, stdout)
-            summary = report["summary"]
+                reports = run_suite_reports(args.suite, cfg)
+                envelope = _envelope(args.suite, cfg, reports)
+                _write(document_chunks(envelope, reports), args.out, stdout)
+            summary = envelope["summary"]
             stderr.write(
                 f"suite {args.suite}: {summary['pass']} passed, "
                 f"{summary['fail']} failed\n"

@@ -10,9 +10,11 @@ without re-running any search.  Serialization keeps rationals as exact
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Callable, Mapping, Optional, Sequence
+from json.encoder import encode_basestring_ascii as _quote
+from typing import Any, Callable, Iterator, Mapping, Optional, Sequence
 
 from sawcascade.construction import Rat, as_rational
 
@@ -151,6 +153,69 @@ def report_to_dict(report: WitnessReport) -> dict[str, Any]:
         ],
         "error": report.error,
     }
+
+
+# The streamed document: each case is rendered straight from its report, in
+# the layout json.dumps(..., indent=2, sort_keys=True) gives a case at depth 2
+# of the document (keys sorted, strings quoted as ensure_ascii quotes them).
+
+_CHECK = (
+    '{\n          "label": %s,\n          "lhs": %s,\n'
+    '          "relation": %s,\n          "rhs": %s\n        }'
+)
+_POINT = "[\n          %s,\n          %s\n        ]"
+_CASE = (
+    '    {\n      "certificate": %s,\n      "error": %s,\n      "inputs": %s,\n'
+    '      "kind": %s,\n      "points": %s,\n      "verdict": %s\n    }'
+)
+
+
+def _block(opening: str, items: list[str], closing: str) -> str:
+    """A list or dict value at depth 3 of the document; ``[]``/``{}`` if empty."""
+    if not items:
+        return opening + closing
+    return f"{opening}\n        " + ",\n        ".join(items) + f"\n      {closing}"
+
+
+def _case_json(report: WitnessReport) -> str:
+    """``report_to_dict(report)`` as indented JSON at depth 2; rationals are
+    written with ``str``, which is what ``rat_str`` returns."""
+    certificate = [
+        _CHECK % (_quote(c.label), _quote(str(c.lhs)), _quote(c.relation), _quote(str(c.rhs)))
+        for c in report.certificate
+    ]
+    points = [_POINT % (_quote(str(x)), _quote(str(v))) for x, v in report.points]
+    inputs = [f"{_quote(k)}: {_quote(v)}" for k, v in sorted(dict(report.inputs).items())]
+    return _CASE % (
+        _block("[", certificate, "]"),
+        "null" if report.error is None else _quote(report.error),
+        _block("{", inputs, "}"),
+        _quote(report.kind),
+        _block("[", points, "]"),
+        "true" if report.verdict else "false",
+    )
+
+
+def document_chunks(
+    envelope: Mapping[str, Any], reports: Sequence[WitnessReport]
+) -> Iterator[str]:
+    """The text of ``json.dumps({**envelope, "cases": [report_to_dict(r) for
+    r in reports]}, indent=2, sort_keys=True) + "\n"``, case by case.
+
+    Neither the dict tree nor the whole text is built: the small envelope is
+    rendered by ``json.dumps`` around an empty ``cases`` list, and each case
+    is rendered from its report where that list opens.
+    """
+    text = json.dumps({**envelope, "cases": []}, indent=2, sort_keys=True)
+    if not reports:
+        yield text + "\n"
+        return
+    # top-level keys are the only ones indented by exactly two spaces
+    head, tail = text.split('\n  "cases": []', 1)
+    yield head + '\n  "cases": [\n'
+    for index, report in enumerate(reports):
+        yield (",\n" if index else "") + _case_json(report)
+    yield "\n  ]" + tail + "\n"
 
 
 def report_from_dict(data: Mapping[str, Any]) -> WitnessReport:

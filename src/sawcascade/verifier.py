@@ -431,20 +431,21 @@ def non_monotone_witness(
 
 
 # ---------------------------------------------------------------------------
-# strict local minimum of the absolute-value variant at the origin
+# strict local minimum of the signed series g = G' at the origin
 # ---------------------------------------------------------------------------
 
 
 def local_min_check(x: RatLike) -> WitnessReport:
-    """Certify that the signed series exceeds its origin value at x.
+    """Certify that the signed series g = G' exceeds g(0) = 0 at x.
 
     For x in (0, 1/4) with dyadic band index k (the unique k >= 2 with
     2^-(k+1) < x <= 2^-k), the first k layers are all in their middle ramp
     at x, so the k-term truncation is exactly k x; the remaining layers
     cannot cancel more than 2^-k of it, and k x - 2^-k > 0 on the band.
     The certificate verifies each middle-ramp value, the truncation value,
-    and the strict positive margin, all exactly.  By the even symmetry of
-    the signed series this makes the origin a strict local minimum.
+    and the strict positive margin, all exactly.  Since g is even, g > 0 on
+    0 < |x| < 1/4 makes the origin a strict local minimum of g (not of G,
+    which is odd and crosses its horizontal tangent there).
     """
     x = as_rational(x)
     if not (0 < x < Fraction(1, 4)):

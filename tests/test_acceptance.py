@@ -205,7 +205,7 @@ def test_criterion_08_nowhere_monotone_sampled() -> None:
 
 
 # ---------------------------------------------------------------------------
-# 9. strict local minimum of the signed antiderivative at 0
+# 9. strict local minimum of the signed series g = G' at 0 (g > 0 = g(0))
 # ---------------------------------------------------------------------------
 
 

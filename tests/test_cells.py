@@ -340,6 +340,14 @@ def test_iter_cells_refuses_too_large_family_before_building():
         next(iter_cells(1, -1))
 
 
+@pytest.mark.parametrize(
+    "window", [(F(1), F(0)), (F(2), F(3)), (F(-3, 2), F(0)), (F(0), F(5, 4))]
+)
+def test_iter_cells_refuses_a_bad_window_before_building(window):
+    with pytest.raises(DomainError, match="window"):
+        next(iter_cells(1, 0, window))
+
+
 def test_first_level_of_classifies():
     assert first_level_of(F(1), 5) == 1
     assert first_level_of(F(1, 2), 5) == 2

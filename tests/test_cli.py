@@ -264,6 +264,17 @@ def test_intervals_level2_json_window() -> None:
         assert F(row["hi"]) >= F(1, 4) and F(row["lo"]) <= F(1, 3)
 
 
+@pytest.mark.parametrize(
+    "window, message",
+    [(["1", "0"], "lo <= hi"), (["2", "3"], "must lie in [-1, 1]")],
+    ids=["reversed", "outside"],
+)
+def test_intervals_bad_window_is_usage_error(window: list[str], message: str) -> None:
+    code, out, err = invoke(["intervals", "--k", "2", "--window", *window])
+    _assert_one_line_usage_error(code, out, err)
+    assert message in err
+
+
 def test_intervals_guard_against_explosion() -> None:
     code, _, err = invoke(["intervals", "--k", "9", "--index-budget", "50"])
     assert code == EXIT_USAGE
@@ -357,6 +368,45 @@ def test_verify_out_file(tmp_path) -> None:
     assert out == ""
     payload = json.loads(target.read_text())
     assert payload["summary"]["fail"] == 0
+
+
+def test_verify_out_file_gets_the_stdout_bytes(tmp_path) -> None:
+    target = tmp_path / "report.json"
+    argv = ["verify", "structure", "--structure-max-level", "2"]
+    code, out, _ = invoke(argv)
+    assert code == EXIT_OK
+    assert invoke([*argv, "--out", str(target)])[:2] == (EXIT_OK, "")
+    assert target.read_bytes() == out.encode("utf-8")
+
+
+def test_verify_error_exit_creates_no_out_file(tmp_path) -> None:
+    target = tmp_path / "report.json"
+    code, out, err = invoke(["verify", "local-min", "--count", "0", "--out", str(target)])
+    _assert_one_line_usage_error(code, out, err)
+    assert not target.exists()
+
+
+def test_verify_restores_the_int_digit_limit() -> None:
+    limit = sys.get_int_max_str_digits()
+    assert invoke(["verify", "local-min", "--count", "3"])[0] == EXIT_OK
+    assert sys.get_int_max_str_digits() == limit
+
+
+@pytest.mark.parametrize(
+    "suite, settings",
+    [
+        ("local-min", {"count": 5, "seed": 3}),
+        ("oscillation", {"fan_budget": 0, "max_level": 2}),  # failed cases
+        ("all", {"max_level": 2, "count": 2, "index_budget": 2, "n_max": 3,
+                 "structure_max_level": 1, "cells_budget": 12, "K": 8}),
+    ],
+)
+def test_verify_stdout_is_the_indented_dump_of_run_suite(suite: str, settings: dict) -> None:
+    flags = [f"--{name.replace('_', '-')}={value}" for name, value in settings.items()]
+    code, out, _ = invoke(["verify", suite, *flags])
+    assert code in (EXIT_OK, EXIT_VERIFICATION_FAILED)
+    report = run_suite(suite, SuiteConfig(**settings))
+    assert out == json.dumps(report, indent=2, sort_keys=True) + "\n"
 
 
 def _assert_one_line_usage_error(code: int, out: str, err: str) -> None:

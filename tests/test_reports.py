@@ -8,10 +8,13 @@ replay to the same verdict from its stored numbers alone.
 from __future__ import annotations
 
 import json
+import sys
+from contextlib import contextmanager
 from fractions import Fraction as F
+from typing import Iterator
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sawcascade.reports import (
@@ -19,6 +22,7 @@ from sawcascade.reports import (
     Check,
     WitnessReport,
     check,
+    document_chunks,
     make_report,
     rat_str,
     recheck,
@@ -231,3 +235,104 @@ def test_any_check_roundtrips_and_rechecks(relation: str, lhs: F, rhs: F) -> Non
     assert back == rep
     assert recheck(back)
     assert back.verdict is Check("c", relation, lhs, rhs).holds()
+
+
+# ---------------------------------------------------------------------------
+# the streamed document against json.dumps of the dict view
+# ---------------------------------------------------------------------------
+
+
+@contextmanager
+def all_digits() -> Iterator[None]:
+    """Lift the int/str digit limit, as the CLI does while it renders."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def dumped(envelope: dict, reports: list[WitnessReport]) -> str:
+    document = {**envelope, "cases": [report_to_dict(r) for r in reports]}
+    return json.dumps(document, indent=2, sort_keys=True) + "\n"
+
+
+#: Text that json must escape: quotes, backslashes, control characters,
+#: DEL, non-ASCII letters, astral-plane symbols and lone surrogates.
+awkward_text = st.text(
+    alphabet=st.one_of(
+        st.sampled_from('"\\/\n\r\t\b\f\x00\x1f\x7f\u00e9\u2028\U0001f600\ud800'),
+        st.characters(),
+    ),
+    max_size=12,
+)
+#: Integers past Python's 4300-digit limit for converting to text.
+huge_integers = st.integers(min_value=4300, max_value=4400).map(lambda digits: 10**digits + 7)
+any_integers = st.one_of(st.integers(), huge_integers, huge_integers.map(lambda n: -n))
+exact_values = st.one_of(
+    rationals,
+    st.builds(F, any_integers, st.one_of(st.integers(min_value=1), huge_integers)),
+)
+checks = st.builds(
+    Check,
+    label=awkward_text,
+    relation=st.sampled_from(["<", "<=", "==", "!=", ">", ">="]),
+    lhs=exact_values,
+    rhs=exact_values,
+)
+#: Keys drawn partly from a small pool, so duplicate input keys occur.
+input_keys = st.one_of(st.sampled_from(["x", "K", "cells_budget", "x0"]), awkward_text)
+witness_reports = st.builds(
+    WitnessReport,
+    kind=st.sampled_from(REPORT_KINDS),
+    inputs=st.lists(st.tuples(input_keys, awkward_text), max_size=5).map(tuple),
+    points=st.lists(st.tuples(exact_values, exact_values), max_size=3).map(tuple),
+    verdict=st.booleans(),
+    certificate=st.lists(checks, max_size=3).map(tuple),
+    error=st.one_of(st.none(), awkward_text),
+)
+envelopes = st.fixed_dictionaries({
+    "suite": awkward_text,
+    "seed": any_integers,
+    "parameters": st.dictionaries(input_keys, st.one_of(any_integers, awkward_text), max_size=4),
+    "summary": st.fixed_dictionaries({"pass": st.integers(0), "fail": st.integers(0)}),
+})
+
+
+@settings(deadline=None)  # digit strings past the 4300-digit limit take a while
+@given(envelope=envelopes, reports=st.lists(witness_reports, max_size=4))
+def test_streamed_document_equals_indented_json_dumps(
+    envelope: dict, reports: list[WitnessReport]
+) -> None:
+    with all_digits():
+        assert "".join(document_chunks(envelope, reports)) == dumped(envelope, reports)
+
+
+def test_streamed_document_edge_cases() -> None:
+    empty = make_report("oscillation", {}, [], [], error=None)
+    failed = make_report("local_min", {"x": F(1, 8)}, [], [], error='tab\t"quoted" \u00e9')
+    doubled = WitnessReport(
+        kind="structure",
+        inputs=(("k", "1"), ("K", "2"), ("k", "3")),
+        points=((F(1, 3), F(-2, 3)),),
+        verdict=True,
+        certificate=(Check("a", "<", F(0), F(1)),),
+    )
+    envelope = {"suite": "all", "seed": 7, "parameters": {}, "summary": {"pass": 1, "fail": 2}}
+    for reports in ([], [empty], [empty, failed, doubled]):
+        assert "".join(document_chunks(envelope, reports)) == dumped(envelope, reports)
+    text = "".join(document_chunks(envelope, [empty, doubled]))
+    assert '"certificate": [],' in text and '"inputs": {},' in text and '"points": [],' in text
+    # report_to_dict keeps the last value of a duplicated input key
+    assert json.loads(text)["cases"][1]["inputs"] == {"K": "2", "k": "3"}
+
+
+def test_streamed_document_prints_values_past_the_digit_limit() -> None:
+    big = F(10**5000 + 1, 3)
+    envelope = {"seed": 10**4301, "suite": "s"}
+    with all_digits():
+        report = make_report("structure", {"n": 10**4400}, [(F(1, 2), big)], [check("c", "<", 0, big)])
+        text = "".join(document_chunks(envelope, [report]))
+        assert text == dumped(envelope, [report])
+        assert json.loads(text)["cases"][0]["points"][0][1] == str(big)
