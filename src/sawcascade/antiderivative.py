@@ -11,6 +11,12 @@ Unrolled along the orbit y_0 = x, y_1, y_2, ... of x under the base map,
 this gives F_k(x) = F_0(y_k) / prod_{i<k} slope(y_i), so every layer
 integral up to K is read off one walk of K steps.
 
+The walk runs on integers: with x = p_0/q the orbit is y_k = p_k/q over
+the same q, every tooth slope s_i is an integer, and
+F_0(y_k) = (p_k^2 - q^2) / (2 q^2).  So F_k(x) is one Fraction built from
+p_k and the slope product, and the weighted sum below is an integer
+Horner recurrence with one Fraction at the end.
+
 Summing layers k = 1..K with weights 2^-k gives the running integral of the
 truncated series exactly; the dropped tail integrates to at most 2^-K over
 an interval of length at most 2, which is the certified radius 2^(1-K).
@@ -24,17 +30,17 @@ cells).
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain, islice, repeat
+from itertools import chain, repeat
 from typing import Iterator
 
-from sawcascade.cells import cell, level1_cell, level1_ids_at, locate
+from sawcascade.cells import cell, level1_cell, level1_ids_of, locate, tooth_slope
 from sawcascade.construction import (
     Certified,
     DomainError,
     Rat,
     RatLike,
+    _numerators,
     as_rational,
-    iterates,
     partial_sum,
     require_unit_interval,
 )
@@ -54,22 +60,23 @@ def eval_F0(x: RatLike) -> Rat:
     return (x * x - 1) / 2
 
 
-def _layer_integrals(x: Rat, K: int) -> Iterator[Rat]:
-    """F_1(x), ..., F_K(x) from one walk of K steps along the orbit of x.
+def _layer_walk(x: Rat, K: int) -> Iterator[tuple[int, int]]:
+    """(p_k, s_(k-1)) for k = 1..K along one walk of the orbit of x.
 
-    F_k(x) = F_0(y_k) / prod_{i<k} slope(y_i), with y_i the i-th iterate
-    (y_0 = x) and slope(y) the slope of the tooth containing y.  Once some
-    y_i with i < k is +-1, every later F_k(x) is 0 and the sequence ends.
+    p_k is the numerator of the iterate y_k over x's denominator q and
+    s_(k-1) the slope of the tooth containing y_(k-1) (y_0 = x).  The walk
+    ends before the first k whose previous iterate is +-1: from there on
+    every layer integral is 0.  Past the orbit's first 0, which is fixed
+    and lies on the middle ramp, every pair is (0, 2).
     """
-    ys = chain(iterates(x), repeat(ZERO))  # the walk ends at 0, which is fixed
-    y = x
-    slopes = Fraction(1)
+    p, q = x.numerator, x.denominator
+    ps = chain(_numerators(x), repeat(0))
     for _ in range(K):
-        if abs(y) == 1:
+        if abs(p) == q:
             return
-        slopes *= level1_cell(level1_ids_at(y)[0]).slope
-        y = next(ys)
-        yield eval_F0(y) / slopes
+        s = tooth_slope(level1_ids_of(p, q)[0])
+        p = next(ps)
+        yield p, s
 
 
 def eval_Fk(x: RatLike, k: int) -> Rat:
@@ -78,14 +85,22 @@ def eval_Fk(x: RatLike, k: int) -> Rat:
     The layer-(k-1) running integral at the base map's value, divided by the
     slope of the tooth containing x; +-1 map to 0.  At a shared tooth
     endpoint both teeth give the same value because the inner running
-    integral vanishes at +-1.  Computed in one walk along the orbit of x.
+    integral vanishes at +-1.  Unrolled along one walk of the orbit:
+    F_k(x) = (p_k^2 - q^2) / (2 q^2 prod_{i<k} s_i).
     """
     x = require_unit_interval(as_rational(x))
     if k < 0:
         raise DomainError(f"layer index must be >= 0, got {k}")
     if k == 0:
         return eval_F0(x)
-    return next(islice(_layer_integrals(x, k), k - 1, None), ZERO)
+    steps, slopes = 0, 1
+    for p, s in _layer_walk(x, k):
+        steps += 1
+        slopes *= s
+    if steps < k:
+        return ZERO
+    q = x.denominator
+    return Fraction(p * p - q * q, 2 * q * q * slopes)
 
 
 # ---------------------------------------------------------------------------
@@ -141,17 +156,22 @@ def enclose_integral(k: int, upto: RatLike, index_budget: int) -> Certified:
 def eval_F(x: RatLike, K: int) -> Certified:
     """Certified running integral from -1 of the full series at x.
 
-    Center: exact sum of the first K weighted layer integrals.  Radius:
-    the dropped layers have sup at most 2^-K in total, integrated over a
-    window of length at most 2, hence 2^(1-K).
+    Center: exact sum of the first K weighted layer integrals, summed by
+    Horner's rule on integers as acc / (2 q^2 den) with
+    acc = 2 s_(k-1) acc + p_k^2 - q^2 and den = prod 2 s_(k-1), so one
+    Fraction is built per call.  Radius: the dropped layers have sup at
+    most 2^-K in total, integrated over a window of length at most 2,
+    hence 2^(1-K).
     """
     x = require_unit_interval(as_rational(x))
     if K < 1:
         raise DomainError(f"truncation K must be >= 1, got {K}")
-    center = sum(
-        (Fk / 2**k for k, Fk in enumerate(_layer_integrals(x, K), 1)), ZERO
-    )
-    return Certified(center, Fraction(2, 2**K))
+    q2 = x.denominator ** 2
+    acc, den = 0, 1
+    for p, s in _layer_walk(x, K):
+        acc = acc * 2 * s + p * p - q2
+        den *= 2 * s
+    return Certified(Fraction(acc, 2 * q2 * den), Fraction(2, 2**K))
 
 
 def normalization_center(K: int) -> Rat:

@@ -113,6 +113,18 @@ def validate_address(address: Sequence[int]) -> Address:
 # ---------------------------------------------------------------------------
 
 
+def tooth_slope(j: Level1Id) -> int:
+    """Slope of the base map on the level-1 cell with signed id j.
+
+    2 on the middle ramp (id 0); (-1)^(n+1) 2n(n+1) on tooth n = |j| + 1,
+    the same for both mirror images because the map is odd.
+    """
+    if j == 0:
+        return 2
+    n = abs(j) + 1
+    return 2 * n * (n + 1) if n % 2 else -2 * n * (n + 1)
+
+
 @lru_cache(maxsize=4096)
 def level1_cell(j: Level1Id) -> Cell:
     """The level-1 cell with signed id j, carrying the base map's affine data.
@@ -124,14 +136,12 @@ def level1_cell(j: Level1Id) -> Cell:
     """
     if not isinstance(j, int) or isinstance(j, bool):
         raise DomainError(f"level-1 id must be an int, got {j!r}")
+    slope = Fraction(tooth_slope(j))
     if j == 0:
-        return Cell((0,), Fraction(-1, 2), Fraction(1, 2), Fraction(2), Fraction(0))
+        return Cell((0,), Fraction(-1, 2), Fraction(1, 2), slope, Fraction(0))
     n = abs(j) + 1
     lo = 1 - Fraction(1, n)
     hi = 1 - Fraction(1, n + 1)
-    slope = Fraction(2 * n * (n + 1))
-    if n % 2 == 0:
-        slope = -slope
     intercept = Fraction((-1) ** n) - slope * lo
     if j > 0:
         return Cell((j,), lo, hi, slope, intercept)

@@ -15,9 +15,10 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, redirect_stderr, redirect_stdout
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Sequence, TextIO
 
@@ -39,6 +40,7 @@ from sawcascade.construction import (
 )
 from sawcascade.reports import WitnessReport, document_chunks, rat_str, report_to_dict
 from sawcascade.suites import SUITE_ORDER, SuiteConfig, run_suite_reports
+from sawcascade.verifier import require_positive_delta
 
 EXIT_OK = 0
 EXIT_VERIFICATION_FAILED = 1
@@ -253,6 +255,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _shared_parser() -> argparse.ArgumentParser:
+    """The parser every ``run`` call reuses, built on the first call rather
+    than at import.  Parsing leaves no state in it: each call gets a fresh
+    namespace."""
+    return build_parser()
+
+
 @contextmanager
 def _all_digits() -> Iterator[None]:
     """Lift Python's int/str digit limit while exact output is rendered.
@@ -289,10 +299,13 @@ def run(
     stdout: TextIO = sys.stdout,
     stderr: TextIO = sys.stderr,
 ) -> int:
-    """Execute one CLI invocation; returns the exit code."""
-    parser = build_parser()
+    """Execute one CLI invocation; returns the exit code.
+
+    Usage errors and --help go to the given streams, like all other output.
+    """
     try:
-        args = parser.parse_args(list(argv))
+        with redirect_stdout(stdout), redirect_stderr(stderr):
+            args = _shared_parser().parse_args(list(argv))
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
@@ -344,7 +357,8 @@ def run(
                 cells_budget=args.cells_budget,
                 n_max=args.n_max,
                 fan_budget=args.fan_budget,
-                delta=parse_rational(args.delta),
+                # only oscillation reads delta, but every suite echoes it
+                delta=require_positive_delta(parse_rational(args.delta)),
                 max_level=args.max_level,
                 structure_max_level=args.structure_max_level,
             )

@@ -44,6 +44,7 @@ from sawcascade.cells import (
     level1_ids_at,
     level1_ids_of,
     locate,
+    tooth_slope,
 )
 from sawcascade.construction import (
     DomainError,
@@ -69,7 +70,7 @@ class NotAnEPointError(DomainError):
     certificate (which needs an exactly known center value) does not apply."""
 
 
-def _require_positive_delta(delta: Rat) -> Rat:
+def require_positive_delta(delta: Rat) -> Rat:
     if delta <= 0:
         raise DomainError(f"window radius delta must be > 0, got {delta}")
     return delta
@@ -85,10 +86,6 @@ def _require_positive_delta(delta: Rat) -> Rat:
 #: a = sum_{i<=m} s_i 2^(m-i) the Horner sum of the slopes s_i of f_i on its
 #: ancestors, so a / 2^m is the slope of the m-term partial sum there.
 FanSide = tuple[int, int, int]
-
-
-def _tooth_slope(j: int) -> int:
-    return level1_cell(j).slope.numerator
 
 
 def _side_cells(info: OrbitInfo) -> list[FanSide]:
@@ -109,9 +106,9 @@ def _side_cells(info: OrbitInfo) -> list[FanSide]:
     ps = (info.start.numerator,) + info.numerators
     s, a = 1, 0
     for p in ps[: m - 1]:
-        s *= _tooth_slope(level1_ids_of(p, q)[0])
+        s *= tooth_slope(level1_ids_of(p, q)[0])
         a = 2 * a + s
-    lasts = [s * _tooth_slope(j) for j in level1_ids_of(ps[m - 1], q)]
+    lasts = [s * tooth_slope(j) for j in level1_ids_of(ps[m - 1], q)]
     return [(m, last, 2 * a + last) for last in lasts]
 
 
@@ -260,7 +257,7 @@ def oscillation_witness(
     may come from either side.
     """
     x0 = require_unit_interval(as_rational(x0), "x0")
-    delta = _require_positive_delta(as_rational(delta))
+    delta = require_positive_delta(as_rational(delta))
     info = orbit(x0, depth)
     fl = info.first_level
     if fl is None:
@@ -317,7 +314,7 @@ def non_extremum_witness(
     x0 because the truncation is affine with nonzero slope there.
     """
     x0 = require_unit_interval(as_rational(x0), "x0")
-    delta = _require_positive_delta(as_rational(delta))
+    delta = require_positive_delta(as_rational(delta))
     info = orbit(x0, depth)
     fl = info.first_level
     inputs = {"x0": x0, "delta": delta, "depth": depth,

@@ -11,6 +11,8 @@ with no shared code path.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain, islice, repeat
+from typing import Iterator
 
 import pytest
 from hypothesis import given, settings
@@ -28,7 +30,7 @@ from sawcascade.antiderivative import (
     quotient_bound_check,
 )
 from sawcascade.cells import cell, level1_cell, level1_ids_at
-from sawcascade.construction import Certified, DomainError, eval_f1, eval_fk
+from sawcascade.construction import Certified, DomainError, eval_f1, eval_fk, iterates
 from sawcascade.reports import recheck
 
 F = Fraction
@@ -136,6 +138,87 @@ def test_one_pass_layer_integrals_match_the_recursion(x, k, K):
     assert eval_Fk(x, k) == reference_Fk(x, k)
     expected = sum((reference_Fk(x, j) / 2**j for j in range(1, K + 1)), F(0))
     assert eval_F(x, K).center == expected
+
+
+def reference_layer_integrals(x: F, K: int) -> Iterator[F]:
+    """F_1(x), ..., F_K(x) as Fractions, one walk of K steps along the orbit:
+    F_k(x) = F_0(y_k) / prod_{i<k} slope(y_i), ending once some y_i with
+    i < k is +-1 (every later F_k(x) is 0)."""
+    ys = chain(iterates(x), repeat(F(0)))  # the walk ends at 0, which is fixed
+    y = x
+    slopes = F(1)
+    for _ in range(K):
+        if abs(y) == 1:
+            return
+        slopes *= level1_cell(level1_ids_at(y)[0]).slope
+        y = next(ys)
+        yield eval_F0(y) / slopes
+
+
+def reference_layer_Fk(x: F, k: int) -> F:
+    if k == 0:
+        return eval_F0(x)
+    return next(islice(reference_layer_integrals(x, k), k - 1, None), F(0))
+
+
+def reference_layer_F(x: F, K: int) -> F:
+    return sum((Fk / 2**k for k, Fk in enumerate(reference_layer_integrals(x, K), 1)), F(0))
+
+
+def pull_back(y: F, ids: list[int]) -> F:
+    """A point that the base map takes through the level-1 cells ``ids``, in
+    order, to y."""
+    for j in reversed(ids):
+        c = level1_cell(j)
+        y = (y - c.intercept) / c.slope
+    return y
+
+
+wide_denominators = st.integers(min_value=1, max_value=10**12).flatmap(
+    lambda q: st.integers(min_value=-q, max_value=q).map(lambda p: F(p, q))
+)
+absorbed_points = st.builds(
+    pull_back,
+    st.sampled_from([F(0), F(1), F(-1)]),
+    st.lists(st.integers(min_value=-6, max_value=6), max_size=6),
+)
+
+
+@given(
+    st.one_of(unit_fractions, wide_denominators, absorbed_points),
+    st.integers(min_value=0, max_value=60),
+    st.integers(min_value=1, max_value=60),
+)
+@settings(max_examples=200, deadline=None)
+def test_integer_layer_kernel_matches_the_fraction_walk(x, k, K):
+    assert eval_Fk(x, k) == reference_layer_Fk(x, k)
+    assert eval_F(x, K).center == reference_layer_F(x, K)
+
+
+SPECIAL_POINTS = sorted({
+    sign * x
+    for x in (
+        [F(1), F(7, 12), F(7, 24), F(1, 4)]
+        + [1 - F(1, n) for n in (*range(1, 12), 100, 10**6, 10**12)]
+        + [F(1, 2**j) for j in range(3, 8)]
+    )
+    for sign in (1, -1)
+})
+
+
+@pytest.mark.parametrize("x", SPECIAL_POINTS)
+def test_integer_layer_kernel_at_special_points(x):
+    # +-1, 0, +-1/2, tooth endpoints +-(1 - 1/n) (absorbed at +-1), tooth
+    # midpoints 7/12 and 7/24 (absorbed at 0) and dyadic points, at every
+    # k and K up to 60
+    layers = [eval_F0(x)] + list(reference_layer_integrals(x, 60))
+    layers += [F(0)] * (61 - len(layers))
+    center = F(0)
+    for k in range(0, 61):
+        assert eval_Fk(x, k) == layers[k]
+        if k:
+            center += layers[k] / 2**k
+            assert eval_F(x, k).center == center
 
 
 # ---------------------------------------------------------------------------

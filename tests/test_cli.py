@@ -15,6 +15,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from sawcascade import cli
 from sawcascade.antiderivative import eval_F, eval_G
 from sawcascade.cli import (
     EXIT_OK,
@@ -439,6 +440,22 @@ def test_unwritable_out_is_usage_error(tmp_path) -> None:
     assert not target.exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "no-extrema", "--delta", "0", "--count", "3"],
+        ["verify", "no-extrema", "--delta=-1", "--count", "3"],
+        ["verify", "all", "--delta", "0"],
+    ],
+)
+def test_verify_nonpositive_delta_is_usage_error_in_every_suite(argv: list[str]) -> None:
+    start = time.perf_counter()
+    code, out, err = invoke(argv)
+    assert time.perf_counter() - start < 2  # refused before any suite runs
+    _assert_one_line_usage_error(code, out, err)
+    assert "window radius delta must be > 0" in err
+
+
 def test_verify_max_level_guard_refuses_before_enumerating() -> None:
     start = time.perf_counter()
     code, out, err = invoke(["verify", "oscillation", "--max-level", "20"])
@@ -514,6 +531,13 @@ PINNED_STDOUT = {
         "9fd4db84bbf081adf31b9dab9aeda273e0dd4c6c8933db10528bb28b71811e2b",
     "verify nowhere-monotone --count 400 --seed 5":
         "3983f00173ebc5f722aadedb454c0b61a3077510da801e839ae707f4b450ebd9",
+    # the integer layer kernel: a deep layer, a long grid, G off-center
+    "eval --fn Fk --x=-123457/1000003 --k 60":
+        "bd72dc1ddadc0d6cf24adaf809b9e9d293313f7f2a306ef9b890f23e93d6df90",
+    "sample --fn F --count 101 --K 60":
+        "69749fab1a11879f60857c8b9707e38fa41dc3cda360455243bf8e7472bb4486",
+    "sample --fn G --a=-1/3 --b 1/3 --count 41 --K 60 --format json":
+        "3138e20f09fc6b88ea1313aac9b29922109e8545981479b92a1a3a44a11d9435",
 }
 
 #: Exit code of a pinned command, where it is not EXIT_OK.
@@ -552,3 +576,66 @@ def test_missing_subcommand_is_usage_error(capsys: pytest.CaptureFixture) -> Non
     code, _, _ = invoke([])
     capsys.readouterr()
     assert code == EXIT_USAGE
+
+
+# ---------------------------------------------------------------------------
+# the parser
+# ---------------------------------------------------------------------------
+
+
+def test_usage_error_goes_to_the_given_stderr(capsys: pytest.CaptureFixture) -> None:
+    code, out, err = invoke(["eval", "--fn", "zz", "--x", "1"])
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith("usage: sawcascade eval")
+    assert "invalid choice: 'zz'" in err
+    assert capsys.readouterr() == ("", "")
+
+
+def test_help_goes_to_the_given_stdout(capsys: pytest.CaptureFixture) -> None:
+    code, out, err = invoke(["--help"])
+    assert code == EXIT_OK
+    assert out.startswith("usage: sawcascade")
+    assert err == ""
+    assert capsys.readouterr() == ("", "")
+
+
+def test_build_parser_returns_a_fresh_parser() -> None:
+    assert cli.build_parser() is not cli.build_parser()
+
+
+def test_run_builds_one_parser_across_calls(monkeypatch: pytest.MonkeyPatch) -> None:
+    built = []
+    build = cli.build_parser
+
+    def counting_build_parser():
+        built.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+    cli._shared_parser.cache_clear()
+    for argv in (["eval", "--fn", "f", "--x", "1/3"], ["eval", "--fn", "zz", "--x", "1"],
+                 ["sample", "--fn", "F", "--count", "3"], ["--help"]):
+        invoke(argv)
+    assert len(built) == 1
+
+
+INTERLEAVED_CALLS = [
+    ["eval", "--fn", "G", "--x", "1/3", "--K", "60"],
+    ["eval", "--fn", "zz", "--x", "1"],
+    ["sample", "--fn", "Fk", "--k", "5", "--count", "9", "--format", "json"],
+    ["verify", "local-min", "--count", "0"],
+    ["verify", "no-extrema", "--delta=-1", "--count", "3"],
+    ["sample", "--fn", "f", "--count", "-1"],
+    ["eval", "--fn", "F", "--x=-2/7", "--K", "30"],
+]
+
+
+def test_shared_parser_prints_what_a_fresh_parser_prints() -> None:
+    shared = [invoke(argv) for argv in INTERLEAVED_CALLS]
+    fresh = []
+    for argv in INTERLEAVED_CALLS:
+        cli._shared_parser.cache_clear()
+        fresh.append(invoke(argv))
+    assert shared == fresh
+    assert [code for code, _, _ in shared] == [0, 2, 0, 2, 2, 2, 0]
