@@ -30,18 +30,16 @@ cells).
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain, repeat
-from typing import Iterator
 
-from sawcascade.cells import cell, level1_cell, level1_ids_of, locate, tooth_slope
+from sawcascade.cells import _layer_walk, cell, level1_cell, locate
 from sawcascade.construction import (
     Certified,
     DomainError,
     Rat,
     RatLike,
-    _numerators,
     as_rational,
     partial_sum,
+    require_at_least,
     require_unit_interval,
 )
 from sawcascade.reports import WitnessReport, check, make_report
@@ -60,25 +58,6 @@ def eval_F0(x: RatLike) -> Rat:
     return (x * x - 1) / 2
 
 
-def _layer_walk(x: Rat, K: int) -> Iterator[tuple[int, int]]:
-    """(p_k, s_(k-1)) for k = 1..K along one walk of the orbit of x.
-
-    p_k is the numerator of the iterate y_k over x's denominator q and
-    s_(k-1) the slope of the tooth containing y_(k-1) (y_0 = x).  The walk
-    ends before the first k whose previous iterate is +-1: from there on
-    every layer integral is 0.  Past the orbit's first 0, which is fixed
-    and lies on the middle ramp, every pair is (0, 2).
-    """
-    p, q = x.numerator, x.denominator
-    ps = chain(_numerators(x), repeat(0))
-    for _ in range(K):
-        if abs(p) == q:
-            return
-        s = tooth_slope(level1_ids_of(p, q)[0])
-        p = next(ps)
-        yield p, s
-
-
 def eval_Fk(x: RatLike, k: int) -> Rat:
     """Exact running integral from -1 of layer k at x (k >= 0).
 
@@ -89,8 +68,7 @@ def eval_Fk(x: RatLike, k: int) -> Rat:
     F_k(x) = (p_k^2 - q^2) / (2 q^2 prod_{i<k} s_i).
     """
     x = require_unit_interval(as_rational(x))
-    if k < 0:
-        raise DomainError(f"layer index must be >= 0, got {k}")
+    require_at_least(k, 0, "layer index")
     if k == 0:
         return eval_F0(x)
     steps, slopes = 0, 1
@@ -116,10 +94,8 @@ def covered_length(k: int, index_budget: int) -> Rat:
     cell's child fan covers that fraction of the cell.  Telescoping gives
     2 * (1 - 1/(B+2))^k with no enumeration.
     """
-    if k < 1:
-        raise DomainError(f"level k must be >= 1, got {k}")
-    if index_budget < 0:
-        raise DomainError(f"index budget must be >= 0, got {index_budget}")
+    require_at_least(k, 1, "level k")
+    require_at_least(index_budget, 0, "index budget")
     factor = 1 - Fraction(1, index_budget + 2)
     return 2 * factor**k
 
@@ -164,8 +140,7 @@ def eval_F(x: RatLike, K: int) -> Certified:
     hence 2^(1-K).
     """
     x = require_unit_interval(as_rational(x))
-    if K < 1:
-        raise DomainError(f"truncation K must be >= 1, got {K}")
+    require_at_least(K, 1, "truncation K")
     q2 = x.denominator ** 2
     acc, den = 0, 1
     for p, s in _layer_walk(x, K):
@@ -180,8 +155,7 @@ def normalization_center(K: int) -> Rat:
     Layer k's running integral at 0 is -2^-(k+1); weighting by 2^-k and
     summing the geometric series over k = 1..K gives the closed form.
     """
-    if K < 1:
-        raise DomainError(f"truncation K must be >= 1, got {K}")
+    require_at_least(K, 1, "truncation K")
     return -Fraction(1, 6) * (1 - Fraction(1, 4**K))
 
 
@@ -194,8 +168,7 @@ def eval_G(x: RatLike, K: int) -> Certified:
     integral and the anchor carry a 2^(1-K) tail.
     """
     x = require_unit_interval(as_rational(x))
-    if K < 1:
-        raise DomainError(f"truncation K must be >= 1, got {K}")
+    require_at_least(K, 1, "truncation K")
     if x == 0:
         return Certified(ZERO, ZERO)
     anchored = eval_F(x, K).center - normalization_center(K)
@@ -222,10 +195,8 @@ def darboux_gap(K: int, cells_budget: int) -> Certified:
     tail tooth's length times the sup bound 1.  The dropped series tail is
     at most 2^-K pointwise, contributing 2^(1-K) over length 2.
     """
-    if K < 1:
-        raise DomainError(f"truncation K must be >= 1, got {K}")
-    if cells_budget < 1:
-        raise DomainError(f"cells budget must be >= 1, got {cells_budget}")
+    require_at_least(K, 1, "truncation K")
+    require_at_least(cells_budget, 1, "cells budget")
     total = ZERO
     for j in range(-cells_budget, cells_budget + 1):
         tooth = level1_cell(j)
@@ -250,10 +221,8 @@ def quotient_bound_check(k: int, n: int, x: RatLike) -> WitnessReport:
     cancellation across complete mirrored teeth sharpens this to the stated
     reciprocal bound; here the inequality is certified exactly at x.
     """
-    if k < 1:
-        raise DomainError(f"layer index must be >= 1, got {k}")
-    if n < 1:
-        raise DomainError(f"band index must be >= 1, got {n}")
+    require_at_least(k, 1, "layer index")
+    require_at_least(n, 1, "band index")
     x = as_rational(x)
     band_lo = Fraction(1, n + 1) - 1
     band_hi = Fraction(1, n) - 1

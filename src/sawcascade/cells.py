@@ -9,6 +9,9 @@ j_1, of the level-(k-1) cell (j_2, ..., j_k) under the base map.  On each
 cell the k-th iterate is affine and maps the cell onto [-1, 1], hitting -1
 and +1 at the two endpoints.
 
+The chain of cells around one point is read off one integer walk of its
+orbit (``_layer_walk``) without building any Cell.
+
 Everything here is exact: endpoints, slopes and intercepts are rationals,
 and all geometric predicates (containment, adjacency, tiling) are decided
 with exact comparisons.
@@ -19,14 +22,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator, Optional, Sequence
+from itertools import chain, repeat
+from typing import Iterable, Iterator, Optional, Sequence
 
 from sawcascade.construction import (
     DomainError,
     Rat,
     RatLike,
+    _numerators,
     as_rational,
     orbit,
+    require_at_least,
     require_unit_interval,
 )
 
@@ -46,11 +52,6 @@ class AffineMap:
 
     def __call__(self, x: RatLike) -> Rat:
         return self.scale * as_rational(x) + self.offset
-
-    def preimage(self, y: RatLike) -> Rat:
-        if self.scale == 0:
-            raise ZeroDivisionError("constant map has no well-defined preimage")
-        return (as_rational(y) - self.offset) / self.scale
 
 
 @dataclass(frozen=True)
@@ -90,9 +91,6 @@ class Cell:
     def contains(self, x: RatLike) -> bool:
         x = as_rational(x)
         return self.lo <= x <= self.hi
-
-    def strictly_inside(self, lo: RatLike, hi: RatLike) -> bool:
-        return as_rational(lo) < self.lo and self.hi < as_rational(hi)
 
 
 #: Level-0 pseudo-cell: the identity on the whole domain.  Used as the parent
@@ -167,6 +165,28 @@ def level1_ids_of(p: int, q: int) -> list[Level1Id]:
     return ids
 
 
+def _layer_walk(
+    x: Rat, K: int, numerators: Optional[Iterable[int]] = None
+) -> Iterator[tuple[int, int]]:
+    """(p_k, s_(k-1)) for k = 1..K: the one walk of the cell chain of x.
+
+    p_k is the numerator of y_k over x's denominator q, s_(k-1) the slope of
+    the tooth holding y_(k-1) (y_0 = x); the level-k cell of x is
+    x + ([-1, 1] - y_k) / (s_0 ... s_(k-1)).  The walk ends before the first
+    k whose previous iterate is +-1; past a 0 every pair is (0, 2).
+    ``numerators`` p_1, p_2, ... of an orbit record (covering K steps or
+    ending at an absorption) spare walking the orbit again.
+    """
+    p, q = x.numerator, x.denominator
+    ps = chain(_numerators(x) if numerators is None else numerators, repeat(0))
+    for _ in range(K):
+        if abs(p) == q:
+            return
+        s = tooth_slope(level1_ids_of(p, q)[0])
+        p = next(ps)
+        yield p, s
+
+
 def level1_ids_at(x: RatLike) -> list[Level1Id]:
     """Ids of every level-1 cell containing x (closed cells: 0, 1 or 2 ids).
 
@@ -238,10 +258,8 @@ def iter_cells(
     a sub-interval lo <= hi of [-1, 1] and a level-k family larger than
     MAX_CELLS.
     """
-    if k < 1:
-        raise DomainError(f"level k must be >= 1, got {k}")
-    if index_budget < 0:
-        raise DomainError(f"index budget must be >= 0, got {index_budget}")
+    require_at_least(k, 1, "level k")
+    require_at_least(index_budget, 0, "index budget")
     lo, hi = (Fraction(-1), Fraction(1)) if window is None else _checked_window(window)
     if (2 * index_budget + 1) ** k > MAX_CELLS:
         raise DomainError(
@@ -267,8 +285,7 @@ def children(address: Sequence[int], index_budget: int) -> list[Cell]:
     parent endpoints and covers all of the parent except two shortfalls of
     exact total length parent.length / (index_budget + 2).
     """
-    if index_budget < 0:
-        raise DomainError(f"index budget must be >= 0, got {index_budget}")
+    require_at_least(index_budget, 0, "index budget")
     parent = cell(address)
     kids = [child_cell(parent, j) for j in range(-index_budget, index_budget + 1)]
     kids.sort(key=lambda c: c.lo)
@@ -297,8 +314,7 @@ def locate(x: RatLike, k: int) -> list[Address]:
     endpoint of adjacent level-k cells.
     """
     x = require_unit_interval(as_rational(x))
-    if k < 1:
-        raise DomainError(f"level k must be >= 1, got {k}")
+    require_at_least(k, 1, "level k")
     results: list[Address] = []
 
     def descend(prefix: tuple[int, ...], y: Rat, remaining: int) -> None:
@@ -340,10 +356,8 @@ def e_points(
     within index_budget, plus +-1.  Cells disjoint from the window are pruned
     (children stay inside their parent, so nothing is missed).
     """
-    if k < 1:
-        raise DomainError(f"level k must be >= 1, got {k}")
-    if index_budget < 0:
-        raise DomainError(f"index budget must be >= 0, got {index_budget}")
+    require_at_least(k, 1, "level k")
+    require_at_least(index_budget, 0, "index budget")
     wlo, whi = _checked_window(window)
 
     found = {x: 1 for x in (Fraction(-1), Fraction(1)) if wlo <= x <= whi}

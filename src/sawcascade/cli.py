@@ -8,7 +8,8 @@ timestamps, no environment lookups, keys sorted.
 
 Exit codes: 0 success (and all verifications passed), 1 at least one
 verification failed, 2 usage or domain error (a suite with no cases, an
-unwritable --out and a too-large cell enumeration included).
+unwritable --out, a stdout closed before the output was complete and a
+too-large cell enumeration included).
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import argparse
 import dataclasses
 import functools
 import json
+import os
 import sys
 from contextlib import contextmanager, redirect_stderr, redirect_stdout
 from fractions import Fraction
@@ -37,6 +39,7 @@ from sawcascade.construction import (
     eval_f1,
     eval_fk,
     eval_g,
+    require_at_least,
 )
 from sawcascade.reports import WitnessReport, document_chunks, rat_str, report_to_dict
 from sawcascade.suites import SUITE_ORDER, SuiteConfig, run_suite_reports
@@ -96,8 +99,7 @@ def _evaluate(fn: str, x: Rat, k: int, K: int) -> Certified:
 
 def emit_samples(cfg: SampleConfig) -> str:
     """Render evenly spaced certified samples as CSV or JSON text."""
-    if cfg.count < 1:
-        raise DomainError(f"count must be >= 1, got {cfg.count}")
+    require_at_least(cfg.count, 1, "count")
     if cfg.a > cfg.b:
         raise DomainError(f"need a <= b, got a={cfg.a}, b={cfg.b}")
     xs: list[Rat] = []
@@ -283,9 +285,14 @@ def _all_digits() -> Iterator[None]:
 
 
 def _write(chunks: Iterable[str], out: Optional[str], stdout: TextIO) -> None:
-    """Write the output, piece by piece, to stdout or to the --out file."""
+    """Write the output, piece by piece, to stdout or to the --out file.
+
+    Pieces are at most 64 KiB: when the reader of a pipe leaves during one
+    large write, the write ends short and the text layer passes over that
+    silently; the next piece then raises BrokenPipeError.
+    """
     if out is None:
-        stdout.writelines(chunks)
+        stdout.writelines(c[i:i + 65536] for c in chunks for i in range(0, len(c), 65536))
         return
     try:
         with open(out, "w", encoding="utf-8") as handle:
@@ -351,7 +358,8 @@ def run(
             cfg = SuiteConfig(
                 seed=args.seed,
                 count=args.count,
-                K=args.K,
+                # only darboux reads K, but every suite echoes it
+                K=require_at_least(args.K, 1, "truncation K"),
                 depth=args.depth,
                 index_budget=args.index_budget,
                 cells_budget=args.cells_budget,
@@ -384,7 +392,15 @@ def run(
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader went away (say `| head`); devnull takes the exit flush
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.stderr.write("error: stdout closed before the output was complete\n")
+        code = EXIT_USAGE
+    sys.exit(code)
 
 
 if __name__ == "__main__":

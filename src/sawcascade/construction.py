@@ -60,6 +60,13 @@ def require_unit_interval(x: Rat, what: str = "x") -> Rat:
     return x
 
 
+def require_at_least(value: int, floor: int, what: str) -> int:
+    """Check an integer setting against its floor and return it."""
+    if value < floor:
+        raise DomainError(f"{what} must be >= {floor}, got {value}")
+    return value
+
+
 # ---------------------------------------------------------------------------
 # base map
 # ---------------------------------------------------------------------------
@@ -150,7 +157,7 @@ class OrbitInfo:
     included) as integers over ``start``'s denominator q; ``values`` gives
     them as Fractions.  ``absorbed_step`` is the first index m (1-based)
     with y_m in {-1, 0, +1}, or None if no iterate reached an absorbing
-    value within ``depth_limit`` steps.  Denominators never grow along an
+    value within the depth walked.  Denominators never grow along an
     orbit, so an orbit either absorbs or cycles forever; a None here means
     the point's series value keeps a nonzero certified radius at every depth.
     """
@@ -159,7 +166,6 @@ class OrbitInfo:
     numerators: tuple[int, ...]
     absorbed_step: Optional[int]
     absorber: Optional[Rat]
-    depth_limit: int
 
     @property
     def values(self) -> tuple[Rat, ...]:
@@ -205,15 +211,14 @@ def orbit(x: RatLike, depth: int) -> OrbitInfo:
     for p in islice(_numerators(x), depth):
         numerators.append(p)
         if p == 0 or abs(p) == q:
-            return OrbitInfo(x, tuple(numerators), len(numerators), Fraction(p, q), depth)
-    return OrbitInfo(x, tuple(numerators), None, None, depth)
+            return OrbitInfo(x, tuple(numerators), len(numerators), Fraction(p, q))
+    return OrbitInfo(x, tuple(numerators), None, None)
 
 
 def eval_fk(x: RatLike, k: int) -> Rat:
     """Exact k-th iterate of the base map, k >= 1."""
     x = require_unit_interval(as_rational(x))
-    if k < 1:
-        raise DomainError(f"iterate index k must be >= 1, got {k}")
+    require_at_least(k, 1, "iterate index k")
     return Fraction(next(islice(_numerators(x), k - 1, None), 0), x.denominator)
 
 
@@ -225,8 +230,7 @@ def eval_fk(x: RatLike, k: int) -> Rat:
 def partial_sum(x: RatLike, K: int) -> Rat:
     """Exact K-term weighted sum of iterates: sum_{k=1..K} f_k(x) / 2^k."""
     x = require_unit_interval(as_rational(x))
-    if K < 1:
-        raise DomainError(f"truncation K must be >= 1, got {K}")
+    require_at_least(K, 1, "truncation K")
     return _horner(islice(_numerators(x), K), x.denominator)
 
 
@@ -274,8 +278,7 @@ def eval_f(x: RatLike, K: int) -> Certified:
     sum_{k>K} 2^-k = 2^-K.
     """
     x = require_unit_interval(as_rational(x))
-    if K < 1:
-        raise DomainError(f"truncation K must be >= 1, got {K}")
+    require_at_least(K, 1, "truncation K")
     info = orbit(x, K)
     return Certified(info.partial_sum(K), ZERO if info.absorbed else Fraction(1, 2**K))
 

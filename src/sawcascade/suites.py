@@ -21,7 +21,7 @@ from typing import Callable
 
 from sawcascade.antiderivative import darboux_gap, quotient_bound_check
 from sawcascade.cells import iter_cells
-from sawcascade.construction import DomainError, Rat
+from sawcascade.construction import DomainError, Rat, require_at_least
 from sawcascade.reports import WitnessReport, check, make_report
 from sawcascade.verifier import (
     integral_crosscheck,
@@ -86,8 +86,11 @@ def tapered_endpoints(max_level: int, index_budget: int) -> list[tuple[Rat, int]
     geometrically.  Levels are walked deepest first, so the size guard of
     iter_cells checks the deepest family before any cell is built, and a
     shallower level's first level overwrites a deeper one's.  Returns
-    (x, first_level) pairs sorted by x.
+    (x, first_level) pairs sorted by x.  Refuses max_level or index_budget
+    below 1 rather than read them as 1 or as +-1 alone.
     """
+    require_at_least(max_level, 1, "max level")
+    require_at_least(index_budget, 1, "index budget")
     found: dict[Rat, int] = {F(-1): 1, F(1): 1}
     for m in range(max_level - 1, 0, -1):
         for c in iter_cells(m, _integer_root(index_budget, m)):

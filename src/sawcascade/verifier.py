@@ -7,16 +7,16 @@ cell structure: endpoints of level-k cells have exactly known series values
 fan supplies points whose series values overshoot and undershoot by almost
 the full weight 2^-k of the k-th layer, beating the margin 2^-(k+1).
 
-The fan is scanned in closed form on integers.  A side cell of level
-m = k - 1 at x0 is described by its slope s (the product of the tooth
-slopes along the orbit record) and the Horner sum a = sum_{i<=m} s_i 2^(m-i)
-of the slopes of f_1..f_m on its ancestors.  With v0 = f_m(x0) = +-1 the fan
-endpoints are y_n = x0 - v0 / (n s), n >= 2, and
-f(y_n) - f(x0) = v0 ((-1)^n / 2^k - a / (2^m n s)), so the window and the
-margin tests are integer comparisons.  The closed form only chooses the
-witnesses: every chosen point is still walked (partial_sum, eval_fk), and
-its certificate compares those walked values exactly, so a wrong choice can
-only yield a failing report.
+Cell chains are read off the one integer walk cells._layer_walk; no Cell
+is built.  A level-m cell at x0 is (m, s, a): the slope s of f_m on it (a
+product of tooth slopes) and the Horner sum a = sum_{i<=m} s_i 2^(m-i) of
+the slopes of f_1..f_m; the cell is x0 + ([-1, 1] - f_m(x0)) / s.  With
+v0 = f_m(x0) = +-1 and k = m + 1 the fan endpoints are y_n = x0 - v0 / (n s),
+n >= 2, and f(y_n) - f(x0) = v0 ((-1)^n / 2^k - a / (2^m n s)), so window
+and margin tests are integer comparisons.  The closed forms only choose the
+witnesses: each chosen point is walked once, into one orbit record that
+gives its series value and the iterate its certificate checks, so a wrong
+choice can only yield a failing report.
 
 For points whose deeper layers coincide (equal (k+1)-th iterates), series
 differences collapse to differences of k-term partial sums, which is what
@@ -37,7 +37,7 @@ from sawcascade.antiderivative import enclose_integral, eval_Fk
 from sawcascade.cells import (
     ROOT,
     Cell,
-    child_cell,
+    _layer_walk,
     child_map,
     iter_cells,
     level1_cell,
@@ -54,7 +54,7 @@ from sawcascade.construction import (
     as_rational,
     eval_fk,
     orbit,
-    partial_sum,
+    require_at_least,
     require_unit_interval,
 )
 from sawcascade.reports import Check, WitnessReport, check, make_report
@@ -93,22 +93,20 @@ def _side_cells(info: OrbitInfo) -> list[FanSide]:
 
     For first_level 1 (x0 = +-1) the level-0 root (0, 1, 0) stands in: the
     fan of level-1 teeth accumulates at both domain ends.  Otherwise the
-    cell chain of x0 is walked on the integer numerators of its orbit
-    record.  No iterate before y_{m-1} is a tooth endpoint (its image would
-    be +-1 a step early), so each such step has one level-1 id; the walk
+    chain is read off the orbit record.  No iterate before y_{m-1} is a
+    tooth endpoint (its image would be +-1 a step early), so the chain
     branches only at its last step, into the one or two ids at y_{m-1}, in
     ascending order as locate sorts them.
     """
     m = info.first_level - 1
     if m == 0:
         return [(0, 1, 0)]
-    q = info.start.denominator
-    ps = (info.start.numerator,) + info.numerators
-    s, a = 1, 0
-    for p in ps[: m - 1]:
-        s *= tooth_slope(level1_ids_of(p, q)[0])
+    x0 = info.start
+    p, s, a = x0.numerator, 1, 0
+    for p, slope in _layer_walk(x0, m - 1, info.numerators):
+        s *= slope
         a = 2 * a + s
-    lasts = [s * tooth_slope(j) for j in level1_ids_of(ps[m - 1], q)]
+    lasts = [s * tooth_slope(j) for j in level1_ids_of(p, x0.denominator)]
     return [(m, last, 2 * a + last) for last in lasts]
 
 
@@ -179,16 +177,17 @@ def _fan_scan(
 
 
 def _witness_checks(
-    tag: str, x0: Rat, point: tuple[Rat, Rat], fx0: Rat, margin: Rat,
-    delta: Rat, k: int, above: bool,
+    tag: str, x0: Rat, hit: tuple[Rat, Rat, Rat], fx0: Rat, margin: Rat,
+    delta: Rat, above: bool,
 ) -> list[Check]:
-    y, fy = point
+    """Checks on the witness y with series value f(y) and f_k(y): hit."""
+    y, fy, fky = hit
     rel = (">", fy, fx0 + margin) if above else ("<", fy, fx0 - margin)
     return [
         check(f"{tag}_beats_margin", rel[0], rel[1], rel[2]),
         check(f"{tag}_inside_window", "<", abs(y - x0), delta),
         check(f"{tag}_distinct", ">", abs(y - x0), 0),
-        check(f"{tag}_hits_unit", "==", abs(eval_fk(y, k)), 1),
+        check(f"{tag}_hits_unit", "==", abs(fky), 1),
     ]
 
 
@@ -214,11 +213,12 @@ def _endpoint_fan_report(
         below = b if below is None else below
         if above is not None and below is not None:
             break
-    points = [(x0, fx0)]
-    hits = [(y, partial_sum(y, k)) for y in (above, below) if y is not None]
+    walked = [orbit(y, k) for y in (above, below) if y is not None]
+    hits = [(w.start, w.partial_sum(k), w.iterate(k)) for w in walked]
+    points = [(x0, fx0)] + [(y, fy) for y, fy, _ in hits]
     if len(hits) < 2:
         return make_report(
-            kind, inputs, points + hits, [],
+            kind, inputs, points, [],
             error="fan budget exhausted before both witnesses appeared",
         )
     above, below = hits
@@ -230,9 +230,9 @@ def _endpoint_fan_report(
             check("center_hits_unit", "==", abs(info.iterate(k - 1)), 1),
             check("center_absorbed", "==", info.iterate(k), 0),
         ]
-    certificate += _witness_checks("upper", x0, above, fx0, margin, delta, k, above=True)
-    certificate += _witness_checks("lower", x0, below, fx0, margin, delta, k, above=False)
-    return make_report(kind, inputs, points + hits, certificate)
+    certificate += _witness_checks("upper", x0, above, fx0, margin, delta, above=True)
+    certificate += _witness_checks("lower", x0, below, fx0, margin, delta, above=False)
+    return make_report(kind, inputs, points, certificate)
 
 
 # ---------------------------------------------------------------------------
@@ -276,21 +276,21 @@ def oscillation_witness(
 
 
 def _walk_chain(
-    info: OrbitInfo, window_lo: Rat, window_hi: Rat
-) -> tuple[Optional[Cell], Rat, Optional[str]]:
-    """Descend the cell chain of the non-endpoint info.start along its orbit
-    record until the cell fits strictly inside the window and the truncated
-    series has nonzero slope on it.  Returns (cell, that slope, error)."""
-    depth = info.depth_limit
-    y = info.start
-    current = ROOT
-    slope_sum = ZERO
-    for k in range(1, depth):
-        current = child_cell(current, level1_ids_at(y)[0])
-        slope_sum += Fraction(current.slope) / 2**k
-        if current.strictly_inside(window_lo, window_hi) and slope_sum != 0:
-            return current, slope_sum, None
-        y = info.iterate(k)
+    info: OrbitInfo, depth: int, lo: Rat, hi: Rat
+) -> tuple[Optional[FanSide], Rat, Optional[str]]:
+    """Descend the cell chain of the non-endpoint x0 = info.start along its
+    orbit record until the level-m cell x0 + ([-1, 1] - f_m(x0)) / s fits
+    strictly inside (lo, hi) and the m-term truncation has nonzero slope
+    a / 2^m on it.  Returns ((m, s, a), f_m(x0), error)."""
+    x0 = info.start
+    s, a = 1, 0
+    for m, (p, slope) in enumerate(_layer_walk(x0, depth - 1, info.numerators), 1):
+        s *= slope
+        a = 2 * a + s
+        y = Fraction(p, x0.denominator)
+        ends = (x0 + (-1 - y) / s, x0 + (1 - y) / s)
+        if a != 0 and lo < min(ends) and max(ends) < hi:
+            return (m, s, a), y, None
     return None, ZERO, (
         f"depth {depth} exhausted at level {depth - 1} before the cell chain "
         "fit the window"
@@ -307,7 +307,7 @@ def non_extremum_witness(
 
     Enumerable endpoints delegate to the oscillation fan (values strictly
     above and below f(x0) appear arbitrarily close).  Interior points use
-    the cell chain: inside the deepest cell fitting the window, points x1
+    the cell chain: inside its first cell fitting the window, points x1
     and x2 in the two neighboring child cells are chosen with the same
     (k+1)-th iterate as x0, so every deeper layer agrees too and series
     differences reduce to exact k-term differences, which alternate around
@@ -325,30 +325,26 @@ def non_extremum_witness(
         return _endpoint_fan_report("non_extremum", info, delta, fan_budget, inputs)
 
     inputs["mode"] = "interior_chain"
-    chain_cell, slope_sum, err = _walk_chain(info, x0 - delta, x0 + delta)
-    if chain_cell is None:
+    side, y, err = _walk_chain(info, depth, x0 - delta, x0 + delta)
+    if side is None:
         return make_report("non_extremum", inputs, [(x0, info.partial_sum(1))], [], error=err)
-    k = chain_cell.level
-    j0 = level1_ids_at(info.iterate(k))[0]
-    inner = child_cell(chain_cell, j0)
-    sib_a = child_cell(chain_cell, j0 - 1)
-    sib_b = child_cell(chain_cell, j0 + 1)
-    left, right = (sib_a, sib_b) if sib_a.lo < inner.lo else (sib_b, sib_a)
-    v = inner.value_at(x0)  # the (k+1)-th iterate of x0
-    x1 = (v - left.intercept) / left.slope
-    x2 = (v - right.intercept) / right.slope
-    s0 = info.partial_sum(k)
-    s1 = partial_sum(x1, k)
-    s2 = partial_sum(x2, k)
+    k, s, a = side
+    v = info.iterate(k + 1)
+    # pull back the points of the teeth beside y's tooth whose image is v
+    j0 = level1_ids_at(y)[0]
+    teeth = (level1_cell(j0 - 1), level1_cell(j0 + 1))
+    x1, x2 = sorted(x0 + ((v - t.intercept) / t.slope - y) / s for t in teeth)
+    w1, w2 = orbit(x1, k + 1), orbit(x2, k + 1)
+    s0, s1, s2 = info.partial_sum(k), w1.partial_sum(k), w2.partial_sum(k)
     certificate = [
-        check("left_tail_matches", "==", eval_fk(x1, k + 1), info.iterate(k + 1)),
-        check("right_tail_matches", "==", eval_fk(x2, k + 1), info.iterate(k + 1)),
+        check("left_tail_matches", "==", w1.iterate(k + 1), v),
+        check("right_tail_matches", "==", w2.iterate(k + 1), v),
         check("alternation", "<", (s1 - s0) * (s2 - s0), 0),
         check("left_inside_window", "<", x0 - x1, delta),
         check("right_inside_window", "<", x2 - x0, delta),
         check("left_of_center", ">", x0 - x1, 0),
         check("right_of_center", ">", x2 - x0, 0),
-        check("chain_slope_nonzero", "!=", slope_sum, 0),
+        check("chain_slope_nonzero", "!=", Fraction(a, 2**k), 0),
     ]
     points = [(x1, s1), (x0, s0), (x2, s2)]
     return make_report("non_extremum", inputs, points, certificate)
@@ -370,7 +366,7 @@ def non_monotone_witness(
     Produces three points p1 < p2 < p3 inside (a, b) with exactly known
     series values whose consecutive differences have strictly opposite
     signs.  The anchor is either the interval midpoint (when it is an
-    enumerable endpoint) or the left endpoint of the deepest chain cell of
+    enumerable endpoint) or the left endpoint of the first chain cell of
     the midpoint fitting inside (a, b); both witnesses then come from the
     fan on one single side of the anchor, which forces a strict reversal.
     """
@@ -384,23 +380,22 @@ def non_monotone_witness(
     inputs = {"a": a, "b": b, "depth": depth, "fan_budget": fan_budget}
     if fl is not None:
         inputs["mode"] = "midpoint_fan"
-        anchor = mid
-        fx0 = info.partial_sum(fl - 1)
+        center = info
         v0 = _endpoint_value(info)
         delta = min(mid - a, b - mid)
         sides = _side_cells(info)
     else:
         inputs["mode"] = "chain_cell_fan"
-        chain_cell, slope_sum, err = _walk_chain(info, a, b)
-        if chain_cell is None:
+        side, y, err = _walk_chain(info, depth, a, b)
+        if side is None:
             return make_report("non_monotone", inputs, [], [], error=err)
-        anchor = chain_cell.lo
-        level = chain_cell.level
-        fx0 = partial_sum(anchor, level)
-        v0 = int(chain_cell.value_at(anchor))
-        delta = chain_cell.length
-        sides = [(level, int(chain_cell.slope), int(slope_sum * 2**level))]
+        m, s, _a = side
+        v0 = -1 if s > 0 else 1  # f_m at the chain cell's left end
+        center = orbit(mid + (v0 - y) / s, m + 2)
+        delta = Fraction(2, abs(s))
+        sides = [side]
     k = sides[0][0] + 1
+    anchor, fx0 = center.start, center.partial_sum(k)
     above = below = None
     for side in sides:
         above, below = _fan_scan(side, anchor, v0, delta, fan_budget)
@@ -411,8 +406,9 @@ def non_monotone_witness(
             "non_monotone", inputs, [(anchor, fx0)], [],
             error="fan budget exhausted before a same-side pair appeared",
         )
-    triple = sorted([(anchor, fx0)] + [(y, partial_sum(y, k)) for y in (above, below)])
-    (p1, v1), (p2, v2), (p3, v3) = triple
+    walked = [center, orbit(above, k + 1), orbit(below, k + 1)]
+    triple = sorted((w.start, w.partial_sum(k), w.iterate(k + 1)) for w in walked)
+    (p1, v1, _), (p2, v2, _), (p3, v3, _) = triple
     certificate = [
         check("alternation", "<", (v2 - v1) * (v3 - v2), 0),
         check("ordered_left", "<", p1, p2),
@@ -420,11 +416,9 @@ def non_monotone_witness(
         check("inside_left", "<", a, p1),
         check("inside_right", "<", p3, b),
     ]
-    for tag, (p, _v) in (("p1", triple[0]), ("p2", triple[1]), ("p3", triple[2])):
-        certificate.append(
-            check(f"{tag}_value_exact", "==", eval_fk(p, k + 1), 0)
-        )
-    return make_report("non_monotone", inputs, list(triple), certificate)
+    for tag, (_p, _v, tail) in zip(("p1", "p2", "p3"), triple):
+        certificate.append(check(f"{tag}_value_exact", "==", tail, 0))
+    return make_report("non_monotone", inputs, [(p, v) for p, v, _ in triple], certificate)
 
 
 # ---------------------------------------------------------------------------
@@ -490,10 +484,8 @@ def structure_check(k: int, index_budget: int) -> WitnessReport:
     locate round-trips at cell midpoints.  The certificate aggregates exact
     mismatch counts (all must be zero) and the exact coverage identities.
     """
-    if k < 1:
-        raise DomainError(f"level k must be >= 1, got {k}")
-    if index_budget < 1:
-        raise DomainError(f"index budget must be >= 1, got {index_budget}")
+    require_at_least(k, 1, "level k")
+    require_at_least(index_budget, 1, "index budget")
     ids = range(-index_budget, index_budget + 1)
     per_level: list[list[Cell]] = [[] for _ in range(k)]
     for c in iter_cells(k, index_budget):
@@ -585,8 +577,7 @@ def integral_crosscheck(
 ) -> WitnessReport:
     """Certify that the recursive layer integral lies inside the geometric
     enclosure at each x: two code paths, one exact containment check each."""
-    if k < 1:
-        raise DomainError(f"level k must be >= 1, got {k}")
+    require_at_least(k, 1, "level k")
     if not xs:
         raise DomainError("need at least one evaluation point")
     points: list[tuple[Rat, Rat]] = []

@@ -9,12 +9,16 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import os
+import subprocess
 import sys
 import time
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
+import sawcascade
 from sawcascade import cli
 from sawcascade.antiderivative import eval_F, eval_G
 from sawcascade.cli import (
@@ -456,6 +460,67 @@ def test_verify_nonpositive_delta_is_usage_error_in_every_suite(argv: list[str])
     assert "window radius delta must be > 0" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "local-min", "--K", "0", "--count", "2"],
+        ["verify", "quotient-bound", "--K", "-3", "--n-max", "3"],
+        ["verify", "all", "--K", "0"],
+    ],
+)
+def test_verify_truncation_below_one_is_usage_error_in_every_suite(argv: list[str]) -> None:
+    start = time.perf_counter()
+    code, out, err = invoke(argv)
+    assert time.perf_counter() - start < 2  # refused before any suite runs
+    _assert_one_line_usage_error(code, out, err)
+    K = argv[argv.index("--K") + 1]
+    assert err == f"error: truncation K must be >= 1, got {K}\n"
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--max-level", "3", "--index-budget=-7"], "index budget must be >= 1, got -7"),
+        (["--max-level", "3", "--index-budget", "0"], "index budget must be >= 1, got 0"),
+        (["--max-level", "0"], "max level must be >= 1, got 0"),
+        (["--max-level=-2", "--index-budget", "0"], "max level must be >= 1, got -2"),
+    ],
+)
+def test_verify_oscillation_settings_below_one_are_usage_errors(
+    flags: list[str], message: str
+) -> None:
+    code, out, err = invoke(["verify", "oscillation", *flags])
+    _assert_one_line_usage_error(code, out, err)
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # streamed case by case
+        ["verify", "local-min", "--count", "400"],
+        # one text of about 0.9 MB
+        ["sample", "--fn", "f1", "--count", "30000"],
+    ],
+)
+def test_closed_stdout_is_one_line_usage_error(argv: list[str]) -> None:
+    # the output is far larger than a pipe buffer, so the writer meets the
+    # closed pipe while it is still writing
+    src = str(Path(sawcascade.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    with subprocess.Popen(
+        [sys.executable, "-m", "sawcascade", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    ) as proc:
+        assert len(proc.stdout.read(100)) == 100
+        proc.stdout.close()
+        err = proc.stderr.read().decode("utf-8")
+        code = proc.wait(timeout=60)
+    assert code == EXIT_USAGE
+    assert err == "error: stdout closed before the output was complete\n"
+
+
 def test_verify_max_level_guard_refuses_before_enumerating() -> None:
     start = time.perf_counter()
     code, out, err = invoke(["verify", "oscillation", "--max-level", "20"])
@@ -538,6 +603,14 @@ PINNED_STDOUT = {
         "69749fab1a11879f60857c8b9707e38fa41dc3cda360455243bf8e7472bb4486",
     "sample --fn G --a=-1/3 --b 1/3 --count 41 --K 60 --format json":
         "3138e20f09fc6b88ea1313aac9b29922109e8545981479b92a1a3a44a11d9435",
+    # the witnesses' cell chains: interior siblings on chains of both slope
+    # signs, a 10^-6 window within depth 12, chain-cell fans within depth 6
+    "verify no-extrema --count 300 --seed 7":
+        "85f2b1aa015e8e4f16d4a67d6c4eda0d02beb1c4691fdd16b213c0de903a663f",
+    "verify no-extrema --delta 1/1000000 --count 50 --depth 12":
+        "0297cc64d8c6d3ebcc6b4c9c087bc450cdd889d91a85c6e82a79ea3e91d69b4a",
+    "verify nowhere-monotone --count 200 --depth 6":
+        "dea9e42007e566358a7583adf11e6c487af4172c76b2b718b5cd7a79176cb52d",
 }
 
 #: Exit code of a pinned command, where it is not EXIT_OK.

@@ -12,6 +12,7 @@ from fractions import Fraction as F
 import pytest
 
 from sawcascade.cells import first_level_of
+from sawcascade.construction import DomainError
 from sawcascade.suites import (
     SUITE_ORDER,
     SUITES,
@@ -101,6 +102,30 @@ def test_tapered_endpoints_budget_shrinks_with_depth() -> None:
     assert by_level[1] == 2
     assert by_level[6] < 4000
     assert len(eps) == sum(by_level.values()) < 6000
+
+
+@pytest.mark.parametrize(
+    "max_level, index_budget, message",
+    [
+        (0, 50, "max level must be >= 1, got 0"),
+        (-3, 50, "max level must be >= 1, got -3"),
+        (3, 0, "index budget must be >= 1, got 0"),
+        (3, -7, "index budget must be >= 1, got -7"),
+    ],
+)
+def test_tapered_endpoints_refuse_settings_below_one(
+    max_level: int, index_budget: int, message: str
+) -> None:
+    with pytest.raises(DomainError, match=message):
+        tapered_endpoints(max_level, index_budget)
+
+
+def test_tapered_endpoints_smallest_budget_is_one_id_per_level() -> None:
+    # budget 1 keeps the ids -1, 0, 1 on every level: 3^m level-m cells
+    by_level: dict[int, int] = {}
+    for _x, first_level in tapered_endpoints(3, 1):
+        by_level[first_level] = by_level.get(first_level, 0) + 1
+    assert by_level == {1: 2, 2: 4, 3: 12}
 
 
 def test_tapered_endpoints_sorted_and_unique() -> None:

@@ -12,11 +12,12 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import sawcascade.construction as construction
 import sawcascade.verifier as verifier
-from sawcascade.cells import ROOT, cell, child_cell, locate
+from sawcascade.cells import ROOT, cell, child_cell, level1_ids_at, locate
 from sawcascade.construction import DomainError, eval_fk, orbit, partial_sum
 from sawcascade.reports import recheck, report_from_dict, report_to_dict
 from sawcascade.suites import SUITES, SuiteConfig, tapered_endpoints
@@ -26,6 +27,7 @@ from sawcascade.verifier import (
     _fan_point,
     _fan_sign,
     _side_cells,
+    _walk_chain,
     integral_crosscheck,
     local_min_check,
     non_extremum_witness,
@@ -161,16 +163,80 @@ def test_fan_closed_form_matches_child_cells_and_partial_sums():
 
 
 def test_fan_scan_walks_only_the_chosen_witnesses(monkeypatch):
-    calls = []
+    # one orbit record per report's center and per chosen witness, and no
+    # other walk: the fan is judged in closed form
+    walks = []
+    other_walks = []
 
-    def counting_partial_sum(x, K):
-        calls.append((x, K))
-        return partial_sum(x, K)
+    def counting_orbit(x, depth):
+        walks.append((x, depth))
+        return orbit(x, depth)
 
-    monkeypatch.setattr(verifier, "partial_sum", counting_partial_sum)
+    def counting(name, fn):
+        def wrapped(*args):
+            other_walks.append((name, args))
+            return fn(*args)
+        return wrapped
+
+    monkeypatch.setattr(verifier, "orbit", counting_orbit)
+    for module in (construction, verifier):
+        for name in ("partial_sum", "eval_fk"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
     reports = SUITES["oscillation"](SuiteConfig(max_level=4))
     assert all(r.verdict for r in reports)
-    assert len(calls) == len(set(calls)) == 2 * len(reports) == 1472
+    assert len(walks) == len(set(walks)) == 3 * len(reports) == 2208
+    assert other_walks == []
+
+
+def reference_walk_chain(x0, depth, lo, hi):
+    """The chain walk composed from Cells: (cell, slope of the truncation).
+
+    The verifier used this Fraction composition from ROOT before it read
+    the chain off the integer walk in closed form; this is its oracle.
+    """
+    info = orbit(x0, depth)
+    y = x0
+    current = ROOT
+    slope_sum = F(0)
+    for k in range(1, depth):
+        current = child_cell(current, level1_ids_at(y)[0])
+        slope_sum += current.slope / 2**k
+        if lo < current.lo and current.hi < hi and slope_sum != 0:
+            return current, slope_sum
+        y = info.iterate(k)
+    return None
+
+
+@given(
+    st.fractions(min_value=-1, max_value=1, max_denominator=10**6),
+    st.fractions(min_value=F(1, 10**9), max_value=2, max_denominator=10**9),
+    st.fractions(min_value=F(1, 10**9), max_value=2, max_denominator=10**9),
+    st.integers(min_value=1, max_value=40),
+)
+@example(F(0), F(1, 100), F(1, 100), 40)
+@example(F(0), F(1, 2), F(1), 40)  # level 1 touches the window on one side
+@example(F(0), F(1), F(1, 2), 40)  # and on the other
+@example(F(0), F(1, 10**6), F(1, 3), 40)
+@example(F(1, 7), F(1, 100), F(1, 100), 40)
+@example(F(1, 7), F(1, 10**9), F(1, 10**9), 8)
+@example(F(-1, 7), F(1, 2), F(1, 10**5), 40)
+@settings(max_examples=300, deadline=None)
+def test_walk_chain_matches_the_cell_composition(x0, left, right, depth):
+    info = orbit(x0, depth)
+    assume(info.first_level is None)
+    lo, hi = x0 - left, x0 + right
+    side, y, err = _walk_chain(info, depth, lo, hi)
+    expected = reference_walk_chain(x0, depth, lo, hi)
+    if expected is None:
+        assert side is None and "depth" in err
+        return
+    chain_cell, slope_sum = expected
+    m, s, a = side
+    assert err is None
+    assert (m, s, a) == (chain_cell.level, chain_cell.slope, slope_sum * 2**m)
+    assert y == chain_cell.value_at(x0) == info.iterate(m)
+    assert sorted(x0 + (v - y) / s for v in (-1, 1)) == [chain_cell.lo, chain_cell.hi]
 
 
 # ---------------------------------------------------------------------------
