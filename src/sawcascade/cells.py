@@ -9,12 +9,13 @@ j_1, of the level-(k-1) cell (j_2, ..., j_k) under the base map.  On each
 cell the k-th iterate is affine and maps the cell onto [-1, 1], hitting -1
 and +1 at the two endpoints.
 
-The chain of cells around one point is read off one integer walk of its
-orbit (``_layer_walk``) without building any Cell.
+Every tooth's intercept is an integer, so a cell stores its iterate as
+S x + C with integers S and C: a child is two integer multiply-adds away
+from its parent, and its bounds (-+1 - C)/S are the only rationals built.
+``locate`` and the chain walk ``_layer_walk`` build no Cell at all.
 
-Everything here is exact: endpoints, slopes and intercepts are rationals,
-and all geometric predicates (containment, adjacency, tiling) are decided
-with exact comparisons.
+Everything here is exact: endpoints are rationals, and all geometric
+predicates (containment, adjacency, tiling) are exact comparisons.
 """
 
 from __future__ import annotations
@@ -58,19 +59,16 @@ class AffineMap:
 class Cell:
     """A maximal closed interval on which a given iterate is affine.
 
-    Invariants (all exact): lo < hi, the affine map slope*x + intercept
-    sends {lo, hi} onto {-1, +1}, and the length is at most 2^(1-level).
+    The iterate is S x + C on it, with integers S = ``slope`` (a product of
+    ``level`` tooth slopes, so the length 2/|S| is at most 2^(1-level)) and
+    C = ``intercept``; the bounds lo < hi are (-1 - C)/S and (1 - C)/S.
     """
 
     address: Address
     lo: Rat
     hi: Rat
-    slope: Rat
-    intercept: Rat
-
-    def __post_init__(self) -> None:
-        if self.lo >= self.hi:
-            raise ValueError(f"degenerate cell bounds [{self.lo}, {self.hi}]")
+    slope: int
+    intercept: int
 
     @property
     def level(self) -> int:
@@ -78,11 +76,11 @@ class Cell:
 
     @property
     def length(self) -> Rat:
-        return self.hi - self.lo
+        return Fraction(2, abs(self.slope))
 
     @property
     def midpoint(self) -> Rat:
-        return (self.lo + self.hi) / 2
+        return Fraction(-self.intercept, self.slope)
 
     def value_at(self, x: RatLike) -> Rat:
         """The iterate's value at x, valid for x inside the cell."""
@@ -95,7 +93,7 @@ class Cell:
 
 #: Level-0 pseudo-cell: the identity on the whole domain.  Used as the parent
 #: of the level-1 family and as the one-sided fan anchor at the endpoints +-1.
-ROOT = Cell(address=(), lo=Fraction(-1), hi=Fraction(1), slope=Fraction(1), intercept=Fraction(0))
+ROOT = Cell(address=(), lo=Fraction(-1), hi=Fraction(1), slope=1, intercept=0)
 
 
 def validate_address(address: Sequence[int]) -> Address:
@@ -123,6 +121,17 @@ def tooth_slope(j: Level1Id) -> int:
     return 2 * n * (n + 1) if n % 2 else -2 * n * (n + 1)
 
 
+def tooth_intercept(j: Level1Id) -> int:
+    """Intercept of the base map on the level-1 cell with signed id j: 0 on
+    the middle ramp, (-1)^n - s (n-1)/n = (-1)^n (2n^2 - 1) on tooth n = j + 1
+    (value (-1)^n at 1 - 1/n, slope s), negated on its mirror -j."""
+    if j == 0:
+        return 0
+    n = abs(j) + 1
+    c = 2 * n * n - 1 if n % 2 == 0 else 1 - 2 * n * n
+    return c if j > 0 else -c
+
+
 @lru_cache(maxsize=4096)
 def level1_cell(j: Level1Id) -> Cell:
     """The level-1 cell with signed id j, carrying the base map's affine data.
@@ -134,16 +143,7 @@ def level1_cell(j: Level1Id) -> Cell:
     """
     if not isinstance(j, int) or isinstance(j, bool):
         raise DomainError(f"level-1 id must be an int, got {j!r}")
-    slope = Fraction(tooth_slope(j))
-    if j == 0:
-        return Cell((0,), Fraction(-1, 2), Fraction(1, 2), slope, Fraction(0))
-    n = abs(j) + 1
-    lo = 1 - Fraction(1, n)
-    hi = 1 - Fraction(1, n + 1)
-    intercept = Fraction((-1) ** n) - slope * lo
-    if j > 0:
-        return Cell((j,), lo, hi, slope, intercept)
-    return Cell((j,), -hi, -lo, slope, -intercept)
+    return child_cell(ROOT, j)
 
 
 def level1_ids_of(p: int, q: int) -> list[Level1Id]:
@@ -205,21 +205,16 @@ def level1_ids_at(x: RatLike) -> list[Level1Id]:
 def child_cell(parent: Cell, j: Level1Id) -> Cell:
     """The sub-cell of ``parent`` on which the next iterate stays affine.
 
-    Geometrically: the preimage, under the parent's affine map, of the
-    level-1 cell with id j.  The next iterate there is the base map's tooth
-    map composed with the parent's map, which is again affine.
+    Geometrically: the preimage, under the parent's affine map S x + C, of
+    the level-1 cell with id j.  The next iterate there is the tooth map
+    s y + c composed with the parent's map: (s S) x + (s C + c), whose
+    solutions of -+1 are the child's bounds.
     """
-    tooth = level1_cell(j)
-    a = (tooth.lo - parent.intercept) / parent.slope
-    b = (tooth.hi - parent.intercept) / parent.slope
-    lo, hi = (a, b) if a <= b else (b, a)
-    return Cell(
-        address=parent.address + (j,),
-        lo=lo,
-        hi=hi,
-        slope=tooth.slope * parent.slope,
-        intercept=tooth.slope * parent.intercept + tooth.intercept,
-    )
+    s = tooth_slope(j)
+    slope, intercept = s * parent.slope, s * parent.intercept + tooth_intercept(j)
+    size, c = (slope, intercept) if slope > 0 else (-slope, -intercept)
+    lo, hi = Fraction(-1 - c, size), Fraction(1 - c, size)
+    return Cell(parent.address + (j,), lo, hi, slope, intercept)
 
 
 def cell(address: Sequence[int]) -> Cell:
@@ -260,7 +255,8 @@ def iter_cells(
     """
     require_at_least(k, 1, "level k")
     require_at_least(index_budget, 0, "index budget")
-    lo, hi = (Fraction(-1), Fraction(1)) if window is None else _checked_window(window)
+    if window is not None:
+        lo, hi = _checked_window(window)
     if (2 * index_budget + 1) ** k > MAX_CELLS:
         raise DomainError(
             f"enumerating (2*{index_budget}+1)^{k} cells is too large "
@@ -269,12 +265,9 @@ def iter_cells(
     ids = range(-index_budget, index_budget + 1)
     level = [ROOT]
     for _ in range(k):
-        level = [
-            c
-            for parent in level
-            for c in (child_cell(parent, j) for j in ids)
-            if c.hi >= lo and c.lo <= hi
-        ]
+        level = [child_cell(parent, j) for parent in level for j in ids]
+        if window is not None:
+            level = [c for c in level if c.hi >= lo and c.lo <= hi]
         yield from level
 
 
@@ -298,7 +291,7 @@ def child_map(parent: Cell) -> AffineMap:
     Conjugating by these maps sends the level-1 family onto any cell's child
     family: the cascade is self-similar, cell by cell.
     """
-    return AffineMap(scale=(parent.hi - parent.lo) / 2, offset=(parent.hi + parent.lo) / 2)
+    return AffineMap(scale=Fraction(1, abs(parent.slope)), offset=parent.midpoint)
 
 
 # ---------------------------------------------------------------------------
@@ -315,18 +308,16 @@ def locate(x: RatLike, k: int) -> list[Address]:
     """
     x = require_unit_interval(as_rational(x))
     require_at_least(k, 1, "level k")
-    results: list[Address] = []
-
-    def descend(prefix: tuple[int, ...], y: Rat, remaining: int) -> None:
-        if remaining == 0:
-            results.append(prefix)
-            return
-        for j in level1_ids_at(y):
-            branch = level1_cell(j)
-            descend(prefix + (j,), branch.value_at(y), remaining - 1)
-
-    descend((), x, k)
-    return sorted(results)
+    q = x.denominator
+    # each branch walks the numerator p of its iterate over q: p -> s p + c q
+    branches: list[tuple[Address, int]] = [((), x.numerator)]
+    for _ in range(k):
+        branches = [
+            (prefix + (j,), tooth_slope(j) * p + tooth_intercept(j) * q)
+            for prefix, p in branches
+            for j in level1_ids_of(p, q)
+        ]
+    return sorted(prefix for prefix, _ in branches)
 
 
 # ---------------------------------------------------------------------------

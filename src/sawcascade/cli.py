@@ -40,6 +40,7 @@ from sawcascade.construction import (
     eval_fk,
     eval_g,
     require_at_least,
+    require_depth,
 )
 from sawcascade.reports import WitnessReport, document_chunks, rat_str, report_to_dict
 from sawcascade.suites import SUITE_ORDER, SuiteConfig, run_suite_reports
@@ -51,9 +52,17 @@ EXIT_USAGE = 2
 
 POINT_FUNCTIONS = ("f1", "fk", "f", "g", "Fk", "F", "G")
 
-#: Largest --k and --K that eval and sample accept: each orbit walk takes
-#: one step per layer, so an unbounded index would hang the command.
+#: Largest --k and --K that eval and sample accept, and largest verify
+#: --depth: each orbit walk takes one step per layer, so an unbounded index
+#: would hang the command.
 MAX_LAYER_INDEX = 5000
+
+
+def _require_layer_index(flag: str, index: int) -> int:
+    """Check a layer index or depth against MAX_LAYER_INDEX and return it."""
+    if index > MAX_LAYER_INDEX:
+        raise DomainError(f"{flag} must be at most {MAX_LAYER_INDEX}, got {index}")
+    return index
 
 
 def parse_rational(text: str) -> Rat:
@@ -77,9 +86,8 @@ class SampleConfig:
 
 def _evaluate(fn: str, x: Rat, k: int, K: int) -> Certified:
     """Uniform certified view of every evaluable function."""
-    for flag, index in (("--k", k), ("--K", K)):
-        if index > MAX_LAYER_INDEX:
-            raise DomainError(f"{flag} must be at most {MAX_LAYER_INDEX}, got {index}")
+    _require_layer_index("--k", k)
+    _require_layer_index("--K", K)
     if fn == "f1":
         return Certified(eval_f1(x), Fraction(0))
     if fn == "fk":
@@ -136,46 +144,25 @@ def render_intervals(k: int, index_budget: int, window: tuple[Rat, Rat], fmt: st
     """Render the level-k cells meeting the window, in spatial order."""
     frontier = [c for c in iter_cells(k, index_budget, window) if c.level == k]
     frontier.sort(key=lambda c: (c.lo, c.hi))
+    fields = ("lo", "hi", "slope", "intercept")
+    rows = [(c.address, [rat_str(getattr(c, f)) for f in fields]) for c in frontier]
     if fmt == "csv":
-        lines = ["address,lo,hi,slope,intercept"]
-        for c in frontier:
-            address = ";".join(str(j) for j in c.address)
-            lines.append(
-                f"{address},{rat_str(c.lo)},{rat_str(c.hi)},"
-                f"{rat_str(c.slope)},{rat_str(c.intercept)}"
-            )
+        lines = ["address," + ",".join(fields)]
+        lines += [";".join(map(str, address)) + "," + ",".join(v) for address, v in rows]
         return "\n".join(lines) + "\n"
-    payload = [
-        {
-            "address": list(c.address),
-            "lo": rat_str(c.lo),
-            "hi": rat_str(c.hi),
-            "slope": rat_str(c.slope),
-            "intercept": rat_str(c.intercept),
-        }
-        for c in frontier
-    ]
+    payload = [{"address": list(address), **dict(zip(fields, v))} for address, v in rows]
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 def _envelope(name: str, cfg: SuiteConfig, reports: Sequence[WitnessReport]) -> dict:
     """Everything in a verification report but its cases."""
     passed = sum(1 for r in reports if r.verdict)
+    # every setting but the seed, which has its own key
+    parameters = {**dataclasses.asdict(cfg), "delta": rat_str(cfg.delta)}
     return {
         "suite": name,
-        "seed": cfg.seed,
-        "parameters": {
-            "count": cfg.count,
-            "K": cfg.K,
-            "depth": cfg.depth,
-            "index_budget": cfg.index_budget,
-            "cells_budget": cfg.cells_budget,
-            "n_max": cfg.n_max,
-            "fan_budget": cfg.fan_budget,
-            "delta": rat_str(cfg.delta),
-            "max_level": cfg.max_level,
-            "structure_max_level": cfg.structure_max_level,
-        },
+        "seed": parameters.pop("seed"),
+        "parameters": parameters,
         "summary": {"pass": passed, "fail": len(reports) - passed},
     }
 
@@ -346,11 +333,7 @@ def run(
         if args.command == "integrate":
             enc = enclose_integral(args.k, parse_rational(args.upto), args.index_budget)
             with _all_digits():
-                payload = {
-                    "lower": rat_str(enc.lower),
-                    "upper": rat_str(enc.upper),
-                    "width": rat_str(enc.width),
-                }
+                payload = {key: rat_str(getattr(enc, key)) for key in ("lower", "upper", "width")}
                 text = json.dumps(payload, sort_keys=True) + "\n"
             _write([text], args.out, stdout)
             return EXIT_OK
@@ -360,7 +343,7 @@ def run(
                 count=args.count,
                 # only darboux reads K, but every suite echoes it
                 K=require_at_least(args.K, 1, "truncation K"),
-                depth=args.depth,
+                depth=_require_layer_index("--depth", require_depth(args.depth)),
                 index_budget=args.index_budget,
                 cells_budget=args.cells_budget,
                 n_max=args.n_max,
@@ -383,10 +366,7 @@ def run(
             )
             return EXIT_OK if summary["fail"] == 0 else EXIT_VERIFICATION_FAILED
         raise DomainError(f"unknown command {args.command!r}")
-    except DomainError as exc:
-        stderr.write(f"error: {exc}\n")
-        return EXIT_USAGE
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError) as exc:  # DomainError included
         stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
 

@@ -54,10 +54,17 @@ def as_rational(value: RatLike) -> Rat:
 
 
 def require_unit_interval(x: Rat, what: str = "x") -> Rat:
-    """Check -1 <= x <= 1 and return x."""
-    if x < -1 or x > 1:
+    """Check -1 <= x <= 1, that is |p| <= q for x = p/q, and return x."""
+    if abs(x.numerator) > x.denominator:
         raise DomainError(f"{what} must lie in [-1, 1], got {x}")
     return x
+
+
+def require_depth(depth: int) -> int:
+    """Check that an orbit depth is positive and return it."""
+    if depth < 1:
+        raise DomainError(f"depth must be a positive integer, got {depth}")
+    return depth
 
 
 def require_at_least(value: int, floor: int, what: str) -> int:
@@ -182,7 +189,7 @@ class OrbitInfo:
 
         None when the orbit absorbs at 0 or not at all within the record.
         """
-        if abs(self.start) == 1:
+        if abs(self.start.numerator) == self.start.denominator:  # start is +-1
             return 1
         return self.absorbed_step + 1 if self.absorber else None
 
@@ -204,8 +211,7 @@ class OrbitInfo:
 def orbit(x: RatLike, depth: int) -> OrbitInfo:
     """Iterate the base map up to ``depth`` times, stopping at {-1, 0, +1}."""
     x = require_unit_interval(as_rational(x))
-    if depth < 1:
-        raise DomainError(f"depth must be a positive integer, got {depth}")
+    require_depth(depth)
     q = x.denominator
     numerators: list[int] = []
     for p in islice(_numerators(x), depth):

@@ -11,6 +11,7 @@ without re-running any search.  Serialization keeps rationals as exact
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
@@ -30,12 +31,12 @@ REPORT_KINDS = (
 )
 
 _RELATIONS: dict[str, Callable[[Rat, Rat], bool]] = {
-    "<": lambda a, b: a < b,
-    "<=": lambda a, b: a <= b,
-    "==": lambda a, b: a == b,
-    "!=": lambda a, b: a != b,
-    ">": lambda a, b: a > b,
-    ">=": lambda a, b: a >= b,
+    "<": operator.lt,
+    "<=": operator.le,
+    "==": operator.eq,
+    "!=": operator.ne,
+    ">": operator.gt,
+    ">=": operator.ge,
 }
 
 
@@ -58,7 +59,9 @@ class Check:
 
 def check(label: str, relation: str, lhs: Any, rhs: Any) -> Check:
     """Build a Check, coercing both sides to exact rationals."""
-    return Check(label, relation, as_rational(lhs), as_rational(rhs))
+    lhs = lhs if type(lhs) is Fraction else as_rational(lhs)
+    rhs = rhs if type(rhs) is Fraction else as_rational(rhs)
+    return Check(label, relation, lhs, rhs)
 
 
 @dataclass(frozen=True)

@@ -96,7 +96,9 @@ def tapered_endpoints(max_level: int, index_budget: int) -> list[tuple[Rat, int]
         for c in iter_cells(m, _integer_root(index_budget, m)):
             if c.level == m:
                 found[c.lo] = found[c.hi] = m + 1
-    return sorted(found.items())
+    # exact order by value: the integer floor(x 2^64) settles all but ties
+    order = sorted(found, key=lambda x: ((x.numerator << 64) // x.denominator, x))
+    return [(x, found[x]) for x in order]
 
 
 # ---------------------------------------------------------------------------

@@ -38,7 +38,6 @@ from sawcascade.cells import (
     ROOT,
     Cell,
     _layer_walk,
-    child_map,
     iter_cells,
     level1_cell,
     level1_ids_at,
@@ -47,19 +46,20 @@ from sawcascade.cells import (
     tooth_slope,
 )
 from sawcascade.construction import (
+    ZERO,
     DomainError,
     OrbitInfo,
     Rat,
     RatLike,
     as_rational,
-    eval_fk,
+    f1_numerator,
     orbit,
     require_at_least,
     require_unit_interval,
 )
 from sawcascade.reports import Check, WitnessReport, check, make_report
 
-ZERO = Fraction(0)
+ONE = Fraction(1)
 
 DEFAULT_DEPTH = 40
 DEFAULT_FAN_BUDGET = 64
@@ -119,7 +119,8 @@ def _endpoint_value(info: OrbitInfo) -> int:
 
 def _fan_point(x0: Rat, v0: int, s: int, n: int) -> Rat:
     """y_n = x0 - v0 / (n s), the endpoint shared by fan children n-2 and n-1."""
-    return x0 - Fraction(v0, n * s)
+    q = x0.denominator
+    return Fraction(x0.numerator * n * s - v0 * q, q * n * s)
 
 
 def _fan_sign(side: FanSide, v0: int, n: int) -> int:
@@ -183,11 +184,12 @@ def _witness_checks(
     """Checks on the witness y with series value f(y) and f_k(y): hit."""
     y, fy, fky = hit
     rel = (">", fy, fx0 + margin) if above else ("<", fy, fx0 - margin)
+    gap = abs(y - x0)
     return [
-        check(f"{tag}_beats_margin", rel[0], rel[1], rel[2]),
-        check(f"{tag}_inside_window", "<", abs(y - x0), delta),
-        check(f"{tag}_distinct", ">", abs(y - x0), 0),
-        check(f"{tag}_hits_unit", "==", abs(fky), 1),
+        check(f"{tag}_beats_margin", *rel),
+        check(f"{tag}_inside_window", "<", gap, delta),
+        check(f"{tag}_distinct", ">", gap, ZERO),
+        check(f"{tag}_hits_unit", "==", abs(fky), ONE),
     ]
 
 
@@ -224,11 +226,11 @@ def _endpoint_fan_report(
     above, below = hits
     margin = Fraction(1, 2 ** (k + 1))
     if k == 1:
-        certificate = [check("center_is_domain_end", "==", abs(x0), 1)]
+        certificate = [check("center_is_domain_end", "==", abs(x0), ONE)]
     else:
         certificate = [
-            check("center_hits_unit", "==", abs(info.iterate(k - 1)), 1),
-            check("center_absorbed", "==", info.iterate(k), 0),
+            check("center_hits_unit", "==", abs(info.iterate(k - 1)), ONE),
+            check("center_absorbed", "==", info.iterate(k), ZERO),
         ]
     certificate += _witness_checks("upper", x0, above, fx0, margin, delta, above=True)
     certificate += _witness_checks("lower", x0, below, fx0, margin, delta, above=False)
@@ -283,14 +285,21 @@ def _walk_chain(
     strictly inside (lo, hi) and the m-term truncation has nonzero slope
     a / 2^m on it.  Returns ((m, s, a), f_m(x0), error)."""
     x0 = info.start
+    q = x0.denominator
+    # with y = p/q the cell reaches (1 + y sign(s))/|s| left of x0 and
+    # (1 - y sign(s))/|s| right of it; both tests cross-multiplied
+    left, right = x0 - lo, hi - x0
     s, a = 1, 0
     for m, (p, slope) in enumerate(_layer_walk(x0, depth - 1, info.numerators), 1):
         s *= slope
         a = 2 * a + s
-        y = Fraction(p, x0.denominator)
-        ends = (x0 + (-1 - y) / s, x0 + (1 - y) / s)
-        if a != 0 and lo < min(ends) and max(ends) < hi:
-            return (m, s, a), y, None
+        sp, size = (p, s) if s > 0 else (-p, -s)
+        if (
+            a != 0
+            and (q + sp) * left.denominator < left.numerator * size * q
+            and (q - sp) * right.denominator < right.numerator * size * q
+        ):
+            return (m, s, a), Fraction(p, q), None
     return None, ZERO, (
         f"depth {depth} exhausted at level {depth - 1} before the cell chain "
         "fit the window"
@@ -472,6 +481,13 @@ def local_min_check(x: RatLike) -> WitnessReport:
 # ---------------------------------------------------------------------------
 
 
+def _iterate_numerator(p: int, q: int, k: int) -> int:
+    """Numerator over q of f_k(p/q), by k plain steps of the base map."""
+    for _ in range(k):
+        p = f1_numerator(p, q)
+    return p
+
+
 def structure_check(k: int, index_budget: int) -> WitnessReport:
     """Exhaustively verify the cell-system invariants up to level k.
 
@@ -494,20 +510,27 @@ def structure_check(k: int, index_budget: int) -> WitnessReport:
     affinity_mismatches = 0
     onto_failures = 0
     length_violations = 0
-    for level_cells in per_level:
-        for c in level_cells:
-            lvl = c.level
-            third = c.length / 3
-            for probe in (c.lo + third, c.lo + 2 * third, c.midpoint):
-                if eval_fk(probe, lvl) != c.value_at(probe):
-                    affinity_mismatches += 1
-            if {eval_fk(c.lo, lvl), eval_fk(c.hi, lvl)} != {Fraction(-1), Fraction(1)}:
-                onto_failures += 1
-            if eval_fk(c.midpoint, lvl) != 0:
-                onto_failures += 1
-            if c.length > Fraction(2) ** (1 - lvl):
-                length_violations += 1
+    for c in chain.from_iterable(per_level):
+        # numerators over d = 3|S|: lo, lo + L/3, midpoint, lo + 2L/3 and hi
+        # are base + 0, 2, 3, 4 and 6
+        lvl, S, C = c.level, c.slope, c.intercept
+        d = 3 * abs(S)
+        base = -3 * C - 3 if S > 0 else 3 * C - 3
+        walked = {t: _iterate_numerator(base + t, d, lvl) for t in (0, 2, 3, 4, 6)}
+        for t in (2, 3, 4):
+            if walked[t] != S * (base + t) + C * d:
+                affinity_mismatches += 1
+        if {walked[0], walked[6]} != {-d, d}:
+            onto_failures += 1
+        if walked[3] != 0:
+            onto_failures += 1
+        if abs(S) < 2**lvl:  # length 2/|S| > 2^(1-lvl)
+            length_violations += 1
 
+    # self-similarity: the parent's unit-interval map x -> (x - sign(S) C)/|S|
+    # carries the level-1 family onto each child fan, so the fan pulled back
+    # by its inverse, in spatial order, must be the family in spatial order
+    level1 = sorted((level1_cell(j).lo, level1_cell(j).hi) for j in ids)
     tiling_failures = 0
     family_mismatches = 0
     parents: list[Cell] = [ROOT]
@@ -517,7 +540,7 @@ def structure_check(k: int, index_budget: int) -> WitnessReport:
             by_parent.setdefault(c.address[:-1], []).append(c)
         for parent in parents:
             fan = sorted(by_parent.get(parent.address, []), key=lambda c: c.lo)
-            if len(fan) != len(list(ids)):
+            if len(fan) != len(ids):
                 tiling_failures += 1
                 continue
             if not (parent.lo < fan[0].lo and fan[-1].hi < parent.hi):
@@ -528,14 +551,9 @@ def structure_check(k: int, index_budget: int) -> WitnessReport:
             span = fan[-1].hi - fan[0].lo
             if parent.length - span != parent.length / (index_budget + 2):
                 tiling_failures += 1
-            # self-similarity: the fan is the level-1 family scaled into parent
-            unit_map = child_map(parent)
-            images = {
-                tuple(sorted((unit_map(level1_cell(j).lo), unit_map(level1_cell(j).hi))))
-                for j in ids
-            }
-            intervals = {(c.lo, c.hi) for c in fan}
-            if images != intervals:
+            scale = abs(parent.slope)
+            shift = parent.intercept if parent.slope > 0 else -parent.intercept
+            if [(c.lo * scale + shift, c.hi * scale + shift) for c in fan] != level1:
                 family_mismatches += 1
         parents = level_cells
 

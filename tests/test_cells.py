@@ -173,6 +173,92 @@ def test_child_cell_agrees_with_extended_address(address, j):
     assert child_cell(cell(address), j) == cell(address + (j,))
 
 
+def reference_level1(j: int) -> Cell:
+    """The level-1 cell in Fractions, from the tooth ends and the value
+    (-1)^n at the left end of tooth n = |j| + 1."""
+    if j == 0:
+        return Cell((0,), F(-1, 2), F(1, 2), F(2), F(0))
+    n = abs(j) + 1
+    slope = F((-1) ** (n + 1) * 2 * n * (n + 1))
+    lo, hi = 1 - F(1, n), 1 - F(1, n + 1)
+    intercept = F((-1) ** n) - slope * lo
+    if j > 0:
+        return Cell((j,), lo, hi, slope, intercept)
+    return Cell((j,), -hi, -lo, slope, -intercept)
+
+
+def reference_child_cell(parent: Cell, j: int) -> Cell:
+    """The Fraction pullback: the preimage of tooth j under the parent's map."""
+    tooth = reference_level1(j)
+    a = (tooth.lo - parent.intercept) / parent.slope
+    b = (tooth.hi - parent.intercept) / parent.slope
+    lo, hi = min(a, b), max(a, b)
+    return Cell(
+        address=parent.address + (j,),
+        lo=lo,
+        hi=hi,
+        slope=tooth.slope * parent.slope,
+        intercept=tooth.slope * parent.intercept + tooth.intercept,
+    )
+
+
+def reference_locate(x: Fraction, k: int) -> list[tuple[int, ...]]:
+    """Every level-k address at x, by descending through the Fraction
+    iterates and branching at every shared tooth endpoint."""
+    results = []
+
+    def descend(prefix, y, remaining):
+        if remaining == 0:
+            results.append(prefix)
+            return
+        for j in level1_ids_at(y):
+            descend(prefix + (j,), reference_level1(j).value_at(y), remaining - 1)
+
+    descend((), x, k)
+    return sorted(results)
+
+
+deep_addresses = st.lists(
+    st.integers(min_value=-60, max_value=60), min_size=1, max_size=5
+).map(tuple)
+
+
+@given(deep_addresses)
+@settings(max_examples=300)
+def test_integer_cells_match_the_fraction_pullback(address):
+    expected = Cell((), F(-1), F(1), F(1), F(0))
+    for j in address:
+        expected = reference_child_cell(expected, j)
+    got = cell(address)
+    assert (got.lo, got.hi, got.slope, got.intercept) == (
+        expected.lo, expected.hi, expected.slope, expected.intercept
+    )
+    assert type(got.slope) is int and type(got.intercept) is int
+    assert got.length == expected.hi - expected.lo
+    assert got.midpoint == (expected.lo + expected.hi) / 2
+
+
+@given(
+    st.fractions(min_value=F(-1), max_value=F(1), max_denominator=10**4),
+    st.integers(min_value=1, max_value=6),
+)
+@settings(max_examples=300)
+def test_locate_matches_the_recursive_descent(x, k):
+    assert locate(x, k) == reference_locate(x, k)
+
+
+def test_locate_matches_the_recursive_descent_at_endpoints():
+    points = [s * (1 - F(1, n)) for n in range(2, 61) for s in (1, -1)]
+    points += [x for c in iter_cells(4, 2) for x in (c.lo, c.hi)]
+    branched = 0
+    for x in points:
+        for k in range(1, 6):
+            found = locate(x, k)
+            assert found == reference_locate(x, k)
+            branched += len(found) == 2
+    assert branched > 100  # the walk really branches at these points
+
+
 def test_children_frozen_fan():
     kids = children((0,), 1)
     assert [(c.lo, c.hi) for c in kids] == [

@@ -478,6 +478,34 @@ def test_verify_truncation_below_one_is_usage_error_in_every_suite(argv: list[st
 
 
 @pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["verify", "all", "--depth", "5001"], "--depth must be at most 5000, got 5001"),
+        (["verify", "no-extrema", "--depth", "0"], "depth must be a positive integer, got 0"),
+        (["verify", "all", "--depth", "0"], "depth must be a positive integer, got 0"),
+        (["verify", "structure", "--depth=-3"], "depth must be a positive integer, got -3"),
+        (["verify", "nowhere-monotone", "--depth", "10000000"],
+         "--depth must be at most 5000, got 10000000"),
+    ],
+)
+def test_verify_depth_outside_its_bounds_is_usage_error_in_every_suite(
+    argv: list[str], message: str
+) -> None:
+    start = time.perf_counter()
+    code, out, err = invoke(argv)
+    assert time.perf_counter() - start < 2  # refused before any suite runs
+    _assert_one_line_usage_error(code, out, err)
+    assert err == f"error: {message}\n"
+
+
+def test_verify_depth_at_its_bound_runs() -> None:
+    assert cli.MAX_LAYER_INDEX == 5000
+    code, out, _ = invoke(["verify", "no-extrema", "--count", "1", "--depth", "5000"])
+    assert code == EXIT_OK
+    assert json.loads(out)["parameters"]["depth"] == 5000
+
+
+@pytest.mark.parametrize(
     "flags, message",
     [
         (["--max-level", "3", "--index-budget=-7"], "index budget must be >= 1, got -7"),
@@ -611,6 +639,14 @@ PINNED_STDOUT = {
         "0297cc64d8c6d3ebcc6b4c9c087bc450cdd889d91a85c6e82a79ea3e91d69b4a",
     "verify nowhere-monotone --count 200 --depth 6":
         "dea9e42007e566358a7583adf11e6c487af4172c76b2b718b5cd7a79176cb52d",
+    # deeper integer cells with large slopes: a level-4 structure scan, a
+    # full level-4 family and a level-5 enclosure
+    "verify structure --structure-max-level 4":
+        "18654197eb7d57f9ed64d0da6d7b08a96e45e827cc3ccb847241f860cd367891",
+    "intervals --k 4 --index-budget 3 --format json":
+        "12d9c39d5c27f3a987655a70a2d921cd6ad89bb9842563befb6044e30b7aa361",
+    "integrate --k 5 --upto 3/7 --index-budget 3":
+        "0f7fba3bc03cbe2f4f1a7423222a05db67dacc86ccf5a9a9e72229750925d4a6",
 }
 
 #: Exit code of a pinned command, where it is not EXIT_OK.

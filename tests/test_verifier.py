@@ -9,6 +9,7 @@ a serialization round trip.
 
 from __future__ import annotations
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -413,6 +414,56 @@ def test_structure_check_level_one():
 def test_structure_check_deeper(k, budget):
     rep = structure_check(k, budget)
     assert rep.verdict, rep.failed_checks()
+
+
+def _structure_counts(rep) -> dict:
+    counted = ("mismatches", "failures", "violations")
+    return {c.label: c.lhs for c in rep.certificate if c.label.endswith(counted)}
+
+
+def _replace_one_cell(monkeypatch, address, changes) -> None:
+    """Let structure_check enumerate the true cells but one, whose fields
+    are replaced by ``changes(cell)``."""
+    real = verifier.iter_cells
+
+    def patched(k, index_budget, window=None):
+        for c in real(k, index_budget, window):
+            yield dataclasses.replace(c, **changes(c)) if c.address == address else c
+
+    monkeypatch.setattr(verifier, "iter_cells", patched)
+
+
+@pytest.mark.parametrize("address", [(0,), (2,), (1, -2), (-3, 0, 2), (3, 3, -3)])
+def test_structure_check_catches_an_intercept_off_by_one(monkeypatch, address):
+    assert structure_check(3, 3).verdict
+    _replace_one_cell(monkeypatch, address, lambda c: {"intercept": c.intercept + 1})
+    rep = structure_check(3, 3)
+    counts = _structure_counts(rep)
+    # the shifted cell puts a probe on a true endpoint, where the iterate is
+    # +-1, and its midpoint there too
+    assert counts["affinity_mismatches"] > 0 and counts["onto_failures"] > 0
+    assert not rep.verdict
+
+
+@pytest.mark.parametrize("address", [(0,), (2,), (1, -2), (-3, 0, 2), (3, 3, -3)])
+def test_structure_check_catches_a_wrong_lower_bound(monkeypatch, address):
+    _replace_one_cell(monkeypatch, address, lambda c: {"lo": c.lo - F(1, 10**9)})
+    rep = structure_check(3, 3)
+    counts = _structure_counts(rep)
+    caught = (
+        counts["onto_failures"] + counts["tiling_failures"]
+        + counts["self_similarity_mismatches"]
+    )
+    assert caught > 0
+    assert not rep.verdict
+
+
+def test_structure_check_counts_a_cell_longer_than_its_level_allows(monkeypatch):
+    # the middle ramp's data at level 2: slope 2 < 2^2, so length 1 > 2^-1
+    _replace_one_cell(monkeypatch, (0, 0), lambda c: {"slope": 2, "lo": F(-1, 2), "hi": F(1, 2)})
+    rep = structure_check(2, 3)
+    assert _structure_counts(rep)["length_violations"] == 1
+    assert not rep.verdict
 
 
 def test_structure_check_guards():
