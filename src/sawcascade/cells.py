@@ -178,7 +178,7 @@ def _layer_walk(
     ending at an absorption) spare walking the orbit again.
     """
     p, q = x.numerator, x.denominator
-    ps = chain(_numerators(x) if numerators is None else numerators, repeat(0))
+    ps = chain(_numerators(p, q) if numerators is None else numerators, repeat(0))
     for _ in range(K):
         if abs(p) == q:
             return

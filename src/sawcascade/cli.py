@@ -22,7 +22,7 @@ import os
 import sys
 from contextlib import contextmanager, redirect_stderr, redirect_stdout
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional, Sequence, TextIO
+from typing import Callable, Iterable, Iterator, Optional, Sequence, TextIO
 
 from sawcascade.antiderivative import (
     enclose_integral,
@@ -31,7 +31,9 @@ from sawcascade.antiderivative import (
     eval_G,
 )
 from sawcascade.cells import iter_cells
-from sawcascade.construction import (
+from sawcascade.construction import (  # re-exports MAX_LAYER_INDEX and require_layer_index
+    MAX_LAYER_INDEX,
+    ZERO,
     Certified,
     DomainError,
     Rat,
@@ -40,29 +42,26 @@ from sawcascade.construction import (
     eval_fk,
     eval_g,
     require_at_least,
-    require_depth,
+    require_layer_index,
 )
 from sawcascade.reports import WitnessReport, document_chunks, rat_str, report_to_dict
 from sawcascade.suites import SUITE_ORDER, SuiteConfig, run_suite_reports
-from sawcascade.verifier import require_positive_delta
 
 EXIT_OK = 0
 EXIT_VERIFICATION_FAILED = 1
 EXIT_USAGE = 2
 
-POINT_FUNCTIONS = ("f1", "fk", "f", "g", "Fk", "F", "G")
-
-#: Largest --k and --K that eval and sample accept, and largest verify
-#: --depth: each orbit walk takes one step per layer, so an unbounded index
-#: would hang the command.
-MAX_LAYER_INDEX = 5000
-
-
-def _require_layer_index(flag: str, index: int) -> int:
-    """Check a layer index or depth against MAX_LAYER_INDEX and return it."""
-    if index > MAX_LAYER_INDEX:
-        raise DomainError(f"{flag} must be at most {MAX_LAYER_INDEX}, got {index}")
-    return index
+#: Every evaluable function by --fn name, as (x, k, K) -> Certified: the
+#: layer functions read the index k, the series the truncation K.
+POINT_FUNCTIONS: dict[str, Callable[[Rat, int, int], Certified]] = {
+    "f1": lambda x, k, K: Certified(eval_f1(x), ZERO),
+    "fk": lambda x, k, K: Certified(eval_fk(x, k), ZERO),
+    "f": lambda x, k, K: eval_f(x, K),
+    "g": lambda x, k, K: eval_g(x, K),
+    "Fk": lambda x, k, K: Certified(eval_Fk(x, k), ZERO),
+    "F": lambda x, k, K: eval_F(x, K),
+    "G": lambda x, k, K: eval_G(x, K),
+}
 
 
 def parse_rational(text: str) -> Rat:
@@ -86,23 +85,16 @@ class SampleConfig:
 
 def _evaluate(fn: str, x: Rat, k: int, K: int) -> Certified:
     """Uniform certified view of every evaluable function."""
-    _require_layer_index("--k", k)
-    _require_layer_index("--K", K)
-    if fn == "f1":
-        return Certified(eval_f1(x), Fraction(0))
-    if fn == "fk":
-        return Certified(eval_fk(x, k), Fraction(0))
-    if fn == "f":
-        return eval_f(x, K)
-    if fn == "g":
-        return eval_g(x, K)
-    if fn == "Fk":
-        return Certified(eval_Fk(x, k), Fraction(0))
-    if fn == "F":
-        return eval_F(x, K)
-    if fn == "G":
-        return eval_G(x, K)
-    raise DomainError(f"unknown function {fn!r}")
+    require_layer_index("--k", k)
+    require_layer_index("--K", K)
+    if fn not in POINT_FUNCTIONS:
+        raise DomainError(f"unknown function {fn!r}")
+    return POINT_FUNCTIONS[fn](x, k, K)
+
+
+def _json_line(value: object, keys: Sequence[str]) -> str:
+    """The exact rationals ``value.<key>`` as one line of JSON."""
+    return json.dumps({key: rat_str(getattr(value, key)) for key in keys}, sort_keys=True) + "\n"
 
 
 def emit_samples(cfg: SampleConfig) -> str:
@@ -110,16 +102,9 @@ def emit_samples(cfg: SampleConfig) -> str:
     require_at_least(cfg.count, 1, "count")
     if cfg.a > cfg.b:
         raise DomainError(f"need a <= b, got a={cfg.a}, b={cfg.b}")
-    xs: list[Rat] = []
-    if cfg.count == 1:
-        xs.append(cfg.a)
-    else:
-        step = (cfg.b - cfg.a) / (cfg.count - 1)
-        xs = [cfg.a + step * i for i in range(cfg.count)]
-    rows = []
-    for x in xs:
-        enc = _evaluate(cfg.fn, x, cfg.k, cfg.K)
-        rows.append((x, enc))
+    step = (cfg.b - cfg.a) / max(cfg.count - 1, 1)
+    xs = [cfg.a + step * i for i in range(cfg.count)]
+    rows = [(x, _evaluate(cfg.fn, x, cfg.k, cfg.K)) for x in xs]
     if cfg.fmt == "csv":
         lines = ["x,center,radius,exact"]
         for x, enc in rows:
@@ -227,18 +212,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run a verification suite")
     p_verify.add_argument("suite", choices=SUITE_ORDER)
-    p_verify.add_argument("--seed", type=int, default=20240601)
-    p_verify.add_argument("--count", type=int, default=100)
-    p_verify.add_argument("--K", type=int, default=30)
-    p_verify.add_argument("--depth", type=int, default=40)
-    p_verify.add_argument("--index-budget", type=int, default=50)
-    p_verify.add_argument("--cells-budget", type=int, default=60)
-    p_verify.add_argument("--n-max", type=int, default=50)
-    p_verify.add_argument("--fan-budget", type=int, default=64)
-    p_verify.add_argument("--delta", default="1/1000")
-    p_verify.add_argument("--max-level", type=int, default=6)
-    p_verify.add_argument("--structure-max-level", type=int, default=3,
-                          help="deepest level of the structure scan")
+    for setting in dataclasses.fields(SuiteConfig):
+        # a rational setting stays text, which run parses with parse_rational
+        rational = isinstance(setting.default, Fraction)
+        p_verify.add_argument(
+            "--" + setting.name.replace("_", "-"),
+            type=str if rational else int,
+            default=str(setting.default) if rational else setting.default,
+            help=setting.metadata.get("help"),
+        )
     add_out(p_verify)
 
     return parser
@@ -303,56 +285,13 @@ def run(
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        if args.command == "eval":
-            enc = _evaluate(args.fn, parse_rational(args.x), args.k, args.K)
-            with _all_digits():
-                payload = {"center": rat_str(enc.center), "radius": rat_str(enc.radius)}
-                text = json.dumps(payload, sort_keys=True) + "\n"
-            _write([text], args.out, stdout)
-            return EXIT_OK
-        if args.command == "sample":
-            cfg = SampleConfig(
-                fn=args.fn,
-                a=parse_rational(args.a),
-                b=parse_rational(args.b),
-                count=args.count,
-                k=args.k,
-                K=args.K,
-                fmt=args.format,
-            )
-            with _all_digits():
-                text = emit_samples(cfg)
-            _write([text], args.out, stdout)
-            return EXIT_OK
-        if args.command == "intervals":
-            window = (parse_rational(args.window[0]), parse_rational(args.window[1]))
-            with _all_digits():
-                text = render_intervals(args.k, args.index_budget, window, args.format)
-            _write([text], args.out, stdout)
-            return EXIT_OK
-        if args.command == "integrate":
-            enc = enclose_integral(args.k, parse_rational(args.upto), args.index_budget)
-            with _all_digits():
-                payload = {key: rat_str(getattr(enc, key)) for key in ("lower", "upper", "width")}
-                text = json.dumps(payload, sort_keys=True) + "\n"
-            _write([text], args.out, stdout)
-            return EXIT_OK
         if args.command == "verify":
-            cfg = SuiteConfig(
-                seed=args.seed,
-                count=args.count,
-                # only darboux reads K, but every suite echoes it
-                K=require_at_least(args.K, 1, "truncation K"),
-                depth=_require_layer_index("--depth", require_depth(args.depth)),
-                index_budget=args.index_budget,
-                cells_budget=args.cells_budget,
-                n_max=args.n_max,
-                fan_budget=args.fan_budget,
-                # only oscillation reads delta, but every suite echoes it
-                delta=require_positive_delta(parse_rational(args.delta)),
-                max_level=args.max_level,
-                structure_max_level=args.structure_max_level,
-            )
+            # the parser leaves a rational setting as text
+            cfg = SuiteConfig(**{
+                f.name: parse_rational(value) if isinstance(value, str) else value
+                for f in dataclasses.fields(SuiteConfig)
+                for value in [getattr(args, f.name)]
+            })
             # every report is computed before --out is opened, so an error
             # exits 2 without leaving a partial file
             with _all_digits():
@@ -365,7 +304,27 @@ def run(
                 f"{summary['fail']} failed\n"
             )
             return EXIT_OK if summary["fail"] == 0 else EXIT_VERIFICATION_FAILED
-        raise DomainError(f"unknown command {args.command!r}")
+        # the other commands write one text each: their arguments are parsed
+        # here, under the digit limit, and only render runs with it lifted
+        render: Callable[[], str]
+        if args.command == "eval":
+            enc = _evaluate(args.fn, parse_rational(args.x), args.k, args.K)
+            render = functools.partial(_json_line, enc, ("center", "radius"))
+        elif args.command == "sample":
+            a, b = parse_rational(args.a), parse_rational(args.b)
+            sample = SampleConfig(args.fn, a, b, args.count, args.k, args.K, args.format)
+            render = functools.partial(emit_samples, sample)
+        elif args.command == "intervals":
+            window = (parse_rational(args.window[0]), parse_rational(args.window[1]))
+            render = functools.partial(render_intervals, args.k, args.index_budget, window,
+                                       args.format)
+        else:  # integrate
+            enc = enclose_integral(args.k, parse_rational(args.upto), args.index_budget)
+            render = functools.partial(_json_line, enc, ("lower", "upper", "width"))
+        with _all_digits():
+            text = render()
+        _write([text], args.out, stdout)
+        return EXIT_OK
     except (ValueError, KeyError) as exc:  # DomainError included
         stderr.write(f"error: {exc}\n")
         return EXIT_USAGE

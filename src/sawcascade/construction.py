@@ -67,6 +67,18 @@ def require_depth(depth: int) -> int:
     return depth
 
 
+#: Largest layer index or orbit depth a command accepts: each orbit walk takes
+#: one step per layer, so an unbounded index would hang the command.
+MAX_LAYER_INDEX = 5000
+
+
+def require_layer_index(flag: str, index: int) -> int:
+    """Check a layer index or depth against MAX_LAYER_INDEX and return it."""
+    if index > MAX_LAYER_INDEX:
+        raise DomainError(f"{flag} must be at most {MAX_LAYER_INDEX}, got {index}")
+    return index
+
+
 def require_at_least(value: int, floor: int, what: str) -> int:
     """Check an integer setting against its floor and return it."""
     if value < floor:
@@ -119,15 +131,14 @@ def eval_f1(x: RatLike) -> Rat:
 # ---------------------------------------------------------------------------
 
 
-def _numerators(x: Rat) -> Iterator[int]:
-    """Numerators over x's denominator q of f_1(x), f_2(x), ...
+def _numerators(p: int, q: int) -> Iterator[int]:
+    """Numerators over q of f_1(p/q), f_2(p/q), ... (q >= 1, |p| <= q, any terms).
 
     This is the one place that applies the base map repeatedly; every orbit
     consumer reads it.  The walk ends right after the first 0: 0 is fixed,
     so every later iterate is 0 and adds nothing to any sum.  An orbit that
     never reaches 0 is endless, so callers bound it (``islice``).
     """
-    p, q = x.numerator, x.denominator
     while True:
         p = f1_numerator(p, q)
         yield p
@@ -152,7 +163,7 @@ def iterates(x: RatLike) -> Iterator[Rat]:
     """The forward orbit f_1(x), f_2(x), ... of x, ending right after the first 0."""
     x = require_unit_interval(as_rational(x))
     q = x.denominator
-    for p in _numerators(x):
+    for p in _numerators(x.numerator, q):
         yield Fraction(p, q)
 
 
@@ -172,7 +183,11 @@ class OrbitInfo:
     start: Rat
     numerators: tuple[int, ...]
     absorbed_step: Optional[int]
-    absorber: Optional[Rat]
+
+    @property
+    def absorber(self) -> Optional[Rat]:
+        """The absorbing value y_m in {-1, 0, +1}, or None if not absorbed."""
+        return Fraction(self.numerators[-1], self.start.denominator) if self.absorbed else None
 
     @property
     def values(self) -> tuple[Rat, ...]:
@@ -191,7 +206,7 @@ class OrbitInfo:
         """
         if abs(self.start.numerator) == self.start.denominator:  # start is +-1
             return 1
-        return self.absorbed_step + 1 if self.absorber else None
+        return self.absorbed_step + 1 if self.absorbed and self.numerators[-1] else None
 
     def iterate(self, k: int) -> Rat:
         """The k-th iterate y_k (k >= 1); every iterate past an absorption is 0."""
@@ -214,18 +229,19 @@ def orbit(x: RatLike, depth: int) -> OrbitInfo:
     require_depth(depth)
     q = x.denominator
     numerators: list[int] = []
-    for p in islice(_numerators(x), depth):
+    for p in islice(_numerators(x.numerator, q), depth):
         numerators.append(p)
         if p == 0 or abs(p) == q:
-            return OrbitInfo(x, tuple(numerators), len(numerators), Fraction(p, q))
-    return OrbitInfo(x, tuple(numerators), None, None)
+            return OrbitInfo(x, tuple(numerators), len(numerators))
+    return OrbitInfo(x, tuple(numerators), None)
 
 
 def eval_fk(x: RatLike, k: int) -> Rat:
     """Exact k-th iterate of the base map, k >= 1."""
     x = require_unit_interval(as_rational(x))
     require_at_least(k, 1, "iterate index k")
-    return Fraction(next(islice(_numerators(x), k - 1, None), 0), x.denominator)
+    q = x.denominator
+    return Fraction(next(islice(_numerators(x.numerator, q), k - 1, None), 0), q)
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +253,7 @@ def partial_sum(x: RatLike, K: int) -> Rat:
     """Exact K-term weighted sum of iterates: sum_{k=1..K} f_k(x) / 2^k."""
     x = require_unit_interval(as_rational(x))
     require_at_least(K, 1, "truncation K")
-    return _horner(islice(_numerators(x), K), x.denominator)
+    return _horner(islice(_numerators(x.numerator, x.denominator), K), x.denominator)
 
 
 @dataclass(frozen=True)

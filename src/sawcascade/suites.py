@@ -14,21 +14,30 @@ number of endpoints: level m uses the largest b with b^m <= index_budget.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import ceil, floor
 from typing import Callable
 
 from sawcascade.antiderivative import darboux_gap, quotient_bound_check
 from sawcascade.cells import iter_cells
-from sawcascade.construction import DomainError, Rat, require_at_least
+from sawcascade.construction import (
+    DomainError,
+    Rat,
+    require_at_least,
+    require_depth,
+    require_layer_index,
+)
 from sawcascade.reports import WitnessReport, check, make_report
 from sawcascade.verifier import (
+    DEFAULT_DEPTH,
+    DEFAULT_FAN_BUDGET,
     integral_crosscheck,
     local_min_check,
     non_extremum_witness,
     non_monotone_witness,
     oscillation_witness,
+    require_positive_delta,
     structure_check,
 )
 
@@ -37,19 +46,36 @@ F = Fraction
 
 @dataclass(frozen=True)
 class SuiteConfig:
-    """Knobs shared by all suites; every field has a reproducible default."""
+    """Knobs shared by all suites; every field has a reproducible default.
+
+    ``verify`` has one flag per field, ``--`` and the name with dashes.  Every
+    report echoes every setting, so a setting out of bounds raises
+    DomainError here, before any suite runs, whichever suites read it.
+    """
 
     seed: int = 20240601
     count: int = 100
     K: int = 30
-    depth: int = 40
+    depth: int = DEFAULT_DEPTH
     index_budget: int = 50
     cells_budget: int = 60
     n_max: int = 50
-    fan_budget: int = 64
+    fan_budget: int = DEFAULT_FAN_BUDGET
     delta: Rat = F(1, 1000)
     max_level: int = 6
-    structure_max_level: int = 3
+    structure_max_level: int = field(
+        default=3, metadata={"help": "deepest level of the structure scan"}
+    )
+
+    def __post_init__(self) -> None:
+        require_at_least(self.K, 1, "truncation K")
+        require_layer_index("--depth", require_depth(self.depth))
+        require_positive_delta(self.delta)
+        require_at_least(self.max_level, 1, "max level")
+        require_at_least(self.cells_budget, 1, "cells budget")
+        if self.structure_max_level < 1:  # the structure suite's zero-case refusal
+            raise DomainError("suite structure yields no cases with these settings")
+        require_at_least(self.fan_budget, 0, "fan budget")
 
 
 def _rng(cfg: SuiteConfig) -> random.Random:

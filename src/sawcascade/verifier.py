@@ -30,7 +30,7 @@ reason attached; it never silently passes and never weakens a margin.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, islice
 from typing import Optional, Sequence
 
 from sawcascade.antiderivative import enclose_integral, eval_Fk
@@ -51,8 +51,8 @@ from sawcascade.construction import (
     OrbitInfo,
     Rat,
     RatLike,
+    _numerators,
     as_rational,
-    f1_numerator,
     orbit,
     require_at_least,
     require_unit_interval,
@@ -481,13 +481,6 @@ def local_min_check(x: RatLike) -> WitnessReport:
 # ---------------------------------------------------------------------------
 
 
-def _iterate_numerator(p: int, q: int, k: int) -> int:
-    """Numerator over q of f_k(p/q), by k plain steps of the base map."""
-    for _ in range(k):
-        p = f1_numerator(p, q)
-    return p
-
-
 def structure_check(k: int, index_budget: int) -> WitnessReport:
     """Exhaustively verify the cell-system invariants up to level k.
 
@@ -516,7 +509,9 @@ def structure_check(k: int, index_budget: int) -> WitnessReport:
         lvl, S, C = c.level, c.slope, c.intercept
         d = 3 * abs(S)
         base = -3 * C - 3 if S > 0 else 3 * C - 3
-        walked = {t: _iterate_numerator(base + t, d, lvl) for t in (0, 2, 3, 4, 6)}
+        walked = {
+            t: next(islice(_numerators(base + t, d), lvl - 1, None), 0) for t in (0, 2, 3, 4, 6)
+        }
         for t in (2, 3, 4):
             if walked[t] != S * (base + t) + C * d:
                 affinity_mismatches += 1

@@ -60,6 +60,28 @@ def test_parse_rational_rejects_garbage() -> None:
         parse_rational("1/0")
 
 
+#: One digit past Python's default limit for converting text to an int.
+LONG_NUMBER = "1" * 4301
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", "--fn", "f", "--x", LONG_NUMBER],
+        ["sample", "--fn", "f", "--a", LONG_NUMBER],
+        ["intervals", "--window", LONG_NUMBER, "1"],
+        ["integrate", "--k", "1", "--upto", LONG_NUMBER],
+        ["verify", "local-min", "--count", "2", "--delta", LONG_NUMBER],
+    ],
+    ids=["eval", "sample", "intervals", "integrate", "verify"],
+)
+def test_rational_argument_past_the_digit_limit_is_usage_error(argv: list[str]) -> None:
+    # arguments are parsed before the limit is lifted to render exact output
+    code, out, err = invoke(argv)
+    _assert_one_line_usage_error(code, out, err)
+    assert err.startswith("error: not an exact rational: '1111")
+
+
 # ---------------------------------------------------------------------------
 # eval
 # ---------------------------------------------------------------------------
@@ -498,6 +520,35 @@ def test_verify_depth_outside_its_bounds_is_usage_error_in_every_suite(
     assert err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize(
+    "settings, message",
+    [
+        ({"K": 0}, "truncation K must be >= 1, got 0"),
+        ({"depth": 5001}, "--depth must be at most 5000, got 5001"),
+        ({"delta": F(0)}, "window radius delta must be > 0, got 0"),
+        ({"max_level": -3}, "max level must be >= 1, got -3"),
+        ({"cells_budget": -5}, "cells budget must be >= 1, got -5"),
+        ({"structure_max_level": -1}, "suite structure yields no cases with these settings"),
+        ({"fan_budget": -7}, "fan budget must be >= 0, got -7"),
+    ],
+)
+def test_suite_config_refuses_what_verify_refuses(settings: dict, message: str) -> None:
+    with pytest.raises(DomainError) as info:
+        SuiteConfig(**settings)
+    assert str(info.value) == message
+    # local-min reads none of these settings, but its report echoes them all
+    flags = [f"--{name.replace('_', '-')}={value}" for name, value in settings.items()]
+    code, out, err = invoke(["verify", "local-min", "--count", "2", *flags])
+    _assert_one_line_usage_error(code, out, err)
+    assert err == f"error: {message}\n"
+
+
+def test_suite_config_takes_settings_at_their_bounds() -> None:
+    cfg = SuiteConfig(count=1, K=1, depth=5000, delta=F(1, 10**9), max_level=1, cells_budget=1,
+                      structure_max_level=1, fan_budget=0, index_budget=0)
+    assert run_suite("local-min", cfg)["summary"]["fail"] == 0
+
+
 def test_verify_depth_at_its_bound_runs() -> None:
     assert cli.MAX_LAYER_INDEX == 5000
     code, out, _ = invoke(["verify", "no-extrema", "--count", "1", "--depth", "5000"])
@@ -582,6 +633,19 @@ def test_verify_structure_max_level_guard_refuses_before_scanning() -> None:
 #: enumeration, both integral enclosures and the endpoint fan: identical
 #: arguments must keep producing identical bytes.
 PINNED_STDOUT = {
+    # the help of the program and of each command, at 80 columns
+    "--help":
+        "08cca578968e73b5caf37591bf224b45ffd55d1ec6647f09bbc50125a05c4c19",
+    "eval --help":
+        "149bfe85b8d75d15e797e61430388be30b7c7368891391633d2deecd5f82ed0a",
+    "sample --help":
+        "42aa0ab4f54c6bb9eb13fb12df005edb070f13bc99a12ff5c434a4fbeefcc2c9",
+    "intervals --help":
+        "0a0f7d045750c0a6d77c1c1d9ef9bc86f78c199dd9190703eb044ae9822da4cc",
+    "integrate --help":
+        "34de91278aa18aac10fa0beb1241665c9f7505836bf9e4a1e59fa4373bf5f96b",
+    "verify --help":
+        "04cd6ed149ea3d375c8fcca79bbf8fec4747c29c0b4324dc71e46f4ea0c2fd17",
     "verify all":
         "defeb0b3ca0e3ed7e9b6c65629a0f6700e72ecf0c95c8f241c1926eb8c5cde77",
     "verify all --max-level 3 --count 4 --index-budget 2 --n-max 3":
@@ -656,7 +720,8 @@ PINNED_EXIT = {
 
 
 @pytest.mark.parametrize("command", sorted(PINNED_STDOUT))
-def test_stdout_matches_pinned_digest(command: str) -> None:
+def test_stdout_matches_pinned_digest(command: str, monkeypatch: pytest.MonkeyPatch) -> None:
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal width
     code, out, _ = invoke(command.split())
     assert code == PINNED_EXIT.get(command, EXIT_OK)
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == PINNED_STDOUT[command]
