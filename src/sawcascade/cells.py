@@ -239,6 +239,16 @@ def _checked_window(window: tuple[RatLike, RatLike]) -> tuple[Rat, Rat]:
     return lo, hi
 
 
+def require_family_size(k: int, index_budget: int) -> None:
+    """Refuse a level-k cell family with ids |j| <= index_budget that holds
+    more than MAX_CELLS cells."""
+    if (2 * index_budget + 1) ** k > MAX_CELLS:
+        raise DomainError(
+            f"enumerating (2*{index_budget}+1)^{k} cells is too large "
+            f"(limit {MAX_CELLS}); narrow the budget or the level"
+        )
+
+
 def iter_cells(
     k: int,
     index_budget: int,
@@ -257,11 +267,7 @@ def iter_cells(
     require_at_least(index_budget, 0, "index budget")
     if window is not None:
         lo, hi = _checked_window(window)
-    if (2 * index_budget + 1) ** k > MAX_CELLS:
-        raise DomainError(
-            f"enumerating (2*{index_budget}+1)^{k} cells is too large "
-            f"(limit {MAX_CELLS}); narrow the budget or the level"
-        )
+    require_family_size(k, index_budget)
     ids = range(-index_budget, index_budget + 1)
     level = [ROOT]
     for _ in range(k):

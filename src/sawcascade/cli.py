@@ -139,24 +139,39 @@ def render_intervals(k: int, index_budget: int, window: tuple[Rat, Rat], fmt: st
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def _envelope(name: str, cfg: SuiteConfig, reports: Sequence[WitnessReport]) -> dict:
-    """Everything in a verification report but its cases."""
-    passed = sum(1 for r in reports if r.verdict)
+def _verification(name: str, cfg: SuiteConfig) -> tuple[dict, Iterator[WitnessReport]]:
+    """The envelope of a verification document (everything but its cases)
+    and its reports, each certified when it is drawn.
+
+    Every refusal is raised here, before the first report.  The envelope's
+    summary counts the verdicts as the reports are drawn, so it is whole
+    once the last one has been.
+    """
+    reports = run_suite_reports(name, cfg)
+    summary = {"pass": 0, "fail": 0}
+
+    def tallied() -> Iterator[WitnessReport]:
+        for report in reports:
+            summary["pass" if report.verdict else "fail"] += 1
+            yield report
+
     # every setting but the seed, which has its own key
     parameters = {**dataclasses.asdict(cfg), "delta": rat_str(cfg.delta)}
-    return {
+    envelope = {
         "suite": name,
         "seed": parameters.pop("seed"),
         "parameters": parameters,
-        "summary": {"pass": passed, "fail": len(reports) - passed},
+        "summary": summary,
     }
+    return envelope, tallied()
 
 
 def run_suite(name: str, cfg: SuiteConfig) -> dict:
     """Full JSON-ready verification report for one suite (or 'all'): the
     dict view of the document ``verify`` writes."""
-    reports = run_suite_reports(name, cfg)
-    return {**_envelope(name, cfg, reports), "cases": [report_to_dict(r) for r in reports]}
+    envelope, reports = _verification(name, cfg)
+    cases = [report_to_dict(r) for r in reports]
+    return {**envelope, "cases": cases}
 
 
 # ---------------------------------------------------------------------------
@@ -259,15 +274,37 @@ def _write(chunks: Iterable[str], out: Optional[str], stdout: TextIO) -> None:
     Pieces are at most 64 KiB: when the reader of a pipe leaves during one
     large write, the write ends short and the text layer passes over that
     silently; the next piece then raises BrokenPipeError.
+
+    The --out file is written to a temporary file beside it, which replaces
+    it (keeping the old file's mode) only once the output is complete, so
+    an error leaves the target as it was and no temporary file.  A target
+    that exists but is no regular file (a device such as /dev/stdout, or a
+    pipe) cannot be replaced and is written in place.
     """
     if out is None:
         stdout.writelines(c[i:i + 65536] for c in chunks for i in range(0, len(c), 65536))
         return
+    target = os.path.realpath(out)
+    in_place = os.path.exists(target) and not os.path.isfile(target)
+    head, name = os.path.split(target)
+    temp = target if in_place else os.path.join(head, f".{name}.{os.urandom(6).hex()}.tmp")
+    created = False
     try:
-        with open(out, "w", encoding="utf-8") as handle:
+        with open(temp, "w" if in_place else "x", encoding="utf-8") as handle:
+            created = not in_place
             handle.writelines(chunks)
+        if created:
+            if os.path.exists(target):
+                os.chmod(temp, os.stat(target).st_mode & 0o7777)
+            os.replace(temp, target)
+            created = False
     except OSError as exc:
-        raise DomainError(f"cannot write --out: {exc}") from exc
+        # named after the target, not the temporary file
+        message = f"[Errno {exc.errno}] {exc.strerror}: {out!r}"
+        raise DomainError(f"cannot write --out: {message}") from exc
+    finally:
+        if created:  # the output is incomplete
+            os.remove(temp)
 
 
 def run(
@@ -292,11 +329,10 @@ def run(
                 for f in dataclasses.fields(SuiteConfig)
                 for value in [getattr(args, f.name)]
             })
-            # every report is computed before --out is opened, so an error
-            # exits 2 without leaving a partial file
+            # every refusal is raised before the first byte is written; each
+            # case is then written as it is certified, and let go
             with _all_digits():
-                reports = run_suite_reports(args.suite, cfg)
-                envelope = _envelope(args.suite, cfg, reports)
+                envelope, reports = _verification(args.suite, cfg)
                 _write(document_chunks(envelope, reports), args.out, stdout)
             summary = envelope["summary"]
             stderr.write(

@@ -15,7 +15,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
-from typing import Any, Callable, Iterator, Mapping, Optional, Sequence
+from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from sawcascade.construction import Rat, as_rational
 
@@ -40,28 +40,39 @@ _RELATIONS: dict[str, Callable[[Rat, Rat], bool]] = {
 }
 
 
-@dataclass(frozen=True)
-class Check:
-    """One exact comparison: ``lhs relation rhs`` with rational sides."""
-
+class _CheckFields(NamedTuple):
     label: str
     relation: str
     lhs: Rat
     rhs: Rat
 
-    def __post_init__(self) -> None:
-        if self.relation not in _RELATIONS:
-            raise ValueError(f"unknown relation {self.relation!r}")
+
+class Check(_CheckFields):
+    """One exact comparison: ``lhs relation rhs`` with rational sides."""
+
+    __slots__ = ()
+
+    def __new__(cls, label: str, relation: str, lhs: Rat, rhs: Rat) -> "Check":
+        if relation not in _RELATIONS:
+            raise ValueError(f"unknown relation {relation!r}")
+        return tuple.__new__(cls, (label, relation, lhs, rhs))
 
     def holds(self) -> bool:
-        return _RELATIONS[self.relation](self.lhs, self.rhs)
+        """Decided on integers: with positive denominators, p/q R r/s holds
+        exactly when p s R r q does."""
+        _label, relation, lhs, rhs = self
+        return _RELATIONS[relation](
+            lhs.numerator * rhs.denominator, rhs.numerator * lhs.denominator
+        )
+
+
+def _exact(value: Any) -> Rat:
+    return value if type(value) is Fraction else as_rational(value)
 
 
 def check(label: str, relation: str, lhs: Any, rhs: Any) -> Check:
     """Build a Check, coercing both sides to exact rationals."""
-    lhs = lhs if type(lhs) is Fraction else as_rational(lhs)
-    rhs = rhs if type(rhs) is Fraction else as_rational(rhs)
-    return Check(label, relation, lhs, rhs)
+    return Check(label, relation, _exact(lhs), _exact(rhs))
 
 
 @dataclass(frozen=True)
@@ -98,7 +109,7 @@ class WitnessReport:
 def _verdict(certificate: Sequence[Check], error: Optional[str]) -> bool:
     """The one verdict rule: no search error, at least one check, and every
     check holds exactly."""
-    return error is None and bool(certificate) and all(c.holds() for c in certificate)
+    return error is None and bool(certificate) and all(map(Check.holds, certificate))
 
 
 def make_report(
@@ -112,7 +123,7 @@ def make_report(
     return WitnessReport(
         kind=kind,
         inputs=tuple((str(k), str(v)) for k, v in inputs.items()),
-        points=tuple((as_rational(x), as_rational(v)) for x, v in points),
+        points=tuple((_exact(x), _exact(v)) for x, v in points),
         verdict=_verdict(certificate, error),
         certificate=tuple(certificate),
         error=error,
@@ -161,12 +172,14 @@ def report_to_dict(report: WitnessReport) -> dict[str, Any]:
 # The streamed document: each case is rendered straight from its report, in
 # the layout json.dumps(..., indent=2, sort_keys=True) gives a case at depth 2
 # of the document (keys sorted, strings quoted as ensure_ascii quotes them).
+# A rational's text (digits, '-' and '/') and a relation never need escaping,
+# so the templates quote them.
 
 _CHECK = (
-    '{\n          "label": %s,\n          "lhs": %s,\n'
-    '          "relation": %s,\n          "rhs": %s\n        }'
+    '{\n          "label": %s,\n          "lhs": "%s",\n'
+    '          "relation": "%s",\n          "rhs": "%s"\n        }'
 )
-_POINT = "[\n          %s,\n          %s\n        ]"
+_POINT = '[\n          "%s",\n          "%s"\n        ]'
 _CASE = (
     '    {\n      "certificate": %s,\n      "error": %s,\n      "inputs": %s,\n'
     '      "kind": %s,\n      "points": %s,\n      "verdict": %s\n    }'
@@ -181,13 +194,13 @@ def _block(opening: str, items: list[str], closing: str) -> str:
 
 
 def _case_json(report: WitnessReport) -> str:
-    """``report_to_dict(report)`` as indented JSON at depth 2; rationals are
-    written with ``str``, which is what ``rat_str`` returns."""
+    """``report_to_dict(report)`` as indented JSON at depth 2; ``%s`` writes a
+    rational with ``str``, which is what ``rat_str`` returns."""
     certificate = [
-        _CHECK % (_quote(c.label), _quote(str(c.lhs)), _quote(c.relation), _quote(str(c.rhs)))
-        for c in report.certificate
+        _CHECK % (_quote(label), lhs, relation, rhs)
+        for label, relation, lhs, rhs in report.certificate
     ]
-    points = [_POINT % (_quote(str(x)), _quote(str(v))) for x, v in report.points]
+    points = [_POINT % point for point in report.points]
     inputs = [f"{_quote(k)}: {_quote(v)}" for k, v in sorted(dict(report.inputs).items())]
     return _CASE % (
         _block("[", certificate, "]"),
@@ -200,25 +213,29 @@ def _case_json(report: WitnessReport) -> str:
 
 
 def document_chunks(
-    envelope: Mapping[str, Any], reports: Sequence[WitnessReport]
+    envelope: Mapping[str, Any], reports: Iterable[WitnessReport]
 ) -> Iterator[str]:
     """The text of ``json.dumps({**envelope, "cases": [report_to_dict(r) for
     r in reports]}, indent=2, sort_keys=True) + "\n"``, case by case.
 
-    Neither the dict tree nor the whole text is built: the small envelope is
-    rendered by ``json.dumps`` around an empty ``cases`` list, and each case
-    is rendered from its report where that list opens.
+    Each report is rendered as it is drawn and then let go.  The envelope
+    is rendered by ``json.dumps`` around an empty ``cases`` list twice: for
+    the keys before ``cases`` when the document opens, and for the keys
+    after it (``summary`` among them) once the last report is drawn, so a
+    value the caller completes while the reports are drawn is written whole.
     """
-    text = json.dumps({**envelope, "cases": []}, indent=2, sort_keys=True)
-    if not reports:
-        yield text + "\n"
-        return
-    # top-level keys are the only ones indented by exactly two spaces
-    head, tail = text.split('\n  "cases": []', 1)
-    yield head + '\n  "cases": [\n'
-    for index, report in enumerate(reports):
-        yield (",\n" if index else "") + _case_json(report)
-    yield "\n  ]" + tail + "\n"
+
+    def halves() -> list[str]:
+        # top-level keys are the only ones indented by exactly two spaces
+        text = json.dumps({**envelope, "cases": []}, indent=2, sort_keys=True)
+        return text.split('\n  "cases": []', 1)
+
+    head = halves()[0]
+    drawn = False
+    for report in reports:
+        yield (",\n" if drawn else head + '\n  "cases": [\n') + _case_json(report)
+        drawn = True
+    yield ("\n  ]" if drawn else head + '\n  "cases": []') + halves()[1] + "\n"
 
 
 def report_from_dict(data: Mapping[str, Any]) -> WitnessReport:

@@ -2,9 +2,12 @@
 
 Each suite draws its sample points from an explicitly seeded Mersenne
 generator (integer draws only, so results are stable across platforms and
-Python versions) or enumerates cell endpoints outright.  Given the same
-configuration a suite returns the identical list of reports, certificate
-for certificate.
+Python versions) or enumerates cell endpoints outright.  Called with a
+configuration, a suite makes its refusals and draws its inputs, then
+returns an iterator of reports that certifies each report when it is drawn,
+so a caller that writes and drops each report holds one at a time.  Given
+the same configuration the iterator yields the identical reports,
+certificate for certificate.
 
 The endpoint enumeration for the oscillation suite tapers its per-level
 index budget so that every level's cell family contributes about the same
@@ -16,11 +19,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 from math import ceil, floor
-from typing import Callable
+from typing import Callable, Iterable, Iterator
 
 from sawcascade.antiderivative import darboux_gap, quotient_bound_check
-from sawcascade.cells import iter_cells
+from sawcascade.cells import iter_cells, require_family_size
 from sawcascade.construction import (
     DomainError,
     Rat,
@@ -50,7 +54,9 @@ class SuiteConfig:
 
     ``verify`` has one flag per field, ``--`` and the name with dashes.  Every
     report echoes every setting, so a setting out of bounds raises
-    DomainError here, before any suite runs, whichever suites read it.
+    DomainError here, before any suite runs, whichever suites read it; only
+    a negative index budget waits for ``run_suite_reports``, which first
+    lets the cell enumerations refuse it with their own floor of 1.
     """
 
     seed: int = 20240601
@@ -76,6 +82,10 @@ class SuiteConfig:
         if self.structure_max_level < 1:  # the structure suite's zero-case refusal
             raise DomainError("suite structure yields no cases with these settings")
         require_at_least(self.fan_budget, 0, "fan budget")
+        # below these floors the sampled suites and quotient-bound yield no cases
+        for what, value, floor in (("count", self.count, 1), ("n max", self.n_max, 2)):
+            if value < floor:
+                raise DomainError(f"{what} must be >= {floor}, got {value} (no cases)")
 
 
 def _rng(cfg: SuiteConfig) -> random.Random:
@@ -132,95 +142,117 @@ def tapered_endpoints(max_level: int, index_budget: int) -> list[tuple[Rat, int]
 # ---------------------------------------------------------------------------
 
 
-def suite_oscillation(cfg: SuiteConfig) -> list[WitnessReport]:
-    return [
+class Cases(Iterable[WitnessReport]):
+    """A suite's reports, each certified when it is drawn; they can be
+    drawn once.
+
+    A suite has made its refusals and drawn its inputs by the time it
+    returns this, so ``len`` (the number of reports in all, drawn or not)
+    is known before the first report is certified.
+    """
+
+    __slots__ = ("_count", "_reports")
+
+    def __init__(self, count: int, reports: Iterable[WitnessReport]) -> None:
+        self._count = count
+        self._reports = iter(reports)
+
+    def __len__(self) -> int:
+        return self._count
+
+    def __iter__(self) -> Iterator[WitnessReport]:
+        return self._reports
+
+
+def suite_oscillation(cfg: SuiteConfig) -> Cases:
+    endpoints = tapered_endpoints(cfg.max_level, cfg.index_budget)
+    # oscillation_witness refuses an endpoint whose first level lies past
+    # depth + 1 (its orbit record never reaches +-1): meet the first such
+    # refusal here, before any report
+    for x, first_level in endpoints:
+        if first_level > cfg.depth + 1:
+            oscillation_witness(x, cfg.delta, cfg.depth, cfg.fan_budget)
+    return Cases(len(endpoints), (
         oscillation_witness(x, cfg.delta, cfg.depth, cfg.fan_budget)
-        for x, _first_level in tapered_endpoints(cfg.max_level, cfg.index_budget)
-    ]
+        for x, _first_level in endpoints
+    ))
 
 
-def suite_no_extrema(cfg: SuiteConfig) -> list[WitnessReport]:
+def suite_no_extrema(cfg: SuiteConfig) -> Cases:
     rng = _rng(cfg)
-    xs = [
-        _random_rational(rng, F(-1), F(1), 10**6) for _ in range(cfg.count)
-    ]
-    reports = []
-    for x in xs:
-        for exponent in (1, 2, 3):
-            reports.append(
-                non_extremum_witness(
-                    x, F(1, 10**exponent), cfg.depth, cfg.fan_budget
-                )
-            )
-    return reports
+    xs = [_random_rational(rng, F(-1), F(1), 10**6) for _ in range(cfg.count)]
+    probes = [(x, F(1, 10**exponent)) for x in xs for exponent in (1, 2, 3)]
+    return Cases(len(probes), (
+        non_extremum_witness(x, delta, cfg.depth, cfg.fan_budget) for x, delta in probes
+    ))
 
 
-def suite_nowhere_monotone(cfg: SuiteConfig) -> list[WitnessReport]:
+def suite_nowhere_monotone(cfg: SuiteConfig) -> Cases:
     rng = _rng(cfg)
-    reports = []
+    intervals: list[tuple[Rat, Rat]] = []
     min_width = F(1, 1000)
-    while len(reports) < cfg.count:
+    while len(intervals) < cfg.count:
         u = _random_rational(rng, F(-1), F(1), 1000)
         v = _random_rational(rng, F(-1), F(1), 1000)
         a, b = min(u, v), max(u, v)
-        if b - a < min_width:
-            continue
-        reports.append(non_monotone_witness(a, b, cfg.depth, cfg.fan_budget))
-    return reports
+        if b - a >= min_width:
+            intervals.append((a, b))
+    return Cases(len(intervals), (
+        non_monotone_witness(a, b, cfg.depth, cfg.fan_budget) for a, b in intervals
+    ))
 
 
-def suite_local_min(cfg: SuiteConfig) -> list[WitnessReport]:
+def suite_local_min(cfg: SuiteConfig) -> Cases:
     rng = _rng(cfg)
-    return [
-        local_min_check(_random_rational(rng, F(0), F(1, 4), 10**6))
-        for _ in range(cfg.count)
-    ]
+    xs = [_random_rational(rng, F(0), F(1, 4), 10**6) for _ in range(cfg.count)]
+    return Cases(len(xs), (local_min_check(x) for x in xs))
 
 
-def suite_quotient_bound(cfg: SuiteConfig) -> list[WitnessReport]:
+def suite_quotient_bound(cfg: SuiteConfig) -> Cases:
     rng = _rng(cfg)
-    reports = []
+    probes = []
     for k in range(1, 9):
         for n in range(2, cfg.n_max + 1):
             band_lo = F(1, n + 1) - 1
             band_hi = F(1, n) - 1
             seeded = band_lo + (band_hi - band_lo) * F(rng.randint(1, 999), 1000)
             for x in ((band_lo + band_hi) / 2, band_hi, seeded):
-                reports.append(quotient_bound_check(k, n, x))
-    return reports
+                probes.append((k, n, x))
+    return Cases(len(probes), (quotient_bound_check(k, n, x) for k, n, x in probes))
 
 
-def suite_integral_crosscheck(cfg: SuiteConfig) -> list[WitnessReport]:
+def suite_integral_crosscheck(cfg: SuiteConfig) -> Cases:
     rng = _rng(cfg)
-    reports = []
+    batches = []
     for k in range(1, 7):
         xs = [F(-1), F(-1, 2), F(0), F(1, 3), F(7, 10), F(1)]
         xs += [_random_rational(rng, F(-1), F(1), 10**4) for _ in range(4)]
-        reports.append(integral_crosscheck(k, xs, cfg.index_budget))
-    return reports
+        batches.append((k, xs))
+    return Cases(len(batches), (
+        integral_crosscheck(k, xs, cfg.index_budget) for k, xs in batches
+    ))
 
 
-def suite_structure(cfg: SuiteConfig) -> list[WitnessReport]:
+def suite_structure(cfg: SuiteConfig) -> Cases:
     """One structure scan per level 1..structure_max_level, in that order.
 
-    The scans run deepest first, so the size guard of iter_cells refuses a
-    too-deep level before any shallower scan has run.
+    The deepest scan's refusals (an index budget below 1, a cell family
+    too large) are met here, before any scan runs.
     """
     budget = min(6, cfg.index_budget)
-    reports = [
-        structure_check(k, budget)
-        for k in range(cfg.structure_max_level, 0, -1)
-    ]
-    return reports[::-1]
+    levels = range(1, cfg.structure_max_level + 1)
+    require_at_least(budget, 1, "index budget")
+    require_family_size(levels[-1], budget)
+    return Cases(len(levels), (structure_check(k, budget) for k in levels))
 
 
-def suite_darboux(cfg: SuiteConfig) -> list[WitnessReport]:
+def _darboux_report(cfg: SuiteConfig) -> WitnessReport:
     enc = darboux_gap(cfg.K, cfg.cells_budget)
     certificate = [
         check("integral_at_least", "<=", enc.lower, 0),
         check("integral_at_most", "<=", 0, enc.upper),
     ]
-    report = make_report(
+    return make_report(
         "integral_crosscheck",
         {
             "target": "whole_domain_series_integral",
@@ -231,10 +263,13 @@ def suite_darboux(cfg: SuiteConfig) -> list[WitnessReport]:
         [(F(0), enc.center)],
         certificate,
     )
-    return [report]
 
 
-SUITES: dict[str, Callable[[SuiteConfig], list[WitnessReport]]] = {
+def suite_darboux(cfg: SuiteConfig) -> Cases:
+    return Cases(1, map(_darboux_report, [cfg]))
+
+
+SUITES: dict[str, Callable[[SuiteConfig], Cases]] = {
     "structure": suite_structure,
     "oscillation": suite_oscillation,
     "no-extrema": suite_no_extrema,
@@ -248,16 +283,20 @@ SUITES: dict[str, Callable[[SuiteConfig], list[WitnessReport]]] = {
 SUITE_ORDER = list(SUITES) + ["all"]
 
 
-def run_suite_reports(name: str, cfg: SuiteConfig) -> list[WitnessReport]:
-    """Reports for one suite name, or every suite in order for 'all'.
+def run_suite_reports(name: str, cfg: SuiteConfig) -> Iterator[WitnessReport]:
+    """Reports for one suite name, or every suite in order for 'all', each
+    certified when it is drawn.
 
-    A suite that yields no case under ``cfg`` (say ``count`` 0) raises
-    DomainError: a check with nothing to check must not pass.
+    Every suite is called first, so each refusal is raised here, before the
+    first report: first each suite's own, then an index budget below 0
+    (the oscillation and structure suites need at least 1 and say so
+    first), then a suite that yields no case under ``cfg``, since a check
+    with nothing to check must not pass.
     """
-    reports: list[WitnessReport] = []
-    for suite_name in SUITES if name == "all" else [name]:
-        batch = SUITES[suite_name](cfg)
-        if not batch:
+    batches = {suite_name: SUITES[suite_name](cfg)
+               for suite_name in (SUITES if name == "all" else [name])}
+    require_at_least(cfg.index_budget, 0, "index budget")
+    for suite_name, batch in batches.items():
+        if not len(batch):
             raise DomainError(f"suite {suite_name} yields no cases with these settings")
-        reports.extend(batch)
-    return reports
+    return chain.from_iterable(batches.values())

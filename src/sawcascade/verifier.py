@@ -114,7 +114,7 @@ def _endpoint_value(info: OrbitInfo) -> int:
     """f_m(x0) = +-1 at the endpoint x0 = info.start, m = first_level - 1
     (f_0 is the identity)."""
     m = info.first_level - 1
-    return int(info.iterate(m) if m else info.start)
+    return info.numerators[m - 1] // info.start.denominator if m else info.start.numerator
 
 
 def _fan_point(x0: Rat, v0: int, s: int, n: int) -> Rat:
@@ -177,19 +177,26 @@ def _fan_scan(
     return above, below
 
 
+#: The labels of one witness's checks, in certificate order.
+_UPPER = ("upper_beats_margin", "upper_inside_window", "upper_distinct", "upper_hits_unit")
+_LOWER = ("lower_beats_margin", "lower_inside_window", "lower_distinct", "lower_hits_unit")
+
+
 def _witness_checks(
-    tag: str, x0: Rat, hit: tuple[Rat, Rat, Rat], fx0: Rat, margin: Rat,
-    delta: Rat, above: bool,
+    labels: tuple[str, ...], x0: Rat, hit: tuple[Rat, Rat, Rat], relation: str,
+    bound: Rat, delta: Rat,
 ) -> list[Check]:
-    """Checks on the witness y with series value f(y) and f_k(y): hit."""
+    """Checks on the witness y with series value f(y) and f_k(y): hit, where
+    f(y) relation bound must hold.  Every side is already exact."""
     y, fy, fky = hit
-    rel = (">", fy, fx0 + margin) if above else ("<", fy, fx0 - margin)
-    gap = abs(y - x0)
+    a, b, c, d = y.numerator, y.denominator, x0.numerator, x0.denominator
+    gap = Fraction(abs(a * d - c * b), b * d)  # |y - x0|
+    beats, inside, distinct, unit = labels
     return [
-        check(f"{tag}_beats_margin", *rel),
-        check(f"{tag}_inside_window", "<", gap, delta),
-        check(f"{tag}_distinct", ">", gap, ZERO),
-        check(f"{tag}_hits_unit", "==", abs(fky), ONE),
+        Check(beats, relation, fy, bound),
+        Check(inside, "<", gap, delta),
+        Check(distinct, ">", gap, ZERO),
+        Check(unit, "==", abs(fky), ONE),
     ]
 
 
@@ -224,16 +231,18 @@ def _endpoint_fan_report(
             error="fan budget exhausted before both witnesses appeared",
         )
     above, below = hits
-    margin = Fraction(1, 2 ** (k + 1))
+    # f(x0) + 2^-(k+1) and f(x0) - 2^-(k+1), over the denominator q 2^(k+1)
+    p, q, scale = fx0.numerator, fx0.denominator, 2 ** (k + 1)
+    high, low = Fraction(p * scale + q, q * scale), Fraction(p * scale - q, q * scale)
     if k == 1:
-        certificate = [check("center_is_domain_end", "==", abs(x0), ONE)]
+        certificate = [Check("center_is_domain_end", "==", abs(x0), ONE)]
     else:
         certificate = [
-            check("center_hits_unit", "==", abs(info.iterate(k - 1)), ONE),
-            check("center_absorbed", "==", info.iterate(k), ZERO),
+            Check("center_hits_unit", "==", abs(info.iterate(k - 1)), ONE),
+            Check("center_absorbed", "==", info.iterate(k), ZERO),
         ]
-    certificate += _witness_checks("upper", x0, above, fx0, margin, delta, above=True)
-    certificate += _witness_checks("lower", x0, below, fx0, margin, delta, above=False)
+    certificate += _witness_checks(_UPPER, x0, above, ">", high, delta)
+    certificate += _witness_checks(_LOWER, x0, below, "<", low, delta)
     return make_report(kind, inputs, points, certificate)
 
 

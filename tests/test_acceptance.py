@@ -145,7 +145,7 @@ def test_criterion_04_normalization_constant() -> None:
 
 def test_criterion_05_quotient_bound() -> None:
     def body() -> None:
-        reports = suite_quotient_bound(SuiteConfig())
+        reports = list(suite_quotient_bound(SuiteConfig()))
         assert len(reports) == 8 * 49 * 3
         bad = [r for r in reports if not r.verdict]
         assert not bad, bad[:3]
@@ -161,7 +161,7 @@ def test_criterion_05_quotient_bound() -> None:
 def test_criterion_06_oscillation_everywhere() -> None:
     def body() -> None:
         cfg = SuiteConfig()
-        reports = suite_oscillation(cfg)
+        reports = list(suite_oscillation(cfg))
         assert len(reports) == len(tapered_endpoints(cfg.max_level, cfg.index_budget))
         assert len(reports) > 5000
         bad = [r for r in reports if not r.verdict]
@@ -177,7 +177,7 @@ def test_criterion_06_oscillation_everywhere() -> None:
 
 def test_criterion_07_no_extrema_sampled() -> None:
     def body() -> None:
-        reports = suite_no_extrema(SuiteConfig(count=200))
+        reports = list(suite_no_extrema(SuiteConfig(count=200)))
         assert len(reports) == 200 * 3
         deltas = {F(r.input("delta")) for r in reports}
         assert deltas == {F(1, 10), F(1, 100), F(1, 1000)}
@@ -194,7 +194,7 @@ def test_criterion_07_no_extrema_sampled() -> None:
 
 def test_criterion_08_nowhere_monotone_sampled() -> None:
     def body() -> None:
-        reports = suite_nowhere_monotone(SuiteConfig(count=100))
+        reports = list(suite_nowhere_monotone(SuiteConfig(count=100)))
         assert len(reports) == 100
         for r in reports:
             assert F(r.input("b")) - F(r.input("a")) >= F(1, 1000)
@@ -211,7 +211,7 @@ def test_criterion_08_nowhere_monotone_sampled() -> None:
 
 def test_criterion_09_local_min_sampled() -> None:
     def body() -> None:
-        reports = suite_local_min(SuiteConfig(count=100))
+        reports = list(suite_local_min(SuiteConfig(count=100)))
         assert len(reports) == 100
         for r in reports:
             assert F(0) < F(r.input("x")) < F(1, 4)

@@ -10,16 +10,18 @@ import hashlib
 import io
 import json
 import os
+import stat
 import subprocess
 import sys
 import time
+import weakref
 from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
 
 import sawcascade
-from sawcascade import cli
+from sawcascade import cli, suites, verifier
 from sawcascade.antiderivative import eval_F, eval_G
 from sawcascade.cli import (
     EXIT_OK,
@@ -413,6 +415,102 @@ def test_verify_error_exit_creates_no_out_file(tmp_path) -> None:
     assert not target.exists()
 
 
+def test_verify_holds_at_most_two_reports_at_any_write(monkeypatch: pytest.MonkeyPatch) -> None:
+    # each case is written as it is certified and then let go: whenever the
+    # output is written, at most the case being written and the one being
+    # built are alive, however many cases the suite has
+    refs: list[weakref.ref] = []
+    live_at_write: list[int] = []
+    make_report = verifier.make_report
+
+    def tracked(*args, **kwargs):
+        report = make_report(*args, **kwargs)
+        refs.append(weakref.ref(report))
+        return report
+
+    class CountingOut(io.StringIO):
+        def write(self, text: str) -> int:
+            live_at_write.append(sum(ref() is not None for ref in refs))
+            return super().write(text)
+
+    monkeypatch.setattr(verifier, "make_report", tracked)
+    out = CountingOut()
+    code = run(["verify", "oscillation", "--max-level", "4"], stdout=out, stderr=io.StringIO())
+    assert code == EXIT_OK
+    assert len(refs) == len(json.loads(out.getvalue())["cases"]) > 700
+    assert len(live_at_write) > 700
+    assert max(live_at_write) <= 2
+
+
+def _fail_on_third_case(monkeypatch: pytest.MonkeyPatch) -> None:
+    """Make the local-min suite raise while its third case is certified."""
+    calls = []
+    certify = suites.local_min_check
+
+    def failing(x):
+        calls.append(x)
+        if len(calls) == 3:
+            raise DomainError("certification failed midway")
+        return certify(x)
+
+    monkeypatch.setattr(suites, "local_min_check", failing)
+
+
+def test_verify_failing_midway_leaves_no_out_file(
+    tmp_path: Path, monkeypatch: pytest.MonkeyPatch
+) -> None:
+    _fail_on_third_case(monkeypatch)
+    code, out, err = invoke(["verify", "local-min", "--count", "5",
+                             "--out", str(tmp_path / "report.json")])
+    _assert_one_line_usage_error(code, out, err)
+    assert err == "error: certification failed midway\n"
+    assert os.listdir(tmp_path) == []
+
+
+def test_verify_failing_midway_keeps_the_old_out_file(
+    tmp_path: Path, monkeypatch: pytest.MonkeyPatch
+) -> None:
+    target = tmp_path / "report.json"
+    target.write_text("old report\n")
+    _fail_on_third_case(monkeypatch)
+    code, out, err = invoke(["verify", "local-min", "--count", "5", "--out", str(target)])
+    _assert_one_line_usage_error(code, out, err)
+    assert os.listdir(tmp_path) == ["report.json"]
+    assert target.read_text() == "old report\n"
+
+
+def test_verify_out_replaces_a_file_and_keeps_its_mode(tmp_path: Path) -> None:
+    target = tmp_path / "report.json"
+    target.write_text("old report\n")
+    target.chmod(0o600)
+    argv = ["verify", "local-min", "--count", "3"]
+    assert invoke([*argv, "--out", str(target)])[:2] == (EXIT_OK, "")
+    assert target.read_text() == invoke(argv)[1]
+    assert stat.S_IMODE(target.stat().st_mode) == 0o600
+    assert os.listdir(tmp_path) == ["report.json"]
+
+
+def test_verify_out_writes_a_pipe_in_place(tmp_path: Path) -> None:
+    # a pipe cannot be replaced by a file: the output goes into the pipe
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    read_end = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        argv = ["verify", "darboux", "--K", "8", "--cells-budget", "20"]
+        assert invoke([*argv, "--out", str(fifo)])[:2] == (EXIT_OK, "")
+        assert stat.S_ISFIFO(fifo.stat().st_mode)
+        assert os.read(read_end, 1 << 16).decode("utf-8") == invoke(argv)[1]
+    finally:
+        os.close(read_end)
+
+
+def test_verify_echoes_a_delta_past_the_digit_limit() -> None:
+    # 1e-5000 is short text, but its denominator has 5001 digits
+    code, out, _ = invoke(["verify", "local-min", "--count", "1", "--delta", "1e-5000"])
+    assert code == EXIT_OK
+    assert json.loads(out)["parameters"]["delta"] == "1/1" + "0" * 5000
+
+
 def test_verify_restores_the_int_digit_limit() -> None:
     limit = sys.get_int_max_str_digits()
     assert invoke(["verify", "local-min", "--count", "3"])[0] == EXIT_OK
@@ -456,6 +554,41 @@ def test_verify_zero_case_suite_is_usage_error(argv: list[str]) -> None:
     code, out, err = invoke(argv)
     _assert_one_line_usage_error(code, out, err)
     assert "no cases" in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["verify", "structure", "--count", "0"], "count must be >= 1, got 0 (no cases)"),
+        (["verify", "local-min", "--count", "2", "--n-max", "-4"],
+         "n max must be >= 2, got -4 (no cases)"),
+        (["verify", "local-min", "--count", "2", "--index-budget", "-5"],
+         "index budget must be >= 0, got -5"),
+        # an endpoint whose orbit record cannot reach +-1 within the depth
+        (["verify", "oscillation", "--depth", "2"],
+         "orbit of -6359/8000 does not hit +-1 within 2 steps; "
+         "the oscillation certificate needs an enumerable endpoint"),
+        (["verify", "all", "--depth", "2"],
+         "orbit of -6359/8000 does not hit +-1 within 2 steps; "
+         "the oscillation certificate needs an enumerable endpoint"),
+        (["verify", "all", "--structure-max-level", "9"],
+         "enumerating (2*6+1)^9 cells is too large (limit 500000); "
+         "narrow the budget or the level"),
+        (["verify", "all", "--index-budget", "0"], "index budget must be >= 1, got 0"),
+    ],
+)
+def test_verify_refusals_write_nothing(tmp_path: Path, argv: list[str], message: str) -> None:
+    # every refusal is made before the first byte, to stdout or to --out
+    code, out, err = invoke(argv)
+    _assert_one_line_usage_error(code, out, err)
+    assert err == f"error: {message}\n"
+    assert invoke([*argv, "--out", str(tmp_path / "report.json")]) == (code, out, err)
+    assert os.listdir(tmp_path) == []
+
+
+def test_negative_index_budget_is_refused_in_the_library() -> None:
+    with pytest.raises(DomainError, match="index budget must be >= 0, got -5"):
+        suites.run_suite_reports("local-min", SuiteConfig(count=2, index_budget=-5))
 
 
 def test_unwritable_out_is_usage_error(tmp_path) -> None:
@@ -530,6 +663,8 @@ def test_verify_depth_outside_its_bounds_is_usage_error_in_every_suite(
         ({"cells_budget": -5}, "cells budget must be >= 1, got -5"),
         ({"structure_max_level": -1}, "suite structure yields no cases with these settings"),
         ({"fan_budget": -7}, "fan budget must be >= 0, got -7"),
+        ({"count": 0}, "count must be >= 1, got 0 (no cases)"),
+        ({"n_max": 1}, "n max must be >= 2, got 1 (no cases)"),
     ],
 )
 def test_suite_config_refuses_what_verify_refuses(settings: dict, message: str) -> None:
@@ -686,6 +821,9 @@ PINNED_STDOUT = {
         "9b6942c5473d82a74029ff3105c6ce56b9c2d7246e29eee93501ef6725015101",
     "verify oscillation --delta 1/1000000 --max-level 5":
         "9fd4db84bbf081adf31b9dab9aeda273e0dd4c6c8933db10528bb28b71811e2b",
+    # an endpoint family deeper than the default's: 9124 cases, 17 MB
+    "verify oscillation --max-level 8":
+        "1e139226a9a03e24e8f86ed59fe1c18c5e47ee7c4da1cf2c422163711dd64a71",
     "verify nowhere-monotone --count 400 --seed 5":
         "3983f00173ebc5f722aadedb454c0b61a3077510da801e839ae707f4b450ebd9",
     # the integer layer kernel: a deep layer, a long grid, G off-center

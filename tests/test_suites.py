@@ -46,14 +46,14 @@ def test_unknown_suite_raises() -> None:
 
 
 def test_all_concatenates_in_registry_order() -> None:
-    joined = run_suite_reports("all", SMALL)
-    pieces = [run_suite_reports(name, SMALL) for name in SUITES]
+    joined = list(run_suite_reports("all", SMALL))
+    pieces = [list(run_suite_reports(name, SMALL)) for name in SUITES]
     assert joined == [rep for piece in pieces for rep in piece]
 
 
 @pytest.mark.parametrize("name", sorted(SUITES))
 def test_each_suite_is_deterministic(name: str) -> None:
-    assert run_suite_reports(name, SMALL) == run_suite_reports(name, SMALL)
+    assert list(run_suite_reports(name, SMALL)) == list(run_suite_reports(name, SMALL))
 
 
 def test_seed_only_changes_sampled_suites() -> None:
@@ -61,16 +61,16 @@ def test_seed_only_changes_sampled_suites() -> None:
         seed=999, count=4, max_level=2, n_max=4, structure_max_level=1,
         cells_budget=12, K=8,
     )
-    assert run_suite_reports("no-extrema", SMALL) != run_suite_reports(
+    assert list(run_suite_reports("no-extrema", SMALL)) != list(run_suite_reports(
         "no-extrema", other
-    )
+    ))
     # endpoint enumeration and structure scan do not sample at all
-    assert run_suite_reports("oscillation", SMALL) == run_suite_reports(
+    assert list(run_suite_reports("oscillation", SMALL)) == list(run_suite_reports(
         "oscillation", other
-    )
-    assert run_suite_reports("structure", SMALL) == run_suite_reports(
+    ))
+    assert list(run_suite_reports("structure", SMALL)) == list(run_suite_reports(
         "structure", other
-    )
+    ))
 
 
 def test_small_suites_all_pass() -> None:
@@ -145,3 +145,31 @@ def test_suite_inputs_stay_in_required_domains() -> None:
     for rep in run_suite_reports("no-extrema", SMALL):
         assert -1 < F(rep.input("x0")) < 1
         assert F(rep.input("delta")) in (F(1, 10), F(1, 100), F(1, 1000))
+
+
+@pytest.mark.parametrize(
+    "name, settings, message",
+    [
+        ("structure", {"index_budget": 0}, "index budget must be >= 1, got 0"),
+        ("structure", {"structure_max_level": 9}, "cells is too large"),
+        ("oscillation", {"depth": 2}, "does not hit \\+-1 within 2 steps"),
+        ("oscillation", {"max_level": 20}, "cells is too large"),
+        ("local-min", {"index_budget": -1}, "index budget must be >= 0, got -1"),
+    ],
+)
+def test_suites_refuse_when_called_not_when_drawn(name: str, settings: dict, message: str) -> None:
+    # the refusal comes from the call itself: no report has been drawn yet
+    with pytest.raises(DomainError, match=message):
+        run_suite_reports(name, SuiteConfig(**settings))
+
+
+@pytest.mark.parametrize("name", sorted(SUITES))
+@pytest.mark.parametrize("cfg", [SMALL, SuiteConfig(
+    count=1, n_max=2, max_level=1, structure_max_level=1, index_budget=1, cells_budget=1, K=1
+)])
+def test_suite_length_is_its_number_of_reports(name: str, cfg: SuiteConfig) -> None:
+    cases = SUITES[name](cfg)
+    count = len(cases)
+    assert count >= 1
+    assert len(list(cases)) == count
+    assert list(cases) == []  # drawn once

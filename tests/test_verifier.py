@@ -184,7 +184,7 @@ def test_fan_scan_walks_only_the_chosen_witnesses(monkeypatch):
         for name in ("partial_sum", "eval_fk"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
-    reports = SUITES["oscillation"](SuiteConfig(max_level=4))
+    reports = list(SUITES["oscillation"](SuiteConfig(max_level=4)))
     assert all(r.verdict for r in reports)
     assert len(walks) == len(set(walks)) == 3 * len(reports) == 2208
     assert other_walks == []
