@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from sawcascade.cells import _layer_walk, cell, level1_cell, locate
+from sawcascade.cells import _layer_walk, cell, level1_cell, locate, require_family_size
 from sawcascade.construction import (
     Certified,
     DomainError,
@@ -193,10 +193,12 @@ def darboux_gap(K: int, cells_budget: int) -> Certified:
     approximation.  Each unenumerated tail decomposes into complete teeth
     (zero again) plus at most one partial tooth, bounded by the longest
     tail tooth's length times the sup bound 1.  The dropped series tail is
-    at most 2^-K pointwise, contributing 2^(1-K) over length 2.
+    at most 2^-K pointwise, contributing 2^(1-K) over length 2.  Refuses,
+    before any tooth is summed, more than MAX_CELLS teeth 2 cells_budget + 1.
     """
     require_at_least(K, 1, "truncation K")
     require_at_least(cells_budget, 1, "cells budget")
+    require_family_size(1, cells_budget)
     total = ZERO
     for j in range(-cells_budget, cells_budget + 1):
         tooth = level1_cell(j)

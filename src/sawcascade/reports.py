@@ -5,15 +5,21 @@ a list of concrete rational comparisons.  The verdict is, by construction,
 the conjunction of those comparisons (and the absence of a search failure),
 so ``recheck`` can re-decide the verdict from the stored numbers alone,
 without re-running any search.  Serialization keeps rationals as exact
-"p/q" strings; no float appears anywhere.
+"p/q" strings; no float appears anywhere.  ``report_from_dict`` reads back
+exactly the text the writer writes, ``str`` of a Fraction: ``-?p`` or
+``-?p/q`` in ASCII digits, in lowest terms, with q > 1 and no ``-0``.  Any
+other value (a decimal, an exponent, a JSON number, padding, a sign ``+``,
+an unreduced fraction) raises ValueError.
 """
 
 from __future__ import annotations
 
 import json
 import operator
+import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
@@ -238,21 +244,51 @@ def document_chunks(
     yield ("\n  ]" if drawn else head + '\n  "cases": []') + halves()[1] + "\n"
 
 
+#: ``str`` of a Fraction: an integer with no leading zero and no ``-0``,
+#: then optionally ``/`` and a denominator of at least 2.
+_CANONICAL_RATIONAL = re.compile(r"(?:0|-?[1-9][0-9]*)(?:/(?:[2-9]|[1-9][0-9]+))?")
+
+
+def _not_canonical(text: Any) -> ValueError:
+    return ValueError(f"not a rational as report_to_dict writes it: {text!r}")
+
+
+@lru_cache(maxsize=512)
+def _canonical_rational(text: str) -> Rat:
+    """The Fraction whose ``str`` is ``text``, parsed on integers.
+
+    Cached because a report repeats its values: every certificate compares
+    against shared constants (0, 1, delta, margins, band ends).  A refused
+    text raises, so it is never cached.
+    """
+    if _CANONICAL_RATIONAL.fullmatch(text) is None:
+        raise _not_canonical(text)
+    numerator, _, denominator = text.partition("/")
+    q = int(denominator or "1")
+    value = Fraction(int(numerator), q)
+    if value.denominator != q:  # not in lowest terms
+        raise _not_canonical(text)
+    return value
+
+
+def _rational(text: Any) -> Rat:
+    """A rational read back from the text ``rat_str`` wrote; ValueError for
+    any other value, a JSON number among them."""
+    if type(text) is not str:
+        raise _not_canonical(text)
+    return _canonical_rational(text)
+
+
 def report_from_dict(data: Mapping[str, Any]) -> WitnessReport:
+    """The report ``report_to_dict`` gave ``data``; ValueError on a rational
+    that is not written as ``rat_str`` writes it."""
     return WitnessReport(
         kind=data["kind"],
         inputs=tuple((str(k), str(v)) for k, v in dict(data["inputs"]).items()),
-        points=tuple(
-            (Fraction(x), Fraction(v)) for x, v in data["points"]
-        ),
+        points=tuple((_rational(x), _rational(v)) for x, v in data["points"]),
         verdict=bool(data["verdict"]),
         certificate=tuple(
-            Check(
-                label=c["label"],
-                relation=c["relation"],
-                lhs=Fraction(c["lhs"]),
-                rhs=Fraction(c["rhs"]),
-            )
+            Check(c["label"], c["relation"], _rational(c["lhs"]), _rational(c["rhs"]))
             for c in data["certificate"]
         ),
         error=data.get("error"),

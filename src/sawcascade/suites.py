@@ -24,7 +24,7 @@ from math import ceil, floor
 from typing import Callable, Iterable, Iterator
 
 from sawcascade.antiderivative import darboux_gap, quotient_bound_check
-from sawcascade.cells import iter_cells, require_family_size
+from sawcascade.cells import ROOT, child_cell, require_family_size
 from sawcascade.construction import (
     DomainError,
     Rat,
@@ -79,6 +79,7 @@ class SuiteConfig:
         require_positive_delta(self.delta)
         require_at_least(self.max_level, 1, "max level")
         require_at_least(self.cells_budget, 1, "cells budget")
+        require_family_size(1, self.cells_budget)  # darboux sums 2 B + 1 teeth
         if self.structure_max_level < 1:  # the structure suite's zero-case refusal
             raise DomainError("suite structure yields no cases with these settings")
         require_at_least(self.fan_budget, 0, "fan budget")
@@ -117,21 +118,32 @@ def tapered_endpoints(max_level: int, index_budget: int) -> list[tuple[Rat, int]
     """Cell endpoints with first levels 1..max_level, tapered per level.
 
     Level-m cells are enumerated with per-coordinate budget
-    _integer_root(index_budget, m), so each level contributes roughly
+    b_m = _integer_root(index_budget, m), so each level contributes roughly
     index_budget^(something bounded) endpoints instead of blowing up
-    geometrically.  Levels are walked deepest first, so the size guard of
-    iter_cells checks the deepest family before any cell is built, and a
-    shallower level's first level overwrites a deeper one's.  Returns
+    geometrically.  b_m falls with m, so level m is built from the level-(m-1)
+    cells whose ids are all within b_m, the only ones kept, and each cell is
+    built once.  Every family's size is checked before any cell is built,
+    deepest first.  Cells of different levels share no endpoint (children
+    accumulate at their parent's ends without reaching them).  Returns
     (x, first_level) pairs sorted by x.  Refuses max_level or index_budget
     below 1 rather than read them as 1 or as +-1 alone.
     """
     require_at_least(max_level, 1, "max level")
     require_at_least(index_budget, 1, "index budget")
+    budgets = {m: _integer_root(index_budget, m) for m in range(1, max_level)}
+    for m in reversed(budgets):
+        require_family_size(m, budgets[m])
     found: dict[Rat, int] = {F(-1): 1, F(1): 1}
-    for m in range(max_level - 1, 0, -1):
-        for c in iter_cells(m, _integer_root(index_budget, m)):
-            if c.level == m:
+    kept = [ROOT]
+    for m, b in budgets.items():
+        next_b = budgets.get(m + 1, -1)  # the deepest level keeps no cell
+        parents, kept = kept, []
+        for parent in parents:
+            for j in range(-b, b + 1):
+                c = child_cell(parent, j)
                 found[c.lo] = found[c.hi] = m + 1
+                if max(map(abs, c.address)) <= next_b:
+                    kept.append(c)
     # exact order by value: the integer floor(x 2^64) settles all but ties
     order = sorted(found, key=lambda x: ((x.numerator << 64) // x.denominator, x))
     return [(x, found[x]) for x in order]

@@ -10,6 +10,7 @@ with no shared code path.
 
 from __future__ import annotations
 
+import time
 from fractions import Fraction
 from itertools import chain, islice, repeat
 from typing import Iterator
@@ -18,6 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sawcascade import antiderivative
 from sawcascade.antiderivative import (
     covered_length,
     darboux_gap,
@@ -29,7 +31,7 @@ from sawcascade.antiderivative import (
     normalization_center,
     quotient_bound_check,
 )
-from sawcascade.cells import cell, level1_cell, level1_ids_at
+from sawcascade.cells import MAX_CELLS, cell, level1_cell, level1_ids_at
 from sawcascade.construction import Certified, DomainError, eval_f1, eval_fk, iterates
 from sawcascade.reports import recheck
 
@@ -334,6 +336,20 @@ def test_darboux_gap_tightens_with_both_knobs():
     base = darboux_gap(10, 60)
     assert darboux_gap(10, 120).width < base.width
     assert darboux_gap(14, 60).width < base.width
+
+
+def test_darboux_gap_refuses_more_teeth_than_max_cells_before_summing(monkeypatch):
+    # 2 * 10^8 + 1 teeth would take hours to sum; the refusal comes first
+    def no_tooth(j):
+        raise AssertionError("a tooth was summed before the size check")
+
+    monkeypatch.setattr(antiderivative, "level1_cell", no_tooth)
+    start = time.perf_counter()
+    with pytest.raises(DomainError, match=r"\(2\*100000000\+1\)\^1 cells is too large"):
+        darboux_gap(10, 10**8)
+    assert time.perf_counter() - start < 2
+    with pytest.raises(DomainError, match="too large"):
+        darboux_gap(10, MAX_CELLS // 2)  # 2 B + 1 = MAX_CELLS + 1
 
 
 # ---------------------------------------------------------------------------

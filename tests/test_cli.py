@@ -665,6 +665,8 @@ def test_verify_depth_outside_its_bounds_is_usage_error_in_every_suite(
         ({"fan_budget": -7}, "fan budget must be >= 0, got -7"),
         ({"count": 0}, "count must be >= 1, got 0 (no cases)"),
         ({"n_max": 1}, "n max must be >= 2, got 1 (no cases)"),
+        ({"cells_budget": 250_000}, "enumerating (2*250000+1)^1 cells is too large "
+                                    "(limit 500000); narrow the budget or the level"),
     ],
 )
 def test_suite_config_refuses_what_verify_refuses(settings: dict, message: str) -> None:
@@ -676,6 +678,16 @@ def test_suite_config_refuses_what_verify_refuses(settings: dict, message: str) 
     code, out, err = invoke(["verify", "local-min", "--count", "2", *flags])
     _assert_one_line_usage_error(code, out, err)
     assert err == f"error: {message}\n"
+
+
+def test_verify_darboux_refuses_a_cells_budget_past_max_cells_at_once() -> None:
+    # 2 * 10^8 + 1 teeth, each with two exact partial sums, would run for hours
+    start = time.perf_counter()
+    code, out, err = invoke(["verify", "darboux", "--cells-budget", "100000000"])
+    assert time.perf_counter() - start < 2
+    _assert_one_line_usage_error(code, out, err)
+    assert "(2*100000000+1)^1 cells is too large" in err
+    assert SuiteConfig(cells_budget=249_999).cells_budget == 249_999  # 2 B + 1 = MAX_CELLS - 1
 
 
 def test_suite_config_takes_settings_at_their_bounds() -> None:

@@ -7,6 +7,7 @@ replay to the same verdict from its stored numbers alone.
 
 from __future__ import annotations
 
+import io
 import json
 import sys
 from contextlib import contextmanager
@@ -17,8 +18,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sawcascade import cli
 from sawcascade.reports import (
     REPORT_KINDS,
+    _canonical_rational,
     Check,
     WitnessReport,
     check,
@@ -235,6 +238,84 @@ def test_any_check_roundtrips_and_rechecks(relation: str, lhs: F, rhs: F) -> Non
     assert back == rep
     assert recheck(back)
     assert back.verdict is Check("c", relation, lhs, rhs).holds()
+
+
+# ---------------------------------------------------------------------------
+# the reader: exactly the text the writer writes
+# ---------------------------------------------------------------------------
+
+
+def case_with(lhs: object = "1/3", x: object = "1/2") -> dict:
+    """A serialized one-check report whose rationals are ``lhs`` and ``x``."""
+    return {
+        "kind": "local_min",
+        "inputs": {"x": "1/2"},
+        "points": [[x, "1/2"]],
+        "verdict": True,
+        "certificate": [{"label": "c", "relation": "<", "lhs": lhs, "rhs": "1/2"}],
+        "error": None,
+    }
+
+
+#: Up to 4000 digits: within Python's 4300-digit limit for reading an int.
+wide_integers = st.integers(min_value=-(10**4000) + 1, max_value=10**4000 - 1)
+any_rationals = st.one_of(
+    rationals,
+    st.integers(min_value=-5, max_value=5).map(F),
+    wide_integers.map(F),
+    st.builds(F, wide_integers, st.integers(min_value=1, max_value=10**4000 - 1)),
+)
+
+
+@settings(deadline=None)
+@given(x=any_rationals)
+def test_reader_reads_back_what_the_writer_writes(x: F) -> None:
+    report = report_from_dict(case_with(lhs=rat_str(x), x=rat_str(x)))
+    assert report.certificate[0].lhs == x and report.points[0][0] == x
+    assert type(report.certificate[0].lhs) is F
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        0.1, 1, True, False, None, ["1/2"], {"p": 1},
+        "0.1", "1e-1", "2/20", " 1/10", "1/10 ", "+1/10", "1_0/100",
+        "01", "-0", "3/1", "0/5", "1/0", "", "-0/5", "1/-2", "1/01", "1/2\n",
+        "\u0661", "1/\u0662", "1//2", "1/2/3", "-", "/2",
+    ],
+)
+def test_reader_refuses_every_other_value(value: object) -> None:
+    for case in (case_with(lhs=value), case_with(x=value)):
+        with pytest.raises(ValueError) as info:
+            report_from_dict(case)
+        assert repr(value) in str(info.value)
+
+
+def test_reader_caches_no_refused_text() -> None:
+    before = _canonical_rational.cache_info().currsize
+    for text in ("2/20", "0.1", "-0"):
+        with pytest.raises(ValueError):
+            _canonical_rational(text)
+    assert _canonical_rational.cache_info().currsize == before
+
+
+def test_reader_on_the_whole_seed_1_document() -> None:
+    out = io.StringIO()
+    assert cli.run(["verify", "all", "--seed", "1"], stdout=out, stderr=io.StringIO()) == 0
+    cases = json.loads(out.getvalue())["cases"]
+    assert len(cases) == 6922
+    maxsize = _canonical_rational.cache_info().maxsize
+    assert maxsize is not None
+    for case in cases:
+        report = report_from_dict(case)
+        assert report_to_dict(report) == case
+        assert recheck(report)
+        assert _canonical_rational.cache_info().currsize <= maxsize
+        texts = [text for point in case["points"] for text in point]
+        texts += [c[side] for c in case["certificate"] for side in ("lhs", "rhs")]
+        values = [v for point in report.points for v in point]
+        values += [side for c in report.certificate for side in (c.lhs, c.rhs)]
+        assert values == [F(text) for text in texts]
 
 
 # ---------------------------------------------------------------------------

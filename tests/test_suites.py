@@ -11,7 +11,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from sawcascade.cells import first_level_of
+from sawcascade import suites
+from sawcascade.cells import Cell, first_level_of, iter_cells
 from sawcascade.construction import DomainError
 from sawcascade.suites import (
     SUITE_ORDER,
@@ -132,6 +133,53 @@ def test_tapered_endpoints_sorted_and_unique() -> None:
     xs = [x for x, _first_level in tapered_endpoints(5, 30)]
     assert xs == sorted(xs)
     assert len(set(xs)) == len(xs)
+
+
+def reference_tapered_endpoints(max_level: int, index_budget: int) -> list[tuple[F, int]]:
+    """The enumeration as first written: one iter_cells per level m, deepest
+    first, keeping only its level-m cells; a shallower level overwrites."""
+    found: dict[F, int] = {F(-1): 1, F(1): 1}
+    for m in range(max_level - 1, 0, -1):
+        b = max(b for b in range(1, index_budget + 1) if b**m <= index_budget)
+        for c in iter_cells(m, b):
+            if c.level == m:
+                found[c.lo] = found[c.hi] = m + 1
+    return sorted(found.items())
+
+
+@pytest.mark.parametrize("max_level", range(1, 9))
+@pytest.mark.parametrize("index_budget", [1, 2, 50])
+def test_tapered_endpoints_equal_the_per_level_enumeration(
+    max_level: int, index_budget: int
+) -> None:
+    expected = reference_tapered_endpoints(max_level, index_budget)
+    assert tapered_endpoints(max_level, index_budget) == expected
+
+
+def test_tapered_endpoints_build_each_cell_once(monkeypatch: pytest.MonkeyPatch) -> None:
+    calls = 0
+    real = suites.child_cell
+
+    def counting(parent: Cell, j: int) -> Cell:
+        nonlocal calls
+        calls += 1
+        return real(parent, j)
+
+    monkeypatch.setattr(suites, "child_cell", counting)
+    tapered_endpoints(6, 50)
+    # budgets 50, 7, 3, 2, 2 for levels 1..5: 101 + 15^2 + 7^3 + 5^4 + 5^5 cells
+    assert calls == 101 + 15**2 + 7**3 + 5**4 + 5**5 == 4419
+
+
+def test_tapered_endpoints_refuse_the_deepest_family_before_building(
+    monkeypatch: pytest.MonkeyPatch,
+) -> None:
+    def no_cell(parent: Cell, j: int) -> Cell:
+        raise AssertionError("a cell was built before the size check")
+
+    monkeypatch.setattr(suites, "child_cell", no_cell)
+    with pytest.raises(DomainError, match=r"enumerating \(2\*1\+1\)\^19 cells is too large"):
+        tapered_endpoints(20, 50)
 
 
 def test_suite_inputs_stay_in_required_domains() -> None:
