@@ -12,7 +12,8 @@ this gives F_k(x) = F_0(y_k) / prod_{i<k} slope(y_i), so every layer
 integral up to K is read off one walk of K steps.
 
 The walk runs on integers: with x = p_0/q the orbit is y_k = p_k/q over
-the same q, every tooth slope s_i is an integer, and
+the same q, every tooth slope s_i is an integer (p_(i+1) and s_i, the
+leftmost tooth's, come from one ``construction.f1_step``), and
 F_0(y_k) = (p_k^2 - q^2) / (2 q^2).  So F_k(x) is one Fraction built from
 p_k and the slope product, and the weighted sum below is an integer
 Horner recurrence with one Fraction at the end.
@@ -31,13 +32,14 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from sawcascade.cells import _layer_walk, cell, level1_cell, locate, require_family_size
+from sawcascade.cells import cell, level1_cell, locate, require_family_size
 from sawcascade.construction import (
     Certified,
     DomainError,
     Rat,
     RatLike,
     as_rational,
+    f1_step,
     partial_sum,
     require_at_least,
     require_unit_interval,
@@ -71,13 +73,12 @@ def eval_Fk(x: RatLike, k: int) -> Rat:
     require_at_least(k, 0, "layer index")
     if k == 0:
         return eval_F0(x)
-    steps, slopes = 0, 1
-    for p, s in _layer_walk(x, k):
-        steps += 1
+    p, q, slopes = x.numerator, x.denominator, 1
+    for _ in range(k):
+        if abs(p) == q:  # x is a cell endpoint, where every deeper layer vanishes
+            return ZERO
+        p, s = f1_step(p, q)
         slopes *= s
-    if steps < k:
-        return ZERO
-    q = x.denominator
     return Fraction(p * p - q * q, 2 * q * q * slopes)
 
 
@@ -141,9 +142,12 @@ def eval_F(x: RatLike, K: int) -> Certified:
     """
     x = require_unit_interval(as_rational(x))
     require_at_least(K, 1, "truncation K")
-    q2 = x.denominator ** 2
+    p, q, q2 = x.numerator, x.denominator, x.denominator ** 2
     acc, den = 0, 1
-    for p, s in _layer_walk(x, K):
+    for _ in range(K):
+        if abs(p) == q:  # every deeper layer vanishes at a cell endpoint
+            break
+        p, s = f1_step(p, q)
         acc = acc * 2 * s + p * p - q2
         den *= 2 * s
     return Certified(Fraction(acc, 2 * q2 * den), Fraction(2, 2**K))
@@ -156,7 +160,7 @@ def normalization_center(K: int) -> Rat:
     summing the geometric series over k = 1..K gives the closed form.
     """
     require_at_least(K, 1, "truncation K")
-    return -Fraction(1, 6) * (1 - Fraction(1, 4**K))
+    return Fraction(1 - 4**K, 6 * 4**K)
 
 
 def eval_G(x: RatLike, K: int) -> Certified:

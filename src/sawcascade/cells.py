@@ -12,7 +12,8 @@ and +1 at the two endpoints.
 Every tooth's intercept is an integer, so a cell stores its iterate as
 S x + C with integers S and C: a child is two integer multiply-adds away
 from its parent, and its bounds (-+1 - C)/S are the only rationals built.
-``locate`` and the chain walk ``_layer_walk`` build no Cell at all.
+``locate`` follows every cell holding x, ``_layer_walk`` the leftmost (the
+first id ``level1_ids_of`` lists) by ``construction.f1_step``: no Cell.
 
 Everything here is exact: endpoints are rationals, and all geometric
 predicates (containment, adjacency, tiling) are exact comparisons.
@@ -23,15 +24,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, repeat
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from sawcascade.construction import (
     DomainError,
     Rat,
     RatLike,
-    _numerators,
     as_rational,
+    f1_step,
     orbit,
     require_at_least,
     require_unit_interval,
@@ -147,12 +147,9 @@ def level1_cell(j: Level1Id) -> Cell:
 
 
 def level1_ids_of(p: int, q: int) -> list[Level1Id]:
-    """Ids of every level-1 cell containing p/q, for q >= 1 and |p| <= q.
-
-    The integer form of level1_ids_at: p/q need not be in lowest terms, so
-    an orbit walked on numerators over one denominator reads its cell ids
-    without building a Fraction.  Ascending; two ids exactly at a shared
-    tooth endpoint p/q = (n-1)/n, none at +-1.
+    """Ids of every level-1 cell containing p/q, for q >= 1 and |p| <= q, in
+    ascending order: level1_ids_at on integers, p/q not necessarily in lowest
+    terms.  Two ids exactly at a shared tooth endpoint (n-1)/n, none at +-1.
     """
     if p < 0:
         return [-j for j in reversed(level1_ids_of(-p, q))]
@@ -165,25 +162,18 @@ def level1_ids_of(p: int, q: int) -> list[Level1Id]:
     return ids
 
 
-def _layer_walk(
-    x: Rat, K: int, numerators: Optional[Iterable[int]] = None
-) -> Iterator[tuple[int, int]]:
-    """(p_k, s_(k-1)) for k = 1..K: the one walk of the cell chain of x.
-
-    p_k is the numerator of y_k over x's denominator q, s_(k-1) the slope of
-    the tooth holding y_(k-1) (y_0 = x); the level-k cell of x is
+def _layer_walk(x: Rat, K: int) -> Iterator[tuple[int, int]]:
+    """(p_k, s_(k-1)) = f1_step(p_(k-1), q) for k = 1..K: the one walk of the
+    cell chain of x = p_0/q, with y_k = p_k/q and s_(k-1) the slope of the
+    leftmost tooth holding y_(k-1).  The level-k cell of x is
     x + ([-1, 1] - y_k) / (s_0 ... s_(k-1)).  The walk ends before the first
     k whose previous iterate is +-1; past a 0 every pair is (0, 2).
-    ``numerators`` p_1, p_2, ... of an orbit record (covering K steps or
-    ending at an absorption) spare walking the orbit again.
     """
     p, q = x.numerator, x.denominator
-    ps = chain(_numerators(p, q) if numerators is None else numerators, repeat(0))
     for _ in range(K):
         if abs(p) == q:
             return
-        s = tooth_slope(level1_ids_of(p, q)[0])
-        p = next(ps)
+        p, s = f1_step(p, q)
         yield p, s
 
 

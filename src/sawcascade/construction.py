@@ -14,9 +14,11 @@ exact rational.  Otherwise the dropped tail is bounded by 2^-K in absolute
 value, which is the certified radius reported by ``eval_f``.
 
 The base map sends p/q to p'/q with the same denominator q and |p'| <= q,
-so an orbit is walked on integer numerators over one fixed q
-(``f1_numerator``): no Fraction is built per step, and a partial sum is one
-integer Horner sum over the numerators, divided by q 2^m once at the end.
+so every orbit and layer walk is a plain loop over one integer step,
+``f1_step``: it finds the tooth once and returns the next numerator and the
+slope of the leftmost closed tooth holding p/q.  No Fraction is built per
+step, and a partial sum is one integer Horner sum over the numerators,
+divided by q 2^m once at the end.
 
 No float ever enters or leaves this module: every scalar is a
 ``fractions.Fraction`` (or an int, coerced exactly), and every comparison
@@ -27,8 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
-from typing import Iterable, Iterator, Optional, Union
+from typing import Iterator, Optional, Union
 
 Rat = Fraction
 RatLike = Union[Rat, int, str]
@@ -91,39 +92,48 @@ def require_at_least(value: int, floor: int, what: str) -> int:
 # ---------------------------------------------------------------------------
 
 
-def f1_numerator(p: int, q: int) -> int:
-    """Numerator over the same q of f_1(p/q), for q >= 1 and |p| <= q.
+def f1_step(p: int, q: int) -> tuple[int, int]:
+    """(p', s) for y = p/q, q >= 1, |p| <= q: p'/q = f_1(y) and s the slope
+    of the leftmost closed tooth holding y; the module's one base-map formula.
 
-    This integer step is the module's one formula for the base map.  On
-    [0, 1/2) the map doubles: 2p.  On tooth n = q // (q - p), that is
-    [1 - 1/n, 1 - 1/(n+1)) for n >= 2, it falls (n even) or rises (n odd)
-    linearly from (-1)^n to (-1)^(n+1): +-((2n^2 - 1) q - 2n(n+1) p).  The
-    points 0 and +-q map to 0, and negative p is the odd reflection.  The
-    result again lies in [-q, q], so an orbit never leaves denominator q.
+    2y, slope 2 on (-1/2, 1/2).  On tooth n = q // d, d = q - |p|, that is
+    [1 - 1/n, 1 - 1/(n+1)), a line from (-1)^n to (-1)^(n+1) of slope
+    (-1)^(n+1) 2n(n+1), worth (-1)^n (q - 2(n+1) r) / q at r = q - n d; odd
+    in y.  At |y| = 1 - 1/n (r = 0) the leftmost tooth is tooth n - 1 (the
+    ramp for n = 2) if p > 0, the mirror of tooth n if p < 0.  +-1 lies on
+    no tooth and maps to 0 with slope 0.
     """
     a = -p if p < 0 else p
     if 2 * a < q:
-        return 2 * p
-    if a == q:
-        return 0
-    n = q // (q - a)
-    value = (2 * n * n - 1) * q - 2 * n * (n + 1) * a
-    if n % 2:
+        return 2 * p, 2
+    d = q - a
+    if d == 0:
+        return 0, 0
+    n = q // d
+    r = q - n * d
+    value = q - 2 * (n + 1) * r
+    if n % 2 != (p < 0):  # the sign (-1)^n, flipped for p < 0
         value = -value
-    return -value if p < 0 else value
+    if r == 0 and p > 0:  # the tooth to the left of 1 - 1/n
+        n -= 1
+    s = 2 * n * (n + 1)
+    return value, 2 if n == 1 else s if n % 2 else -s
+
+
+def iterate_numerator(p: int, q: int, k: int) -> int:
+    """Numerator over q of f_k(p/q), for q >= 1, |p| <= q and k >= 0."""
+    for _ in range(k):
+        p = f1_step(p, q)[0]
+        if p == 0:
+            break
+    return p
 
 
 def eval_f1(x: RatLike) -> Rat:
-    """Exact value of the base sawtooth map at x in [-1, 1].
-
-    Piecewise: 2x on [0, 1/2); on tooth n (that is, [1 - 1/n, 1 - 1/(n+1))
-    for n >= 2) the value is (-1)^n (1 - 2t) where t in [0, 1) is the
-    position within the tooth rescaled to unit length; 0 at x = 1; odd
-    reflection for x < 0.  Range is [-1, 1].  One step of f1_numerator.
-    """
+    """Exact value of the base sawtooth map at x in [-1, 1]: one ``f1_step``."""
     x = require_unit_interval(as_rational(x))
     q = x.denominator
-    return Fraction(f1_numerator(x.numerator, q), q)
+    return Fraction(f1_step(x.numerator, q)[0], q)
 
 
 # ---------------------------------------------------------------------------
@@ -131,40 +141,15 @@ def eval_f1(x: RatLike) -> Rat:
 # ---------------------------------------------------------------------------
 
 
-def _numerators(p: int, q: int) -> Iterator[int]:
-    """Numerators over q of f_1(p/q), f_2(p/q), ... (q >= 1, |p| <= q, any terms).
-
-    This is the one place that applies the base map repeatedly; every orbit
-    consumer reads it.  The walk ends right after the first 0: 0 is fixed,
-    so every later iterate is 0 and adds nothing to any sum.  An orbit that
-    never reaches 0 is endless, so callers bound it (``islice``).
-    """
-    while True:
-        p = f1_numerator(p, q)
-        yield p
-        if p == 0:
-            return
-
-
-def _horner(numerators: Iterable[int], q: int) -> Rat:
-    """sum_k p_k / (q 2^k) over the numerators p_1, p_2, ... given.
-
-    Horner's rule on integers: acc = 2 acc + p_k over m terms leaves
-    acc / (q 2^m), so one Fraction is built at the end.
-    """
-    acc = m = 0
-    for p in numerators:
-        acc = 2 * acc + p
-        m += 1
-    return Fraction(acc, q << m)
-
-
 def iterates(x: RatLike) -> Iterator[Rat]:
     """The forward orbit f_1(x), f_2(x), ... of x, ending right after the first 0."""
     x = require_unit_interval(as_rational(x))
-    q = x.denominator
-    for p in _numerators(x.numerator, q):
+    p, q = x.numerator, x.denominator
+    while True:
+        p = f1_step(p, q)[0]
         yield Fraction(p, q)
+        if p == 0:
+            return
 
 
 @dataclass(frozen=True)
@@ -220,16 +205,20 @@ class OrbitInfo:
         """sum_{k=1..K} y_k / 2^k, read off the record."""
         if K > len(self.numerators) and not self.absorbed:
             raise DomainError(f"{K} terms lie outside this orbit record")
-        return _horner(self.numerators[:K], self.start.denominator)
+        acc = 0  # Horner's rule: acc / (q 2^m) over the m terms read
+        for p in self.numerators[:K]:
+            acc = 2 * acc + p
+        return Fraction(acc, self.start.denominator << min(K, len(self.numerators)))
 
 
 def orbit(x: RatLike, depth: int) -> OrbitInfo:
     """Iterate the base map up to ``depth`` times, stopping at {-1, 0, +1}."""
     x = require_unit_interval(as_rational(x))
     require_depth(depth)
-    q = x.denominator
+    p, q = x.numerator, x.denominator
     numerators: list[int] = []
-    for p in islice(_numerators(x.numerator, q), depth):
+    for _ in range(depth):
+        p = f1_step(p, q)[0]
         numerators.append(p)
         if p == 0 or abs(p) == q:
             return OrbitInfo(x, tuple(numerators), len(numerators))
@@ -241,7 +230,7 @@ def eval_fk(x: RatLike, k: int) -> Rat:
     x = require_unit_interval(as_rational(x))
     require_at_least(k, 1, "iterate index k")
     q = x.denominator
-    return Fraction(next(islice(_numerators(x.numerator, q), k - 1, None), 0), q)
+    return Fraction(iterate_numerator(x.numerator, q, k), q)
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +242,13 @@ def partial_sum(x: RatLike, K: int) -> Rat:
     """Exact K-term weighted sum of iterates: sum_{k=1..K} f_k(x) / 2^k."""
     x = require_unit_interval(as_rational(x))
     require_at_least(K, 1, "truncation K")
-    return _horner(islice(_numerators(x.numerator, x.denominator), K), x.denominator)
+    p, q, acc = x.numerator, x.denominator, 0
+    for m in range(1, K + 1):
+        p = f1_step(p, q)[0]
+        acc = 2 * acc + p
+        if p == 0:  # every later term vanishes
+            break
+    return Fraction(acc, q << m)
 
 
 @dataclass(frozen=True)

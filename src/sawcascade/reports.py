@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 import operator
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -264,8 +265,13 @@ def _canonical_rational(text: str) -> Rat:
     if _CANONICAL_RATIONAL.fullmatch(text) is None:
         raise _not_canonical(text)
     numerator, _, denominator = text.partition("/")
-    q = int(denominator or "1")
-    value = Fraction(int(numerator), q)
+    try:
+        q = int(denominator or "1")
+        value = Fraction(int(numerator), q)
+    except ValueError:  # Python's digit limit, kept: it bars a quadratic-time parse
+        shown = f"{text[:20]}...{text[-20:]}"
+        raise ValueError(f"rational {shown!r} ({len(text)} characters) has a part past "
+                         f"the {sys.get_int_max_str_digits()}-digit limit for reading an int") from None
     if value.denominator != q:  # not in lowest terms
         raise _not_canonical(text)
     return value
@@ -280,16 +286,24 @@ def _rational(text: Any) -> Rat:
 
 
 def report_from_dict(data: Mapping[str, Any]) -> WitnessReport:
-    """The report ``report_to_dict`` gave ``data``; ValueError on a rational
-    that is not written as ``rat_str`` writes it."""
+    """The report ``report_to_dict`` gave ``data``; ValueError, naming the
+    field, on a value of a type or form the writer never writes."""
+    verdict, error = data["verdict"], data.get("error")
+    if type(verdict) is not bool:
+        raise ValueError(f"verdict must be a boolean, got {verdict!r}")
+    if error is not None and type(error) is not str:
+        raise ValueError(f"error must be null or a string, got {error!r}")
+    inputs = tuple(dict(data["inputs"]).items())
+    if not all(type(key) is str and type(value) is str for key, value in inputs):
+        raise ValueError(f"inputs must map strings to strings, got {dict(inputs)!r}")
     return WitnessReport(
         kind=data["kind"],
-        inputs=tuple((str(k), str(v)) for k, v in dict(data["inputs"]).items()),
+        inputs=inputs,
         points=tuple((_rational(x), _rational(v)) for x, v in data["points"]),
-        verdict=bool(data["verdict"]),
+        verdict=verdict,
         certificate=tuple(
             Check(c["label"], c["relation"], _rational(c["lhs"]), _rational(c["rhs"]))
             for c in data["certificate"]
         ),
-        error=data.get("error"),
+        error=error,
     )

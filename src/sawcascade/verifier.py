@@ -30,7 +30,7 @@ reason attached; it never silently passes and never weakens a margin.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain, islice
+from itertools import chain
 from typing import Optional, Sequence
 
 from sawcascade.antiderivative import enclose_integral, eval_Fk
@@ -51,8 +51,8 @@ from sawcascade.construction import (
     OrbitInfo,
     Rat,
     RatLike,
-    _numerators,
     as_rational,
+    iterate_numerator,
     orbit,
     require_at_least,
     require_unit_interval,
@@ -93,7 +93,7 @@ def _side_cells(info: OrbitInfo) -> list[FanSide]:
 
     For first_level 1 (x0 = +-1) the level-0 root (0, 1, 0) stands in: the
     fan of level-1 teeth accumulates at both domain ends.  Otherwise the
-    chain is read off the orbit record.  No iterate before y_{m-1} is a
+    chain is walked from x0.  No iterate before y_{m-1} is a
     tooth endpoint (its image would be +-1 a step early), so the chain
     branches only at its last step, into the one or two ids at y_{m-1}, in
     ascending order as locate sorts them.
@@ -103,7 +103,7 @@ def _side_cells(info: OrbitInfo) -> list[FanSide]:
         return [(0, 1, 0)]
     x0 = info.start
     p, s, a = x0.numerator, 1, 0
-    for p, slope in _layer_walk(x0, m - 1, info.numerators):
+    for p, slope in _layer_walk(x0, m - 1):
         s *= slope
         a = 2 * a + s
     lasts = [s * tooth_slope(j) for j in level1_ids_of(p, x0.denominator)]
@@ -287,19 +287,18 @@ def oscillation_witness(
 
 
 def _walk_chain(
-    info: OrbitInfo, depth: int, lo: Rat, hi: Rat
+    x0: Rat, depth: int, lo: Rat, hi: Rat
 ) -> tuple[Optional[FanSide], Rat, Optional[str]]:
-    """Descend the cell chain of the non-endpoint x0 = info.start along its
-    orbit record until the level-m cell x0 + ([-1, 1] - f_m(x0)) / s fits
-    strictly inside (lo, hi) and the m-term truncation has nonzero slope
-    a / 2^m on it.  Returns ((m, s, a), f_m(x0), error)."""
-    x0 = info.start
+    """Descend the cell chain of the non-endpoint x0 until the level-m cell
+    x0 + ([-1, 1] - f_m(x0)) / s fits strictly inside (lo, hi) and the
+    m-term truncation has nonzero slope a / 2^m on it.  Returns
+    ((m, s, a), f_m(x0), error)."""
     q = x0.denominator
     # with y = p/q the cell reaches (1 + y sign(s))/|s| left of x0 and
     # (1 - y sign(s))/|s| right of it; both tests cross-multiplied
     left, right = x0 - lo, hi - x0
     s, a = 1, 0
-    for m, (p, slope) in enumerate(_layer_walk(x0, depth - 1, info.numerators), 1):
+    for m, (p, slope) in enumerate(_layer_walk(x0, depth - 1), 1):
         s *= slope
         a = 2 * a + s
         sp, size = (p, s) if s > 0 else (-p, -s)
@@ -343,7 +342,7 @@ def non_extremum_witness(
         return _endpoint_fan_report("non_extremum", info, delta, fan_budget, inputs)
 
     inputs["mode"] = "interior_chain"
-    side, y, err = _walk_chain(info, depth, x0 - delta, x0 + delta)
+    side, y, err = _walk_chain(x0, depth, x0 - delta, x0 + delta)
     if side is None:
         return make_report("non_extremum", inputs, [(x0, info.partial_sum(1))], [], error=err)
     k, s, a = side
@@ -404,7 +403,7 @@ def non_monotone_witness(
         sides = _side_cells(info)
     else:
         inputs["mode"] = "chain_cell_fan"
-        side, y, err = _walk_chain(info, depth, a, b)
+        side, y, err = _walk_chain(mid, depth, a, b)
         if side is None:
             return make_report("non_monotone", inputs, [], [], error=err)
         m, s, _a = side
@@ -518,9 +517,7 @@ def structure_check(k: int, index_budget: int) -> WitnessReport:
         lvl, S, C = c.level, c.slope, c.intercept
         d = 3 * abs(S)
         base = -3 * C - 3 if S > 0 else 3 * C - 3
-        walked = {
-            t: next(islice(_numerators(base + t, d), lvl - 1, None), 0) for t in (0, 2, 3, 4, 6)
-        }
+        walked = {t: iterate_numerator(base + t, d, lvl) for t in (0, 2, 3, 4, 6)}
         for t in (2, 3, 4):
             if walked[t] != S * (base + t) + C * d:
                 affinity_mismatches += 1

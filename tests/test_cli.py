@@ -861,6 +861,12 @@ PINNED_STDOUT = {
         "12d9c39d5c27f3a987655a70a2d921cd6ad89bb9842563befb6044e30b7aa361",
     "integrate --k 5 --upto 3/7 --index-budget 3":
         "0f7fba3bc03cbe2f4f1a7423222a05db67dacc86ccf5a9a9e72229750925d4a6",
+    # denominators near 10^6 on both sides of 0, as the eval benchmark and
+    # the difference quotients draw them
+    "sample --fn G --a=-999983/1000000 --b 999979/1000000 --count 97 --K 60":
+        "fb6cc542f286031e117d9891d99165af49b5388dde344b34cc6f10f768d59249",
+    "eval --fn f --x=-987654/999983 --K 60":
+        "f05e40ca5b4905dfc6fa4a60d58ca82a9e31118037f7fa84f589b7fb49920d18",
 }
 
 #: Exit code of a pinned command, where it is not EXIT_OK.

@@ -12,13 +12,16 @@ definition before the implementation existed.
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 from itertools import islice
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sawcascade.cells import _layer_walk, level1_cell, level1_ids_at, level1_ids_of, tooth_slope
 from sawcascade.construction import (
     Certified,
     DomainError,
@@ -26,7 +29,7 @@ from sawcascade.construction import (
     eval_f1,
     eval_fk,
     eval_g,
-    f1_numerator,
+    f1_step,
     iterates,
     orbit,
     partial_sum,
@@ -144,14 +147,14 @@ def test_f1_is_odd_and_bounded(x):
 def test_integer_step_matches_reference(pq):
     # q need not be the reduced denominator: the step keeps any q
     p, q = pq
-    assert F(f1_numerator(p, q), q) == reference_f1(F(p, q))
-    assert abs(f1_numerator(p, q)) <= q
+    assert F(f1_step(p, q)[0], q) == reference_f1(F(p, q))
+    assert abs(f1_step(p, q)[0]) <= q
 
 
 @given(kernel_points)
 def test_f1_matches_reference(x):
     assert eval_f1(x) == reference_f1(x)
-    assert f1_numerator(x.numerator, x.denominator) == reference_f1(x) * x.denominator
+    assert f1_step(x.numerator, x.denominator)[0] == reference_f1(x) * x.denominator
 
 
 @given(kernel_points, st.integers(1, 40))
@@ -169,6 +172,75 @@ def test_orbit_kernel_matches_reference(x, steps):
         if k <= len(info.numerators) or info.absorbed:
             assert info.iterate(k) == y
             assert info.partial_sum(k) == total
+
+
+# ---------------------------------------------------------------------------
+# the cell-chain walk: numerator and leftmost-tooth slope per step
+# ---------------------------------------------------------------------------
+
+
+def reference_walk(x: Fraction, K: int) -> list[tuple[int, int]]:
+    """(p_k, s_(k-1)) for k = 1..K from reference_f1 and the level-1 cells.
+
+    s_(k-1) is the slope of the leftmost level-1 cell holding y_(k-1)
+    (y_0 = x); the walk ends before the first step whose iterate is +-1,
+    where no cell holds it.
+    """
+    q, y, pairs = x.denominator, x, []
+    for _ in range(K):
+        if abs(y) == 1:
+            break
+        s = level1_cell(level1_ids_at(y)[0]).slope
+        y = reference_f1(y)
+        pairs.append((y.numerator * (q // y.denominator), s))
+    return pairs
+
+
+def named_points() -> list[Fraction]:
+    """0, +-1, +-1/2 and the tooth endpoints +-(n-1)/n for n <= 20."""
+    points = [F(0), F(1), F(-1), F(1, 2), F(-1, 2)]
+    for n in range(3, 21):
+        points += [F(n - 1, n), F(1 - n, n)]
+    return points
+
+
+def small_points() -> list[Fraction]:
+    """Every reduced p/q in [-1, 1] with q <= 64."""
+    return [F(p, q) for q in range(1, 65) for p in range(-q, q + 1) if gcd(p, q) == 1]
+
+
+def seeded_points(count: int = 300) -> list[Fraction]:
+    """Seeded p/q in [-1, 1] with q <= 10^6, as the eval benchmark draws them."""
+    rng = random.Random(13)
+    points = []
+    for _ in range(count):
+        q = rng.randint(1, 10**6)
+        points.append(F(rng.randint(-q, q), q))
+    return points
+
+
+@pytest.mark.parametrize("points", [named_points, small_points, seeded_points])
+def test_layer_walk_matches_reference(points):
+    for x in points():
+        assert list(_layer_walk(x, 60)) == reference_walk(x, 60), x
+
+
+def composed_step(p: int, q: int) -> tuple[int, int]:
+    """The numerator over q of f_1(p/q) and the slope of the first level-1
+    id at p/q, composed from reference_f1, level1_ids_of and tooth_slope."""
+    return reference_f1(F(p, q)) * q, tooth_slope(level1_ids_of(p, q)[0])
+
+
+@pytest.mark.parametrize("points", [named_points, small_points, seeded_points])
+@pytest.mark.parametrize("scale", [1, 3])
+def test_step_matches_the_composed_step(points, scale):
+    # p/q need not be in lowest terms along an orbit, hence the scale
+    for x in points():
+        p, q = scale * x.numerator, scale * x.denominator
+        if abs(p) == q:  # no tooth holds +-1
+            assert f1_step(p, q) == (0, 0)
+        else:
+            assert f1_step(p, q) == composed_step(p, q), (p, q)
 
 
 def test_f1_rejects_floats_and_out_of_range():

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import io
 import json
+import re
 import sys
 from contextlib import contextmanager
 from fractions import Fraction as F
@@ -289,6 +290,48 @@ def test_reader_refuses_every_other_value(value: object) -> None:
         with pytest.raises(ValueError) as info:
             report_from_dict(case)
         assert repr(value) in str(info.value)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("verdict", "false"), ("verdict", "true"), ("verdict", 0), ("verdict", 1),
+        ("verdict", None),
+        ("inputs", {"x": 1}), ("inputs", {"x": None}), ("inputs", {"x": ["1/2"]}),
+        ("inputs", {1: "1/2"}),
+        ("error", 1), ("error", False), ("error", ["depth"]), ("error", {"why": "depth"}),
+    ],
+)
+def test_reader_refuses_forged_fields(field: str, value: object) -> None:
+    case = {**case_with(), field: value}
+    with pytest.raises(ValueError, match=field):
+        report_from_dict(case)
+
+
+def test_reader_keeps_the_fields_the_writer_writes() -> None:
+    for verdict in (True, False):
+        for error in (None, "depth exhausted"):
+            report = report_from_dict({**case_with(), "verdict": verdict, "error": error})
+            assert report.verdict is verdict and report.error == error
+            assert report.inputs == (("x", "1/2"),)
+
+
+def test_reader_refuses_a_rational_past_the_digit_limit(tmp_path) -> None:
+    # the writer lifts the limit and writes delta = 10^-5000 in full; the
+    # reader keeps it and refuses the text in its own words
+    out = tmp_path / "r.json"
+    argv = ["verify", "oscillation", "--max-level", "1", "--delta", "1e-5000", "--out", str(out)]
+    assert cli.run(argv, stdout=io.StringIO(), stderr=io.StringIO()) == 0
+    cases = json.loads(out.read_text())["cases"]
+    assert len(cases) == 2
+    limit = sys.get_int_max_str_digits()
+    assert 0 < limit < 5000  # the default, 4300: below the 5001 digits of 10^5000
+    for case in cases:
+        with pytest.raises(ValueError, match=f"{limit}-digit limit") as info:
+            report_from_dict(case)
+        message = str(info.value)
+        assert re.match(r"rational '[-0-9/]{20}\.\.\.[0-9]{20}' \(\d{4,} characters\)", message)
+        assert len(message) < 200
 
 
 def test_reader_caches_no_refused_text() -> None:

@@ -227,7 +227,7 @@ def test_walk_chain_matches_the_cell_composition(x0, left, right, depth):
     info = orbit(x0, depth)
     assume(info.first_level is None)
     lo, hi = x0 - left, x0 + right
-    side, y, err = _walk_chain(info, depth, lo, hi)
+    side, y, err = _walk_chain(x0, depth, lo, hi)
     expected = reference_walk_chain(x0, depth, lo, hi)
     if expected is None:
         assert side is None and "depth" in err
