@@ -12,8 +12,9 @@ and +1 at the two endpoints.
 Every tooth's intercept is an integer, so a cell stores its iterate as
 S x + C with integers S and C: a child is two integer multiply-adds away
 from its parent, and its bounds (-+1 - C)/S are the only rationals built.
-``locate`` follows every cell holding x, ``_layer_walk`` the leftmost (the
-first id ``level1_ids_of`` lists) by ``construction.f1_step``: no Cell.
+``locate`` follows every cell holding x on integer numerators; the leftmost
+chain (the first id ``level1_ids_of`` lists at each step) is the one a
+``construction.orbit`` record keeps, as its tooth slopes.
 
 Everything here is exact: endpoints are rationals, and all geometric
 predicates (containment, adjacency, tiling) are exact comparisons.
@@ -31,7 +32,6 @@ from sawcascade.construction import (
     Rat,
     RatLike,
     as_rational,
-    f1_step,
     orbit,
     require_at_least,
     require_unit_interval,
@@ -160,21 +160,6 @@ def level1_ids_of(p: int, q: int) -> list[Level1Id]:
             ids.append(n - 2)
         ids.append(n - 1)
     return ids
-
-
-def _layer_walk(x: Rat, K: int) -> Iterator[tuple[int, int]]:
-    """(p_k, s_(k-1)) = f1_step(p_(k-1), q) for k = 1..K: the one walk of the
-    cell chain of x = p_0/q, with y_k = p_k/q and s_(k-1) the slope of the
-    leftmost tooth holding y_(k-1).  The level-k cell of x is
-    x + ([-1, 1] - y_k) / (s_0 ... s_(k-1)).  The walk ends before the first
-    k whose previous iterate is +-1; past a 0 every pair is (0, 2).
-    """
-    p, q = x.numerator, x.denominator
-    for _ in range(K):
-        if abs(p) == q:
-            return
-        p, s = f1_step(p, q)
-        yield p, s
 
 
 def level1_ids_at(x: RatLike) -> list[Level1Id]:

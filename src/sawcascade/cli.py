@@ -352,10 +352,11 @@ def run(
             render = functools.partial(emit_samples, sample)
         elif args.command == "intervals":
             window = (parse_rational(args.window[0]), parse_rational(args.window[1]))
-            render = functools.partial(render_intervals, args.k, args.index_budget, window,
-                                       args.format)
+            render = functools.partial(render_intervals, require_layer_index("--k", args.k),
+                                       args.index_budget, window, args.format)
         else:  # integrate
-            enc = enclose_integral(args.k, parse_rational(args.upto), args.index_budget)
+            upto = parse_rational(args.upto)
+            enc = enclose_integral(require_layer_index("--k", args.k), upto, args.index_budget)
             render = functools.partial(_json_line, enc, ("lower", "upper", "width"))
         with _all_digits():
             text = render()

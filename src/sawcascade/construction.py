@@ -16,9 +16,9 @@ value, which is the certified radius reported by ``eval_f``.
 The base map sends p/q to p'/q with the same denominator q and |p'| <= q,
 so every orbit and layer walk is a plain loop over one integer step,
 ``f1_step``: it finds the tooth once and returns the next numerator and the
-slope of the leftmost closed tooth holding p/q.  No Fraction is built per
-step, and a partial sum is one integer Horner sum over the numerators,
-divided by q 2^m once at the end.
+slope of the leftmost closed tooth holding p/q; an ``orbit`` record keeps
+both.  No Fraction is built per step, and a partial sum is one integer
+Horner sum over the numerators, divided by q 2^m once at the end.
 
 No float ever enters or leaves this module: every scalar is a
 ``fractions.Fraction`` (or an int, coerced exactly), and every comparison
@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional, Union
+from typing import Optional, Union
 
 Rat = Fraction
 RatLike = Union[Rat, int, str]
@@ -141,38 +141,27 @@ def eval_f1(x: RatLike) -> Rat:
 # ---------------------------------------------------------------------------
 
 
-def iterates(x: RatLike) -> Iterator[Rat]:
-    """The forward orbit f_1(x), f_2(x), ... of x, ending right after the first 0."""
-    x = require_unit_interval(as_rational(x))
-    p, q = x.numerator, x.denominator
-    while True:
-        p = f1_step(p, q)[0]
-        yield Fraction(p, q)
-        if p == 0:
-            return
-
-
 @dataclass(frozen=True)
 class OrbitInfo:
     """Forward orbit of a point under the base map, tracked until absorption.
 
     ``numerators`` holds the iterates y_1, y_2, ... (y_0 = start is not
     included) as integers over ``start``'s denominator q; ``values`` gives
-    them as Fractions.  ``absorbed_step`` is the first index m (1-based)
-    with y_m in {-1, 0, +1}, or None if no iterate reached an absorbing
-    value within the depth walked.  Denominators never grow along an
-    orbit, so an orbit either absorbs or cycles forever; a None here means
-    the point's series value keeps a nonzero certified radius at every depth.
+    them as Fractions.  ``slopes`` holds s_0, s_1, ...: s_i is the slope of
+    the leftmost closed tooth holding y_i (0 at +-1), so s_0 ... s_(m-1) is
+    the slope of f_m on the leftmost level-m cell holding start, the one
+    the witnesses' cell chains follow.  ``absorbed_step`` is the first index
+    m (1-based) with y_m in {-1, 0, +1}, the last iterate kept, or None if
+    no iterate reached an absorbing value within the depth walked.
+    Denominators never grow along an orbit, so an orbit either absorbs or
+    cycles forever; a None here means the point's series value keeps a
+    nonzero certified radius at every depth.
     """
 
     start: Rat
     numerators: tuple[int, ...]
+    slopes: tuple[int, ...]
     absorbed_step: Optional[int]
-
-    @property
-    def absorber(self) -> Optional[Rat]:
-        """The absorbing value y_m in {-1, 0, +1}, or None if not absorbed."""
-        return Fraction(self.numerators[-1], self.start.denominator) if self.absorbed else None
 
     @property
     def values(self) -> tuple[Rat, ...]:
@@ -217,12 +206,14 @@ def orbit(x: RatLike, depth: int) -> OrbitInfo:
     require_depth(depth)
     p, q = x.numerator, x.denominator
     numerators: list[int] = []
+    slopes: list[int] = []
     for _ in range(depth):
-        p = f1_step(p, q)[0]
+        p, s = f1_step(p, q)
         numerators.append(p)
+        slopes.append(s)
         if p == 0 or abs(p) == q:
-            return OrbitInfo(x, tuple(numerators), len(numerators))
-    return OrbitInfo(x, tuple(numerators), None)
+            return OrbitInfo(x, tuple(numerators), tuple(slopes), len(numerators))
+    return OrbitInfo(x, tuple(numerators), tuple(slopes), None)
 
 
 def eval_fk(x: RatLike, k: int) -> Rat:
@@ -236,19 +227,6 @@ def eval_fk(x: RatLike, k: int) -> Rat:
 # ---------------------------------------------------------------------------
 # the series
 # ---------------------------------------------------------------------------
-
-
-def partial_sum(x: RatLike, K: int) -> Rat:
-    """Exact K-term weighted sum of iterates: sum_{k=1..K} f_k(x) / 2^k."""
-    x = require_unit_interval(as_rational(x))
-    require_at_least(K, 1, "truncation K")
-    p, q, acc = x.numerator, x.denominator, 0
-    for m in range(1, K + 1):
-        p = f1_step(p, q)[0]
-        acc = 2 * acc + p
-        if p == 0:  # every later term vanishes
-            break
-    return Fraction(acc, q << m)
 
 
 @dataclass(frozen=True)
@@ -296,8 +274,18 @@ def eval_f(x: RatLike, K: int) -> Certified:
     """
     x = require_unit_interval(as_rational(x))
     require_at_least(K, 1, "truncation K")
-    info = orbit(x, K)
-    return Certified(info.partial_sum(K), ZERO if info.absorbed else Fraction(1, 2**K))
+    p, q, acc = x.numerator, x.denominator, 0  # Horner: acc / (q 2^m) over m terms
+    for m in range(1, K + 1):
+        p = f1_step(p, q)[0]
+        acc = 2 * acc + p
+        if p == 0 or abs(p) == q:  # every later term vanishes
+            return Certified(Fraction(acc, q << m), ZERO)
+    return Certified(Fraction(acc, q << K), Fraction(1, 2**K))
+
+
+def partial_sum(x: RatLike, K: int) -> Rat:
+    """Exact K-term weighted sum of iterates: sum_{k=1..K} f_k(x) / 2^k."""
+    return eval_f(x, K).center
 
 
 def eval_g(x: RatLike, K: int) -> Certified:

@@ -76,8 +76,9 @@ class SuiteConfig:
     def __post_init__(self) -> None:
         require_at_least(self.K, 1, "truncation K")
         require_layer_index("--depth", require_depth(self.depth))
+        require_layer_index("--structure-max-level", self.structure_max_level)
         require_positive_delta(self.delta)
-        require_at_least(self.max_level, 1, "max level")
+        require_layer_index("--max-level", require_at_least(self.max_level, 1, "max level"))
         require_at_least(self.cells_budget, 1, "cells budget")
         require_family_size(1, self.cells_budget)  # darboux sums 2 B + 1 teeth
         if self.structure_max_level < 1:  # the structure suite's zero-case refusal

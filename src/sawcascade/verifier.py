@@ -7,13 +7,14 @@ cell structure: endpoints of level-k cells have exactly known series values
 fan supplies points whose series values overshoot and undershoot by almost
 the full weight 2^-k of the k-th layer, beating the margin 2^-(k+1).
 
-Cell chains are read off the one integer walk cells._layer_walk; no Cell
-is built.  A level-m cell at x0 is (m, s, a): the slope s of f_m on it (a
-product of tooth slopes) and the Horner sum a = sum_{i<=m} s_i 2^(m-i) of
-the slopes of f_1..f_m; the cell is x0 + ([-1, 1] - f_m(x0)) / s.  With
-v0 = f_m(x0) = +-1 and k = m + 1 the fan endpoints are y_n = x0 - v0 / (n s),
-n >= 2, and f(y_n) - f(x0) = v0 ((-1)^n / 2^k - a / (2^m n s)), so window
-and margin tests are integer comparisons.  The closed forms only choose the
+Cell chains are read off a point's orbit record, which keeps the tooth
+slope of every step; no Cell is built.  A level-m cell at x0 is (m, s, a):
+the slope s of f_m on it (a product of tooth slopes) and the Horner sum
+a = sum_{i<=m} s_i 2^(m-i) of the slopes of f_1..f_m; the cell is
+x0 + ([-1, 1] - f_m(x0)) / s.  With v0 = f_m(x0) = +-1 and k = m + 1 the
+fan endpoints are y_n = x0 - v0 / (n s), n >= 2, and
+f(y_n) - f(x0) = v0 ((-1)^n / 2^k - a / (2^m n s)), so window and margin
+tests are integer comparisons.  The closed forms only choose the
 witnesses: each chosen point is walked once, into one orbit record that
 gives its series value and the iterate its certificate checks, so a wrong
 choice can only yield a failing report.
@@ -30,14 +31,13 @@ reason attached; it never silently passes and never weakens a margin.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, islice, repeat
 from typing import Optional, Sequence
 
 from sawcascade.antiderivative import enclose_integral, eval_Fk
 from sawcascade.cells import (
     ROOT,
     Cell,
-    _layer_walk,
     iter_cells,
     level1_cell,
     level1_ids_at,
@@ -93,7 +93,7 @@ def _side_cells(info: OrbitInfo) -> list[FanSide]:
 
     For first_level 1 (x0 = +-1) the level-0 root (0, 1, 0) stands in: the
     fan of level-1 teeth accumulates at both domain ends.  Otherwise the
-    chain is walked from x0.  No iterate before y_{m-1} is a
+    chain is read off the record's slopes.  No iterate before y_{m-1} is a
     tooth endpoint (its image would be +-1 a step early), so the chain
     branches only at its last step, into the one or two ids at y_{m-1}, in
     ascending order as locate sorts them.
@@ -101,11 +101,12 @@ def _side_cells(info: OrbitInfo) -> list[FanSide]:
     m = info.first_level - 1
     if m == 0:
         return [(0, 1, 0)]
-    x0 = info.start
-    p, s, a = x0.numerator, 1, 0
-    for p, slope in _layer_walk(x0, m - 1):
+    s, a = 1, 0
+    for slope in info.slopes[: m - 1]:
         s *= slope
         a = 2 * a + s
+    x0 = info.start
+    p = info.numerators[m - 2] if m > 1 else x0.numerator  # y_{m-1} over q
     lasts = [s * tooth_slope(j) for j in level1_ids_of(p, x0.denominator)]
     return [(m, last, 2 * a + last) for last in lasts]
 
@@ -287,18 +288,22 @@ def oscillation_witness(
 
 
 def _walk_chain(
-    x0: Rat, depth: int, lo: Rat, hi: Rat
+    info: OrbitInfo, depth: int, lo: Rat, hi: Rat
 ) -> tuple[Optional[FanSide], Rat, Optional[str]]:
-    """Descend the cell chain of the non-endpoint x0 until the level-m cell
+    """Descend the cell chain of the non-endpoint x0 = info.start, read off
+    its orbit record walked to ``depth``, until the level-m cell
     x0 + ([-1, 1] - f_m(x0)) / s fits strictly inside (lo, hi) and the
-    m-term truncation has nonzero slope a / 2^m on it.  Returns
+    m-term truncation has nonzero slope a / 2^m on it.  Past an absorption
+    at 0 every step is (0, 2): 0 stays on the middle ramp.  Returns
     ((m, s, a), f_m(x0), error)."""
+    x0 = info.start
     q = x0.denominator
     # with y = p/q the cell reaches (1 + y sign(s))/|s| left of x0 and
     # (1 - y sign(s))/|s| right of it; both tests cross-multiplied
     left, right = x0 - lo, hi - x0
+    steps = chain(zip(info.numerators, info.slopes), repeat((0, 2)))
     s, a = 1, 0
-    for m, (p, slope) in enumerate(_layer_walk(x0, depth - 1), 1):
+    for m, (p, slope) in enumerate(islice(steps, depth - 1), 1):
         s *= slope
         a = 2 * a + s
         sp, size = (p, s) if s > 0 else (-p, -s)
@@ -342,7 +347,7 @@ def non_extremum_witness(
         return _endpoint_fan_report("non_extremum", info, delta, fan_budget, inputs)
 
     inputs["mode"] = "interior_chain"
-    side, y, err = _walk_chain(x0, depth, x0 - delta, x0 + delta)
+    side, y, err = _walk_chain(info, depth, x0 - delta, x0 + delta)
     if side is None:
         return make_report("non_extremum", inputs, [(x0, info.partial_sum(1))], [], error=err)
     k, s, a = side
@@ -403,7 +408,7 @@ def non_monotone_witness(
         sides = _side_cells(info)
     else:
         inputs["mode"] = "chain_cell_fan"
-        side, y, err = _walk_chain(mid, depth, a, b)
+        side, y, err = _walk_chain(info, depth, a, b)
         if side is None:
             return make_report("non_monotone", inputs, [], [], error=err)
         m, s, _a = side

@@ -32,7 +32,7 @@ from sawcascade.antiderivative import (
     quotient_bound_check,
 )
 from sawcascade.cells import MAX_CELLS, cell, level1_cell, level1_ids_at
-from sawcascade.construction import Certified, DomainError, eval_f1, eval_fk, iterates
+from sawcascade.construction import Certified, DomainError, eval_f1, eval_fk, orbit
 from sawcascade.reports import recheck
 
 F = Fraction
@@ -146,7 +146,7 @@ def reference_layer_integrals(x: F, K: int) -> Iterator[F]:
     """F_1(x), ..., F_K(x) as Fractions, one walk of K steps along the orbit:
     F_k(x) = F_0(y_k) / prod_{i<k} slope(y_i), ending once some y_i with
     i < k is +-1 (every later F_k(x) is 0)."""
-    ys = chain(iterates(x), repeat(F(0)))  # the walk ends at 0, which is fixed
+    ys = chain(orbit(x, K).values, repeat(F(0)))  # 0 is fixed; the walk ends at +-1
     y = x
     slopes = F(1)
     for _ in range(K):

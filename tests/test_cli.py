@@ -654,6 +654,26 @@ def test_verify_depth_outside_its_bounds_is_usage_error_in_every_suite(
 
 
 @pytest.mark.parametrize(
+    "argv, flag",
+    [
+        ("integrate --k 30000000 --upto 1/3", "--k"),
+        ("intervals --k 100000 --index-budget 0", "--k"),
+        ("intervals --k 30000000 --index-budget 1", "--k"),
+        ("verify structure --structure-max-level 30000000", "--structure-max-level"),
+        ("verify oscillation --max-level 300000", "--max-level"),
+    ],
+)
+def test_level_arguments_above_the_layer_bound_are_refused_at_once(argv: str, flag: str) -> None:
+    # without the bound each of these runs for tens of seconds or more
+    args = argv.split()
+    start = time.perf_counter()
+    code, out, err = invoke(args)
+    assert time.perf_counter() - start < 2
+    _assert_one_line_usage_error(code, out, err)
+    assert err == f"error: {flag} must be at most 5000, got {args[args.index(flag) + 1]}\n"
+
+
+@pytest.mark.parametrize(
     "settings, message",
     [
         ({"K": 0}, "truncation K must be >= 1, got 0"),
@@ -667,6 +687,8 @@ def test_verify_depth_outside_its_bounds_is_usage_error_in_every_suite(
         ({"n_max": 1}, "n max must be >= 2, got 1 (no cases)"),
         ({"cells_budget": 250_000}, "enumerating (2*250000+1)^1 cells is too large "
                                     "(limit 500000); narrow the budget or the level"),
+        ({"max_level": 5001}, "--max-level must be at most 5000, got 5001"),
+        ({"structure_max_level": 5001}, "--structure-max-level must be at most 5000, got 5001"),
     ],
 )
 def test_suite_config_refuses_what_verify_refuses(settings: dict, message: str) -> None:

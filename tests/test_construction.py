@@ -4,7 +4,7 @@ The base-map oracle here is deliberately independent of the implementation:
 it finds the containing tooth by linear scan and interpolates between the
 tooth's endpoint values instead of using the closed rescaling formula.
 A second oracle, ``reference_f1``, keeps that rescaling formula in Fraction
-arithmetic; the integer orbit kernel (step, iterates, iterate, partial sums)
+arithmetic; the integer orbit kernel (step, orbit record, iterate, sums)
 is checked against it.
 Expected values in the frozen tables were derived by hand from the piecewise
 definition before the implementation existed.
@@ -14,14 +14,13 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import islice
 from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sawcascade.cells import _layer_walk, level1_cell, level1_ids_at, level1_ids_of, tooth_slope
+from sawcascade.cells import level1_cell, level1_ids_at, level1_ids_of, tooth_slope
 from sawcascade.construction import (
     Certified,
     DomainError,
@@ -30,7 +29,6 @@ from sawcascade.construction import (
     eval_fk,
     eval_g,
     f1_step,
-    iterates,
     orbit,
     partial_sum,
 )
@@ -160,15 +158,21 @@ def test_f1_matches_reference(x):
 @given(kernel_points, st.integers(1, 40))
 def test_orbit_kernel_matches_reference(x, steps):
     ys = reference_orbit(x, steps)
-    walked = list(islice(iterates(x), steps))
-    assert walked == ys[: len(walked)]
-    assert len(walked) == steps or walked[-1] == 0 == ys[-1]
     info = orbit(x, steps)
+    walked = list(info.values)
+    # the record ends at the first iterate in {-1, 0, 1}, else after `steps`
+    first = next((k for k, y in enumerate(ys, 1) if abs(y) in (0, 1)), None)
+    assert walked == ys[: len(walked)]
+    assert info.absorbed_step == first
+    assert len(walked) == (first or steps)
     total = F(0)
     for k, y in enumerate(ys, 1):
         total += y / 2**k
         assert eval_fk(x, k) == y
         assert partial_sum(x, k) == total
+        # exact once the orbit absorbs within k steps, else the 2^-k tail
+        exact = first is not None and first <= k
+        assert eval_f(x, k) == Certified(total, F(0) if exact else F(1, 2**k))
         if k <= len(info.numerators) or info.absorbed:
             assert info.iterate(k) == y
             assert info.partial_sum(k) == total
@@ -220,9 +224,19 @@ def seeded_points(count: int = 300) -> list[Fraction]:
 
 
 @pytest.mark.parametrize("points", [named_points, small_points, seeded_points])
-def test_layer_walk_matches_reference(points):
+def test_orbit_record_matches_reference_walk(points):
+    # the record keeps (p_k, s_(k-1)) per step, up to its first absorber
     for x in points():
-        assert list(_layer_walk(x, 60)) == reference_walk(x, 60), x
+        info = orbit(x, 60)
+        walked = list(zip(info.numerators, info.slopes, strict=True))
+        expected = reference_walk(x, 60)
+        if abs(x) == 1:  # no tooth holds +-1: one step, to 0, of slope 0
+            assert walked == [(0, 0)] and expected == [], x
+            continue
+        assert walked == expected[: len(walked)], x
+        # past an absorption at 0 the reference stays on the middle ramp
+        rest = expected[len(walked):]
+        assert rest == ([(0, 2)] * len(rest) if info.numerators[-1] == 0 else []), x
 
 
 def composed_step(p: int, q: int) -> tuple[int, int]:
@@ -261,17 +275,17 @@ def test_orbit_absorbs_quickly_from_quarter():
     info = orbit(F(1, 4), 10)
     assert info.values == (F(1, 2), F(1))
     assert info.absorbed_step == 2
-    assert info.absorber == 1
+    assert info.values[-1] == 1
     assert info.absorbed
 
 
 def test_orbit_of_zero_and_one():
     z = orbit(F(0), 5)
     assert z.values == (F(0),)
-    assert z.absorbed_step == 1 and z.absorber == 0
+    assert z.absorbed_step == 1 and z.values[-1] == 0
     o = orbit(F(1), 5)
     assert o.values == (F(0),)
-    assert o.absorbed_step == 1 and o.absorber == 0
+    assert o.absorbed_step == 1 and o.values[-1] == 0
 
 
 def test_orbit_seven_tenths_absorbs_at_four():
@@ -281,7 +295,7 @@ def test_orbit_seven_tenths_absorbs_at_four():
     full = orbit(F(7, 10), 10)
     assert full.values == (F(-1, 5), F(-2, 5), F(-4, 5), F(1))
     assert full.absorbed_step == 4
-    assert full.absorber == 1
+    assert full.values[-1] == 1
 
 
 def test_orbit_one_seventh_cycles_forever():
@@ -305,10 +319,15 @@ def test_orbit_validates_depth():
         orbit(F(1, 3), 0)
 
 
-def test_iterates_end_right_after_the_first_zero():
-    assert list(iterates(F(7, 10))) == [F(-1, 5), F(-2, 5), F(-4, 5), F(1), F(0)]
-    assert list(iterates(F(0))) == [F(0)]
-    assert list(islice(iterates(F(1, 7)), 6)) == [F(2, 7), F(4, 7), F(1, 7)] * 2
+def test_orbit_record_ends_at_the_first_absorber():
+    seven_tenths = orbit(F(7, 10), 10)
+    assert seven_tenths.values == (F(-1, 5), F(-2, 5), F(-4, 5), F(1))
+    # tooth 3, the ramp twice, then the mirror of tooth 5 at -4/5
+    assert seven_tenths.slopes == (24, 2, 2, 60)
+    assert orbit(F(7, 12), 10).values == (F(0),)
+    assert orbit(F(7, 12), 10).slopes == (-12,)  # tooth 2
+    assert orbit(F(0), 10).values == (F(0),)
+    assert orbit(F(1, 7), 6).values == (F(2, 7), F(4, 7), F(1, 7)) * 2
 
 
 @given(rationals_in_unit, st.integers(min_value=1, max_value=30))

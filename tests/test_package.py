@@ -1,9 +1,13 @@
-"""The top-level package surface: the README example runs against it, and
-every name it exports resolves."""
+"""The top-level package surface: the README example runs against it, every
+name it exports resolves, and so does every name the benchmark tracer wraps."""
 
 from __future__ import annotations
 
+import importlib
+import importlib.util
+from fractions import Fraction
 from pathlib import Path
+from types import ModuleType
 
 import sawcascade
 
@@ -26,3 +30,25 @@ def test_every_exported_name_resolves() -> None:
     assert len(set(sawcascade.__all__)) == len(sawcascade.__all__)
     for name in sawcascade.__all__:
         assert getattr(sawcascade, name) is not None, name
+
+
+def _bench_tracer() -> ModuleType:
+    """perfbench/bench_trace.py, loaded from its file without changing it."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "bench_trace.py"
+    spec = importlib.util.spec_from_file_location("_bench_trace_under_test", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_name_the_benchmark_tracer_wraps_resolves() -> None:
+    # the tracer patches these names and reads these orbit fields, so a change
+    # that drops one fails here rather than in a traced benchmark run
+    tracer = _bench_tracer()
+    for layer, names in tracer.WRAPPED.items():
+        module = importlib.import_module(f"sawcascade.{layer}")
+        for name in names:
+            assert callable(getattr(module, name, None)), f"{layer}.{name}"
+    info = sawcascade.orbit(Fraction(1, 4), 10)
+    assert info.values == (Fraction(1, 2), Fraction(1))
+    assert info.absorbed_step == 2

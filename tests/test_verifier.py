@@ -10,6 +10,7 @@ a serialization round trip.
 from __future__ import annotations
 
 import dataclasses
+import sys
 from fractions import Fraction
 
 import pytest
@@ -19,7 +20,7 @@ from hypothesis import strategies as st
 import sawcascade.construction as construction
 import sawcascade.verifier as verifier
 from sawcascade.cells import ROOT, cell, child_cell, level1_ids_at, locate
-from sawcascade.construction import DomainError, eval_fk, orbit, partial_sum
+from sawcascade.construction import DomainError, eval_fk, f1_step, orbit, partial_sum
 from sawcascade.reports import recheck, report_from_dict, report_to_dict
 from sawcascade.suites import SUITES, SuiteConfig, tapered_endpoints
 from sawcascade.verifier import (
@@ -165,13 +166,21 @@ def test_fan_closed_form_matches_child_cells_and_partial_sums():
 
 def test_fan_scan_walks_only_the_chosen_witnesses(monkeypatch):
     # one orbit record per report's center and per chosen witness, and no
-    # other walk: the fan is judged in closed form
+    # other walk: the fan is judged in closed form, and the cell chains are
+    # read off the records, so every base-map step lands in a record
     walks = []
+    records = []
     other_walks = []
+    steps = [0]
 
     def counting_orbit(x, depth):
         walks.append((x, depth))
-        return orbit(x, depth)
+        records.append(orbit(x, depth))
+        return records[-1]
+
+    def counting_step(p, q):
+        steps[0] += 1
+        return f1_step(p, q)
 
     def counting(name, fn):
         def wrapped(*args):
@@ -184,9 +193,19 @@ def test_fan_scan_walks_only_the_chosen_witnesses(monkeypatch):
         for name in ("partial_sum", "eval_fk"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
-    reports = list(SUITES["oscillation"](SuiteConfig(max_level=4)))
-    assert all(r.verdict for r in reports)
-    assert len(walks) == len(set(walks)) == 3 * len(reports) == 2208
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "sawcascade" and getattr(module, "f1_step", None) is f1_step:
+            monkeypatch.setattr(module, "f1_step", counting_step)
+    cfg = SuiteConfig(max_level=4, count=30)
+    for suite in ("oscillation", "no-extrema", "nowhere-monotone"):
+        walks.clear()
+        records.clear()
+        steps[0] = 0
+        reports = list(SUITES[suite](cfg))
+        assert all(r.verdict for r in reports), suite
+        assert steps[0] == sum(len(info.numerators) for info in records) > 0, suite
+        if suite == "oscillation":
+            assert len(walks) == len(set(walks)) == 3 * len(reports) == 2208
     assert other_walks == []
 
 
@@ -222,12 +241,13 @@ def reference_walk_chain(x0, depth, lo, hi):
 @example(F(1, 7), F(1, 100), F(1, 100), 40)
 @example(F(1, 7), F(1, 10**9), F(1, 10**9), 8)
 @example(F(-1, 7), F(1, 2), F(1, 10**5), 40)
+@example(F(7, 12), F(1, 10**9), F(1, 10**9), 40)  # absorbed at 0, never at +-1
 @settings(max_examples=300, deadline=None)
 def test_walk_chain_matches_the_cell_composition(x0, left, right, depth):
     info = orbit(x0, depth)
     assume(info.first_level is None)
     lo, hi = x0 - left, x0 + right
-    side, y, err = _walk_chain(x0, depth, lo, hi)
+    side, y, err = _walk_chain(info, depth, lo, hi)
     expected = reference_walk_chain(x0, depth, lo, hi)
     if expected is None:
         assert side is None and "depth" in err
