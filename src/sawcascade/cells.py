@@ -34,6 +34,7 @@ from sawcascade.construction import (
     as_rational,
     orbit,
     require_at_least,
+    require_layer_index,
     require_unit_interval,
 )
 
@@ -215,13 +216,21 @@ def _checked_window(window: tuple[RatLike, RatLike]) -> tuple[Rat, Rat]:
 
 
 def require_family_size(k: int, index_budget: int) -> None:
-    """Refuse a level-k cell family with ids |j| <= index_budget that holds
-    more than MAX_CELLS cells."""
-    if (2 * index_budget + 1) ** k > MAX_CELLS:
-        raise DomainError(
-            f"enumerating (2*{index_budget}+1)^{k} cells is too large "
-            f"(limit {MAX_CELLS}); narrow the budget or the level"
-        )
+    """Refuse a level k above MAX_LAYER_INDEX, and a level-k cell family
+    with ids |j| <= index_budget that holds more than MAX_CELLS cells.
+
+    The family's size is multiplied up level by level and the count stops
+    at the first level past MAX_CELLS, so no large power is formed.
+    """
+    require_layer_index("level k", k)
+    size = 1
+    for _ in range(k):
+        size *= 2 * index_budget + 1
+        if size > MAX_CELLS:
+            raise DomainError(
+                f"enumerating (2*{index_budget}+1)^{k} cells is too large "
+                f"(limit {MAX_CELLS}); narrow the budget or the level"
+            )
 
 
 def iter_cells(
@@ -235,8 +244,8 @@ def iter_cells(
     (parent first, then child id ascending).  Cells disjoint from the closed
     window are pruned with their whole subtree, since children stay inside
     their parent.  Refuses, before building any cell, a window that is not
-    a sub-interval lo <= hi of [-1, 1] and a level-k family larger than
-    MAX_CELLS.
+    a sub-interval lo <= hi of [-1, 1], a level k above MAX_LAYER_INDEX and
+    a level-k family larger than MAX_CELLS.
     """
     require_at_least(k, 1, "level k")
     require_at_least(index_budget, 0, "index budget")

@@ -32,6 +32,7 @@ from sawcascade.antiderivative import (
 )
 from sawcascade.cells import iter_cells
 from sawcascade.construction import (  # re-exports MAX_LAYER_INDEX and require_layer_index
+    MAX_DECIMAL_EXPONENT,
     MAX_LAYER_INDEX,
     ZERO,
     Certified,
@@ -65,11 +66,18 @@ POINT_FUNCTIONS: dict[str, Callable[[Rat, int, int], Certified]] = {
 
 
 def parse_rational(text: str) -> Rat:
-    """Exact rational from 'p/q' or a terminating decimal string."""
+    """Exact rational from 'p/q' or a terminating decimal string, whose
+    exponent is at most MAX_DECIMAL_EXPONENT in magnitude."""
     try:
-        return Fraction(text.strip())
+        _, _, exponent = text.strip().lower().partition("e")
+        if not exponent or abs(int(exponent)) <= MAX_DECIMAL_EXPONENT:
+            return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
         raise DomainError(f"not an exact rational: {text!r}") from exc
+    # refused before Fraction computes the power of ten
+    raise DomainError(
+        f"decimal exponent of {text!r} is out of range (limit {MAX_DECIMAL_EXPONENT})"
+    )
 
 
 @dataclasses.dataclass(frozen=True)
@@ -179,7 +187,62 @@ def run_suite(name: str, cfg: SuiteConfig) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _add_eval_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--fn", choices=POINT_FUNCTIONS, required=True)
+    p.add_argument("--x", required=True, help="rational point, e.g. 7/10 or 0.25")
+    p.add_argument("--k", type=int, default=1, help="iterate/layer index for fk and Fk")
+    p.add_argument("--K", type=int, default=30, help="series truncation depth")
+
+
+def _add_sample_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--fn", choices=POINT_FUNCTIONS, required=True)
+    p.add_argument("--a", default="-1", help="left end of the range")
+    p.add_argument("--b", default="1", help="right end of the range")
+    p.add_argument("--count", type=int, default=101)
+    p.add_argument("--k", type=int, default=1)
+    p.add_argument("--K", type=int, default=30)
+    p.add_argument("--format", choices=("csv", "json"), default="csv")
+
+
+def _add_intervals_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--k", type=int, default=1, help="cell level")
+    p.add_argument("--index-budget", type=int, default=10)
+    p.add_argument("--window", nargs=2, default=["-1", "1"], metavar=("LO", "HI"))
+    p.add_argument("--format", choices=("csv", "json"), default="csv")
+
+
+def _add_integrate_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--k", type=int, required=True, help="layer index")
+    p.add_argument("--upto", default="1", help="upper limit in [-1, 1]")
+    p.add_argument("--index-budget", type=int, default=50)
+
+
+def _add_verify_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("suite", choices=SUITE_ORDER)
+    for setting in dataclasses.fields(SuiteConfig):
+        # a rational setting stays text, which run parses with parse_rational
+        rational = isinstance(setting.default, Fraction)
+        p.add_argument(
+            "--" + setting.name.replace("_", "-"),
+            type=str if rational else int,
+            default=str(setting.default) if rational else setting.default,
+            help=setting.metadata.get("help"),
+        )
+
+
+#: Every command by name, as (help, function adding its arguments but --out).
+COMMANDS: dict[str, tuple[str, Callable[[argparse.ArgumentParser], None]]] = {
+    "eval": ("evaluate one function at one point", _add_eval_arguments),
+    "sample": ("evenly spaced certified samples", _add_sample_arguments),
+    "intervals": ("list linearity cells of a level", _add_intervals_arguments),
+    "integrate": ("certified enclosure of a layer integral from -1", _add_integrate_arguments),
+    "verify": ("run a verification suite", _add_verify_arguments),
+}
+
+
+def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The parser of every command, or of ``command`` alone: for an argument
+    list that starts with ``command`` the two print the same bytes."""
     parser = argparse.ArgumentParser(
         prog="sawcascade",
         description=(
@@ -187,66 +250,29 @@ def build_parser() -> argparse.ArgumentParser:
             "cascade series, its signed variant, and their antiderivatives."
         ),
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_out(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--out", help="write output to this file instead of stdout")
-
-    p_eval = sub.add_parser("eval", help="evaluate one function at one point")
-    p_eval.add_argument("--fn", choices=POINT_FUNCTIONS, required=True)
-    p_eval.add_argument("--x", required=True, help="rational point, e.g. 7/10 or 0.25")
-    p_eval.add_argument("--k", type=int, default=1, help="iterate/layer index for fk and Fk")
-    p_eval.add_argument("--K", type=int, default=30, help="series truncation depth")
-    add_out(p_eval)
-
-    p_sample = sub.add_parser("sample", help="evenly spaced certified samples")
-    p_sample.add_argument("--fn", choices=POINT_FUNCTIONS, required=True)
-    p_sample.add_argument("--a", default="-1", help="left end of the range")
-    p_sample.add_argument("--b", default="1", help="right end of the range")
-    p_sample.add_argument("--count", type=int, default=101)
-    p_sample.add_argument("--k", type=int, default=1)
-    p_sample.add_argument("--K", type=int, default=30)
-    p_sample.add_argument("--format", choices=("csv", "json"), default="csv")
-    add_out(p_sample)
-
-    p_intervals = sub.add_parser("intervals", help="list linearity cells of a level")
-    p_intervals.add_argument("--k", type=int, default=1, help="cell level")
-    p_intervals.add_argument("--index-budget", type=int, default=10)
-    p_intervals.add_argument("--window", nargs=2, default=["-1", "1"],
-                             metavar=("LO", "HI"))
-    p_intervals.add_argument("--format", choices=("csv", "json"), default="csv")
-    add_out(p_intervals)
-
-    p_integrate = sub.add_parser(
-        "integrate", help="certified enclosure of a layer integral from -1"
-    )
-    p_integrate.add_argument("--k", type=int, required=True, help="layer index")
-    p_integrate.add_argument("--upto", default="1", help="upper limit in [-1, 1]")
-    p_integrate.add_argument("--index-budget", type=int, default=50)
-    add_out(p_integrate)
-
-    p_verify = sub.add_parser("verify", help="run a verification suite")
-    p_verify.add_argument("suite", choices=SUITE_ORDER)
-    for setting in dataclasses.fields(SuiteConfig):
-        # a rational setting stays text, which run parses with parse_rational
-        rational = isinstance(setting.default, Fraction)
-        p_verify.add_argument(
-            "--" + setting.name.replace("_", "-"),
-            type=str if rational else int,
-            default=str(setting.default) if rational else setting.default,
-            help=setting.metadata.get("help"),
-        )
-    add_out(p_verify)
-
+    # a one-command parser's usage names every command, as the full parser's
+    # does; the full parser keeps no metavar, which would rename the action
+    # in its own errors ("argument command: invalid choice")
+    metavar = None if command is None else "{" + ",".join(COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name, (help_text, add_arguments) in COMMANDS.items():
+        if command in (None, name):
+            p = sub.add_parser(name, help=help_text)
+            add_arguments(p)
+            p.add_argument("--out", help="write output to this file instead of stdout")
     return parser
 
 
 @functools.cache
-def _shared_parser() -> argparse.ArgumentParser:
-    """The parser every ``run`` call reuses, built on the first call rather
-    than at import.  Parsing leaves no state in it: each call gets a fresh
-    namespace."""
-    return build_parser()
+def _shared_parser(command: Optional[str]) -> argparse.ArgumentParser:
+    """The parser ``run`` reuses for an argument list that starts with
+    ``command`` (one of COMMANDS), or the full parser (None) for any other.
+
+    Each is built on its first use rather than at import, so a program that
+    only evaluates never builds the other commands' parsers.  Parsing leaves
+    no state in a parser: each call gets a fresh namespace.
+    """
+    return build_parser(command)
 
 
 @contextmanager
@@ -316,9 +342,11 @@ def run(
 
     Usage errors and --help go to the given streams, like all other output.
     """
+    argv = list(argv)
+    command = argv[0] if argv and argv[0] in COMMANDS else None
     try:
         with redirect_stdout(stdout), redirect_stderr(stderr):
-            args = _shared_parser().parse_args(list(argv))
+            args = _shared_parser(command).parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -72,6 +72,11 @@ def require_depth(depth: int) -> int:
 #: one step per layer, so an unbounded index would hang the command.
 MAX_LAYER_INDEX = 5000
 
+#: Largest exponent magnitude of a decimal argument ("1e-5000"): its power of
+#: ten is computed in full, so a few characters could ask for millions of
+#: digits, past the digit limit that guards the same number written out.
+MAX_DECIMAL_EXPONENT = 10_000
+
 
 def require_layer_index(flag: str, index: int) -> int:
     """Check a layer index or depth against MAX_LAYER_INDEX and return it."""

@@ -127,9 +127,10 @@ def tapered_endpoints(max_level: int, index_budget: int) -> list[tuple[Rat, int]
     deepest first.  Cells of different levels share no endpoint (children
     accumulate at their parent's ends without reaching them).  Returns
     (x, first_level) pairs sorted by x.  Refuses max_level or index_budget
-    below 1 rather than read them as 1 or as +-1 alone.
+    below 1 rather than read them as 1 or as +-1 alone, and max_level above
+    MAX_LAYER_INDEX.
     """
-    require_at_least(max_level, 1, "max level")
+    require_layer_index("max level", require_at_least(max_level, 1, "max level"))
     require_at_least(index_budget, 1, "index budget")
     budgets = {m: _integer_root(index_budget, m) for m in range(1, max_level)}
     for m in reversed(budgets):

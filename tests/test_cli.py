@@ -511,6 +511,34 @@ def test_verify_echoes_a_delta_past_the_digit_limit() -> None:
     assert json.loads(out)["parameters"]["delta"] == "1/1" + "0" * 5000
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", "--fn", "f", "--x", "1e-2000000"],
+        ["sample", "--fn", "f", "--a", "1e-2000000"],
+        ["integrate", "--k", "1", "--upto", "1e-2000000"],
+        ["intervals", "--window", "1e-2000000", "1"],
+        ["verify", "local-min", "--count", "1", "--delta", "1e-2000000"],
+    ],
+    ids=["eval", "sample", "integrate", "intervals", "verify"],
+)
+def test_decimal_exponent_past_its_bound_is_refused_at_once(argv: list[str]) -> None:
+    # ten characters that would ask for a power of ten with two million digits
+    start = time.perf_counter()
+    code, out, err = invoke(argv)
+    assert time.perf_counter() - start < 2
+    _assert_one_line_usage_error(code, out, err)
+    assert err == "error: decimal exponent of '1e-2000000' is out of range (limit 10000)\n"
+
+
+def test_parse_rational_takes_a_decimal_exponent_up_to_its_bound() -> None:
+    assert cli.MAX_DECIMAL_EXPONENT == 10_000
+    assert parse_rational("1e-10000") == F(1, 10**10000)
+    assert parse_rational("-2.5E+3") == -2500
+    with pytest.raises(DomainError, match="out of range"):
+        parse_rational("1e10001")
+
+
 def test_verify_restores_the_int_digit_limit() -> None:
     limit = sys.get_int_max_str_digits()
     assert invoke(["verify", "local-min", "--count", "3"])[0] == EXIT_OK
@@ -960,16 +988,83 @@ def test_run_builds_one_parser_across_calls(monkeypatch: pytest.MonkeyPatch) -> 
     built = []
     build = cli.build_parser
 
-    def counting_build_parser():
-        built.append(1)
-        return build()
+    def counting_build_parser(command=None):
+        built.append(command)
+        return build(command)
 
     monkeypatch.setattr(cli, "build_parser", counting_build_parser)
     cli._shared_parser.cache_clear()
-    for argv in (["eval", "--fn", "f", "--x", "1/3"], ["eval", "--fn", "zz", "--x", "1"],
-                 ["sample", "--fn", "F", "--count", "3"], ["--help"]):
+    calls = (["eval", "--fn", "f", "--x", "1/3"], ["eval", "--fn", "zz", "--x", "1"],
+             ["sample", "--fn", "F", "--count", "3"], ["--help"])
+    for argv in calls:
         invoke(argv)
-    assert len(built) == 1
+    assert built == ["eval", "sample", None]  # the full parser serves --help
+    for argv in calls:
+        invoke(argv)
+    assert built == ["eval", "sample", None]
+    commands = cli._shared_parser("eval")._actions[-1]  # after -h
+    assert list(commands.choices) == ["eval"]  # no verify parser, nor its options
+
+
+#: Argument lists whose output the parser decides: help, an abbreviated
+#: option, and a usage error of each kind argparse raises, in the command's
+#: parser or (an unrecognized trailing argument) in the top one.
+PARSER_ONLY_CALLS = [
+    *(f"{command} --help" for command in cli.COMMANDS),
+    "eval",
+    "integrate",
+    "eval --fn zz --x 1",
+    "verify nosuch",
+    "sample --fn f --format xml",
+    "verify all --count x",
+    "eval --f F --x 1/3",
+    "eval --fn f --x 1 extra",
+    "eval --fn f --x 1 --bogus 2",
+    "verify all --count 1 extra",
+    "intervals --window 0 1 1",
+    "integrate --k 1 --upto 1 eval",
+]
+
+
+@pytest.mark.parametrize("argv", PARSER_ONLY_CALLS)
+def test_one_command_parser_prints_what_the_full_parser_prints(
+    argv: str, monkeypatch: pytest.MonkeyPatch
+) -> None:
+    monkeypatch.setenv("COLUMNS", "80")
+    cli._shared_parser.cache_clear()
+    code, out, err = invoke(argv.split())
+    assert cli._shared_parser.cache_info().currsize == 1  # the command's own parser
+    monkeypatch.setattr(cli, "_shared_parser", lambda command: cli.build_parser())
+    assert (code, out, err) == invoke(argv.split())
+    if argv.endswith("--help"):
+        assert (code, err) == (EXIT_OK, "") and out.startswith("usage: sawcascade ")
+    elif argv == "eval --f F --x 1/3":  # an abbreviation of --fn
+        assert (code, err) == (EXIT_OK, "")
+    else:
+        assert (code, out) == (EXIT_USAGE, "") and err.startswith("usage: sawcascade ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    ["eval --fn F --x=-123457/1000003 --K 60", "eval --fn f --x 1 extra", "--help"],
+)
+def test_a_fresh_interpreter_prints_what_run_prints(
+    argv: str, monkeypatch: pytest.MonkeyPatch
+) -> None:
+    # a new process builds its parser on its first call, which in-process
+    # calls made after the parser cache has filled never do
+    monkeypatch.setenv("COLUMNS", "80")
+    src = str(Path(sawcascade.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "sawcascade", *argv.split()],
+        capture_output=True, env=env, timeout=60,
+    )
+    fresh = (proc.returncode, proc.stdout.decode("utf-8"), proc.stderr.decode("utf-8"))
+    assert fresh == invoke(argv.split())
+    if argv in PINNED_STDOUT:
+        assert hashlib.sha256(proc.stdout).hexdigest() == PINNED_STDOUT[argv]
 
 
 INTERLEAVED_CALLS = [

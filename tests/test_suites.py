@@ -7,13 +7,14 @@ enumeration so deep levels stay affordable.
 
 from __future__ import annotations
 
+import time
 from fractions import Fraction as F
 
 import pytest
 
 from sawcascade import suites
-from sawcascade.cells import Cell, first_level_of, iter_cells
-from sawcascade.construction import DomainError
+from sawcascade.cells import Cell, first_level_of, iter_cells, require_family_size
+from sawcascade.construction import MAX_LAYER_INDEX, DomainError
 from sawcascade.suites import (
     SUITE_ORDER,
     SUITES,
@@ -21,6 +22,7 @@ from sawcascade.suites import (
     run_suite_reports,
     tapered_endpoints,
 )
+from sawcascade.verifier import structure_check
 
 SMALL = SuiteConfig(
     count=4, max_level=2, n_max=4, structure_max_level=1, cells_budget=12, K=8
@@ -180,6 +182,40 @@ def test_tapered_endpoints_refuse_the_deepest_family_before_building(
     monkeypatch.setattr(suites, "child_cell", no_cell)
     with pytest.raises(DomainError, match=r"enumerating \(2\*1\+1\)\^19 cells is too large"):
         tapered_endpoints(20, 50)
+
+
+#: One level past the layer bound: every cell family of that level is refused
+#: before its size is formed, and a family of one cell per level too.
+PAST_THE_BOUND = MAX_LAYER_INDEX + 1
+
+
+@pytest.mark.parametrize(
+    "enumerate_cells, message",
+    [
+        (lambda: require_family_size(3_000_000, 1), "level k must be at most 5000, got 3000000"),
+        (lambda: require_family_size(PAST_THE_BOUND, 0), "level k must be at most 5000, got 5001"),
+        (lambda: next(iter_cells(PAST_THE_BOUND, 0)), "level k must be at most 5000, got 5001"),
+        (lambda: tapered_endpoints(PAST_THE_BOUND, 1), "max level must be at most 5000, got 5001"),
+        (lambda: structure_check(PAST_THE_BOUND, 1), "level k must be at most 5000, got 5001"),
+    ],
+    ids=["require_family_size_3000000", "require_family_size", "iter_cells",
+         "tapered_endpoints", "structure_check"],
+)
+def test_cell_families_past_the_layer_bound_are_refused_at_once(
+    enumerate_cells, message: str
+) -> None:
+    start = time.perf_counter()
+    with pytest.raises(DomainError) as info:
+        enumerate_cells()
+    assert time.perf_counter() - start < 0.1
+    assert str(info.value) == message
+
+
+def test_cell_family_at_the_layer_bound_is_counted_not_formed() -> None:
+    require_family_size(MAX_LAYER_INDEX, 0)  # one cell per level
+    assert sum(1 for _ in iter_cells(MAX_LAYER_INDEX, 0)) == MAX_LAYER_INDEX
+    with pytest.raises(DomainError, match=r"\(2\*1\+1\)\^5000 cells is too large"):
+        require_family_size(MAX_LAYER_INDEX, 1)
 
 
 def test_suite_inputs_stay_in_required_domains() -> None:
