@@ -16,6 +16,11 @@ from its parent, and its bounds (-+1 - C)/S are the only rationals built.
 chain (the first id ``level1_ids_of`` lists at each step) is the one a
 ``construction.orbit`` record keeps, as its tooth slopes.
 
+Every bulk listing reads one walk of the cell tree, depth first in spatial
+order: a cell, then its children left to right, each followed by its
+subtree.  A cell's endpoints enclose its subtree's, so the walk also gives
+the cell endpoints in ascending x.
+
 Everything here is exact: endpoints are rationals, and all geometric
 predicates (containment, adjacency, tiling) are exact comparisons.
 """
@@ -238,27 +243,61 @@ def iter_cells(
     index_budget: int,
     window: Optional[tuple[Rat, Rat]] = None,
 ) -> Iterator[Cell]:
-    """Every cell of levels 1..k with all ids |j| <= index_budget.
+    """Every cell of levels 1..k with all ids |j| <= index_budget, depth
+    first in spatial order, so each level's cells come in ascending x.
 
-    Yields level by level; within a level, cells come in address order
-    (parent first, then child id ascending).  Cells disjoint from the closed
-    window are pruned with their whole subtree, since children stay inside
-    their parent.  Refuses, before building any cell, a window that is not
-    a sub-interval lo <= hi of [-1, 1], a level k above MAX_LAYER_INDEX and
-    a level-k family larger than MAX_CELLS.
+    Cells disjoint from the closed window are pruned with their subtree,
+    since children stay inside their parent.  Refuses at the call, before
+    building any cell, a window that is not a sub-interval lo <= hi of
+    [-1, 1], a level k above MAX_LAYER_INDEX and a level-k family larger
+    than MAX_CELLS.
     """
     require_at_least(k, 1, "level k")
     require_at_least(index_budget, 0, "index budget")
-    if window is not None:
-        lo, hi = _checked_window(window)
+    lo, hi = _checked_window(window or (ROOT.lo, ROOT.hi))
     require_family_size(k, index_budget)
-    ids = range(-index_budget, index_budget + 1)
-    level = [ROOT]
-    for _ in range(k):
-        level = [child_cell(parent, j) for parent in level for j in ids]
-        if window is not None:
-            level = [c for c in level if c.hi >= lo and c.lo <= hi]
-        yield from level
+    return (c for c, left in _walk((index_budget,) * k, lo, hi) if c.level and not left)
+
+
+def _fan(parent: Cell, b: int) -> list[Cell]:
+    """The children of ``parent`` with ids |j| <= b, left to right: ids
+    ascending under a positive parent slope, descending under a negative."""
+    ids = range(-b, b + 1) if parent.slope > 0 else range(b, -b - 1, -1)
+    return [child_cell(parent, j) for j in ids]
+
+
+def _walk(budgets: tuple[int, ...], lo: Rat, hi: Rat) -> Iterator[tuple[Cell, bool]]:
+    """(cell, False) on entering and (cell, True) on leaving each cell, depth
+    first in spatial order from ROOT, of the level-m cells whose ids are all
+    within budgets[m - 1] (non-increasing in m) and that meet [lo, hi]; a
+    loop over a stack that holds at most one fan per level."""
+    stack = [(ROOT, 0)]  # a cell and the largest |id| of its address, None to leave
+    while stack:
+        parent, top = stack.pop()
+        yield parent, top is None
+        if top is not None:
+            stack.append((parent, None))
+            m = parent.level
+            if m < len(budgets) and top <= budgets[m]:
+                fan = _fan(parent, budgets[m])
+                if lo > ROOT.lo or hi < ROOT.hi:  # else every cell meets [lo, hi]
+                    fan = [c for c in fan if c.hi >= lo and c.lo <= hi]
+                stack.extend((c, max(top, abs(c.address[-1]))) for c in reversed(fan))
+
+
+def _endpoints(
+    budgets: tuple[int, ...], lo: Rat = ROOT.lo, hi: Rat = ROOT.hi
+) -> Iterator[tuple[Rat, int]]:
+    """(x, first_level) for the endpoints of the cells ``_walk`` yields, in
+    ascending x, each once; a level-m cell's carry m + 1, ROOT's (+-1) 1.
+    A cell's lo comes on entering it, its hi on leaving, after its subtree's
+    (strictly inside it); the previous child's hi is the next child's lo."""
+    last = None
+    for c, left in _walk(budgets, lo, hi):
+        x = c.hi if left else c.lo
+        if x != last:
+            yield x, c.level + 1
+        last = x
 
 
 def children(address: Sequence[int], index_budget: int) -> list[Cell]:
@@ -269,10 +308,7 @@ def children(address: Sequence[int], index_budget: int) -> list[Cell]:
     exact total length parent.length / (index_budget + 2).
     """
     require_at_least(index_budget, 0, "index budget")
-    parent = cell(address)
-    kids = [child_cell(parent, j) for j in range(-index_budget, index_budget + 1)]
-    kids.sort(key=lambda c: c.lo)
-    return kids
+    return _fan(cell(address), index_budget)
 
 
 def child_map(parent: Cell) -> AffineMap:
@@ -331,7 +367,8 @@ class EPoint:
 def e_points(
     k: int, window: tuple[RatLike, RatLike], index_budget: int
 ) -> list[EPoint]:
-    """All enumerable points of first_level <= k inside the closed window.
+    """All enumerable points of first_level <= k inside the closed window,
+    in ascending x.
 
     Enumerates endpoints of cells of level < k whose per-coordinate ids stay
     within index_budget, plus +-1.  Cells disjoint from the window are pruned
@@ -340,15 +377,9 @@ def e_points(
     require_at_least(k, 1, "level k")
     require_at_least(index_budget, 0, "index budget")
     wlo, whi = _checked_window(window)
-
-    found = {x: 1 for x in (Fraction(-1), Fraction(1)) if wlo <= x <= whi}
-    if k >= 2:
-        for c in iter_cells(k - 1, index_budget, (wlo, whi)):
-            for x in (c.lo, c.hi):
-                if wlo <= x <= whi and x not in found:
-                    found[x] = c.level + 1
-
-    return [EPoint(x, fl) for x, fl in sorted(found.items())]
+    require_family_size(k - 1, index_budget)
+    ends = _endpoints((index_budget,) * (k - 1), wlo, whi)
+    return [EPoint(x, first_level) for x, first_level in ends if wlo <= x <= whi]
 
 
 def first_level_of(x: RatLike, depth: int) -> Optional[int]:

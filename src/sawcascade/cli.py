@@ -135,10 +135,9 @@ def emit_samples(cfg: SampleConfig) -> str:
 
 def render_intervals(k: int, index_budget: int, window: tuple[Rat, Rat], fmt: str) -> str:
     """Render the level-k cells meeting the window, in spatial order."""
-    frontier = [c for c in iter_cells(k, index_budget, window) if c.level == k]
-    frontier.sort(key=lambda c: (c.lo, c.hi))
     fields = ("lo", "hi", "slope", "intercept")
-    rows = [(c.address, [rat_str(getattr(c, f)) for f in fields]) for c in frontier]
+    rows = [(c.address, [rat_str(getattr(c, f)) for f in fields])
+            for c in iter_cells(k, index_budget, window) if c.level == k]
     if fmt == "csv":
         lines = ["address," + ",".join(fields)]
         lines += [";".join(map(str, address)) + "," + ",".join(v) for address, v in rows]

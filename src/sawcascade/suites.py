@@ -12,6 +12,8 @@ certificate for certificate.
 The endpoint enumeration for the oscillation suite tapers its per-level
 index budget so that every level's cell family contributes about the same
 number of endpoints: level m uses the largest b with b^m <= index_budget.
+The endpoints stream in ascending x off one walk of the cell tree, and
+their count has a closed form.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from math import ceil, floor
 from typing import Callable, Iterable, Iterator
 
 from sawcascade.antiderivative import darboux_gap, quotient_bound_check
-from sawcascade.cells import ROOT, child_cell, require_family_size
+from sawcascade.cells import _endpoints, require_family_size
 from sawcascade.construction import (
     DomainError,
     Rat,
@@ -74,7 +76,7 @@ class SuiteConfig:
     )
 
     def __post_init__(self) -> None:
-        require_at_least(self.K, 1, "truncation K")
+        require_layer_index("--K", require_at_least(self.K, 1, "truncation K"))
         require_layer_index("--depth", require_depth(self.depth))
         require_layer_index("--structure-max-level", self.structure_max_level)
         require_positive_delta(self.delta)
@@ -115,40 +117,25 @@ def _integer_root(base: int, power: int) -> int:
     return b
 
 
-def tapered_endpoints(max_level: int, index_budget: int) -> list[tuple[Rat, int]]:
+def tapered_endpoints(max_level: int, index_budget: int) -> Iterator[tuple[Rat, int]]:
     """Cell endpoints with first levels 1..max_level, tapered per level.
 
-    Level-m cells are enumerated with per-coordinate budget
+    Level m takes the level-m cells whose ids are all within
     b_m = _integer_root(index_budget, m), so each level contributes roughly
     index_budget^(something bounded) endpoints instead of blowing up
-    geometrically.  b_m falls with m, so level m is built from the level-(m-1)
-    cells whose ids are all within b_m, the only ones kept, and each cell is
-    built once.  Every family's size is checked before any cell is built,
-    deepest first.  Cells of different levels share no endpoint (children
-    accumulate at their parent's ends without reaching them).  Returns
-    (x, first_level) pairs sorted by x.  Refuses max_level or index_budget
-    below 1 rather than read them as 1 or as +-1 alone, and max_level above
+    geometrically.  Every family's size is checked at the call, deepest
+    first, before any cell is built.  Returns an iterator of (x, first_level)
+    pairs in ascending x, read off one walk of the cell tree that holds at
+    most one fan per level.  Refuses max_level or index_budget below 1
+    rather than read them as 1 or as +-1 alone, and max_level above
     MAX_LAYER_INDEX.
     """
     require_layer_index("max level", require_at_least(max_level, 1, "max level"))
     require_at_least(index_budget, 1, "index budget")
-    budgets = {m: _integer_root(index_budget, m) for m in range(1, max_level)}
-    for m in reversed(budgets):
-        require_family_size(m, budgets[m])
-    found: dict[Rat, int] = {F(-1): 1, F(1): 1}
-    kept = [ROOT]
-    for m, b in budgets.items():
-        next_b = budgets.get(m + 1, -1)  # the deepest level keeps no cell
-        parents, kept = kept, []
-        for parent in parents:
-            for j in range(-b, b + 1):
-                c = child_cell(parent, j)
-                found[c.lo] = found[c.hi] = m + 1
-                if max(map(abs, c.address)) <= next_b:
-                    kept.append(c)
-    # exact order by value: the integer floor(x 2^64) settles all but ties
-    order = sorted(found, key=lambda x: ((x.numerator << 64) // x.denominator, x))
-    return [(x, found[x]) for x in order]
+    budgets = tuple(_integer_root(index_budget, m) for m in range(1, max_level))
+    for m in range(len(budgets), 0, -1):
+        require_family_size(m, budgets[m - 1])
+    return _endpoints(budgets)
 
 
 # ---------------------------------------------------------------------------
@@ -183,10 +170,15 @@ def suite_oscillation(cfg: SuiteConfig) -> Cases:
     # oscillation_witness refuses an endpoint whose first level lies past
     # depth + 1 (its orbit record never reaches +-1): meet the first such
     # refusal here, before any report
-    for x, first_level in endpoints:
-        if first_level > cfg.depth + 1:
-            oscillation_witness(x, cfg.delta, cfg.depth, cfg.fan_budget)
-    return Cases(len(endpoints), (
+    if cfg.max_level > cfg.depth + 1:
+        for x, first_level in tapered_endpoints(cfg.max_level, cfg.index_budget):
+            if first_level > cfg.depth + 1:
+                oscillation_witness(x, cfg.delta, cfg.depth, cfg.fan_budget)
+    # 2 for +-1, and per level m a fan of 2 b + 2 endpoints under each of the
+    # (2 b + 1)^(m - 1) parents with ids within b = b_m
+    budgets = (_integer_root(cfg.index_budget, m) for m in range(1, cfg.max_level))
+    count = 2 + sum((2 * b + 1) ** (m - 1) * (2 * b + 2) for m, b in enumerate(budgets, 1))
+    return Cases(count, (
         oscillation_witness(x, cfg.delta, cfg.depth, cfg.fan_budget)
         for x, _first_level in endpoints
     ))

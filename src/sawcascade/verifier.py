@@ -503,7 +503,8 @@ def structure_check(k: int, index_budget: int) -> WitnessReport:
     values, child fans tiling their parent with the exact shortfall, length
     decay 2^(1-level), the closed-form total covered length at level k, the
     self-similarity of child fans under the parent's unit-interval map, and
-    locate round-trips at cell midpoints.  The certificate aggregates exact
+    locate round-trips at cell midpoints.  Each fan is read in walk order,
+    so tiling also certifies that order.  The certificate aggregates exact
     mismatch counts (all must be zero) and the exact coverage identities.
     """
     require_at_least(k, 1, "level k")
@@ -535,8 +536,8 @@ def structure_check(k: int, index_budget: int) -> WitnessReport:
 
     # self-similarity: the parent's unit-interval map x -> (x - sign(S) C)/|S|
     # carries the level-1 family onto each child fan, so the fan pulled back
-    # by its inverse, in spatial order, must be the family in spatial order
-    level1 = sorted((level1_cell(j).lo, level1_cell(j).hi) for j in ids)
+    # by its inverse, left to right, must be the family in ascending ids
+    level1 = [(level1_cell(j).lo, level1_cell(j).hi) for j in ids]
     tiling_failures = 0
     family_mismatches = 0
     parents: list[Cell] = [ROOT]
@@ -545,7 +546,7 @@ def structure_check(k: int, index_budget: int) -> WitnessReport:
         for c in level_cells:
             by_parent.setdefault(c.address[:-1], []).append(c)
         for parent in parents:
-            fan = sorted(by_parent.get(parent.address, []), key=lambda c: c.lo)
+            fan = by_parent.get(parent.address, [])
             if len(fan) != len(ids):
                 tiling_failures += 1
                 continue

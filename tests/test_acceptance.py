@@ -162,7 +162,7 @@ def test_criterion_06_oscillation_everywhere() -> None:
     def body() -> None:
         cfg = SuiteConfig()
         reports = list(suite_oscillation(cfg))
-        assert len(reports) == len(tapered_endpoints(cfg.max_level, cfg.index_budget))
+        assert len(reports) == len(list(tapered_endpoints(cfg.max_level, cfg.index_budget)))
         assert len(reports) > 5000
         bad = [r for r in reports if not r.verdict]
         assert not bad, [(r.input("x0"), r.error) for r in bad[:3]]

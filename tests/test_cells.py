@@ -399,12 +399,28 @@ def test_e_points_respects_window_and_budget():
     assert EPoint(F(-1, 2), 2) in pts
 
 
-def test_iter_cells_level_by_level_in_address_order():
+def test_iter_cells_walks_depth_first_in_spatial_order():
     got = [c.address for c in iter_cells(2, 1)]
     ids = (-1, 0, 1)
-    assert got == [(j,) for j in ids] + [(i, j) for i in ids for j in ids]
-    for c in iter_cells(3, 2):
+    assert set(got) == set([(j,) for j in ids] + [(i, j) for i in ids for j in ids])
+    # teeth +-1 have slope -12, so their fans run ids descending
+    assert got == [(-1,), (-1, 1), (-1, 0), (-1, -1), (0,), (0, -1), (0, 0), (0, 1),
+                   (1,), (1, 1), (1, 0), (1, -1)]
+    walked = list(iter_cells(3, 2))
+    ids = range(-2, 3)
+    assert set(c.address for c in walked) == set(
+        [(i,) for i in ids] + [(i, j) for i in ids for j in ids]
+        + [(i, j, m) for i in ids for j in ids for m in ids]
+    )
+    position = {c.address: n for n, c in enumerate(walked)}
+    for c in walked:
         assert c == cell(c.address)
+        if c.level > 1:
+            assert position[c.address[:-1]] < position[c.address]  # parent first
+    for level in (1, 2, 3):
+        row = [c for c in walked if c.level == level]
+        for left, right in zip(row, row[1:]):
+            assert left.hi <= right.lo  # meet or ascend
 
 
 def test_iter_cells_prunes_outside_the_closed_window():

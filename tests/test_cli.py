@@ -689,6 +689,7 @@ def test_verify_depth_outside_its_bounds_is_usage_error_in_every_suite(
         ("intervals --k 30000000 --index-budget 1", "--k"),
         ("verify structure --structure-max-level 30000000", "--structure-max-level"),
         ("verify oscillation --max-level 300000", "--max-level"),
+        ("verify darboux --K 10000000 --cells-budget 1", "--K"),
     ],
 )
 def test_level_arguments_above_the_layer_bound_are_refused_at_once(argv: str, flag: str) -> None:
@@ -717,6 +718,7 @@ def test_level_arguments_above_the_layer_bound_are_refused_at_once(argv: str, fl
                                     "(limit 500000); narrow the budget or the level"),
         ({"max_level": 5001}, "--max-level must be at most 5000, got 5001"),
         ({"structure_max_level": 5001}, "--structure-max-level must be at most 5000, got 5001"),
+        ({"K": 5001}, "--K must be at most 5000, got 5001"),
     ],
 )
 def test_suite_config_refuses_what_verify_refuses(settings: dict, message: str) -> None:

@@ -12,7 +12,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from sawcascade import suites
+from sawcascade import cells, suites
 from sawcascade.cells import Cell, first_level_of, iter_cells, require_family_size
 from sawcascade.construction import MAX_LAYER_INDEX, DomainError
 from sawcascade.suites import (
@@ -87,7 +87,7 @@ def test_small_suites_all_pass() -> None:
 
 
 def test_tapered_endpoints_level1_is_unit_endpoints() -> None:
-    assert tapered_endpoints(1, 50) == [(F(-1), 1), (F(1), 1)]
+    assert list(tapered_endpoints(1, 50)) == [(F(-1), 1), (F(1), 1)]
 
 
 def test_tapered_endpoints_classify_correctly() -> None:
@@ -96,7 +96,7 @@ def test_tapered_endpoints_classify_correctly() -> None:
 
 
 def test_tapered_endpoints_budget_shrinks_with_depth() -> None:
-    eps = tapered_endpoints(6, 50)
+    eps = list(tapered_endpoints(6, 50))
     by_level: dict[int, int] = {}
     for _x, first_level in eps:
         by_level[first_level] = by_level.get(first_level, 0) + 1
@@ -155,20 +155,22 @@ def test_tapered_endpoints_equal_the_per_level_enumeration(
     max_level: int, index_budget: int
 ) -> None:
     expected = reference_tapered_endpoints(max_level, index_budget)
-    assert tapered_endpoints(max_level, index_budget) == expected
+    assert list(tapered_endpoints(max_level, index_budget)) == expected
+    cfg = SuiteConfig(max_level=max_level, index_budget=index_budget)
+    assert len(suites.suite_oscillation(cfg)) == len(expected)  # the closed form
 
 
 def test_tapered_endpoints_build_each_cell_once(monkeypatch: pytest.MonkeyPatch) -> None:
     calls = 0
-    real = suites.child_cell
+    real = cells.child_cell
 
     def counting(parent: Cell, j: int) -> Cell:
         nonlocal calls
         calls += 1
         return real(parent, j)
 
-    monkeypatch.setattr(suites, "child_cell", counting)
-    tapered_endpoints(6, 50)
+    monkeypatch.setattr(cells, "child_cell", counting)
+    list(tapered_endpoints(6, 50))
     # budgets 50, 7, 3, 2, 2 for levels 1..5: 101 + 15^2 + 7^3 + 5^4 + 5^5 cells
     assert calls == 101 + 15**2 + 7**3 + 5**4 + 5**5 == 4419
 
@@ -179,9 +181,28 @@ def test_tapered_endpoints_refuse_the_deepest_family_before_building(
     def no_cell(parent: Cell, j: int) -> Cell:
         raise AssertionError("a cell was built before the size check")
 
-    monkeypatch.setattr(suites, "child_cell", no_cell)
+    monkeypatch.setattr(cells, "child_cell", no_cell)
     with pytest.raises(DomainError, match=r"enumerating \(2\*1\+1\)\^19 cells is too large"):
         tapered_endpoints(20, 50)
+
+
+def test_tapered_endpoints_stream_with_one_fan_per_level(monkeypatch: pytest.MonkeyPatch) -> None:
+    calls = 0
+    real = cells.child_cell
+
+    def counting(parent: Cell, j: int) -> Cell:
+        nonlocal calls
+        calls += 1
+        return real(parent, j)
+
+    monkeypatch.setattr(cells, "child_cell", counting)
+    endpoints = tapered_endpoints(8, 50)
+    assert calls == 0
+    first = [next(endpoints) for _ in range(3)]
+    # budgets 50, 7, 3, 2, 2, 1, 1 for levels 1..7: at most one fan per level
+    # is built by the third endpoint, where the whole family is 9122 cells
+    assert calls <= 101 + 15 + 7 + 5 + 5 + 3 + 3
+    assert first == reference_tapered_endpoints(8, 50)[:3]
 
 
 #: One level past the layer bound: every cell family of that level is refused

@@ -119,7 +119,7 @@ def _side_cell_list(x0, first_level):
 
 def test_side_cells_from_the_orbit_record_match_locate():
     # same sides in the same order: scan order decides which witness is found
-    points = tapered_endpoints(5, 50)
+    points = list(tapered_endpoints(5, 50))
     assert len(points) > 1000
     for x0, first_level in points:
         info = orbit(x0, 40)
