@@ -240,36 +240,36 @@ COMMANDS: dict[str, tuple[str, Callable[[argparse.ArgumentParser], None]]] = {
 
 
 def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
-    """The parser of every command, or of ``command`` alone: for an argument
-    list that starts with ``command`` the two print the same bytes."""
-    parser = argparse.ArgumentParser(
-        prog="sawcascade",
-        description=(
-            "Exact evaluation and certified verification of the sawtooth "
-            "cascade series, its signed variant, and their antiderivatives."
-        ),
-    )
-    # a one-command parser's usage names every command, as the full parser's
-    # does; the full parser keeps no metavar, which would rename the action
-    # in its own errors ("argument command: invalid choice")
-    metavar = None if command is None else "{" + ",".join(COMMANDS) + "}"
-    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
-    for name, (help_text, add_arguments) in COMMANDS.items():
-        if command in (None, name):
-            p = sub.add_parser(name, help=help_text)
-            add_arguments(p)
-            p.add_argument("--out", help="write output to this file instead of stdout")
+    """The parser of every command, or ``command``'s own: it parses what
+    follows the command name and prints what the full parser's would."""
+    if command is None:
+        parser = argparse.ArgumentParser(
+            prog="sawcascade",
+            description=(
+                "Exact evaluation and certified verification of the sawtooth "
+                "cascade series, its signed variant, and their antiderivatives."
+            ),
+        )
+        sub = parser.add_subparsers(dest="command", required=True)
+        parsers = {name: sub.add_parser(name, help=help_text)
+                   for name, (help_text, _) in COMMANDS.items()}
+    else:
+        parser = argparse.ArgumentParser(prog="sawcascade " + command)
+        parsers = {command: parser}
+    for name, p in parsers.items():
+        COMMANDS[name][1](p)
+        p.add_argument("--out", help="write output to this file instead of stdout")
     return parser
 
 
 @functools.cache
 def _shared_parser(command: Optional[str]) -> argparse.ArgumentParser:
-    """The parser ``run`` reuses for an argument list that starts with
-    ``command`` (one of COMMANDS), or the full parser (None) for any other.
+    """The parser ``run`` reuses: ``command``'s own (one of COMMANDS), or the
+    full parser (None) for an argv with no command or unrecognized arguments.
 
     Each is built on its first use rather than at import, so a program that
-    only evaluates never builds the other commands' parsers.  Parsing leaves
-    no state in a parser: each call gets a fresh namespace.
+    only evaluates builds one ArgumentParser, the ``eval`` one.  Parsing
+    leaves no state in a parser: each call gets a fresh namespace.
     """
     return build_parser(command)
 
@@ -337,19 +337,25 @@ def run(
     stdout: TextIO = sys.stdout,
     stderr: TextIO = sys.stderr,
 ) -> int:
-    """Execute one CLI invocation; returns the exit code.
-
-    Usage errors and --help go to the given streams, like all other output.
+    """Execute one CLI invocation, parsing what follows a command name with
+    that command's own parser; returns the exit code.  Usage errors and
+    --help go to the given streams, like all other output.
     """
     argv = list(argv)
     command = argv[0] if argv and argv[0] in COMMANDS else None
     try:
         with redirect_stdout(stdout), redirect_stderr(stderr):
-            args = _shared_parser(command).parse_args(argv)
+            if command is None:  # --help, or an error of the full parser
+                args = _shared_parser(None).parse_args(argv)
+                command = args.command
+            else:
+                args, extra = _shared_parser(command).parse_known_args(argv[1:])
+                if extra:  # the full parser reports what a command's parser leaves
+                    _shared_parser(None).error(f"unrecognized arguments: {' '.join(extra)}")
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        if args.command == "verify":
+        if command == "verify":
             # the parser leaves a rational setting as text
             cfg = SuiteConfig(**{
                 f.name: parse_rational(value) if isinstance(value, str) else value
@@ -370,14 +376,14 @@ def run(
         # the other commands write one text each: their arguments are parsed
         # here, under the digit limit, and only render runs with it lifted
         render: Callable[[], str]
-        if args.command == "eval":
+        if command == "eval":
             enc = _evaluate(args.fn, parse_rational(args.x), args.k, args.K)
             render = functools.partial(_json_line, enc, ("center", "radius"))
-        elif args.command == "sample":
+        elif command == "sample":
             a, b = parse_rational(args.a), parse_rational(args.b)
             sample = SampleConfig(args.fn, a, b, args.count, args.k, args.K, args.format)
             render = functools.partial(emit_samples, sample)
-        elif args.command == "intervals":
+        elif command == "intervals":
             window = (parse_rational(args.window[0]), parse_rational(args.window[1]))
             render = functools.partial(render_intervals, require_layer_index("--k", args.k),
                                        args.index_budget, window, args.format)

@@ -110,11 +110,12 @@ def _random_rational(rng: random.Random, lo: Rat, hi: Rat, max_den: int) -> Rat:
 
 
 def _integer_root(base: int, power: int) -> int:
-    """Largest b >= 1 with b**power <= base."""
-    b = 1
-    while (b + 1) ** power <= base:
-        b += 1
-    return b
+    """Largest b >= 1 with b**power <= base, by bisection on integers."""
+    lo, hi = 1, 1 << (base.bit_length() // power + 1)  # hi**power > base
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if mid ** power <= base else (lo, mid)
+    return lo
 
 
 def tapered_endpoints(max_level: int, index_budget: int) -> Iterator[tuple[Rat, int]]:

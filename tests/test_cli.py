@@ -6,6 +6,7 @@ the installed script, including exit codes and output streams.
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import io
 import json
@@ -15,6 +16,7 @@ import subprocess
 import sys
 import time
 import weakref
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -807,6 +809,18 @@ def test_verify_max_level_guard_refuses_before_enumerating() -> None:
     assert "too large" in err
 
 
+def test_verify_index_budget_guard_refuses_at_once() -> None:
+    # each level's id budget is an integer root of the index budget
+    start = time.perf_counter()
+    code, out, err = invoke(["verify", "oscillation", "--index-budget", "30000000"])
+    assert time.perf_counter() - start < 1
+    _assert_one_line_usage_error(code, out, err)
+    assert err == (
+        "error: enumerating (2*31+1)^5 cells is too large (limit 500000); "
+        "narrow the budget or the level\n"
+    )
+
+
 def test_verify_structure_max_level_flag() -> None:
     code, out, _ = invoke(["verify", "structure", "--structure-max-level", "2"])
     assert code == EXIT_OK
@@ -987,25 +1001,44 @@ def test_build_parser_returns_a_fresh_parser() -> None:
 
 
 def test_run_builds_one_parser_across_calls(monkeypatch: pytest.MonkeyPatch) -> None:
-    built = []
-    build = cli.build_parser
+    built, inits = [], []
+    build, init = cli.build_parser, argparse.ArgumentParser.__init__
 
     def counting_build_parser(command=None):
         built.append(command)
         return build(command)
 
+    def counting_init(self, *args, **kwargs):
+        inits.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
     monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
     cli._shared_parser.cache_clear()
     calls = (["eval", "--fn", "f", "--x", "1/3"], ["eval", "--fn", "zz", "--x", "1"],
-             ["sample", "--fn", "F", "--count", "3"], ["--help"])
+             ["sample", "--fn", "F", "--count", "3"], ["eval", "--fn", "f", "--x", "1", "extra"],
+             ["--help"])
+    invoke(calls[0])
+    assert inits == ["sawcascade eval"]  # one ArgumentParser for a first eval call
+    for argv in calls[1:]:
+        invoke(argv)
+    assert built == ["eval", "sample", None]  # the full parser for the extra argument
+    inits.clear()
     for argv in calls:
         invoke(argv)
-    assert built == ["eval", "sample", None]  # the full parser serves --help
+    assert built == ["eval", "sample", None] and inits == []
+    own = cli._shared_parser("eval")
+    assert type(own) is argparse.ArgumentParser and own.prog == "sawcascade eval"
+    assert not any(isinstance(a, argparse._SubParsersAction) for a in own._actions)
+    # only --help and the unrecognized extra argument need the full parser
+    full_builders = []
     for argv in calls:
+        cli._shared_parser.cache_clear()
+        built.clear()
         invoke(argv)
-    assert built == ["eval", "sample", None]
-    commands = cli._shared_parser("eval")._actions[-1]  # after -h
-    assert list(commands.choices) == ["eval"]  # no verify parser, nor its options
+        if None in built:
+            full_builders.append(argv)
+    assert full_builders == [calls[3], calls[4]]
 
 
 #: Argument lists whose output the parser decides: help, an abbreviated
@@ -1028,22 +1061,52 @@ PARSER_ONLY_CALLS = [
 ]
 
 
-@pytest.mark.parametrize("argv", PARSER_ONLY_CALLS)
+@pytest.mark.parametrize(
+    "argv, columns",
+    [pytest.param(argv, "80", id=argv) for argv in PARSER_ONLY_CALLS]
+    + [pytest.param(argv, columns, id=f"{argv} at {columns} columns")
+       for argv in ("eval --fn f --x 1 extra", "verify all --count 1 extra")
+       for columns in ("30", "200")],
+)
 def test_one_command_parser_prints_what_the_full_parser_prints(
-    argv: str, monkeypatch: pytest.MonkeyPatch
+    argv: str, columns: str, monkeypatch: pytest.MonkeyPatch
 ) -> None:
-    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.setenv("COLUMNS", columns)  # the top usage line wraps at 30, not at 200
     cli._shared_parser.cache_clear()
     code, out, err = invoke(argv.split())
-    assert cli._shared_parser.cache_info().currsize == 1  # the command's own parser
-    monkeypatch.setattr(cli, "_shared_parser", lambda command: cli.build_parser())
-    assert (code, out, err) == invoke(argv.split())
+    unrecognized = "sawcascade: error: unrecognized arguments: " in err
+    # the command's own parser, and the full one only for what it leaves
+    assert cli._shared_parser.cache_info().currsize == (2 if unrecognized else 1)
+    full_out, full_err = io.StringIO(), io.StringIO()
+    with redirect_stdout(full_out), redirect_stderr(full_err):
+        try:
+            namespace = cli.build_parser().parse_args(argv.split())
+            full_code = EXIT_OK
+        except SystemExit as exc:
+            namespace, full_code = None, exc.code
+    if argv == "eval --f F --x 1/3":  # an abbreviation of --fn
+        assert (code, err, full_code) == (EXIT_OK, "", EXIT_OK)
+        assert (full_out.getvalue(), full_err.getvalue()) == ("", "")
+        own, extra = cli._shared_parser("eval").parse_known_args(argv.split()[1:])
+        assert (argparse.Namespace(command="eval", **vars(own)), extra) == (namespace, [])
+        assert namespace.fn == "F" and out == invoke(["eval", "--fn", "F", "--x", "1/3"])[1]
+        return
+    assert (code, out, err) == (full_code, full_out.getvalue(), full_err.getvalue())
     if argv.endswith("--help"):
         assert (code, err) == (EXIT_OK, "") and out.startswith("usage: sawcascade ")
-    elif argv == "eval --f F --x 1/3":  # an abbreviation of --fn
-        assert (code, err) == (EXIT_OK, "")
     else:
         assert (code, out) == (EXIT_USAGE, "") and err.startswith("usage: sawcascade ")
+
+
+@pytest.mark.parametrize("columns", ["40", "80", "200"])
+@pytest.mark.parametrize("command", cli.COMMANDS)
+def test_a_command_parser_prints_the_help_of_its_subparser(
+    command: str, columns: str, monkeypatch: pytest.MonkeyPatch
+) -> None:
+    monkeypatch.setenv("COLUMNS", columns)
+    full = cli.build_parser()
+    [commands] = [a for a in full._actions if isinstance(a, argparse._SubParsersAction)]
+    assert cli.build_parser(command).format_help() == commands.choices[command].format_help()
 
 
 @pytest.mark.parametrize(

@@ -123,6 +123,25 @@ def test_tapered_endpoints_refuse_settings_below_one(
         tapered_endpoints(max_level, index_budget)
 
 
+def test_integer_root_equals_counting_up() -> None:
+    def counted_up(base: int, power: int) -> int:
+        b = 1
+        while (b + 1) ** power <= base:
+            b += 1
+        return b
+
+    for base in range(1, 5001):
+        for power in range(1, 13):
+            assert suites._integer_root(base, power) == counted_up(base, power)
+    for base, power, root in [
+        (30_000_000, 1, 30_000_000), (30_000_000, 4, 74), (10**12, 2, 10**6),
+        (10**12 - 1, 2, 10**6 - 1), (10**21, 3, 10**7), (10**21 - 1, 3, 10**7 - 1),
+        (2**203, 7, 2**29), (2**203 - 1, 7, 2**29 - 1), (3**500 + 1, 5, 3**100),
+        (10**40, 1, 10**40), (10**40, 5, 10**8),
+    ]:
+        assert suites._integer_root(base, power) == root
+
+
 def test_tapered_endpoints_smallest_budget_is_one_id_per_level() -> None:
     # budget 1 keeps the ids -1, 0, 1 on every level: 3^m level-m cells
     by_level: dict[int, int] = {}
