@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from sawcascade.construction import (
     DomainError,
@@ -48,17 +48,6 @@ Level1Id = int
 
 #: Non-empty sequence of signed level-1 ids, leftmost applied first.
 Address = tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class AffineMap:
-    """Exact affine map x -> scale * x + offset."""
-
-    scale: Rat
-    offset: Rat
-
-    def __call__(self, x: RatLike) -> Rat:
-        return self.scale * as_rational(x) + self.offset
 
 
 @dataclass(frozen=True)
@@ -100,14 +89,6 @@ class Cell:
 #: Level-0 pseudo-cell: the identity on the whole domain.  Used as the parent
 #: of the level-1 family and as the one-sided fan anchor at the endpoints +-1.
 ROOT = Cell(address=(), lo=Fraction(-1), hi=Fraction(1), slope=1, intercept=0)
-
-
-def validate_address(address: Sequence[int]) -> Address:
-    if len(address) == 0:
-        raise DomainError("address must be a non-empty sequence of ids")
-    if not all(isinstance(j, int) and not isinstance(j, bool) for j in address):
-        raise DomainError(f"address entries must be ints, got {tuple(address)!r}")
-    return tuple(address)
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +181,10 @@ def child_cell(parent: Cell, j: Level1Id) -> Cell:
 
 def cell(address: Sequence[int]) -> Cell:
     """The cell for an address, built by composing pullbacks left to right."""
-    address = validate_address(address)
+    if len(address) == 0:
+        raise DomainError("address must be a non-empty sequence of ids")
+    if not all(isinstance(j, int) and not isinstance(j, bool) for j in address):
+        raise DomainError(f"address entries must be ints, got {tuple(address)!r}")
     current = ROOT
     for j in address:
         current = child_cell(current, j)
@@ -311,13 +295,15 @@ def children(address: Sequence[int], index_budget: int) -> list[Cell]:
     return _fan(cell(address), index_budget)
 
 
-def child_map(parent: Cell) -> AffineMap:
-    """The orientation-preserving affine bijection [-1, 1] -> parent interval.
+def child_map(parent: Cell) -> Callable[[RatLike], Rat]:
+    """The orientation-preserving affine bijection [-1, 1] -> parent interval,
+    x -> x / |S| + midpoint, as a function of x.
 
     Conjugating by these maps sends the level-1 family onto any cell's child
     family: the cascade is self-similar, cell by cell.
     """
-    return AffineMap(scale=Fraction(1, abs(parent.slope)), offset=parent.midpoint)
+    scale, offset = Fraction(1, abs(parent.slope)), parent.midpoint
+    return lambda x: scale * as_rational(x) + offset
 
 
 # ---------------------------------------------------------------------------
@@ -351,24 +337,16 @@ def locate(x: RatLike, k: int) -> list[Address]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EPoint:
-    """A cell endpoint together with the first level whose iterate hits +-1.
-
-    first_level m + 1 marks endpoints of level-m cells; the domain endpoints
-    +-1 carry first_level 1.  At such a point every deeper iterate vanishes,
-    so the series value is exactly the (first_level - 1)-term partial sum.
-    """
-
-    x: Rat
-    first_level: int
-
-
 def e_points(
     k: int, window: tuple[RatLike, RatLike], index_budget: int
-) -> list[EPoint]:
+) -> list[tuple[Rat, int]]:
     """All enumerable points of first_level <= k inside the closed window,
-    in ascending x.
+    as (x, first_level) pairs in ascending x.
+
+    first_level is 1 + the first step whose iterate of x is +-1: m + 1
+    marks endpoints of level-m cells, and the domain endpoints +-1 carry 1.
+    At such a point every deeper iterate vanishes, so the series value is
+    exactly the (first_level - 1)-term partial sum.
 
     Enumerates endpoints of cells of level < k whose per-coordinate ids stay
     within index_budget, plus +-1.  Cells disjoint from the window are pruned
@@ -379,7 +357,7 @@ def e_points(
     wlo, whi = _checked_window(window)
     require_family_size(k - 1, index_budget)
     ends = _endpoints((index_budget,) * (k - 1), wlo, whi)
-    return [EPoint(x, first_level) for x, first_level in ends if wlo <= x <= whi]
+    return [(x, first_level) for x, first_level in ends if wlo <= x <= whi]
 
 
 def first_level_of(x: RatLike, depth: int) -> Optional[int]:

@@ -45,7 +45,7 @@ from sawcascade.construction import (  # re-exports MAX_LAYER_INDEX and require_
     require_at_least,
     require_layer_index,
 )
-from sawcascade.reports import WitnessReport, document_chunks, rat_str, report_to_dict
+from sawcascade.reports import WitnessReport, document_chunks, report_to_dict
 from sawcascade.suites import SUITE_ORDER, SuiteConfig, run_suite_reports
 
 EXIT_OK = 0
@@ -102,7 +102,21 @@ def _evaluate(fn: str, x: Rat, k: int, K: int) -> Certified:
 
 def _json_line(value: object, keys: Sequence[str]) -> str:
     """The exact rationals ``value.<key>`` as one line of JSON."""
-    return json.dumps({key: rat_str(getattr(value, key)) for key in keys}, sort_keys=True) + "\n"
+    return json.dumps({key: str(getattr(value, key)) for key in keys}, sort_keys=True) + "\n"
+
+
+def _table(fields: Sequence[str], rows: list[Sequence[object]], fmt: str) -> str:
+    """The rows, one value per field, as CSV under a header line (a list
+    joined by ';', a bool as true/false) or as a JSON list of objects; an
+    empty table is its header line or []."""
+    if fmt == "csv":
+        def text(value: object) -> str:
+            if isinstance(value, list):
+                return ";".join(map(str, value))
+            return json.dumps(value) if isinstance(value, bool) else str(value)
+        return "".join(",".join(map(text, row)) + "\n" for row in [fields, *rows])
+    payload = [dict(zip(fields, row)) for row in rows]
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 def emit_samples(cfg: SampleConfig) -> str:
@@ -112,38 +126,20 @@ def emit_samples(cfg: SampleConfig) -> str:
         raise DomainError(f"need a <= b, got a={cfg.a}, b={cfg.b}")
     step = (cfg.b - cfg.a) / max(cfg.count - 1, 1)
     xs = [cfg.a + step * i for i in range(cfg.count)]
-    rows = [(x, _evaluate(cfg.fn, x, cfg.k, cfg.K)) for x in xs]
-    if cfg.fmt == "csv":
-        lines = ["x,center,radius,exact"]
-        for x, enc in rows:
-            lines.append(
-                f"{rat_str(x)},{rat_str(enc.center)},{rat_str(enc.radius)},"
-                f"{'true' if enc.exact else 'false'}"
-            )
-        return "\n".join(lines) + "\n"
-    payload = [
-        {
-            "x": rat_str(x),
-            "center": rat_str(enc.center),
-            "radius": rat_str(enc.radius),
-            "exact": enc.exact,
-        }
-        for x, enc in rows
+    rows: list[Sequence[object]] = [
+        (str(x), str(enc.center), str(enc.radius), enc.exact)
+        for x in xs for enc in [_evaluate(cfg.fn, x, cfg.k, cfg.K)]
     ]
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return _table(("x", "center", "radius", "exact"), rows, cfg.fmt)
 
 
 def render_intervals(k: int, index_budget: int, window: tuple[Rat, Rat], fmt: str) -> str:
     """Render the level-k cells meeting the window, in spatial order."""
-    fields = ("lo", "hi", "slope", "intercept")
-    rows = [(c.address, [rat_str(getattr(c, f)) for f in fields])
-            for c in iter_cells(k, index_budget, window) if c.level == k]
-    if fmt == "csv":
-        lines = ["address," + ",".join(fields)]
-        lines += [";".join(map(str, address)) + "," + ",".join(v) for address, v in rows]
-        return "\n".join(lines) + "\n"
-    payload = [{"address": list(address), **dict(zip(fields, v))} for address, v in rows]
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    rows: list[Sequence[object]] = [
+        [list(c.address), str(c.lo), str(c.hi), str(c.slope), str(c.intercept)]
+        for c in iter_cells(k, index_budget, window) if c.level == k
+    ]
+    return _table(("address", "lo", "hi", "slope", "intercept"), rows, fmt)
 
 
 def _verification(name: str, cfg: SuiteConfig) -> tuple[dict, Iterator[WitnessReport]]:
@@ -163,7 +159,7 @@ def _verification(name: str, cfg: SuiteConfig) -> tuple[dict, Iterator[WitnessRe
             yield report
 
     # every setting but the seed, which has its own key
-    parameters = {**dataclasses.asdict(cfg), "delta": rat_str(cfg.delta)}
+    parameters = {**dataclasses.asdict(cfg), "delta": str(cfg.delta)}
     envelope = {
         "suite": name,
         "seed": parameters.pop("seed"),

@@ -161,14 +161,14 @@ def report_to_dict(report: WitnessReport) -> dict[str, Any]:
     return {
         "kind": report.kind,
         "inputs": {k: v for k, v in report.inputs},
-        "points": [[rat_str(x), rat_str(v)] for x, v in report.points],
+        "points": [[str(x), str(v)] for x, v in report.points],
         "verdict": report.verdict,
         "certificate": [
             {
                 "label": c.label,
                 "relation": c.relation,
-                "lhs": rat_str(c.lhs),
-                "rhs": rat_str(c.rhs),
+                "lhs": str(c.lhs),
+                "rhs": str(c.rhs),
             }
             for c in report.certificate
         ],
@@ -202,7 +202,7 @@ def _block(opening: str, items: list[str], closing: str) -> str:
 
 def _case_json(report: WitnessReport) -> str:
     """``report_to_dict(report)`` as indented JSON at depth 2; ``%s`` writes a
-    rational with ``str``, which is what ``rat_str`` returns."""
+    rational with ``str``, as ``report_to_dict`` does."""
     certificate = [
         _CHECK % (_quote(label), lhs, relation, rhs)
         for label, relation, lhs, rhs in report.certificate
@@ -278,7 +278,7 @@ def _canonical_rational(text: str) -> Rat:
 
 
 def _rational(text: Any) -> Rat:
-    """A rational read back from the text ``rat_str`` wrote; ValueError for
+    """A rational read back from the text ``str`` wrote; ValueError for
     any other value, a JSON number among them."""
     if type(text) is not str:
         raise _not_canonical(text)

@@ -3,11 +3,11 @@
 Each suite draws its sample points from an explicitly seeded Mersenne
 generator (integer draws only, so results are stable across platforms and
 Python versions) or enumerates cell endpoints outright.  Called with a
-configuration, a suite makes its refusals and draws its inputs, then
-returns an iterator of reports that certifies each report when it is drawn,
-so a caller that writes and drops each report holds one at a time.  Given
-the same configuration the iterator yields the identical reports,
-certificate for certificate.
+configuration, a suite makes its refusals and returns an iterator of
+reports that draws each report's inputs and certifies it when the report
+is drawn, so a caller that writes and drops each report holds one at a
+time, and no suite holds its inputs.  Given the same configuration the
+iterator yields the identical reports, certificate for certificate.
 
 The endpoint enumeration for the oscillation suite tapers its per-level
 index budget so that every level's cell family contributes about the same
@@ -21,7 +21,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, islice
 from math import ceil, floor
 from typing import Callable, Iterable, Iterator
 
@@ -92,10 +92,6 @@ class SuiteConfig:
                 raise DomainError(f"{what} must be >= {floor}, got {value} (no cases)")
 
 
-def _rng(cfg: SuiteConfig) -> random.Random:
-    return random.Random(cfg.seed)
-
-
 def _random_rational(rng: random.Random, lo: Rat, hi: Rat, max_den: int) -> Rat:
     """A random rational strictly inside (lo, hi) with denominator <= max_den."""
     while True:
@@ -148,9 +144,9 @@ class Cases(Iterable[WitnessReport]):
     """A suite's reports, each certified when it is drawn; they can be
     drawn once.
 
-    A suite has made its refusals and drawn its inputs by the time it
-    returns this, so ``len`` (the number of reports in all, drawn or not)
-    is known before the first report is certified.
+    A suite has made its refusals by the time it returns this, and counts
+    its reports in closed form, so ``len`` (the number of reports in all,
+    drawn or not) is known before any input is drawn.
     """
 
     __slots__ = ("_count", "_reports")
@@ -186,58 +182,52 @@ def suite_oscillation(cfg: SuiteConfig) -> Cases:
 
 
 def suite_no_extrema(cfg: SuiteConfig) -> Cases:
-    rng = _rng(cfg)
-    xs = [_random_rational(rng, F(-1), F(1), 10**6) for _ in range(cfg.count)]
-    probes = [(x, F(1, 10**exponent)) for x in xs for exponent in (1, 2, 3)]
-    return Cases(len(probes), (
-        non_extremum_witness(x, delta, cfg.depth, cfg.fan_budget) for x, delta in probes
+    rng = random.Random(cfg.seed)
+    xs = (_random_rational(rng, F(-1), F(1), 10**6) for _ in range(cfg.count))
+    return Cases(3 * cfg.count, (
+        non_extremum_witness(x, F(1, 10**exponent), cfg.depth, cfg.fan_budget)
+        for x in xs for exponent in (1, 2, 3)
     ))
 
 
 def suite_nowhere_monotone(cfg: SuiteConfig) -> Cases:
-    rng = _rng(cfg)
-    intervals: list[tuple[Rat, Rat]] = []
-    min_width = F(1, 1000)
-    while len(intervals) < cfg.count:
-        u = _random_rational(rng, F(-1), F(1), 1000)
-        v = _random_rational(rng, F(-1), F(1), 1000)
-        a, b = min(u, v), max(u, v)
-        if b - a >= min_width:
-            intervals.append((a, b))
-    return Cases(len(intervals), (
-        non_monotone_witness(a, b, cfg.depth, cfg.fan_budget) for a, b in intervals
+    def intervals(rng: random.Random) -> Iterator[tuple[Rat, Rat]]:
+        while True:
+            u = _random_rational(rng, F(-1), F(1), 1000)
+            v = _random_rational(rng, F(-1), F(1), 1000)
+            if abs(u - v) >= F(1, 1000):
+                yield min(u, v), max(u, v)
+    return Cases(cfg.count, (
+        non_monotone_witness(a, b, cfg.depth, cfg.fan_budget)
+        for a, b in islice(intervals(random.Random(cfg.seed)), cfg.count)
     ))
 
 
 def suite_local_min(cfg: SuiteConfig) -> Cases:
-    rng = _rng(cfg)
-    xs = [_random_rational(rng, F(0), F(1, 4), 10**6) for _ in range(cfg.count)]
-    return Cases(len(xs), (local_min_check(x) for x in xs))
+    rng = random.Random(cfg.seed)
+    xs = (_random_rational(rng, F(0), F(1, 4), 10**6) for _ in range(cfg.count))
+    return Cases(cfg.count, (local_min_check(x) for x in xs))
 
 
 def suite_quotient_bound(cfg: SuiteConfig) -> Cases:
-    rng = _rng(cfg)
-    probes = []
-    for k in range(1, 9):
-        for n in range(2, cfg.n_max + 1):
-            band_lo = F(1, n + 1) - 1
-            band_hi = F(1, n) - 1
-            seeded = band_lo + (band_hi - band_lo) * F(rng.randint(1, 999), 1000)
-            for x in ((band_lo + band_hi) / 2, band_hi, seeded):
-                probes.append((k, n, x))
-    return Cases(len(probes), (quotient_bound_check(k, n, x) for k, n, x in probes))
+    def reports(rng: random.Random) -> Iterator[WitnessReport]:
+        for k in range(1, 9):
+            for n in range(2, cfg.n_max + 1):
+                band_lo = F(1, n + 1) - 1
+                band_hi = F(1, n) - 1
+                yield quotient_bound_check(k, n, (band_lo + band_hi) / 2)
+                yield quotient_bound_check(k, n, band_hi)
+                seeded = band_lo + (band_hi - band_lo) * F(rng.randint(1, 999), 1000)
+                yield quotient_bound_check(k, n, seeded)
+    return Cases(24 * (cfg.n_max - 1), reports(random.Random(cfg.seed)))
 
 
 def suite_integral_crosscheck(cfg: SuiteConfig) -> Cases:
-    rng = _rng(cfg)
-    batches = []
-    for k in range(1, 7):
-        xs = [F(-1), F(-1, 2), F(0), F(1, 3), F(7, 10), F(1)]
-        xs += [_random_rational(rng, F(-1), F(1), 10**4) for _ in range(4)]
-        batches.append((k, xs))
-    return Cases(len(batches), (
-        integral_crosscheck(k, xs, cfg.index_budget) for k, xs in batches
-    ))
+    rng = random.Random(cfg.seed)
+    fixed = [F(-1), F(-1, 2), F(0), F(1, 3), F(7, 10), F(1)]
+    batches = ((k, fixed + [_random_rational(rng, F(-1), F(1), 10**4) for _ in range(4)])
+               for k in range(1, 7))
+    return Cases(6, (integral_crosscheck(k, xs, cfg.index_budget) for k, xs in batches))
 
 
 def suite_structure(cfg: SuiteConfig) -> Cases:

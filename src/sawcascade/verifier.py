@@ -34,7 +34,7 @@ from fractions import Fraction
 from itertools import chain, islice, repeat
 from typing import Optional, Sequence
 
-from sawcascade.antiderivative import enclose_integral, eval_Fk
+from sawcascade.antiderivative import covered_length, enclose_integral, eval_Fk
 from sawcascade.cells import (
     ROOT,
     Cell,
@@ -501,7 +501,7 @@ def structure_check(k: int, index_budget: int) -> WitnessReport:
     checks, with exact arithmetic: affinity of the iterate on each cell
     (probed against plain iteration), onto [-1, 1] with opposite endpoint
     values, child fans tiling their parent with the exact shortfall, length
-    decay 2^(1-level), the closed-form total covered length at level k, the
+    decay 2^(1-level), the total length at level k against covered_length, the
     self-similarity of child fans under the parent's unit-interval map, and
     locate round-trips at cell midpoints.  Each fan is read in walk order,
     so tiling also certifies that order.  The certificate aggregates exact
@@ -570,7 +570,7 @@ def structure_check(k: int, index_budget: int) -> WitnessReport:
             locate_mismatches += 1
 
     total = sum((c.length for c in per_level[-1]), ZERO)
-    expected_total = 2 * (1 - Fraction(1, index_budget + 2)) ** k
+    expected_total = covered_length(k, index_budget)
     shortfall = 2 - expected_total
 
     certificate = [

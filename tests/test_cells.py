@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 from sawcascade.cells import (
     ROOT,
     Cell,
-    EPoint,
     cell,
     child_cell,
     child_map,
@@ -291,12 +290,9 @@ def test_children_tile_and_leave_symmetric_shortfall(address, budget):
 
 
 def test_child_map_frozen():
-    m0 = child_map(level1_cell(0))
-    assert (m0.scale, m0.offset) == (F(1, 2), F(0))
-    m1 = child_map(level1_cell(1))
-    assert (m1.scale, m1.offset) == (F(1, 12), F(7, 12))
-    mroot = child_map(ROOT)
-    assert (mroot.scale, mroot.offset) == (F(1), F(0))
+    for parent in (level1_cell(0), level1_cell(1), ROOT):
+        h = child_map(parent)
+        assert (h(-1), h(1)) == (parent.lo, parent.hi)
 
 
 @given(addresses)
@@ -365,15 +361,12 @@ def test_locate_two_results_only_at_shared_endpoints(x):
 
 
 def test_e_points_level_one_is_just_the_domain_ends():
-    assert e_points(1, (F(-1), F(1)), 10) == [
-        EPoint(F(-1), 1),
-        EPoint(F(1), 1),
-    ]
+    assert e_points(1, (F(-1), F(1)), 10) == [(F(-1), 1), (F(1), 1)]
 
 
 def test_e_points_level_two_positive_window():
     pts = e_points(2, (F(0), F(1)), 3)
-    xs = {p.x: p.first_level for p in pts}
+    xs = dict(pts)
     assert xs[F(1)] == 1
     for endpoint in (F(1, 2), F(2, 3), F(3, 4), F(4, 5)):
         assert xs[endpoint] == 2
@@ -382,21 +375,21 @@ def test_e_points_level_two_positive_window():
 
 def test_e_points_first_levels_match_orbit_based_classification():
     pts = e_points(4, (F(-1), F(1)), 4)
-    assert pts == sorted(pts, key=lambda p: p.x)
-    for p in pts:
-        assert first_level_of(p.x, 10) == p.first_level
-        if p.first_level >= 2:
-            assert abs(eval_fk(p.x, p.first_level - 1)) == 1
-        for later in range(p.first_level, p.first_level + 3):
-            assert eval_fk(p.x, later) == 0
+    assert pts == sorted(pts, key=lambda p: p[0])
+    for x, first_level in pts:
+        assert first_level_of(x, 10) == first_level
+        if first_level >= 2:
+            assert abs(eval_fk(x, first_level - 1)) == 1
+        for later in range(first_level, first_level + 3):
+            assert eval_fk(x, later) == 0
 
 
 def test_e_points_respects_window_and_budget():
     pts = e_points(3, (F(-1, 2), F(1, 2)), 2)
-    for p in pts:
-        assert F(-1, 2) <= p.x <= F(1, 2)
-    assert EPoint(F(1, 2), 2) in pts
-    assert EPoint(F(-1, 2), 2) in pts
+    for x, _first_level in pts:
+        assert F(-1, 2) <= x <= F(1, 2)
+    assert (F(1, 2), 2) in pts
+    assert (F(-1, 2), 2) in pts
 
 
 def test_iter_cells_walks_depth_first_in_spatial_order():
@@ -466,6 +459,11 @@ def test_first_level_of_classifies():
 def test_cell_rejects_empty_address():
     with pytest.raises(DomainError):
         cell(())
+
+
+def test_cell_rejects_a_non_int_id():
+    with pytest.raises(DomainError, match=r"address entries must be ints, got \(0, True\)"):
+        cell((0, True))
 
 
 def test_locate_rejects_bad_level():

@@ -261,6 +261,12 @@ def test_emit_samples_grid_is_exact() -> None:
         assert F(line.split(",")[1]) == eval_f1(x)
 
 
+def test_emit_samples_refuses_an_unknown_function() -> None:
+    cfg = SampleConfig(fn="h", a=F(-1), b=F(1), count=3, k=1, K=30, fmt="csv")
+    with pytest.raises(DomainError, match="unknown function 'h'"):
+        emit_samples(cfg)
+
+
 # ---------------------------------------------------------------------------
 # intervals
 # ---------------------------------------------------------------------------
@@ -584,6 +590,18 @@ def test_verify_zero_case_suite_is_usage_error(argv: list[str]) -> None:
     code, out, err = invoke(argv)
     _assert_one_line_usage_error(code, out, err)
     assert "no cases" in err
+
+
+def test_verify_refuses_a_suite_that_yields_no_case(
+    tmp_path: Path, monkeypatch: pytest.MonkeyPatch
+) -> None:
+    # no setting reaches this refusal: every suite counts at least one case
+    monkeypatch.setitem(suites.SUITES, "local-min", lambda cfg: suites.Cases(0, []))
+    for argv in (["verify", "local-min"], ["verify", "local-min", "--out", str(tmp_path / "r")]):
+        code, out, err = invoke(argv)
+        _assert_one_line_usage_error(code, out, err)
+        assert err == "error: suite local-min yields no cases with these settings\n"
+    assert os.listdir(tmp_path) == []
 
 
 @pytest.mark.parametrize(

@@ -24,6 +24,7 @@ from sawcascade.cells import level1_cell, level1_ids_at, level1_ids_of, tooth_sl
 from sawcascade.construction import (
     Certified,
     DomainError,
+    as_rational,
     eval_f,
     eval_f1,
     eval_fk,
@@ -264,6 +265,11 @@ def test_f1_rejects_floats_and_out_of_range():
         eval_f1(F(3, 2))
     with pytest.raises(DomainError):
         eval_f1(-2)
+
+
+def test_as_rational_refuses_other_types():
+    with pytest.raises(TypeError, match="cannot interpret"):
+        as_rational(object())  # type: ignore[arg-type]
 
 
 # ---------------------------------------------------------------------------

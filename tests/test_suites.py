@@ -7,6 +7,7 @@ enumeration so deep levels stay affordable.
 
 from __future__ import annotations
 
+import random
 import time
 from fractions import Fraction as F
 
@@ -18,6 +19,7 @@ from sawcascade.construction import MAX_LAYER_INDEX, DomainError
 from sawcascade.suites import (
     SUITE_ORDER,
     SUITES,
+    Cases,
     SuiteConfig,
     run_suite_reports,
     tapered_endpoints,
@@ -297,3 +299,45 @@ def test_suite_length_is_its_number_of_reports(name: str, cfg: SuiteConfig) -> N
     assert count >= 1
     assert len(list(cases)) == count
     assert list(cases) == []  # drawn once
+
+
+def test_a_suite_with_no_case_is_refused(monkeypatch: pytest.MonkeyPatch) -> None:
+    monkeypatch.setitem(SUITES, "local-min", lambda cfg: Cases(0, []))
+    with pytest.raises(DomainError, match="^suite local-min yields no cases with these settings$"):
+        run_suite_reports("local-min", SMALL)
+
+
+class CountingRandom(random.Random):
+    """A Mersenne generator that counts its randint draws."""
+
+    draws = 0
+
+    def randint(self, a: int, b: int) -> int:
+        CountingRandom.draws += 1
+        return super().randint(a, b)
+
+
+#: randint draws behind each seeded suite's first report at the default
+#: settings: a rational strictly inside a window takes two (denominator and
+#: numerator), so one point, an interval's two ends, nothing (the first
+#: quotient-bound probe is a band midpoint) and the four random points of
+#: the first integral cross-check.
+FIRST_REPORT_DRAWS = {
+    "no-extrema": 2,
+    "nowhere-monotone": 4,
+    "local-min": 2,
+    "quotient-bound": 0,
+    "integral-crosscheck": 8,
+}
+
+
+@pytest.mark.parametrize("name", sorted(FIRST_REPORT_DRAWS))
+def test_seeded_suites_draw_each_input_with_its_report(
+    name: str, monkeypatch: pytest.MonkeyPatch
+) -> None:
+    monkeypatch.setattr(suites.random, "Random", CountingRandom)
+    monkeypatch.setattr(CountingRandom, "draws", 0)
+    cases = SUITES[name](SuiteConfig())
+    assert CountingRandom.draws == 0
+    next(iter(cases))
+    assert CountingRandom.draws == FIRST_REPORT_DRAWS[name]

@@ -354,6 +354,19 @@ def test_non_monotone_validates_interval():
         non_monotone_witness(F(3, 4), F(1, 4))
 
 
+@pytest.mark.parametrize("depth, fan_budget, error", [
+    (1, 64, "depth 1 exhausted at level 0 before the cell chain fit the window"),
+    (40, 0, "fan budget exhausted before a same-side pair appeared"),
+])
+def test_non_monotone_failure_is_a_failed_report(depth, fan_budget, error):
+    # the midpoint 0 is a fixed point, no cell endpoint: the witness walks
+    # its cell chain
+    rep = non_monotone_witness(F(-1, 10), F(1, 10), depth, fan_budget)
+    assert rep.input("mode") == "chain_cell_fan"
+    assert not rep.verdict and rep.error == error and rep.certificate == ()
+    assert recheck(rep) and roundtrips(rep)
+
+
 @given(
     st.fractions(min_value=F(-9, 10), max_value=F(8, 10), max_denominator=300),
     st.integers(min_value=1, max_value=60),
