@@ -19,15 +19,14 @@ from __future__ import annotations
 import argparse
 import pathlib
 
-from sawcascade.cli import SampleConfig, emit_samples
+from sawcascade.cli import emit_samples
 from sawcascade.construction import Rat, as_rational
 
 
 def write(outdir: pathlib.Path, name: str, fn: str, count: int, K: int,
           a: Rat, b: Rat) -> None:
-    cfg = SampleConfig(fn=fn, a=a, b=b, count=count, k=1, K=K, fmt="csv")
     path = outdir / name
-    path.write_text(emit_samples(cfg), encoding="utf-8")
+    path.write_text(emit_samples(fn, a, b, count, 1, K, "csv"), encoding="utf-8")
     print(f"wrote {path} ({count} rows, truncation depth {K})")
 
 

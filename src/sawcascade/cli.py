@@ -80,17 +80,6 @@ def parse_rational(text: str) -> Rat:
     )
 
 
-@dataclasses.dataclass(frozen=True)
-class SampleConfig:
-    fn: str
-    a: Rat
-    b: Rat
-    count: int
-    k: int
-    K: int
-    fmt: str
-
-
 def _evaluate(fn: str, x: Rat, k: int, K: int) -> Certified:
     """Uniform certified view of every evaluable function."""
     require_layer_index("--k", k)
@@ -119,18 +108,18 @@ def _table(fields: Sequence[str], rows: list[Sequence[object]], fmt: str) -> str
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def emit_samples(cfg: SampleConfig) -> str:
+def emit_samples(fn: str, a: Rat, b: Rat, count: int, k: int, K: int, fmt: str) -> str:
     """Render evenly spaced certified samples as CSV or JSON text."""
-    require_at_least(cfg.count, 1, "count")
-    if cfg.a > cfg.b:
-        raise DomainError(f"need a <= b, got a={cfg.a}, b={cfg.b}")
-    step = (cfg.b - cfg.a) / max(cfg.count - 1, 1)
-    xs = [cfg.a + step * i for i in range(cfg.count)]
+    require_at_least(count, 1, "count")
+    if a > b:
+        raise DomainError(f"need a <= b, got a={a}, b={b}")
+    step = (b - a) / max(count - 1, 1)
+    xs = [a + step * i for i in range(count)]
     rows: list[Sequence[object]] = [
         (str(x), str(enc.center), str(enc.radius), enc.exact)
-        for x in xs for enc in [_evaluate(cfg.fn, x, cfg.k, cfg.K)]
+        for x in xs for enc in [_evaluate(fn, x, k, K)]
     ]
-    return _table(("x", "center", "radius", "exact"), rows, cfg.fmt)
+    return _table(("x", "center", "radius", "exact"), rows, fmt)
 
 
 def render_intervals(k: int, index_budget: int, window: tuple[Rat, Rat], fmt: str) -> str:
@@ -377,8 +366,8 @@ def run(
             render = functools.partial(_json_line, enc, ("center", "radius"))
         elif command == "sample":
             a, b = parse_rational(args.a), parse_rational(args.b)
-            sample = SampleConfig(args.fn, a, b, args.count, args.k, args.K, args.format)
-            render = functools.partial(emit_samples, sample)
+            render = functools.partial(emit_samples, args.fn, a, b, args.count,
+                                       args.k, args.K, args.format)
         elif command == "intervals":
             window = (parse_rational(args.window[0]), parse_rational(args.window[1]))
             render = functools.partial(render_intervals, require_layer_index("--k", args.k),

@@ -285,25 +285,36 @@ def _rational(text: Any) -> Rat:
     return _canonical_rational(text)
 
 
+def _check(c: Any) -> Check:
+    if type(c) is not dict or type(c["label"]) is not str or type(c["relation"]) is not str:
+        raise ValueError(f"certificate entries must be checks with string fields, got {c!r}")
+    return Check(c["label"], c["relation"], _rational(c["lhs"]), _rational(c["rhs"]))
+
+
+def _point(p: Any) -> tuple[Rat, Rat]:
+    if type(p) is not list or len(p) != 2:
+        raise ValueError(f"points must be [x, value] pairs, got {p!r}")
+    return _rational(p[0]), _rational(p[1])
+
+
 def report_from_dict(data: Mapping[str, Any]) -> WitnessReport:
     """The report ``report_to_dict`` gave ``data``; ValueError, naming the
     field, on a value of a type or form the writer never writes."""
-    verdict, error = data["verdict"], data.get("error")
+    verdict, error, inputs = data["verdict"], data.get("error"), data["inputs"]
     if type(verdict) is not bool:
         raise ValueError(f"verdict must be a boolean, got {verdict!r}")
     if error is not None and type(error) is not str:
         raise ValueError(f"error must be null or a string, got {error!r}")
-    inputs = tuple(dict(data["inputs"]).items())
-    if not all(type(key) is str and type(value) is str for key, value in inputs):
-        raise ValueError(f"inputs must map strings to strings, got {dict(inputs)!r}")
+    for field, kind in (("inputs", dict), ("points", list), ("certificate", list)):
+        if type(data[field]) is not kind:
+            raise ValueError(f"{field} must be a {kind.__name__}, got {data[field]!r}")
+    if not all(type(key) is str and type(value) is str for key, value in inputs.items()):
+        raise ValueError(f"inputs must map strings to strings, got {inputs!r}")
     return WitnessReport(
         kind=data["kind"],
-        inputs=inputs,
-        points=tuple((_rational(x), _rational(v)) for x, v in data["points"]),
+        inputs=tuple(inputs.items()),
+        points=tuple([_point(p) for p in data["points"]]),
         verdict=verdict,
-        certificate=tuple(
-            Check(c["label"], c["relation"], _rational(c["lhs"]), _rational(c["rhs"]))
-            for c in data["certificate"]
-        ),
+        certificate=tuple([_check(c) for c in data["certificate"]]),
         error=error,
     )

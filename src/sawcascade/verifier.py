@@ -497,27 +497,56 @@ def local_min_check(x: RatLike) -> WitnessReport:
 def structure_check(k: int, index_budget: int) -> WitnessReport:
     """Exhaustively verify the cell-system invariants up to level k.
 
-    Enumerates every cell whose coordinates stay within the index budget and
-    checks, with exact arithmetic: affinity of the iterate on each cell
-    (probed against plain iteration), onto [-1, 1] with opposite endpoint
-    values, child fans tiling their parent with the exact shortfall, length
-    decay 2^(1-level), the total length at level k against covered_length, the
+    Walks every cell whose ids stay within the index budget and checks,
+    with exact arithmetic: affinity of the iterate on each cell (probed
+    against plain iteration), onto [-1, 1] with opposite endpoint values,
+    child fans tiling their parent with the exact shortfall, length decay
+    2^(1-level), the total length at level k against covered_length, the
     self-similarity of child fans under the parent's unit-interval map, and
-    locate round-trips at cell midpoints.  Each fan is read in walk order,
-    so tiling also certifies that order.  The certificate aggregates exact
-    mismatch counts (all must be zero) and the exact coverage identities.
+    locate round-trips at level-k midpoints.  One pass keeps the path from
+    ROOT, each cell with its children so far, and checks a fan in walk order
+    on leaving its parent; a cell not addressed under its path parent is a
+    tiling failure.  The certificate aggregates exact mismatch counts (all
+    must be zero) and the exact coverage identities.
     """
     require_at_least(k, 1, "level k")
     require_at_least(index_budget, 1, "index budget")
-    ids = range(-index_budget, index_budget + 1)
-    per_level: list[list[Cell]] = [[] for _ in range(k)]
-    for c in iter_cells(k, index_budget):
-        per_level[c.level - 1].append(c)
+    cells = iter_cells(k, index_budget)  # refuses too large a family here
+    # self-similarity: the parent's unit-interval map x -> (x - sign(S) C)/|S|
+    # carries the level-1 family onto each child fan, so the fan pulled back
+    # by its inverse, left to right, must be the family in ascending ids
+    level1 = [(f.lo, f.hi) for f in map(level1_cell, range(-index_budget, index_budget + 1))]
 
     affinity_mismatches = 0
     onto_failures = 0
     length_violations = 0
-    for c in chain.from_iterable(per_level):
+    tiling_failures = 0
+    family_mismatches = 0
+    locate_mismatches = 0
+    count = 0
+    total = ZERO
+    path: list[list[Cell]] = [[ROOT]]  # [path cell, its children so far]
+    for c in chain(cells, [ROOT]):  # ROOT, last, closes open fans
+        while path and path[-1][0].level >= c.level:
+            parent, *fan = path.pop()
+            if len(fan) != len(level1):
+                tiling_failures += 1
+                continue
+            if not (parent.lo < fan[0].lo and fan[-1].hi < parent.hi):
+                tiling_failures += 1
+            tiling_failures += sum(a.hi != b.lo for a, b in zip(fan, fan[1:]))
+            span = fan[-1].hi - fan[0].lo
+            if parent.length - span != parent.length / (index_budget + 2):
+                tiling_failures += 1
+            scale = abs(parent.slope)
+            shift = parent.intercept if parent.slope > 0 else -parent.intercept
+            if [(f.lo * scale + shift, f.hi * scale + shift) for f in fan] != level1:
+                family_mismatches += 1
+        if not path:
+            break
+        if c.address[:-1] != path[-1][0].address:
+            tiling_failures += 1
+        path[-1].append(c)
         # numerators over d = 3|S|: lo, lo + L/3, midpoint, lo + 2L/3 and hi
         # are base + 0, 2, 3, 4 and 6
         lvl, S, C = c.level, c.slope, c.intercept
@@ -533,45 +562,15 @@ def structure_check(k: int, index_budget: int) -> WitnessReport:
             onto_failures += 1
         if abs(S) < 2**lvl:  # length 2/|S| > 2^(1-lvl)
             length_violations += 1
+        if lvl < k:
+            path.append([c])
+        else:
+            count += 1
+            total += c.length
+            if locate(c.midpoint, k) != [c.address]:
+                locate_mismatches += 1
 
-    # self-similarity: the parent's unit-interval map x -> (x - sign(S) C)/|S|
-    # carries the level-1 family onto each child fan, so the fan pulled back
-    # by its inverse, left to right, must be the family in ascending ids
-    level1 = [(level1_cell(j).lo, level1_cell(j).hi) for j in ids]
-    tiling_failures = 0
-    family_mismatches = 0
-    parents: list[Cell] = [ROOT]
-    for level_cells in per_level:
-        by_parent: dict[tuple[int, ...], list[Cell]] = {}
-        for c in level_cells:
-            by_parent.setdefault(c.address[:-1], []).append(c)
-        for parent in parents:
-            fan = by_parent.get(parent.address, [])
-            if len(fan) != len(ids):
-                tiling_failures += 1
-                continue
-            if not (parent.lo < fan[0].lo and fan[-1].hi < parent.hi):
-                tiling_failures += 1
-            for left_cell, right_cell in zip(fan, fan[1:]):
-                if left_cell.hi != right_cell.lo:
-                    tiling_failures += 1
-            span = fan[-1].hi - fan[0].lo
-            if parent.length - span != parent.length / (index_budget + 2):
-                tiling_failures += 1
-            scale = abs(parent.slope)
-            shift = parent.intercept if parent.slope > 0 else -parent.intercept
-            if [(c.lo * scale + shift, c.hi * scale + shift) for c in fan] != level1:
-                family_mismatches += 1
-        parents = level_cells
-
-    locate_mismatches = 0
-    for c in per_level[-1]:
-        if locate(c.midpoint, k) != [c.address]:
-            locate_mismatches += 1
-
-    total = sum((c.length for c in per_level[-1]), ZERO)
     expected_total = covered_length(k, index_budget)
-    shortfall = 2 - expected_total
 
     certificate = [
         check("affinity_mismatches", "==", affinity_mismatches, 0),
@@ -580,9 +579,9 @@ def structure_check(k: int, index_budget: int) -> WitnessReport:
         check("tiling_failures", "==", tiling_failures, 0),
         check("self_similarity_mismatches", "==", family_mismatches, 0),
         check("locate_mismatches", "==", locate_mismatches, 0),
-        check("level_k_cell_count", "==", len(per_level[-1]), (2 * index_budget + 1) ** k),
+        check("level_k_cell_count", "==", count, (2 * index_budget + 1) ** k),
         check("total_length_closed_form", "==", total, expected_total),
-        check("coverage_shortfall", "==", 2 - total, shortfall),
+        check("coverage_shortfall", "==", 2 - total, 2 - expected_total),
     ]
     return make_report(
         "structure",

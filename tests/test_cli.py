@@ -29,7 +29,6 @@ from sawcascade.cli import (
     EXIT_OK,
     EXIT_USAGE,
     EXIT_VERIFICATION_FAILED,
-    SampleConfig,
     emit_samples,
     parse_rational,
     run,
@@ -253,8 +252,7 @@ def test_sample_deep_layer_index_runs_without_recursion() -> None:
 
 
 def test_emit_samples_grid_is_exact() -> None:
-    cfg = SampleConfig(fn="f1", a=F(-1), b=F(1), count=9, k=1, K=30, fmt="csv")
-    lines = emit_samples(cfg).strip().splitlines()
+    lines = emit_samples("f1", F(-1), F(1), 9, 1, 30, "csv").strip().splitlines()
     xs = [F(line.split(",")[0]) for line in lines[1:]]
     assert xs == [F(-1) + F(1, 4) * i for i in range(9)]
     for line, x in zip(lines[1:], xs):
@@ -262,9 +260,8 @@ def test_emit_samples_grid_is_exact() -> None:
 
 
 def test_emit_samples_refuses_an_unknown_function() -> None:
-    cfg = SampleConfig(fn="h", a=F(-1), b=F(1), count=3, k=1, K=30, fmt="csv")
     with pytest.raises(DomainError, match="unknown function 'h'"):
-        emit_samples(cfg)
+        emit_samples("h", F(-1), F(1), 3, 1, 30, "csv")
 
 
 # ---------------------------------------------------------------------------

@@ -246,6 +246,10 @@ def test_any_check_roundtrips_and_rechecks(relation: str, lhs: F, rhs: F) -> Non
 # ---------------------------------------------------------------------------
 
 
+#: The one check of ``case_with()``.
+CHECK = {"label": "c", "relation": "<", "lhs": "1/3", "rhs": "1/2"}
+
+
 def case_with(lhs: object = "1/3", x: object = "1/2") -> dict:
     """A serialized one-check report whose rationals are ``lhs`` and ``x``."""
     return {
@@ -253,7 +257,7 @@ def case_with(lhs: object = "1/3", x: object = "1/2") -> dict:
         "inputs": {"x": "1/2"},
         "points": [[x, "1/2"]],
         "verdict": True,
-        "certificate": [{"label": "c", "relation": "<", "lhs": lhs, "rhs": "1/2"}],
+        "certificate": [{**CHECK, "lhs": lhs}],
         "error": None,
     }
 
@@ -300,6 +304,13 @@ def test_reader_refuses_every_other_value(value: object) -> None:
         ("inputs", {"x": 1}), ("inputs", {"x": None}), ("inputs", {"x": ["1/2"]}),
         ("inputs", {1: "1/2"}),
         ("error", 1), ("error", False), ("error", ["depth"]), ("error", {"why": "depth"}),
+        ("inputs", ["xy"]),
+        ("points", [{"1/8": 0, "3/8": 0}]), ("points", [["1/2"]]), ("points", {"1/2": "1/2"}),
+        ("certificate", [{**CHECK, "label": 5}]), ("certificate", [{**CHECK, "label": None}]),
+        ("certificate", [{**CHECK, "label": ["a"]}]), ("certificate", [5]),
+        ("certificate", CHECK), ("certificate", None),
+        ("certificate", [{**CHECK, "relation": ["<"]}]),
+        ("certificate", [{**CHECK, "relation": 1}]),
     ],
 )
 def test_reader_refuses_forged_fields(field: str, value: object) -> None:

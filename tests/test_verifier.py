@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import sys
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -491,6 +492,36 @@ def test_structure_check_catches_a_wrong_lower_bound(monkeypatch, address):
     assert not rep.verdict
 
 
+@pytest.mark.parametrize(
+    "address, moved", [((1, -2), (0, -2)), ((-3, 0, 2), (-3, 1, 2)), ((3, 3, -3), (3, 2, -3))]
+)
+def test_structure_check_counts_a_cell_under_a_wrong_parent(monkeypatch, address, moved):
+    # the cell stays in place in the walk, but its address names another parent
+    _replace_one_cell(monkeypatch, address, lambda c: {"address": moved})
+    rep = structure_check(3, 3)
+    assert _structure_counts(rep)["tiling_failures"] > 0
+    assert not rep.verdict
+
+
+def test_structure_check_holds_one_fan_per_level(monkeypatch):
+    """Each cell is let go once its parent's fan is checked: of the 399 cells
+    of levels 1..3, at most (k + 1)(2B + 1) + k are alive at once."""
+    real = verifier.iter_cells
+    alive: weakref.WeakSet = weakref.WeakSet()
+    peak = 0
+
+    def recorded(k, index_budget, window=None):
+        nonlocal peak
+        for c in real(k, index_budget, window):
+            alive.add(c)
+            peak = max(peak, len(alive))
+            yield c
+
+    monkeypatch.setattr(verifier, "iter_cells", recorded)
+    assert structure_check(3, 3).verdict
+    assert 0 < peak <= (3 + 1) * (2 * 3 + 1) + 3
+
+
 def test_structure_check_counts_a_cell_longer_than_its_level_allows(monkeypatch):
     # the middle ramp's data at level 2: slope 2 < 2^2, so length 1 > 2^-1
     _replace_one_cell(monkeypatch, (0, 0), lambda c: {"slope": 2, "lo": F(-1, 2), "hi": F(1, 2)})
@@ -504,6 +535,8 @@ def test_structure_check_guards():
         structure_check(0, 5)
     with pytest.raises(DomainError):
         structure_check(12, 50)  # enumeration too large
+    with pytest.raises(DomainError, match="too large"):
+        structure_check(1, 10**7)  # refused before the level-1 family is built
 
 
 # ---------------------------------------------------------------------------
