@@ -26,7 +26,7 @@ from sawcascade.construction import Rat, as_rational
 def write(outdir: pathlib.Path, name: str, fn: str, count: int, K: int,
           a: Rat, b: Rat) -> None:
     path = outdir / name
-    path.write_text(emit_samples(fn, a, b, count, 1, K, "csv"), encoding="utf-8")
+    path.write_text("".join(emit_samples(fn, a, b, count, 1, K, "csv")), encoding="utf-8")
     print(f"wrote {path} ({count} rows, truncation depth {K})")
 
 

@@ -1,10 +1,11 @@
 """Command-line interface: evaluate, sample, list cells, integrate, verify.
 
 All numeric input is exact: arguments accept lowest-terms fractions ("7/10",
-"-1/3") or terminating decimals ("0.25"), never binary floats.  All numeric
-output is emitted as exact fraction strings.  Given identical arguments
-(seed included) every command produces byte-identical output: no
-timestamps, no environment lookups, keys sorted.
+"-1/3") or terminating decimals ("0.25"), read by ``as_rational``, never
+binary floats.  All numeric output is emitted as exact fraction strings.
+Given identical arguments (seed included) every command produces
+byte-identical output: no timestamps, no environment lookups, keys sorted.
+Every command refuses before its first byte, then renders as it writes.
 
 Exit codes: 0 success (and all verifications passed), 1 at least one
 verification failed, 2 usage or domain error (a suite with no cases, an
@@ -32,12 +33,12 @@ from sawcascade.antiderivative import (
 )
 from sawcascade.cells import iter_cells
 from sawcascade.construction import (  # re-exports MAX_LAYER_INDEX and require_layer_index
-    MAX_DECIMAL_EXPONENT,
     MAX_LAYER_INDEX,
     ZERO,
     Certified,
     DomainError,
     Rat,
+    as_rational,
     eval_f,
     eval_f1,
     eval_fk,
@@ -65,21 +66,6 @@ POINT_FUNCTIONS: dict[str, Callable[[Rat, int, int], Certified]] = {
 }
 
 
-def parse_rational(text: str) -> Rat:
-    """Exact rational from 'p/q' or a terminating decimal string, whose
-    exponent is at most MAX_DECIMAL_EXPONENT in magnitude."""
-    try:
-        _, _, exponent = text.strip().lower().partition("e")
-        if not exponent or abs(int(exponent)) <= MAX_DECIMAL_EXPONENT:
-            return Fraction(text.strip())
-    except (ValueError, ZeroDivisionError) as exc:
-        raise DomainError(f"not an exact rational: {text!r}") from exc
-    # refused before Fraction computes the power of ten
-    raise DomainError(
-        f"decimal exponent of {text!r} is out of range (limit {MAX_DECIMAL_EXPONENT})"
-    )
-
-
 def _evaluate(fn: str, x: Rat, k: int, K: int) -> Certified:
     """Uniform certified view of every evaluable function."""
     require_layer_index("--k", k)
@@ -89,45 +75,54 @@ def _evaluate(fn: str, x: Rat, k: int, K: int) -> Certified:
     return POINT_FUNCTIONS[fn](x, k, K)
 
 
-def _json_line(value: object, keys: Sequence[str]) -> str:
+def _json_line(value: object, keys: Sequence[str]) -> Iterator[str]:
     """The exact rationals ``value.<key>`` as one line of JSON."""
-    return json.dumps({key: str(getattr(value, key)) for key in keys}, sort_keys=True) + "\n"
+    yield json.dumps({key: str(getattr(value, key)) for key in keys}, sort_keys=True) + "\n"
 
 
-def _table(fields: Sequence[str], rows: list[Sequence[object]], fmt: str) -> str:
-    """The rows, one value per field, as CSV under a header line (a list
-    joined by ';', a bool as true/false) or as a JSON list of objects; an
-    empty table is its header line or []."""
+def _table(fields: Sequence[str], rows: Iterable[Sequence[object]], fmt: str) -> Iterator[str]:
+    """The rows, one value per field and one row per chunk, as CSV under a
+    header line (an address joined by ';', a bool as true/false) or as the
+    text of ``json.dumps(<list of objects>, indent=2, sort_keys=True)``."""
     if fmt == "csv":
         def text(value: object) -> str:
             if isinstance(value, list):
                 return ";".join(map(str, value))
             return json.dumps(value) if isinstance(value, bool) else str(value)
-        return "".join(",".join(map(text, row)) + "\n" for row in [fields, *rows])
-    payload = [dict(zip(fields, row)) for row in rows]
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        yield ",".join(fields) + "\n"
+        yield from (",".join(map(text, row)) + "\n" for row in rows)
+        return
+    encode = json.JSONEncoder(indent=2).encode  # a value at depth 0, shifted to depth 2 below
+    keys = sorted(range(len(fields)), key=fields.__getitem__)  # in the order of sort_keys
+    opener = "[\n  {\n    "
+    for row in rows:
+        pairs = (f'"{fields[i]}": {encode(row[i])}'.replace("\n", "\n    ") for i in keys)
+        yield opener + ",\n    ".join(pairs) + "\n  }"
+        opener = ",\n  {\n    "
+    yield "[]\n" if opener.startswith("[") else "\n]\n"
 
 
-def emit_samples(fn: str, a: Rat, b: Rat, count: int, k: int, K: int, fmt: str) -> str:
-    """Render evenly spaced certified samples as CSV or JSON text."""
+def emit_samples(fn: str, a: Rat, b: Rat, count: int, k: int, K: int, fmt: str) -> Iterator[str]:
+    """Evenly spaced certified samples as CSV or JSON text, one row per chunk."""
     require_at_least(count, 1, "count")
     if a > b:
         raise DomainError(f"need a <= b, got a={a}, b={b}")
     step = (b - a) / max(count - 1, 1)
-    xs = [a + step * i for i in range(count)]
-    rows: list[Sequence[object]] = [
+    for x in (a, a + step * (count - 1)):  # what refuses a row refuses one of these
+        _evaluate(fn, x, k, K)
+    rows = (
         (str(x), str(enc.center), str(enc.radius), enc.exact)
-        for x in xs for enc in [_evaluate(fn, x, k, K)]
-    ]
+        for x in (a + step * i for i in range(count)) for enc in [_evaluate(fn, x, k, K)]
+    )
     return _table(("x", "center", "radius", "exact"), rows, fmt)
 
 
-def render_intervals(k: int, index_budget: int, window: tuple[Rat, Rat], fmt: str) -> str:
-    """Render the level-k cells meeting the window, in spatial order."""
-    rows: list[Sequence[object]] = [
+def render_intervals(k: int, index_budget: int, window: tuple[Rat, Rat], fmt: str) -> Iterator[str]:
+    """The level-k cells meeting the window, in spatial order, one row per chunk."""
+    rows = (
         [list(c.address), str(c.lo), str(c.hi), str(c.slope), str(c.intercept)]
         for c in iter_cells(k, index_budget, window) if c.level == k
-    ]
+    )
     return _table(("address", "lo", "hi", "slope", "intercept"), rows, fmt)
 
 
@@ -204,7 +199,7 @@ def _add_integrate_arguments(p: argparse.ArgumentParser) -> None:
 def _add_verify_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("suite", choices=SUITE_ORDER)
     for setting in dataclasses.fields(SuiteConfig):
-        # a rational setting stays text, which run parses with parse_rational
+        # a rational setting (delta) stays text, which run parses with as_rational
         rational = isinstance(setting.default, Fraction)
         p.add_argument(
             "--" + setting.name.replace("_", "-"),
@@ -279,7 +274,9 @@ def _all_digits() -> Iterator[None]:
 
 
 def _write(chunks: Iterable[str], out: Optional[str], stdout: TextIO) -> None:
-    """Write the output, piece by piece, to stdout or to the --out file.
+    """Write the output, piece by piece, to stdout or to the --out file: the
+    one output path, which renders each chunk as it draws it, so every
+    refusal is made before the call.
 
     Pieces are at most 64 KiB: when the reader of a pipe leaves during one
     large write, the write ends short and the text layer passes over that
@@ -340,46 +337,39 @@ def run(
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        # every refusal is raised here, before the first byte; the arguments
+        # are parsed under the digit limit, lifted only to render the output
         if command == "verify":
-            # the parser leaves a rational setting as text
-            cfg = SuiteConfig(**{
-                f.name: parse_rational(value) if isinstance(value, str) else value
-                for f in dataclasses.fields(SuiteConfig)
-                for value in [getattr(args, f.name)]
-            })
-            # every refusal is raised before the first byte is written; each
-            # case is then written as it is certified, and let go
-            with _all_digits():
+            # the parser leaves delta, the one rational setting, as text
+            settings = {f.name: getattr(args, f.name) for f in dataclasses.fields(SuiteConfig)}
+            cfg = SuiteConfig(**{**settings, "delta": as_rational(args.delta)})
+            with _all_digits():  # the envelope echoes str(delta)
                 envelope, reports = _verification(args.suite, cfg)
-                _write(document_chunks(envelope, reports), args.out, stdout)
-            summary = envelope["summary"]
-            stderr.write(
-                f"suite {args.suite}: {summary['pass']} passed, "
-                f"{summary['fail']} failed\n"
-            )
-            return EXIT_OK if summary["fail"] == 0 else EXIT_VERIFICATION_FAILED
-        # the other commands write one text each: their arguments are parsed
-        # here, under the digit limit, and only render runs with it lifted
-        render: Callable[[], str]
-        if command == "eval":
-            enc = _evaluate(args.fn, parse_rational(args.x), args.k, args.K)
-            render = functools.partial(_json_line, enc, ("center", "radius"))
+            chunks = document_chunks(envelope, reports)
+        elif command == "eval":
+            enc = _evaluate(args.fn, as_rational(args.x), args.k, args.K)
+            chunks = _json_line(enc, ("center", "radius"))
         elif command == "sample":
-            a, b = parse_rational(args.a), parse_rational(args.b)
-            render = functools.partial(emit_samples, args.fn, a, b, args.count,
-                                       args.k, args.K, args.format)
+            chunks = emit_samples(args.fn, as_rational(args.a), as_rational(args.b),
+                                  args.count, args.k, args.K, args.format)
         elif command == "intervals":
-            window = (parse_rational(args.window[0]), parse_rational(args.window[1]))
-            render = functools.partial(render_intervals, require_layer_index("--k", args.k),
-                                       args.index_budget, window, args.format)
+            window = (as_rational(args.window[0]), as_rational(args.window[1]))
+            chunks = render_intervals(require_layer_index("--k", args.k),
+                                      args.index_budget, window, args.format)
         else:  # integrate
-            upto = parse_rational(args.upto)
+            upto = as_rational(args.upto)
             enc = enclose_integral(require_layer_index("--k", args.k), upto, args.index_budget)
-            render = functools.partial(_json_line, enc, ("lower", "upper", "width"))
+            chunks = _json_line(enc, ("lower", "upper", "width"))
         with _all_digits():
-            text = render()
-        _write([text], args.out, stdout)
-        return EXIT_OK
+            _write(chunks, args.out, stdout)
+        if command != "verify":
+            return EXIT_OK
+        summary = envelope["summary"]
+        stderr.write(
+            f"suite {args.suite}: {summary['pass']} passed, "
+            f"{summary['fail']} failed\n"
+        )
+        return EXIT_OK if summary["fail"] == 0 else EXIT_VERIFICATION_FAILED
     except (ValueError, KeyError) as exc:  # DomainError included
         stderr.write(f"error: {exc}\n")
         return EXIT_USAGE

@@ -42,15 +42,29 @@ class DomainError(ValueError):
 
 
 def as_rational(value: RatLike) -> Rat:
-    """Coerce ``value`` to an exact rational; floats are refused outright."""
+    """Coerce ``value`` to an exact rational; floats are refused outright.
+    The one parser of text, for the library and the CLI alike: 'p/q' or a
+    terminating decimal whose exponent is at most MAX_DECIMAL_EXPONENT in
+    magnitude ("1e-5000"); other text raises DomainError."""
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, int):
+        return Fraction(value)
+    if isinstance(value, str):
+        try:
+            _, _, exponent = value.strip().lower().partition("e")
+            if not exponent or abs(int(exponent)) <= MAX_DECIMAL_EXPONENT:
+                return Fraction(value)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise DomainError(f"not an exact rational: {value!r}") from exc
+        # refused before Fraction computes the power of ten
+        raise DomainError(
+            f"decimal exponent of {value!r} is out of range (limit {MAX_DECIMAL_EXPONENT})"
+        )
     if isinstance(value, float):
         raise TypeError(
             "float rejected: this library is exact, pass Fraction, int or 'p/q' string"
         )
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, (int, str)):
-        return Fraction(value)
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
 
 

@@ -73,13 +73,9 @@ class Check(_CheckFields):
         )
 
 
-def _exact(value: Any) -> Rat:
-    return value if type(value) is Fraction else as_rational(value)
-
-
 def check(label: str, relation: str, lhs: Any, rhs: Any) -> Check:
     """Build a Check, coercing both sides to exact rationals."""
-    return Check(label, relation, _exact(lhs), _exact(rhs))
+    return Check(label, relation, as_rational(lhs), as_rational(rhs))
 
 
 @dataclass(frozen=True)
@@ -130,7 +126,7 @@ def make_report(
     return WitnessReport(
         kind=kind,
         inputs=tuple((str(k), str(v)) for k, v in inputs.items()),
-        points=tuple((_exact(x), _exact(v)) for x, v in points),
+        points=tuple((as_rational(x), as_rational(v)) for x, v in points),
         verdict=_verdict(certificate, error),
         certificate=tuple(certificate),
         error=error,

@@ -548,7 +548,7 @@ def structure_check(k: int, index_budget: int) -> WitnessReport:
             tiling_failures += 1
         path[-1].append(c)
         # numerators over d = 3|S|: lo, lo + L/3, midpoint, lo + 2L/3 and hi
-        # are base + 0, 2, 3, 4 and 6
+        # are base + 0, 2, 3, 4 and 6; affinity expects 0 at the midpoint
         lvl, S, C = c.level, c.slope, c.intercept
         d = 3 * abs(S)
         base = -3 * C - 3 if S > 0 else 3 * C - 3
@@ -557,8 +557,6 @@ def structure_check(k: int, index_budget: int) -> WitnessReport:
             if walked[t] != S * (base + t) + C * d:
                 affinity_mismatches += 1
         if {walked[0], walked[6]} != {-d, d}:
-            onto_failures += 1
-        if walked[3] != 0:
             onto_failures += 1
         if abs(S) < 2**lvl:  # length 2/|S| > 2^(1-lvl)
             length_violations += 1

@@ -23,18 +23,18 @@ from pathlib import Path
 import pytest
 
 import sawcascade
-from sawcascade import cli, suites, verifier
+from sawcascade import cli, construction, suites, verifier
 from sawcascade.antiderivative import eval_F, eval_G
 from sawcascade.cli import (
     EXIT_OK,
     EXIT_USAGE,
     EXIT_VERIFICATION_FAILED,
     emit_samples,
-    parse_rational,
+    render_intervals,
     run,
     run_suite,
 )
-from sawcascade.construction import DomainError, eval_f1
+from sawcascade.construction import DomainError, as_rational, eval_f1
 from sawcascade.suites import SuiteConfig
 
 
@@ -50,17 +50,17 @@ def invoke(argv: list[str]) -> tuple[int, str, str]:
 
 
 def test_parse_rational_fraction_and_decimal() -> None:
-    assert parse_rational("7/10") == F(7, 10)
-    assert parse_rational("-1/3") == F(-1, 3)
-    assert parse_rational("0.25") == F(1, 4)
-    assert parse_rational(" 1 ") == F(1)
+    assert as_rational("7/10") == F(7, 10)
+    assert as_rational("-1/3") == F(-1, 3)
+    assert as_rational("0.25") == F(1, 4)
+    assert as_rational(" 1 ") == F(1)
 
 
 def test_parse_rational_rejects_garbage() -> None:
     with pytest.raises(DomainError):
-        parse_rational("pi")
+        as_rational("pi")
     with pytest.raises(DomainError):
-        parse_rational("1/0")
+        as_rational("1/0")
 
 
 #: One digit past Python's default limit for converting text to an int.
@@ -180,7 +180,7 @@ def test_exact_output_beyond_the_int_digit_limit(argv: str, exact) -> None:
 
 def test_int_digit_limit_is_restored_after_an_error_exit() -> None:
     limit = sys.get_int_max_str_digits()
-    # count 0 is refused inside the rendering of the samples
+    # count 0 is refused when emit_samples is called, before the first byte
     code, out, err = invoke(["sample", "--fn", "G", "--count", "0", "--K", "5000"])
     _assert_one_line_usage_error(code, out, err)
     assert sys.get_int_max_str_digits() == limit
@@ -252,7 +252,7 @@ def test_sample_deep_layer_index_runs_without_recursion() -> None:
 
 
 def test_emit_samples_grid_is_exact() -> None:
-    lines = emit_samples("f1", F(-1), F(1), 9, 1, 30, "csv").strip().splitlines()
+    lines = "".join(emit_samples("f1", F(-1), F(1), 9, 1, 30, "csv")).strip().splitlines()
     xs = [F(line.split(",")[0]) for line in lines[1:]]
     assert xs == [F(-1) + F(1, 4) * i for i in range(9)]
     for line, x in zip(lines[1:], xs):
@@ -261,7 +261,60 @@ def test_emit_samples_grid_is_exact() -> None:
 
 def test_emit_samples_refuses_an_unknown_function() -> None:
     with pytest.raises(DomainError, match="unknown function 'h'"):
-        emit_samples("h", F(-1), F(1), 3, 1, 30, "csv")
+        "".join(emit_samples("h", F(-1), F(1), 3, 1, 30, "csv"))
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_emit_samples_evaluates_each_row_when_it_is_drawn(
+    fmt: str, monkeypatch: pytest.MonkeyPatch
+) -> None:
+    calls = []
+    evaluate = cli._evaluate
+
+    def counting(*args):
+        calls.append(args[1])
+        return evaluate(*args)
+
+    monkeypatch.setattr(cli, "_evaluate", counting)
+    chunks = emit_samples("f", F(-1), F(1), 10**4, 1, 30, fmt)
+    assert calls == [F(-1), F(1)]  # the first and the last sample, for their refusals
+    next(chunks)
+    assert len(calls) <= 3
+    assert sum(1 for _ in chunks) >= 10**4 - 1
+    assert len(calls) == 2 + 10**4
+
+
+def test_sample_of_one_point_reads_only_a() -> None:
+    # with one sample, b is never sampled, so a b outside [-1, 1] is no refusal
+    code, out, err = invoke(["sample", "--fn", "f", "--a", "0", "--b", "2", "--count", "1"])
+    assert (code, out, err) == (EXIT_OK, "x,center,radius,exact\n0,0,0,true\n", "")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ("sample --fn f --a=-2", "x must lie in [-1, 1], got -2"),
+        ("sample --fn f --b 2 --count 3", "x must lie in [-1, 1], got 2"),
+        ("sample --fn f --K 0", "truncation K must be >= 1, got 0"),
+        ("sample --fn fk --k 0", "iterate index k must be >= 1, got 0"),
+        ("sample --fn f --K 5001", "--K must be at most 5000, got 5001"),
+        ("intervals --window 1 0", "window must satisfy lo <= hi, got [1, 0]"),
+        ("intervals --window 2 3", "window lo must lie in [-1, 1], got 2"),
+        ("intervals --window 0 3/2", "window hi must lie in [-1, 1], got 3/2"),
+        ("intervals --k 6 --index-budget 50",
+         "enumerating (2*50+1)^6 cells is too large (limit 500000); "
+         "narrow the budget or the level"),
+    ],
+)
+def test_sample_and_intervals_refusals_write_nothing(
+    tmp_path: Path, argv: str, message: str
+) -> None:
+    # every refusal is made before the first byte, to stdout or to --out
+    code, out, err = invoke(argv.split())
+    _assert_one_line_usage_error(code, out, err)
+    assert err == f"error: {message}\n"
+    assert invoke([*argv.split(), "--out", str(tmp_path / "out.csv")]) == (code, out, err)
+    assert os.listdir(tmp_path) == []
 
 
 # ---------------------------------------------------------------------------
@@ -307,6 +360,38 @@ def test_intervals_bad_window_is_usage_error(window: list[str], message: str) ->
     code, out, err = invoke(["intervals", "--k", "2", "--window", *window])
     _assert_one_line_usage_error(code, out, err)
     assert message in err
+
+
+@pytest.mark.parametrize("fmt, text", [("csv", "address,lo,hi,slope,intercept\n"),
+                                       ("json", "[]\n")])
+@pytest.mark.parametrize("window", [["9/10", "1"], ["0.45", "0.49"]], ids=["tail", "gap"])
+def test_intervals_window_without_a_level_k_cell_is_an_empty_table(
+    window: list[str], fmt: str, text: str
+) -> None:
+    # the tail past the last level-1 cell, and the gap past the last level-2
+    # cell inside level-1 cell (0,)
+    argv = ["intervals", "--k", "2", "--index-budget", "1", "--window", *window]
+    assert invoke([*argv, "--format", fmt]) == (EXIT_OK, text, "")
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_render_intervals_draws_each_cell_when_its_row_is_drawn(
+    fmt: str, monkeypatch: pytest.MonkeyPatch
+) -> None:
+    drawn = []
+    real = cli.iter_cells
+
+    def counting(*args):
+        for c in real(*args):
+            drawn.append(c.address)
+            yield c
+
+    monkeypatch.setattr(cli, "iter_cells", counting)
+    chunks = render_intervals(3, 4, (F(-1), F(1)), fmt)
+    next(chunks)
+    assert len(drawn) <= 3  # (-4,), (-4, -4) and (-4, -4, -4) at most
+    assert sum(1 for _ in chunks) >= 9**3
+    assert len(drawn) == 9 + 9**2 + 9**3
 
 
 def test_intervals_guard_against_explosion() -> None:
@@ -537,11 +622,11 @@ def test_decimal_exponent_past_its_bound_is_refused_at_once(argv: list[str]) -> 
 
 
 def test_parse_rational_takes_a_decimal_exponent_up_to_its_bound() -> None:
-    assert cli.MAX_DECIMAL_EXPONENT == 10_000
-    assert parse_rational("1e-10000") == F(1, 10**10000)
-    assert parse_rational("-2.5E+3") == -2500
+    assert construction.MAX_DECIMAL_EXPONENT == 10_000
+    assert as_rational("1e-10000") == F(1, 10**10000)
+    assert as_rational("-2.5E+3") == -2500
     with pytest.raises(DomainError, match="out of range"):
-        parse_rational("1e10001")
+        as_rational("1e10001")
 
 
 def test_verify_restores_the_int_digit_limit() -> None:
@@ -794,7 +879,7 @@ def test_verify_oscillation_settings_below_one_are_usage_errors(
     [
         # streamed case by case
         ["verify", "local-min", "--count", "400"],
-        # one text of about 0.9 MB
+        # streamed row by row, about 0.9 MB
         ["sample", "--fn", "f1", "--count", "30000"],
     ],
 )

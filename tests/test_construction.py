@@ -13,6 +13,8 @@ definition before the implementation existed.
 from __future__ import annotations
 
 import random
+import re
+import time
 from fractions import Fraction
 from math import gcd
 
@@ -265,6 +267,34 @@ def test_f1_rejects_floats_and_out_of_range():
         eval_f1(F(3, 2))
     with pytest.raises(DomainError):
         eval_f1(-2)
+
+
+def test_as_rational_refuses_a_decimal_exponent_past_its_bound_at_once():
+    # the power of ten is never computed: eval_f("1e-3000000", 5) took a second
+    start = time.perf_counter()
+    with pytest.raises(DomainError) as info:
+        as_rational("1e-10001")
+    assert str(info.value) == "decimal exponent of '1e-10001' is out of range (limit 10000)"
+    with pytest.raises(DomainError, match="out of range"):
+        eval_f("1e-3000000", 5)
+    assert time.perf_counter() - start < 1
+
+
+@pytest.mark.parametrize(
+    "text", ["1/0", "pi", "1e5/3", "1" * 4301],
+    ids=["zero-denominator", "word", "exponent-over-q", "past-the-digit-limit"],
+)
+def test_as_rational_refuses_text_that_is_no_exact_rational(text):
+    with pytest.raises(DomainError, match=re.escape(f"not an exact rational: {text!r}")):
+        as_rational(text)
+
+
+@pytest.mark.parametrize(
+    "text, value",
+    [(" 1 ", F(1)), ("1e-10000", F(1, 10**10000)), ("-7/10", F(-7, 10)), ("2.5E+3", F(2500))],
+)
+def test_as_rational_takes_text_up_to_its_bounds(text, value):
+    assert as_rational(text) == value
 
 
 def test_as_rational_refuses_other_types():

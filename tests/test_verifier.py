@@ -479,6 +479,14 @@ def test_structure_check_catches_an_intercept_off_by_one(monkeypatch, address):
     assert not rep.verdict
 
 
+def test_structure_check_counts_a_wrong_midpoint_once(monkeypatch):
+    # the midpoint's zero is the affinity probe at t = 3; the onto check
+    # reads only the two endpoints
+    _replace_one_cell(monkeypatch, (1, -2), lambda c: {"intercept": c.intercept + 1})
+    counts = _structure_counts(structure_check(2, 3))
+    assert (counts["affinity_mismatches"], counts["onto_failures"]) == (3, 1)
+
+
 @pytest.mark.parametrize("address", [(0,), (2,), (1, -2), (-3, 0, 2), (3, 3, -3)])
 def test_structure_check_catches_a_wrong_lower_bound(monkeypatch, address):
     _replace_one_cell(monkeypatch, address, lambda c: {"lo": c.lo - F(1, 10**9)})
