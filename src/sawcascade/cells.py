@@ -17,8 +17,9 @@ chain (the first id ``level1_ids_of`` lists at each step) is the one a
 ``construction.orbit`` record keeps, as its tooth slopes.
 
 Every bulk listing reads one walk of the cell tree, depth first in spatial
-order: a cell, then its children left to right, each followed by its
-subtree.  A cell's endpoints enclose its subtree's, so the walk also gives
+order: a cell with its fan of children, then each child left to right,
+followed by its subtree; so the structure scan checks each fan as the walk
+builds it.  A cell's endpoints enclose its subtree's, so the walk also gives
 the cell endpoints in ascending x.
 
 Everything here is exact: endpoints are rationals, and all geometric
@@ -240,7 +241,7 @@ def iter_cells(
     require_at_least(index_budget, 0, "index budget")
     lo, hi = _checked_window(window or (ROOT.lo, ROOT.hi))
     require_family_size(k, index_budget)
-    return (c for c, left in _walk((index_budget,) * k, lo, hi) if c.level and not left)
+    return (c for c, fan in _walk((index_budget,) * k, lo, hi) if c.level and fan is not None)
 
 
 def _fan(parent: Cell, b: int) -> list[Cell]:
@@ -250,23 +251,27 @@ def _fan(parent: Cell, b: int) -> list[Cell]:
     return [child_cell(parent, j) for j in ids]
 
 
-def _walk(budgets: tuple[int, ...], lo: Rat, hi: Rat) -> Iterator[tuple[Cell, bool]]:
-    """(cell, False) on entering and (cell, True) on leaving each cell, depth
+def _walk(
+    budgets: tuple[int, ...], lo: Rat, hi: Rat
+) -> Iterator[tuple[Cell, Optional[list[Cell]]]]:
+    """(cell, fan) on entering and (cell, None) on leaving each cell, depth
     first in spatial order from ROOT, of the level-m cells whose ids are all
-    within budgets[m - 1] (non-increasing in m) and that meet [lo, hi]; a
-    loop over a stack that holds at most one fan per level."""
+    within budgets[m - 1] (non-increasing in m) and that meet [lo, hi]; fan
+    lists the children the walk then enters, left to right, [] at the last
+    level.  A loop over a stack that holds at most one fan per level."""
     stack = [(ROOT, 0)]  # a cell and the largest |id| of its address, None to leave
     while stack:
         parent, top = stack.pop()
-        yield parent, top is None
+        fan = None
         if top is not None:
             stack.append((parent, None))
-            m = parent.level
+            m, fan = parent.level, []
             if m < len(budgets) and top <= budgets[m]:
                 fan = _fan(parent, budgets[m])
                 if lo > ROOT.lo or hi < ROOT.hi:  # else every cell meets [lo, hi]
                     fan = [c for c in fan if c.hi >= lo and c.lo <= hi]
                 stack.extend((c, max(top, abs(c.address[-1]))) for c in reversed(fan))
+        yield parent, fan
 
 
 def _endpoints(
@@ -277,8 +282,8 @@ def _endpoints(
     A cell's lo comes on entering it, its hi on leaving, after its subtree's
     (strictly inside it); the previous child's hi is the next child's lo."""
     last = None
-    for c, left in _walk(budgets, lo, hi):
-        x = c.hi if left else c.lo
+    for c, fan in _walk(budgets, lo, hi):
+        x = c.lo if fan is not None else c.hi
         if x != last:
             yield x, c.level + 1
         last = x

@@ -108,11 +108,12 @@ def emit_samples(fn: str, a: Rat, b: Rat, count: int, k: int, K: int, fmt: str) 
     if a > b:
         raise DomainError(f"need a <= b, got a={a}, b={b}")
     step = (b - a) / max(count - 1, 1)
-    for x in (a, a + step * (count - 1)):  # what refuses a row refuses one of these
-        _evaluate(fn, x, k, K)
+    # what refuses a row refuses the first or the last, kept as their rows
+    ends = {i: _evaluate(fn, a + step * i, k, K) for i in sorted({0, count - 1})}
     rows = (
         (str(x), str(enc.center), str(enc.radius), enc.exact)
-        for x in (a + step * i for i in range(count)) for enc in [_evaluate(fn, x, k, K)]
+        for i in range(count) for x in [a + step * i]
+        for enc in [ends[i] if i in ends else _evaluate(fn, x, k, K)]
     )
     return _table(("x", "center", "radius", "exact"), rows, fmt)
 

@@ -165,12 +165,11 @@ class Cases(Iterable[WitnessReport]):
 def suite_oscillation(cfg: SuiteConfig) -> Cases:
     endpoints = tapered_endpoints(cfg.max_level, cfg.index_budget)
     # oscillation_witness refuses an endpoint whose first level lies past
-    # depth + 1 (its orbit record never reaches +-1): meet the first such
-    # refusal here, before any report
+    # depth + 1 (its orbit record never reaches +-1), and every first level
+    # up to max_level occurs: refuse here, before any cell is built
     if cfg.max_level > cfg.depth + 1:
-        for x, first_level in tapered_endpoints(cfg.max_level, cfg.index_budget):
-            if first_level > cfg.depth + 1:
-                oscillation_witness(x, cfg.delta, cfg.depth, cfg.fan_budget)
+        m, d = cfg.max_level, cfg.depth
+        raise DomainError(f"max level {m} needs depth >= {m - 1}, got {d}")
     # 2 for +-1, and per level m a fan of 2 b + 2 endpoints under each of the
     # (2 b + 1)^(m - 1) parents with ids within b = b_m
     budgets = (_integer_root(cfg.index_budget, m) for m in range(1, cfg.max_level))

@@ -37,12 +37,12 @@ from typing import Optional, Sequence
 from sawcascade.antiderivative import covered_length, enclose_integral, eval_Fk
 from sawcascade.cells import (
     ROOT,
-    Cell,
-    iter_cells,
+    _walk,
     level1_cell,
     level1_ids_at,
     level1_ids_of,
     locate,
+    require_family_size,
     tooth_slope,
 )
 from sawcascade.construction import (
@@ -55,6 +55,7 @@ from sawcascade.construction import (
     iterate_numerator,
     orbit,
     require_at_least,
+    require_layer_index,
     require_unit_interval,
 )
 from sawcascade.reports import Check, WitnessReport, check, make_report
@@ -458,14 +459,14 @@ def local_min_check(x: RatLike) -> WitnessReport:
     The certificate verifies each middle-ramp value, the truncation value,
     and the strict positive margin, all exactly.  Since g is even, g > 0 on
     0 < |x| < 1/4 makes the origin a strict local minimum of g (not of G,
-    which is odd and crosses its horizontal tangent there).
+    which is odd and crosses its horizontal tangent there).  A band index
+    above MAX_LAYER_INDEX is refused, as every layer index is.
     """
     x = as_rational(x)
     if not (0 < x < Fraction(1, 4)):
         raise DomainError(f"x must lie in (0, 1/4), got {x}")
-    k = 2
-    while x * 2 ** (k + 1) <= 1:
-        k += 1
+    # 2^k <= q/p < 2^(k+1) for x = p/q, so 2^k <= q // p < 2^(k+1)
+    k = require_layer_index("band k", (x.denominator // x.numerator).bit_length() - 1)
     certificate = [
         check("band_lower", "<", Fraction(1, 2 ** (k + 1)), x),
         check("band_upper", "<=", x, Fraction(1, 2**k)),
@@ -503,15 +504,15 @@ def structure_check(k: int, index_budget: int) -> WitnessReport:
     child fans tiling their parent with the exact shortfall, length decay
     2^(1-level), the total length at level k against covered_length, the
     self-similarity of child fans under the parent's unit-interval map, and
-    locate round-trips at level-k midpoints.  One pass keeps the path from
-    ROOT, each cell with its children so far, and checks a fan in walk order
-    on leaving its parent; a cell not addressed under its path parent is a
-    tiling failure.  The certificate aggregates exact mismatch counts (all
-    must be zero) and the exact coverage identities.
+    locate round-trips at level-k midpoints.  One pass checks each fan as
+    the walk builds it, against the parent the walk is entering, then each
+    of its cells; a cell not addressed under that parent is a tiling
+    failure.  The certificate aggregates exact mismatch counts (all must be
+    zero) and the exact coverage identities.
     """
     require_at_least(k, 1, "level k")
     require_at_least(index_budget, 1, "index budget")
-    cells = iter_cells(k, index_budget)  # refuses too large a family here
+    require_family_size(k, index_budget)  # before any cell is built
     # self-similarity: the parent's unit-interval map x -> (x - sign(S) C)/|S|
     # carries the level-1 family onto each child fan, so the fan pulled back
     # by its inverse, left to right, must be the family in ascending ids
@@ -525,48 +526,39 @@ def structure_check(k: int, index_budget: int) -> WitnessReport:
     locate_mismatches = 0
     count = 0
     total = ZERO
-    path: list[list[Cell]] = [[ROOT]]  # [path cell, its children so far]
-    for c in chain(cells, [ROOT]):  # ROOT, last, closes open fans
-        while path and path[-1][0].level >= c.level:
-            parent, *fan = path.pop()
-            if len(fan) != len(level1):
-                tiling_failures += 1
-                continue
-            if not (parent.lo < fan[0].lo and fan[-1].hi < parent.hi):
-                tiling_failures += 1
-            tiling_failures += sum(a.hi != b.lo for a, b in zip(fan, fan[1:]))
-            span = fan[-1].hi - fan[0].lo
-            if parent.length - span != parent.length / (index_budget + 2):
-                tiling_failures += 1
-            scale = abs(parent.slope)
-            shift = parent.intercept if parent.slope > 0 else -parent.intercept
-            if [(f.lo * scale + shift, f.hi * scale + shift) for f in fan] != level1:
-                family_mismatches += 1
-        if not path:
-            break
-        if c.address[:-1] != path[-1][0].address:
+    for parent, fan in _walk((index_budget,) * k, ROOT.lo, ROOT.hi):
+        if not fan:  # leaving a cell, or a level-k cell
+            continue
+        if not (parent.lo < fan[0].lo and fan[-1].hi < parent.hi):
             tiling_failures += 1
-        path[-1].append(c)
-        # numerators over d = 3|S|: lo, lo + L/3, midpoint, lo + 2L/3 and hi
-        # are base + 0, 2, 3, 4 and 6; affinity expects 0 at the midpoint
-        lvl, S, C = c.level, c.slope, c.intercept
-        d = 3 * abs(S)
-        base = -3 * C - 3 if S > 0 else 3 * C - 3
-        walked = {t: iterate_numerator(base + t, d, lvl) for t in (0, 2, 3, 4, 6)}
-        for t in (2, 3, 4):
-            if walked[t] != S * (base + t) + C * d:
-                affinity_mismatches += 1
-        if {walked[0], walked[6]} != {-d, d}:
-            onto_failures += 1
-        if abs(S) < 2**lvl:  # length 2/|S| > 2^(1-lvl)
-            length_violations += 1
-        if lvl < k:
-            path.append([c])
-        else:
-            count += 1
-            total += c.length
-            if locate(c.midpoint, k) != [c.address]:
-                locate_mismatches += 1
+        tiling_failures += sum(a.hi != b.lo for a, b in zip(fan, fan[1:]))
+        tiling_failures += sum(c.address[:-1] != parent.address for c in fan)
+        span = fan[-1].hi - fan[0].lo
+        if parent.length - span != parent.length / (index_budget + 2):
+            tiling_failures += 1
+        scale = abs(parent.slope)
+        shift = parent.intercept if parent.slope > 0 else -parent.intercept
+        if [(f.lo * scale + shift, f.hi * scale + shift) for f in fan] != level1:
+            family_mismatches += 1
+        for c in fan:
+            # numerators over d = 3|S|: lo, lo + L/3, midpoint, lo + 2L/3 and
+            # hi are base + 0, 2, 3, 4 and 6; affinity expects 0 at the midpoint
+            lvl, S, C = c.level, c.slope, c.intercept
+            d = 3 * abs(S)
+            base = -3 * C - 3 if S > 0 else 3 * C - 3
+            walked = {t: iterate_numerator(base + t, d, lvl) for t in (0, 2, 3, 4, 6)}
+            for t in (2, 3, 4):
+                if walked[t] != S * (base + t) + C * d:
+                    affinity_mismatches += 1
+            if {walked[0], walked[6]} != {-d, d}:
+                onto_failures += 1
+            if abs(S) < 2**lvl:  # length 2/|S| > 2^(1-lvl)
+                length_violations += 1
+            if lvl == k:
+                count += 1
+                total += c.length
+                if locate(c.midpoint, k) != [c.address]:
+                    locate_mismatches += 1
 
     expected_total = covered_length(k, index_budget)
 

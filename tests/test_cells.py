@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from sawcascade.cells import (
     ROOT,
     Cell,
+    _walk,
     cell,
     child_cell,
     child_map,
@@ -414,6 +415,31 @@ def test_iter_cells_walks_depth_first_in_spatial_order():
         row = [c for c in walked if c.level == level]
         for left, right in zip(row, row[1:]):
             assert left.hi <= right.lo  # meet or ascend
+
+
+def test_walk_hands_over_each_fan_on_entering_its_parent():
+    # (cell, fan) on entering, the fan being the cell's children in spatial
+    # order and [] at the last level; (cell, None) on leaving
+    fans = {
+        (): [(-1,), (0,), (1,)],
+        (-1,): [(-1, 1), (-1, 0), (-1, -1)],  # slope -12: ids descend
+        (0,): [(0, -1), (0, 0), (0, 1)],
+        (1,): [(1, 1), (1, 0), (1, -1)],
+    }
+
+    def expected(address):
+        yield address, fans.get(address, [])
+        for child in fans.get(address, []):
+            yield from expected(child)
+        yield address, None
+
+    events = list(_walk((1, 1), ROOT.lo, ROOT.hi))
+    got = [(c.address, fan if fan is None else [f.address for f in fan]) for c, fan in events]
+    assert got == list(expected(()))
+    for parent, fan in events:
+        if fan:
+            assert fan == [child_cell(parent, f.address[-1]) for f in fan]
+            assert all(a.hi == b.lo for a, b in zip(fan, fan[1:]))  # left to right
 
 
 def test_iter_cells_prunes_outside_the_closed_window():

@@ -281,7 +281,20 @@ def test_emit_samples_evaluates_each_row_when_it_is_drawn(
     next(chunks)
     assert len(calls) <= 3
     assert sum(1 for _ in chunks) >= 10**4 - 1
-    assert len(calls) == 2 + 10**4
+    assert len(calls) == 10**4  # the first and the last are not evaluated again
+
+
+def test_emit_samples_of_one_point_evaluates_it_once(monkeypatch: pytest.MonkeyPatch) -> None:
+    calls = []
+    evaluate = cli._evaluate
+
+    def counting(*args):
+        calls.append(args[1])
+        return evaluate(*args)
+
+    monkeypatch.setattr(cli, "_evaluate", counting)
+    assert "".join(emit_samples("f", F(1, 3), F(1), 1, 1, 30, "csv")).count("\n") == 2
+    assert calls == [F(1, 3)]
 
 
 def test_sample_of_one_point_reads_only_a() -> None:
@@ -694,13 +707,10 @@ def test_verify_refuses_a_suite_that_yields_no_case(
          "n max must be >= 2, got -4 (no cases)"),
         (["verify", "local-min", "--count", "2", "--index-budget", "-5"],
          "index budget must be >= 0, got -5"),
-        # an endpoint whose orbit record cannot reach +-1 within the depth
-        (["verify", "oscillation", "--depth", "2"],
-         "orbit of -6359/8000 does not hit +-1 within 2 steps; "
-         "the oscillation certificate needs an enumerable endpoint"),
-        (["verify", "all", "--depth", "2"],
-         "orbit of -6359/8000 does not hit +-1 within 2 steps; "
-         "the oscillation certificate needs an enumerable endpoint"),
+        # endpoints of first level 6 whose orbit records cannot reach +-1
+        # within the depth
+        (["verify", "oscillation", "--depth", "2"], "max level 6 needs depth >= 5, got 2"),
+        (["verify", "all", "--depth", "2"], "max level 6 needs depth >= 5, got 2"),
         (["verify", "all", "--structure-max-level", "9"],
          "enumerating (2*6+1)^9 cells is too large (limit 500000); "
          "narrow the budget or the level"),

@@ -278,7 +278,7 @@ def test_suite_inputs_stay_in_required_domains() -> None:
     [
         ("structure", {"index_budget": 0}, "index budget must be >= 1, got 0"),
         ("structure", {"structure_max_level": 9}, "cells is too large"),
-        ("oscillation", {"depth": 2}, "does not hit \\+-1 within 2 steps"),
+        ("oscillation", {"depth": 2}, "^max level 6 needs depth >= 5, got 2$"),
         ("oscillation", {"max_level": 20}, "cells is too large"),
         ("local-min", {"index_budget": -1}, "index budget must be >= 0, got -1"),
     ],
@@ -287,6 +287,28 @@ def test_suites_refuse_when_called_not_when_drawn(name: str, settings: dict, mes
     # the refusal comes from the call itself: no report has been drawn yet
     with pytest.raises(DomainError, match=message):
         run_suite_reports(name, SuiteConfig(**settings))
+
+
+@pytest.mark.parametrize("max_level", range(1, 6))
+@pytest.mark.parametrize("depth", range(1, 5))
+def test_oscillation_refuses_exactly_past_depth_plus_one(max_level: int, depth: int) -> None:
+    cfg = SuiteConfig(max_level=max_level, depth=depth, index_budget=2)
+    if max_level > depth + 1:
+        message = f"^max level {max_level} needs depth >= {max_level - 1}, got {depth}$"
+        with pytest.raises(DomainError, match=message):
+            SUITES["oscillation"](cfg)
+    else:  # no endpoint refuses when drawn
+        cases = SUITES["oscillation"](cfg)
+        assert sum(1 for _ in cases) == len(cases)
+
+
+def test_oscillation_depth_refusal_builds_no_cell(monkeypatch: pytest.MonkeyPatch) -> None:
+    built = []
+    real = cells.child_cell
+    monkeypatch.setattr(cells, "child_cell", lambda parent, j: built.append(j) or real(parent, j))
+    with pytest.raises(DomainError, match="^max level 6 needs depth >= 5, got 2$"):
+        SUITES["oscillation"](SuiteConfig(depth=2))
+    assert built == []
 
 
 @pytest.mark.parametrize("name", sorted(SUITES))

@@ -10,7 +10,11 @@ a serialization round trip.
 from __future__ import annotations
 
 import dataclasses
+import hashlib
+import json
+import random
 import sys
+import time
 import weakref
 from fractions import Fraction
 
@@ -430,6 +434,32 @@ def test_local_min_domain():
             local_min_check(bad)
 
 
+def _band_by_doubling(x: F) -> int:
+    """The band index as first written: double until 2^(k+1) x > 1."""
+    k = 2
+    while x * 2 ** (k + 1) <= 1:
+        k += 1
+    return k
+
+
+def test_local_min_band_index_matches_the_doubling_loop():
+    rng = random.Random(20240601)
+    xs = [F(1, 2**k) + e for k in range(3, 80) for e in (F(-1, 10**40), 0, F(1, 10**40))]
+    for _ in range(300):
+        p = rng.randint(1, 10**6)
+        xs.append(F(p, rng.randint(4 * p + 1, p << rng.randint(3, 80))))
+    for x in xs:
+        assert local_min_check(x).input("band_k") == str(_band_by_doubling(x))
+
+
+def test_local_min_refuses_a_band_past_the_layer_cap_at_once():
+    assert local_min_check(F(1, 2**5000)).input("band_k") == "5000"
+    start = time.perf_counter()
+    with pytest.raises(DomainError, match="^band k must be at most 5000, got 9965$"):
+        local_min_check("1e-3000")
+    assert time.perf_counter() - start < 0.1
+
+
 # ---------------------------------------------------------------------------
 # structural suite
 # ---------------------------------------------------------------------------
@@ -456,15 +486,18 @@ def _structure_counts(rep) -> dict:
 
 
 def _replace_one_cell(monkeypatch, address, changes) -> None:
-    """Let structure_check enumerate the true cells but one, whose fields
-    are replaced by ``changes(cell)``."""
-    real = verifier.iter_cells
+    """Let structure_check walk the true cells but one, whose fields are
+    replaced by ``changes(cell)`` where it is entered and in its parent's fan."""
+    real = verifier._walk
 
-    def patched(k, index_budget, window=None):
-        for c in real(k, index_budget, window):
-            yield dataclasses.replace(c, **changes(c)) if c.address == address else c
+    def replaced(c):
+        return dataclasses.replace(c, **changes(c)) if c.address == address else c
 
-    monkeypatch.setattr(verifier, "iter_cells", patched)
+    def patched(budgets, lo, hi):
+        for c, fan in real(budgets, lo, hi):
+            yield replaced(c), (fan if fan is None else [replaced(f) for f in fan])
+
+    monkeypatch.setattr(verifier, "_walk", patched)
 
 
 @pytest.mark.parametrize("address", [(0,), (2,), (1, -2), (-3, 0, 2), (3, 3, -3)])
@@ -512,20 +545,20 @@ def test_structure_check_counts_a_cell_under_a_wrong_parent(monkeypatch, address
 
 
 def test_structure_check_holds_one_fan_per_level(monkeypatch):
-    """Each cell is let go once its parent's fan is checked: of the 399 cells
-    of levels 1..3, at most (k + 1)(2B + 1) + k are alive at once."""
-    real = verifier.iter_cells
+    """Each cell is let go once the walk has left it: of the 399 cells of
+    levels 1..3, at most (k + 1)(2B + 1) + k are alive at once."""
+    real = verifier._walk
     alive: weakref.WeakSet = weakref.WeakSet()
     peak = 0
 
-    def recorded(k, index_budget, window=None):
+    def recorded(budgets, lo, hi):
         nonlocal peak
-        for c in real(k, index_budget, window):
-            alive.add(c)
+        for c, fan in real(budgets, lo, hi):
+            alive.update([c, *(fan or [])])
             peak = max(peak, len(alive))
-            yield c
+            yield c, fan
 
-    monkeypatch.setattr(verifier, "iter_cells", recorded)
+    monkeypatch.setattr(verifier, "_walk", recorded)
     assert structure_check(3, 3).verdict
     assert 0 < peak <= (3 + 1) * (2 * 3 + 1) + 3
 
@@ -536,6 +569,37 @@ def test_structure_check_counts_a_cell_longer_than_its_level_allows(monkeypatch)
     rep = structure_check(2, 3)
     assert _structure_counts(rep)["length_violations"] == 1
     assert not rep.verdict
+
+
+#: sha256 of the sorted-key JSON of structure_check(k, b), as the scan that
+#: rebuilt each fan on its own path stack wrote it
+STRUCTURE_DIGESTS = {
+    (1, 1): "a6b2812e6eb4471b02dfaa4e5edeeb79a8d1c58589d5589d02229b98f90b0e39",
+    (1, 2): "ee1bdae3338625dd9b4b541f8b55006d0a48d0884fb97c00dd730263a4ccd75e",
+    (1, 3): "8688f4ec2233d777f21dc5443797f6357467120e68c51a85aeecf1dc82635b98",
+    (1, 4): "08ca36144a13dd4737b2ed8d5740280c33ba85108b163246fe38bdacbf530211",
+    (1, 5): "f50dab5ae6af76db1a24a544b0e52872f26aef75730de9ed580bb4188041e4e7",
+    (1, 6): "aa8090c1c894ae9a70c2e0c1211754b4133a5d03649ad629ebcb330c0c161745",
+    (2, 1): "e83b9bf6c73d30d017c2ca8bcd335a9f5062dc8fcca94e84b8412b4cb636913b",
+    (2, 2): "f5e9b6adf73055ee1281fcb6b7ca5fc0b725bbcdbbe619363f0fd95bd04f6507",
+    (2, 3): "bfc711b575fa48ed3a66c0db69b57c1b0536c8a0f248b1dc905e3dfa3cad5f82",
+    (2, 4): "71b329209be552cc076359aead3ad6a73f3365cf7cd144974a9c2c5082c722bb",
+    (2, 5): "f07e10a270dedfbec056f11bbbc0351a8f571e8619417f0d5aad4187b36fdbbe",
+    (2, 6): "5bec1d435d09b802a63f694a5535797644204cfb9656c670649dc2ae373db1fe",
+    (3, 1): "c811574a21c430b8fd7c6fd264cf0ed28d90fae41fcaa3c7235f4484d8117747",
+    (3, 2): "8c910d722325679dbbe6721b580961c929a0f5e0cde7f60a8c13eb23e14bcf76",
+    (3, 3): "0cb591436f17e42701b10d9a78ce91ac97cc3adf6fd864bc87954560ec2cdbf0",
+    (3, 4): "4873ad414b3526cee369be83dbf96dfc5af2378ac0ef5a5c2c64f701459d55d9",
+    (3, 5): "17a69297f74dace6c482ac7bdfc8f6dfb0de6b59053689fe9a410f679ac71546",
+    (3, 6): "b20ef57bc7cfd27701c98671d163b8b78edaa8676c2172158b079875645133ef",
+    (4, 3): "6eae2c7cb37b357ef2946460226b92bd75e6b87f1f7093205c47988c72aef222",
+}
+
+
+@pytest.mark.parametrize("k, budget", sorted(STRUCTURE_DIGESTS))
+def test_structure_check_report_is_byte_identical(k, budget):
+    text = json.dumps(report_to_dict(structure_check(k, budget)), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == STRUCTURE_DIGESTS[k, budget]
 
 
 def test_structure_check_guards():
