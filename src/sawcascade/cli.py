@@ -92,12 +92,17 @@ def _table(fields: Sequence[str], rows: Iterable[Sequence[object]], fmt: str) ->
         yield ",".join(fields) + "\n"
         yield from (",".join(map(text, row)) + "\n" for row in rows)
         return
-    encode = json.JSONEncoder(indent=2).encode  # a value at depth 0, shifted to depth 2 below
+    encode = json.JSONEncoder().encode  # a string, number or bool: one line at any depth
+
+    def json_text(value: object) -> str:
+        if isinstance(value, list):  # an address of ints, one a line at depth 3
+            return ("[\n      " + ",\n      ".join(map(str, value)) + "\n    ]") if value else "[]"
+        return encode(value)
+
     keys = sorted(range(len(fields)), key=fields.__getitem__)  # in the order of sort_keys
     opener = "[\n  {\n    "
     for row in rows:
-        pairs = (f'"{fields[i]}": {encode(row[i])}'.replace("\n", "\n    ") for i in keys)
-        yield opener + ",\n    ".join(pairs) + "\n  }"
+        yield opener + ",\n    ".join(f'"{fields[i]}": {json_text(row[i])}' for i in keys) + "\n  }"
         opener = ",\n  {\n    "
     yield "[]\n" if opener.startswith("[") else "\n]\n"
 
@@ -220,22 +225,28 @@ COMMANDS: dict[str, tuple[str, Callable[[argparse.ArgumentParser], None]]] = {
 }
 
 
+#: Help and usage text wrap at 78 columns whatever the terminal: argparse
+#: would otherwise read the width from COLUMNS or the terminal.
+_FORMATTER = functools.partial(argparse.HelpFormatter, width=78)
+
+
 def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
     """The parser of every command, or ``command``'s own: it parses what
     follows the command name and prints what the full parser's would."""
     if command is None:
         parser = argparse.ArgumentParser(
             prog="sawcascade",
+            formatter_class=_FORMATTER,
             description=(
                 "Exact evaluation and certified verification of the sawtooth "
                 "cascade series, its signed variant, and their antiderivatives."
             ),
         )
         sub = parser.add_subparsers(dest="command", required=True)
-        parsers = {name: sub.add_parser(name, help=help_text)
+        parsers = {name: sub.add_parser(name, help=help_text, formatter_class=_FORMATTER)
                    for name, (help_text, _) in COMMANDS.items()}
     else:
-        parser = argparse.ArgumentParser(prog="sawcascade " + command)
+        parser = argparse.ArgumentParser(prog="sawcascade " + command, formatter_class=_FORMATTER)
         parsers = {command: parser}
     for name, p in parsers.items():
         COMMANDS[name][1](p)

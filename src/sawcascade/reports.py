@@ -196,23 +196,51 @@ def _block(opening: str, items: list[str], closing: str) -> str:
     return f"{opening}\n        " + ",\n        ".join(items) + f"\n      {closing}"
 
 
-def _case_json(report: WitnessReport) -> str:
-    """``report_to_dict(report)`` as indented JSON at depth 2; ``%s`` writes a
-    rational with ``str``, as ``report_to_dict`` does."""
-    certificate = [
-        _CHECK % (_quote(label), lhs, relation, rhs)
-        for label, relation, lhs, rhs in report.certificate
-    ]
-    points = [_POINT % point for point in report.points]
-    inputs = [f"{_quote(k)}: {_quote(v)}" for k, v in sorted(dict(report.inputs).items())]
+def _fixed(text: str) -> str:
+    """``text`` quoted as JSON, with ``%`` doubled to stand in a template."""
+    return _quote(text).replace("%", "%%")
+
+
+@lru_cache(maxsize=256)
+def _case_template(
+    kind: str, checks: tuple[tuple[str, str], ...], keys: tuple[str, ...], n_points: int
+) -> str:
+    """The text of every case of one shape, with a ``%s`` hole for each
+    value: each check's lhs and rhs, the error, each input value, each
+    point's two rationals and the verdict, in that order."""
+    certificate = [_CHECK % (_fixed(label), "%s", relation, "%s") for label, relation in checks]
+    inputs = [f"{_fixed(key)}: %s" for key in keys]
     return _CASE % (
         _block("[", certificate, "]"),
-        "null" if report.error is None else _quote(report.error),
+        "%s",
         _block("{", inputs, "}"),
-        _quote(report.kind),
-        _block("[", points, "]"),
-        "true" if report.verdict else "false",
+        _fixed(kind),
+        _block("[", [_POINT] * n_points, "]"),
+        "%s",
     )
+
+
+def _case_json(report: WitnessReport) -> str:
+    """``report_to_dict(report)`` as indented JSON at depth 2.
+
+    The fixed text of a case (keys, labels, relations, input keys, layout)
+    depends only on its shape, so it is built once per shape into a
+    template; each case fills the holes with one ``%``, which writes a
+    rational with ``str``, as ``report_to_dict`` does."""
+    inputs = sorted(dict(report.inputs).items())
+    certificate = report.certificate
+    template = _case_template(
+        report.kind,
+        tuple([c[:2] for c in certificate]),
+        tuple([key for key, _ in inputs]),
+        len(report.points),
+    )
+    holes = [side for c in certificate for side in c[2:]]
+    holes.append("null" if report.error is None else _quote(report.error))
+    holes += [_quote(value) for _, value in inputs]
+    holes += [value for point in report.points for value in point]
+    holes.append("true" if report.verdict else "false")
+    return template % tuple(holes)
 
 
 def document_chunks(

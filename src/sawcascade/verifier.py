@@ -31,6 +31,7 @@ reason attached; it never silently passes and never weakens a margin.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import chain, islice, repeat
 from typing import Optional, Sequence
 
@@ -97,9 +98,10 @@ def _side_cells(info: OrbitInfo) -> list[FanSide]:
     chain is read off the record's slopes.  No iterate before y_{m-1} is a
     tooth endpoint (its image would be +-1 a step early), so the chain
     branches only at its last step, into the one or two ids at y_{m-1}, in
-    ascending order as locate sorts them.
+    ascending order as locate sorts them.  The record ends at y_m = +-1,
+    so m is its length, except at x0 = +-1, whose record is (0,).
     """
-    m = info.first_level - 1
+    m = len(info.numerators) if info.numerators[-1] else 0
     if m == 0:
         return [(0, 1, 0)]
     s, a = 1, 0
@@ -114,9 +116,9 @@ def _side_cells(info: OrbitInfo) -> list[FanSide]:
 
 def _endpoint_value(info: OrbitInfo) -> int:
     """f_m(x0) = +-1 at the endpoint x0 = info.start, m = first_level - 1
-    (f_0 is the identity)."""
-    m = info.first_level - 1
-    return info.numerators[m - 1] // info.start.denominator if m else info.start.numerator
+    (f_0 is the identity): the record's last iterate, or x0 at x0 = +-1."""
+    last = info.numerators[-1]
+    return last // info.start.denominator if last else info.start.numerator
 
 
 def _fan_point(x0: Rat, v0: int, s: int, n: int) -> Rat:
@@ -142,6 +144,29 @@ def _fan_sign(side: FanSide, v0: int, n: int) -> int:
     return -1 if t < -n * size else 0
 
 
+@lru_cache(maxsize=4096)
+def _fan_choice(
+    side: FanSide, v0: int, first: int, fan_budget: int
+) -> tuple[Optional[int], Optional[int]]:
+    """The indices n of the endpoints y_n that _fan_scan chooses, scanning
+    from y_first.  The choice does not depend on x0, so suites that repeat
+    a chain repeat it; the key holds only ints, which hash fast."""
+    above: Optional[int] = None
+    below: Optional[int] = None
+    if fan_budget < 1:
+        return above, below
+    order = (first, first + 1) if v0 * side[1] > 0 else (first + 1, first)
+    for n in chain(order, range(first + 2, first + fan_budget + 1)):
+        sign = _fan_sign(side, v0, n)
+        if sign > 0 and above is None:
+            above = n
+        elif sign < 0 and below is None:
+            below = n
+        if above is not None and below is not None:
+            break
+    return above, below
+
+
 def _fan_scan(
     side: FanSide, x0: Rat, v0: int, delta: Rat, fan_budget: int
 ) -> tuple[Optional[Rat], Optional[Rat]]:
@@ -155,27 +180,18 @@ def _fan_scan(
     inside the punctured delta window, and walks at most ``fan_budget``
     children: the endpoints of child m0 from left to right, then one new
     endpoint per child, since adjacent children share one.  Each endpoint
-    is judged in closed form by _fan_sign; nothing is walked here.
+    is judged in closed form by _fan_sign; nothing is walked here.  The
+    choice is cached per (side, v0, first endpoint, budget) by _fan_choice.
 
     Returns (above, below), the first endpoint beating the margin above
     f(x0) and the first beating it below; either may be None if the budget
     ran out first.
     """
-    above: Optional[Rat] = None
-    below: Optional[Rat] = None
-    if fan_budget < 1:
-        return above, below
-    _m, s, _a = side
+    s = side[1]
     first = max(1, delta.denominator // (delta.numerator * abs(s))) + 1
-    order = (first, first + 1) if v0 * s > 0 else (first + 1, first)
-    for n in chain(order, range(first + 2, first + fan_budget + 1)):
-        sign = _fan_sign(side, v0, n)
-        if sign > 0 and above is None:
-            above = _fan_point(x0, v0, s, n)
-        elif sign < 0 and below is None:
-            below = _fan_point(x0, v0, s, n)
-        if above is not None and below is not None:
-            break
+    n_above, n_below = _fan_choice(side, v0, first, fan_budget)
+    above = None if n_above is None else _fan_point(x0, v0, s, n_above)
+    below = None if n_below is None else _fan_point(x0, v0, s, n_below)
     return above, below
 
 
@@ -185,12 +201,13 @@ _LOWER = ("lower_beats_margin", "lower_inside_window", "lower_distinct", "lower_
 
 
 def _witness_checks(
-    labels: tuple[str, ...], x0: Rat, hit: tuple[Rat, Rat, Rat], relation: str,
+    labels: tuple[str, ...], x0: Rat, hit: tuple[Rat, Rat, int], relation: str,
     bound: Rat, delta: Rat,
 ) -> list[Check]:
-    """Checks on the witness y with series value f(y) and f_k(y): hit, where
-    f(y) relation bound must hold.  Every side is already exact."""
-    y, fy, fky = hit
+    """Checks on the witness y with series value f(y) and f_k(y) = p/q, q the
+    denominator of y: hit = (y, f(y), p), where f(y) relation bound must
+    hold.  Every side is already exact."""
+    y, fy, fk_numerator = hit
     a, b, c, d = y.numerator, y.denominator, x0.numerator, x0.denominator
     gap = Fraction(abs(a * d - c * b), b * d)  # |y - x0|
     beats, inside, distinct, unit = labels
@@ -198,14 +215,15 @@ def _witness_checks(
         Check(beats, relation, fy, bound),
         Check(inside, "<", gap, delta),
         Check(distinct, ">", gap, ZERO),
-        Check(unit, "==", abs(fky), ONE),
+        Check(unit, "==", Fraction(abs(fk_numerator), b), ONE),
     ]
 
 
 def _endpoint_fan_report(
-    kind: str, info: OrbitInfo, delta: Rat, fan_budget: int, inputs: dict
+    kind: str, info: OrbitInfo, k: int, delta: Rat, fan_budget: int, inputs: dict
 ) -> WitnessReport:
-    """Report of the fan scan around the enumerable endpoint x0 = info.start.
+    """Report of the fan scan around the enumerable endpoint x0 = info.start,
+    whose first level is k.
 
     Scans the fans of the cells abutting x0 until one point above
     f(x0) + 2^-(k+1) and one below f(x0) - 2^-(k+1) turn up, and certifies
@@ -214,7 +232,6 @@ def _endpoint_fan_report(
     was found.
     """
     x0 = info.start
-    k = info.first_level
     fx0 = info.partial_sum(k - 1)
     v0 = _endpoint_value(info)
     above = below = None
@@ -225,7 +242,8 @@ def _endpoint_fan_report(
         if above is not None and below is not None:
             break
     walked = [orbit(y, k) for y in (above, below) if y is not None]
-    hits = [(w.start, w.partial_sum(k), w.iterate(k)) for w in walked]
+    # a fan endpoint's record ends at f_k(y) = +-1
+    hits = [(w.start, w.partial_sum(k), w.numerators[k - 1]) for w in walked]
     points = [(x0, fx0)] + [(y, fy) for y, fy, _ in hits]
     if len(hits) < 2:
         return make_report(
@@ -239,8 +257,9 @@ def _endpoint_fan_report(
     if k == 1:
         certificate = [Check("center_is_domain_end", "==", abs(x0), ONE)]
     else:
+        last = Fraction(abs(info.numerators[k - 2]), x0.denominator)  # |y_{k-1}|
         certificate = [
-            Check("center_hits_unit", "==", abs(info.iterate(k - 1)), ONE),
+            Check("center_hits_unit", "==", last, ONE),
             Check("center_absorbed", "==", info.iterate(k), ZERO),
         ]
     certificate += _witness_checks(_UPPER, x0, above, ">", high, delta)
@@ -280,7 +299,7 @@ def oscillation_witness(
         )
     inputs = {"x0": x0, "delta": delta, "first_level": fl,
               "depth": depth, "fan_budget": fan_budget}
-    return _endpoint_fan_report("oscillation", info, delta, fan_budget, inputs)
+    return _endpoint_fan_report("oscillation", info, fl, delta, fan_budget, inputs)
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +364,7 @@ def non_extremum_witness(
     if fl is not None:
         inputs["mode"] = "endpoint_fan"
         inputs["first_level"] = fl
-        return _endpoint_fan_report("non_extremum", info, delta, fan_budget, inputs)
+        return _endpoint_fan_report("non_extremum", info, fl, delta, fan_budget, inputs)
 
     inputs["mode"] = "interior_chain"
     side, y, err = _walk_chain(info, depth, x0 - delta, x0 + delta)
@@ -503,7 +522,8 @@ def structure_check(k: int, index_budget: int) -> WitnessReport:
     against plain iteration), onto [-1, 1] with opposite endpoint values,
     child fans tiling their parent with the exact shortfall, length decay
     2^(1-level), the total length at level k against covered_length, the
-    self-similarity of child fans under the parent's unit-interval map, and
+    self-similarity of child fans under the parent's unit-interval map (each
+    end cross-multiplied on integers, the fan's length checked too), and
     locate round-trips at level-k midpoints.  One pass checks each fan as
     the walk builds it, against the parent the walk is entering, then each
     of its cells; a cell not addressed under that parent is a tiling
@@ -516,7 +536,8 @@ def structure_check(k: int, index_budget: int) -> WitnessReport:
     # self-similarity: the parent's unit-interval map x -> (x - sign(S) C)/|S|
     # carries the level-1 family onto each child fan, so the fan pulled back
     # by its inverse, left to right, must be the family in ascending ids
-    level1 = [(f.lo, f.hi) for f in map(level1_cell, range(-index_budget, index_budget + 1))]
+    level1 = [(f.lo.numerator, f.lo.denominator, f.hi.numerator, f.hi.denominator)
+              for f in map(level1_cell, range(-index_budget, index_budget + 1))]
 
     affinity_mismatches = 0
     onto_failures = 0
@@ -536,9 +557,15 @@ def structure_check(k: int, index_budget: int) -> WitnessReport:
         span = fan[-1].hi - fan[0].lo
         if parent.length - span != parent.length / (index_budget + 2):
             tiling_failures += 1
+        # a fan end p/q pulls back to (p |S| + shift q)/q, compared on
+        # integers with the family's end a/b or c/d by cross-multiplying
         scale = abs(parent.slope)
         shift = parent.intercept if parent.slope > 0 else -parent.intercept
-        if [(f.lo * scale + shift, f.hi * scale + shift) for f in fan] != level1:
+        if len(fan) != len(level1) or any(
+            (f.lo.numerator * scale + shift * f.lo.denominator) * b != a * f.lo.denominator
+            or (f.hi.numerator * scale + shift * f.hi.denominator) * d != c * f.hi.denominator
+            for f, (a, b, c, d) in zip(fan, level1)
+        ):
             family_mismatches += 1
         for c in fan:
             # numerators over d = 3|S|: lo, lo + L/3, midpoint, lo + 2L/3 and

@@ -407,6 +407,19 @@ def test_render_intervals_draws_each_cell_when_its_row_is_drawn(
     assert len(drawn) == 9 + 9**2 + 9**3
 
 
+@pytest.mark.parametrize(
+    "addresses",
+    [[], [[0]], [[-3, 0, 12]], [[], [-1000001, 40, 7]]],
+    ids=["empty listing", "zero", "negative and multi-digit", "empty address"],
+)
+def test_json_table_is_indented_json_dumps(addresses: list[list[int]]) -> None:
+    fields = ("lo", "address", "exact")
+    rows = [("-1/3", address, i % 2 == 0) for i, address in enumerate(addresses)]
+    expected = [dict(zip(fields, row)) for row in rows]
+    text = "".join(cli._table(fields, rows, "json"))
+    assert text == json.dumps(expected, indent=2, sort_keys=True) + "\n"
+
+
 def test_intervals_guard_against_explosion() -> None:
     code, _, err = invoke(["intervals", "--k", "9", "--index-budget", "50"])
     assert code == EXIT_USAGE
@@ -1217,6 +1230,21 @@ def test_a_command_parser_prints_the_help_of_its_subparser(
     full = cli.build_parser()
     [commands] = [a for a in full._actions if isinstance(a, argparse._SubParsersAction)]
     assert cli.build_parser(command).format_help() == commands.choices[command].format_help()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    ["--help", "eval --help", "verify --help", "sample", "verify nosuch", "eval --fn f --x 1 extra"],
+)
+def test_help_and_usage_errors_do_not_depend_on_the_terminal_width(
+    argv: str, monkeypatch: pytest.MonkeyPatch
+) -> None:
+    printed = set()
+    for columns in ("40", "80", "200"):
+        monkeypatch.setenv("COLUMNS", columns)
+        cli._shared_parser.cache_clear()
+        printed.add(invoke(argv.split()))
+    assert len(printed) == 1
 
 
 @pytest.mark.parametrize(

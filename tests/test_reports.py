@@ -16,7 +16,7 @@ from fractions import Fraction as F
 from typing import Iterator
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sawcascade import cli
@@ -435,8 +435,58 @@ envelopes = st.fixed_dictionaries({
 })
 
 
+#: An envelope for the examples below.
+EXAMPLE_ENVELOPE = {"suite": "all", "seed": 1, "parameters": {}, "summary": {"pass": 1, "fail": 2}}
+
+
 @settings(deadline=None)  # digit strings past the 4300-digit limit take a while
 @given(envelope=envelopes, reports=st.lists(witness_reports, max_size=4))
+@example(  # '%' in a label, an input key and an error, twice in one shape
+    envelope=EXAMPLE_ENVELOPE,
+    reports=[
+        WitnessReport(
+            kind="local_min",
+            inputs=(("100%", "%s"), ("x", "50%")),
+            points=((F(1, 3), F(-2, 3)),),
+            verdict=False,
+            certificate=(Check("%s %d %% %(x)s", "<", F(value), F(1, 2)),),
+            error=f"%(x)s at {value}%",
+        )
+        for value in (1, 2)
+    ],
+)
+@example(  # duplicate input keys: the last value of a key stays
+    envelope=EXAMPLE_ENVELOPE,
+    reports=[
+        WitnessReport(
+            kind="structure",
+            inputs=(("k", "1"), ("K", "2"), ("k", "3")),
+            points=(),
+            verdict=True,
+            certificate=(Check("a", "==", F(0), F(0)),),
+        )
+    ],
+)
+@example(  # a non-ASCII error
+    envelope=EXAMPLE_ENVELOPE,
+    reports=[
+        WitnessReport(
+            kind="oscillation",
+            inputs=(("x0", "1/2"),),
+            points=((F(1, 2), F(1, 4)),),
+            verdict=False,
+            certificate=(),
+            error="\u00e9chec \u2028 \U0001f600 \ud800",
+        )
+    ],
+)
+@example(  # an empty certificate beside a full one of the same kind
+    envelope=EXAMPLE_ENVELOPE,
+    reports=[
+        make_report("non_monotone", {}, [], []),
+        make_report("non_monotone", {"a": F(-1, 2)}, [(F(0), F(1, 7))], [check("c", "<", 0, 1)]),
+    ],
+)
 def test_streamed_document_equals_indented_json_dumps(
     envelope: dict, reports: list[WitnessReport]
 ) -> None:

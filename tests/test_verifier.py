@@ -169,6 +169,72 @@ def test_fan_closed_form_matches_child_cells_and_partial_sums():
     assert margin_hits == {-1, 0, 1}
 
 
+def reference_fan_choice(side, info, delta, fan_budget):
+    """The fan scan around x0 = info.start with no cache and no closed-form
+    sign: the endpoints of child m0 = max(1, floor(1 / (delta |s|))) from
+    left to right, then the new endpoint of each next child, up to
+    ``fan_budget`` children, each judged by its exact k-term partial sum.
+    Returns (n_above, n_below)."""
+    _m, s, _a = side
+    if fan_budget < 1:
+        return None, None
+    x0, v0, k = info.start, _endpoint_value(info), info.first_level
+    m0 = max(1, int(1 / (delta * abs(s))))
+    fx0, margin = info.partial_sum(k - 1), F(1, 2 ** (k + 1))
+    ends = sorted((m0 + 1, m0 + 2), key=lambda n: _fan_point(x0, v0, s, n))
+    above = below = None
+    for n in ends + list(range(m0 + 3, m0 + fan_budget + 2)):
+        value = partial_sum(_fan_point(x0, v0, s, n), k)
+        if value > fx0 + margin and above is None:
+            above = n
+        elif value < fx0 - margin and below is None:
+            below = n
+        if above is not None and below is not None:
+            break
+    return above, below
+
+
+FAN_DELTAS = (F(1, 10), F(1, 1000), F(1, 10**9))
+FAN_BUDGETS = (0, 1, 3, 64)
+
+
+def test_cached_fan_choice_equals_an_uncached_scan():
+    verifier._fan_choice.cache_clear()
+    seen = {"exhausted": 0, "found": 0}
+    for x0, _first_level in tapered_endpoints(5, 50):
+        info = orbit(x0, 40)
+        v0 = _endpoint_value(info)
+        for side in _side_cells(info):
+            s = side[1]
+            for delta in FAN_DELTAS:
+                for budget in FAN_BUDGETS:
+                    expected = reference_fan_choice(side, info, delta, budget)
+                    points = tuple(None if n is None else _fan_point(x0, v0, s, n)
+                                   for n in expected)
+                    # the first call may fill the cache, the second reads it
+                    assert verifier._fan_scan(side, x0, v0, delta, budget) == points
+                    assert verifier._fan_scan(side, x0, v0, delta, budget) == points
+                    seen["exhausted" if None in expected else "found"] += 1
+    assert verifier._fan_choice.cache_info().hits > 0
+    assert seen["exhausted"] > 0 and seen["found"] > 0
+
+
+def test_fan_choice_cache_keys_on_delta_and_budget():
+    x0 = F(1, 2)
+    info = orbit(x0, 40)
+    v0 = _endpoint_value(info)
+    side = _side_cells(info)[0]
+    verifier._fan_choice.cache_clear()
+    calls = [(F(1, 10), 3), (F(1, 10), 3), (F(1, 10), 64), (F(1, 1000), 64), (F(1, 10), 0)]
+    for delta, budget in calls:
+        expected = reference_fan_choice(side, info, delta, budget)
+        points = tuple(None if n is None else _fan_point(x0, v0, side[1], n) for n in expected)
+        assert verifier._fan_scan(side, x0, v0, delta, budget) == points
+    # only the repeated call is a hit: another delta or budget is another entry
+    info_after = verifier._fan_choice.cache_info()
+    assert (info_after.hits, info_after.misses) == (1, 4)
+
+
 def test_fan_scan_walks_only_the_chosen_witnesses(monkeypatch):
     # one orbit record per report's center and per chosen witness, and no
     # other walk: the fan is judged in closed form, and the cell chains are
@@ -561,6 +627,26 @@ def test_structure_check_holds_one_fan_per_level(monkeypatch):
     monkeypatch.setattr(verifier, "_walk", recorded)
     assert structure_check(3, 3).verdict
     assert 0 < peak <= (3 + 1) * (2 * 3 + 1) + 3
+
+
+@pytest.mark.parametrize("end", ["lo", "hi"])
+def test_structure_check_counts_a_fan_off_the_family_once(monkeypatch, end):
+    # one end of one member of the fan of (2,) moved by 1/10^9
+    _replace_one_cell(monkeypatch, (2, -1), lambda c: {end: getattr(c, end) + F(1, 10**9)})
+    assert _structure_counts(structure_check(2, 3))["self_similarity_mismatches"] == 1
+
+
+def test_structure_check_counts_a_fan_missing_its_last_member(monkeypatch):
+    # the members left match the family's first ids, so only the fan's
+    # length tells it from the family
+    real = verifier._walk
+
+    def shortened(budgets, lo, hi):
+        for c, fan in real(budgets, lo, hi):
+            yield c, (fan[:-1] if fan and c.address == (1,) else fan)
+
+    monkeypatch.setattr(verifier, "_walk", shortened)
+    assert _structure_counts(structure_check(2, 3))["self_similarity_mismatches"] == 1
 
 
 def test_structure_check_counts_a_cell_longer_than_its_level_allows(monkeypatch):
