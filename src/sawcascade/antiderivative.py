@@ -230,14 +230,15 @@ def quotient_bound_check(k: int, n: int, x: RatLike) -> WitnessReport:
     require_at_least(k, 1, "layer index")
     require_at_least(n, 1, "band index")
     x = as_rational(x)
-    band_lo = Fraction(1, n + 1) - 1
-    band_hi = Fraction(1, n) - 1
+    band_lo, band_hi = Fraction(-n, n + 1), Fraction(1 - n, n)
     if not (band_lo < x <= band_hi):
         raise DomainError(
             f"x must lie in ({band_lo}, {band_hi}] for band n={n}, got {x}"
         )
     value = eval_Fk(x, k)
-    quotient = abs(value) / (x + 1)
+    # |p/q| / (x + 1) with x + 1 = (a + b)/b > 0
+    a, b = x.numerator, x.denominator
+    quotient = Fraction(abs(value.numerator) * b, value.denominator * (a + b))
     certificate = [
         check("band_lower", "<", band_lo, x),
         check("band_upper", "<=", x, band_hi),

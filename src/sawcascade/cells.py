@@ -280,13 +280,15 @@ def _endpoints(
     """(x, first_level) for the endpoints of the cells ``_walk`` yields, in
     ascending x, each once; a level-m cell's carry m + 1, ROOT's (+-1) 1.
     A cell's lo comes on entering it, its hi on leaving, after its subtree's
-    (strictly inside it); the previous child's hi is the next child's lo."""
+    (strictly inside it); the previous child's hi is the next child's lo,
+    told apart on its (numerator, denominator) pair."""
     last = None
     for c, fan in _walk(budgets, lo, hi):
         x = c.lo if fan is not None else c.hi
-        if x != last:
+        key = x.numerator, x.denominator
+        if key != last:
             yield x, c.level + 1
-        last = x
+        last = key
 
 
 def children(address: Sequence[int], index_budget: int) -> list[Cell]:

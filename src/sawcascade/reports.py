@@ -21,6 +21,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
@@ -124,12 +125,12 @@ def make_report(
 ) -> WitnessReport:
     """Assemble a report; the verdict is computed, never asserted."""
     return WitnessReport(
-        kind=kind,
-        inputs=tuple((str(k), str(v)) for k, v in inputs.items()),
-        points=tuple((as_rational(x), as_rational(v)) for x, v in points),
-        verdict=_verdict(certificate, error),
-        certificate=tuple(certificate),
-        error=error,
+        kind,
+        tuple([(str(k), str(v)) for k, v in inputs.items()]),
+        tuple([(as_rational(x), as_rational(v)) for x, v in points]),
+        _verdict(certificate, error),
+        tuple(certificate),
+        error,
     )
 
 
@@ -201,16 +202,23 @@ def _fixed(text: str) -> str:
     return _quote(text).replace("%", "%%")
 
 
+#: The shape of a check, (label, relation), and its two sides.
+_CHECK_SHAPE, _CHECK_SIDES = operator.itemgetter(0, 1), operator.itemgetter(2, 3)
+
+
 @lru_cache(maxsize=256)
 def _case_template(
     kind: str, checks: tuple[tuple[str, str], ...], keys: tuple[str, ...], n_points: int
-) -> str:
+) -> tuple[str, list[int]]:
     """The text of every case of one shape, with a ``%s`` hole for each
     value: each check's lhs and rhs, the error, each input value, each
-    point's two rationals and the verdict, in that order."""
+    point's two rationals and the verdict, in that order; and the index in
+    ``keys`` of each input value, keys sorted and a repeated key's last, as
+    ``sorted(dict(inputs).items())`` orders them."""
+    order = sorted({key: i for i, key in enumerate(keys)}.items())
     certificate = [_CHECK % (_fixed(label), "%s", relation, "%s") for label, relation in checks]
-    inputs = [f"{_fixed(key)}: %s" for key in keys]
-    return _CASE % (
+    inputs = [f"{_fixed(key)}: %s" for key, _ in order]
+    template = _CASE % (
         _block("[", certificate, "]"),
         "%s",
         _block("{", inputs, "}"),
@@ -218,6 +226,7 @@ def _case_template(
         _block("[", [_POINT] * n_points, "]"),
         "%s",
     )
+    return template, [i for _, i in order]
 
 
 def _case_json(report: WitnessReport) -> str:
@@ -227,18 +236,17 @@ def _case_json(report: WitnessReport) -> str:
     depends only on its shape, so it is built once per shape into a
     template; each case fills the holes with one ``%``, which writes a
     rational with ``str``, as ``report_to_dict`` does."""
-    inputs = sorted(dict(report.inputs).items())
-    certificate = report.certificate
-    template = _case_template(
+    certificate, inputs = report.certificate, report.inputs
+    template, order = _case_template(
         report.kind,
-        tuple([c[:2] for c in certificate]),
+        tuple(map(_CHECK_SHAPE, certificate)),
         tuple([key for key, _ in inputs]),
         len(report.points),
     )
-    holes = [side for c in certificate for side in c[2:]]
+    holes = list(chain.from_iterable(map(_CHECK_SIDES, certificate)))
     holes.append("null" if report.error is None else _quote(report.error))
-    holes += [_quote(value) for _, value in inputs]
-    holes += [value for point in report.points for value in point]
+    holes += [_quote(inputs[i][1]) for i in order]
+    holes += chain.from_iterable(report.points)
     holes.append("true" if report.verdict else "false")
     return template % tuple(holes)
 

@@ -212,11 +212,10 @@ def suite_quotient_bound(cfg: SuiteConfig) -> Cases:
     def reports(rng: random.Random) -> Iterator[WitnessReport]:
         for k in range(1, 9):
             for n in range(2, cfg.n_max + 1):
-                band_lo = F(1, n + 1) - 1
-                band_hi = F(1, n) - 1
-                yield quotient_bound_check(k, n, (band_lo + band_hi) / 2)
-                yield quotient_bound_check(k, n, band_hi)
-                seeded = band_lo + (band_hi - band_lo) * F(rng.randint(1, 999), 1000)
+                d = n * (n + 1)  # band n is (-n/(n+1), (1-n)/n], of width 1/d
+                yield quotient_bound_check(k, n, F(1 - 2 * n * n, 2 * d))  # its midpoint
+                yield quotient_bound_check(k, n, F(1 - n, n))
+                seeded = F(rng.randint(1, 999) - 1000 * n * n, 1000 * d)  # r/1000 of the way up
                 yield quotient_bound_check(k, n, seeded)
     return Cases(24 * (cfg.n_max - 1), reports(random.Random(cfg.seed)))
 

@@ -73,7 +73,7 @@ class NotAnEPointError(DomainError):
 
 
 def require_positive_delta(delta: Rat) -> Rat:
-    if delta <= 0:
+    if delta.numerator <= 0:
         raise DomainError(f"window radius delta must be > 0, got {delta}")
     return delta
 
@@ -204,10 +204,10 @@ def _witness_checks(
     labels: tuple[str, ...], x0: Rat, hit: tuple[Rat, Rat, int], relation: str,
     bound: Rat, delta: Rat,
 ) -> list[Check]:
-    """Checks on the witness y with series value f(y) and f_k(y) = p/q, q the
-    denominator of y: hit = (y, f(y), p), where f(y) relation bound must
-    hold.  Every side is already exact."""
-    y, fy, fk_numerator = hit
+    """Checks on the witness y with series value f(y) and |f_k(y)| = p/q, q
+    the denominator of y: hit = (y, f(y), p), where f(y) relation bound must
+    hold.  Every side is already exact, and |f_k(y)| is ONE when p == q."""
+    y, fy, fk = hit
     a, b, c, d = y.numerator, y.denominator, x0.numerator, x0.denominator
     gap = Fraction(abs(a * d - c * b), b * d)  # |y - x0|
     beats, inside, distinct, unit = labels
@@ -215,7 +215,7 @@ def _witness_checks(
         Check(beats, relation, fy, bound),
         Check(inside, "<", gap, delta),
         Check(distinct, ">", gap, ZERO),
-        Check(unit, "==", Fraction(abs(fk_numerator), b), ONE),
+        Check(unit, "==", ONE if fk == b else Fraction(fk, b), ONE),
     ]
 
 
@@ -243,13 +243,11 @@ def _endpoint_fan_report(
             break
     walked = [orbit(y, k) for y in (above, below) if y is not None]
     # a fan endpoint's record ends at f_k(y) = +-1
-    hits = [(w.start, w.partial_sum(k), w.numerators[k - 1]) for w in walked]
+    hits = [(w.start, w.partial_sum(k), abs(w.numerators[k - 1])) for w in walked]
     points = [(x0, fx0)] + [(y, fy) for y, fy, _ in hits]
     if len(hits) < 2:
-        return make_report(
-            kind, inputs, points, [],
-            error="fan budget exhausted before both witnesses appeared",
-        )
+        error = "fan budget exhausted before both witnesses appeared"
+        return make_report(kind, inputs, points, [], error=error)
     above, below = hits
     # f(x0) + 2^-(k+1) and f(x0) - 2^-(k+1), over the denominator q 2^(k+1)
     p, q, scale = fx0.numerator, fx0.denominator, 2 ** (k + 1)
@@ -257,7 +255,8 @@ def _endpoint_fan_report(
     if k == 1:
         certificate = [Check("center_is_domain_end", "==", abs(x0), ONE)]
     else:
-        last = Fraction(abs(info.numerators[k - 2]), x0.denominator)  # |y_{k-1}|
+        r, d = abs(info.numerators[k - 2]), x0.denominator  # |y_{k-1}| = r/d
+        last = ONE if r == d else Fraction(r, d)
         certificate = [
             Check("center_hits_unit", "==", last, ONE),
             Check("center_absorbed", "==", info.iterate(k), ZERO),

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from sawcascade.cells import (
     ROOT,
     Cell,
+    _endpoints,
     _walk,
     cell,
     child_cell,
@@ -440,6 +441,39 @@ def test_walk_hands_over_each_fan_on_entering_its_parent():
         if fan:
             assert fan == [child_cell(parent, f.address[-1]) for f in fan]
             assert all(a.hi == b.lo for a, b in zip(fan, fan[1:]))  # left to right
+
+
+def _negative_fan_windows() -> list[tuple[tuple[int, ...], Fraction, Fraction]]:
+    """Windows that cut the fan of a negative-slope parent: from inside one
+    child to inside another, from one child's end to another's, and from
+    inside a child to past the parent."""
+    windows = []
+    for j in (-3, -1, 1):  # teeth of slope -40, -12, -12
+        fan = children((j,), 3)
+        assert level1_cell(j).slope < 0
+        windows += [
+            ((3, 3), fan[1].midpoint, fan[-2].midpoint),
+            ((3, 3), fan[0].lo, fan[2].hi),
+            ((3, 3, 2), fan[2].midpoint, level1_cell(j + 1).midpoint),
+        ]
+    deep = children((1, 2), 2)  # under the level-2 cell (1, 2) of slope -288
+    windows.append(((3, 3, 2), deep[1].midpoint, deep[3].hi))
+    return windows
+
+
+@pytest.mark.parametrize("budgets, lo, hi", _negative_fan_windows())
+def test_endpoints_are_the_distinct_ends_of_the_cells_the_walk_enters(budgets, lo, hi):
+    walk = list(_walk(budgets, lo, hi))
+    entered = [c for c, fan in walk if fan is not None]
+    expected = sorted({(x, c.level + 1) for c in entered for x in (c.lo, c.hi)})
+    got = list(_endpoints(budgets, lo, hi))
+    assert got == expected
+    assert len({x for x, _ in got}) == len(got)
+    # the window cut a fan under a negative-slope parent
+    assert any(
+        parent.slope < 0 and fan and len(fan) < 2 * budgets[parent.level] + 1
+        for parent, fan in walk
+    )
 
 
 def test_iter_cells_prunes_outside_the_closed_window():

@@ -1194,7 +1194,9 @@ PARSER_ONLY_CALLS = [
 def test_one_command_parser_prints_what_the_full_parser_prints(
     argv: str, columns: str, monkeypatch: pytest.MonkeyPatch
 ) -> None:
-    monkeypatch.setenv("COLUMNS", columns)  # the top usage line wraps at 30, not at 200
+    # help and usage wrap at 78 columns whatever COLUMNS says, so at 30 and
+    # at 200 they must print what they print at 80
+    monkeypatch.setenv("COLUMNS", columns)
     cli._shared_parser.cache_clear()
     code, out, err = invoke(argv.split())
     unrecognized = "sawcascade: error: unrecognized arguments: " in err
@@ -1219,6 +1221,11 @@ def test_one_command_parser_prints_what_the_full_parser_prints(
         assert (code, err) == (EXIT_OK, "") and out.startswith("usage: sawcascade ")
     else:
         assert (code, out) == (EXIT_USAGE, "") and err.startswith("usage: sawcascade ")
+    if columns != "80":
+        monkeypatch.setenv("COLUMNS", "80")
+        cli._shared_parser.cache_clear()
+        assert invoke(argv.split())[2] == err
+        assert max(map(len, err.splitlines())) <= 78
 
 
 @pytest.mark.parametrize("columns", ["40", "80", "200"])

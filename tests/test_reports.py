@@ -23,6 +23,7 @@ from sawcascade import cli
 from sawcascade.reports import (
     REPORT_KINDS,
     _canonical_rational,
+    _case_json,
     Check,
     WitnessReport,
     check,
@@ -33,6 +34,7 @@ from sawcascade.reports import (
     report_from_dict,
     report_to_dict,
 )
+from sawcascade.verifier import oscillation_witness
 
 # ---------------------------------------------------------------------------
 # Check
@@ -437,6 +439,10 @@ envelopes = st.fixed_dictionaries({
 
 #: An envelope for the examples below.
 EXAMPLE_ENVELOPE = {"suite": "all", "seed": 1, "parameters": {}, "summary": {"pass": 1, "fail": 2}}
+#: A report with its input keys in the writer's order, which is not sorted,
+#: and the report read back from its text, where the keys are sorted.
+WRITTEN = oscillation_witness(F(1, 2), F(1, 1000))
+READ_BACK = report_from_dict(json.loads(_case_json(WRITTEN)))
 
 
 @settings(deadline=None)  # digit strings past the 4300-digit limit take a while
@@ -467,6 +473,34 @@ EXAMPLE_ENVELOPE = {"suite": "all", "seed": 1, "parameters": {}, "summary": {"pa
         )
     ],
 )
+@example(  # inputs in unsorted order
+    envelope=EXAMPLE_ENVELOPE,
+    reports=[
+        WitnessReport(
+            kind="oscillation",
+            inputs=(("x0", "1/2"), ("delta", "1/1000"), ("first_level", "2"), ("depth", "40")),
+            points=((F(1, 2), F(1, 4)),),
+            verdict=True,
+            certificate=(Check("a", "<", F(0), F(1)),),
+        )
+    ],
+)
+@example(  # a duplicated key first and last, beside its shapes with the key once
+    envelope=EXAMPLE_ENVELOPE,
+    reports=[
+        WitnessReport(kind="structure", inputs=inputs, points=(), verdict=True, certificate=())
+        for inputs in (
+            (("z", "1"), ("a", "2"), ("m", "3"), ("z", "4")),
+            (("a", "2"), ("m", "3"), ("z", "4")),
+            (("a", "2"), ("m", "3"), ("z", "1")),
+            (("a", "5"), ("m", "3"), ("z", "4"), ("a", "2")),
+        )
+    ],
+)
+@example(  # one report in the writer's key order and read back, keys sorted
+    envelope=EXAMPLE_ENVELOPE,
+    reports=[WRITTEN, READ_BACK],
+)
 @example(  # a non-ASCII error
     envelope=EXAMPLE_ENVELOPE,
     reports=[
@@ -492,6 +526,12 @@ def test_streamed_document_equals_indented_json_dumps(
 ) -> None:
     with all_digits():
         assert "".join(document_chunks(envelope, reports)) == dumped(envelope, reports)
+
+
+def test_a_report_read_back_renders_the_bytes_it_was_written_with() -> None:
+    keys = [key for key, _ in WRITTEN.inputs]
+    assert [key for key, _ in READ_BACK.inputs] == sorted(keys) != keys
+    assert _case_json(READ_BACK) == _case_json(WRITTEN)
 
 
 def test_streamed_document_edge_cases() -> None:

@@ -7,13 +7,18 @@ enumeration so deep levels stay affordable.
 
 from __future__ import annotations
 
+import io
 import random
+import sys
 import time
+import tracemalloc
 from fractions import Fraction as F
+from typing import Any, Callable, Iterator
 
 import pytest
 
-from sawcascade import cells, suites
+from sawcascade import cells, cli, reports, suites
+from sawcascade.antiderivative import quotient_bound_check
 from sawcascade.cells import Cell, first_level_of, iter_cells, require_family_size
 from sawcascade.construction import MAX_LAYER_INDEX, DomainError
 from sawcascade.suites import (
@@ -363,3 +368,90 @@ def test_seeded_suites_draw_each_input_with_its_report(
     assert CountingRandom.draws == 0
     next(iter(cases))
     assert CountingRandom.draws == FIRST_REPORT_DRAWS[name]
+
+
+# ---------------------------------------------------------------------------
+# quotient-bound in closed form
+# ---------------------------------------------------------------------------
+
+
+def quotient_bound_points_as_first_written(cfg: SuiteConfig) -> Iterator[tuple[int, int, F]]:
+    """(k, n, x) of the quotient-bound suite as first written: the band ends
+    by subtraction, the seeded point by interpolation, on the same draws."""
+    rng = random.Random(cfg.seed)
+    for k in range(1, 9):
+        for n in range(2, cfg.n_max + 1):
+            band_lo = F(1, n + 1) - 1
+            band_hi = F(1, n) - 1
+            yield k, n, (band_lo + band_hi) / 2
+            yield k, n, band_hi
+            yield k, n, band_lo + (band_hi - band_lo) * F(rng.randint(1, 999), 1000)
+
+
+def test_quotient_bound_points_equal_the_first_written_ones() -> None:
+    cfg = SuiteConfig(n_max=300, seed=2331)
+    expected = list(quotient_bound_points_as_first_written(cfg))
+    reports = list(suites.suite_quotient_bound(cfg))
+    assert len(reports) == len(expected) == 24 * 299
+    for report, (k, n, x) in zip(reports, expected):
+        [(point, value)] = report.points
+        assert (report.input("k"), report.input("n"), point) == (str(k), str(n), x)
+        bounded = report.certificate[-1]
+        assert bounded.label == "quotient_bounded" and bounded.lhs == abs(value) / (x + 1)
+        assert report.verdict
+
+
+def test_quotient_bound_band_ends_equal_the_first_written_ones() -> None:
+    for n in range(1, 301):
+        lower, upper, _bounded = quotient_bound_check(1, n, F(1, n) - 1).certificate
+        assert (lower.label, lower.lhs) == ("band_lower", F(1, n + 1) - 1)
+        assert (upper.label, upper.rhs) == ("band_upper", F(1, n) - 1)
+
+
+def test_quotient_bound_first_band_is_open_below_and_closed_above() -> None:
+    with pytest.raises(DomainError, match=r"x must lie in \(-1/2, 0\] for band n=1, got -1/2"):
+        quotient_bound_check(1, 1, F(-1, 2))
+    assert quotient_bound_check(1, 1, F(0)).verdict
+
+
+def test_quotient_bound_draws_its_first_report_without_a_list_of_bands() -> None:
+    tracemalloc.start()
+    try:
+        cases = suites.suite_quotient_bound(SuiteConfig(n_max=10**6))
+        first = next(iter(cases))
+        _size, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(cases) == 24 * (10**6 - 1)
+    assert (first.input("k"), first.input("n"), first.points[0][0]) == ("1", "2", F(-7, 12))
+    assert peak < 1 << 20  # a list of 10^6 bands would take tens of MiB
+
+
+# ---------------------------------------------------------------------------
+# the hooks the benchmark times and traces
+# ---------------------------------------------------------------------------
+
+
+def test_verify_all_makes_every_report_through_the_module_level_names(
+    monkeypatch: pytest.MonkeyPatch,
+) -> None:
+    # patched in every sawcascade module that holds them, as the benchmark does
+    calls = {"make_report": 0, "oscillation_witness": 0}
+
+    def counted(name: str, real: Callable) -> Callable:
+        def wrapper(*args: Any, **kwargs: Any) -> Any:
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return wrapper
+
+    for real in (reports.make_report, suites.oscillation_witness):
+        wrapper = counted(real.__name__, real)
+        for module_name, module in list(sys.modules.items()):
+            if module_name.split(".")[0] == "sawcascade":
+                for attr, value in list(vars(module).items()):
+                    if value is real:
+                        monkeypatch.setattr(module, attr, wrapper)
+    out, err = io.StringIO(), io.StringIO()
+    assert cli.run(["verify", "all"], stdout=out, stderr=err) == 0
+    assert err.getvalue() == "suite all: 6922 passed, 0 failed\n"
+    assert calls == {"make_report": 6922, "oscillation_witness": 5236}
