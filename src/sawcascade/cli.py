@@ -203,7 +203,9 @@ def _add_integrate_arguments(p: argparse.ArgumentParser) -> None:
 
 
 def _add_verify_arguments(p: argparse.ArgumentParser) -> None:
-    p.add_argument("suite", choices=SUITE_ORDER)
+    # a metavar, since argparse never breaks the {a,b,...} of a choices list
+    p.add_argument("suite", choices=SUITE_ORDER, metavar="SUITE",
+                   help=f"{', '.join(SUITE_ORDER)}: the suite to run")
     for setting in dataclasses.fields(SuiteConfig):
         # a rational setting (delta) stays text, which run parses with as_rational
         rational = isinstance(setting.default, Fraction)

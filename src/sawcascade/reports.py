@@ -3,13 +3,15 @@
 Every verification routine returns a ``WitnessReport`` whose certificate is
 a list of concrete rational comparisons.  The verdict is, by construction,
 the conjunction of those comparisons (and the absence of a search failure),
-so ``recheck`` can re-decide the verdict from the stored numbers alone,
-without re-running any search.  Serialization keeps rationals as exact
-"p/q" strings; no float appears anywhere.  ``report_from_dict`` reads back
-exactly the text the writer writes, ``str`` of a Fraction: ``-?p`` or
-``-?p/q`` in ASCII digits, in lowest terms, with q > 1 and no ``-0``.  Any
-other value (a decimal, an exponent, a JSON number, padding, a sign ``+``,
-an unreduced fraction) raises ValueError.
+so ``recheck`` can re-decide it from the stored numbers alone, without
+re-running any search.  Rationals are serialized as exact "p/q" strings; no
+float appears anywhere.  ``report_from_dict`` reads back exactly what the
+writer writes: a case with exactly the keys certificate, error, inputs,
+kind, points, verdict; each check with exactly label, lhs, relation, rhs;
+each rational as ``str`` of a Fraction (``-?p`` or ``-?p/q`` in ASCII
+digits, lowest terms, q > 1, no ``-0``).  Every other shape (a missing or
+extra key, a decimal, an exponent, a JSON number, padding, a sign ``+``, an
+unreduced fraction) raises ValueError naming the field.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
 from json.encoder import encode_basestring_ascii as _quote
-from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
+from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple, NoReturn, Optional, Sequence
 
 from sawcascade.construction import Rat, as_rational
 
@@ -135,12 +137,8 @@ def make_report(
 
 
 def recheck(report: WitnessReport) -> bool:
-    """Re-derive the verdict from the stored certificate alone.
-
-    Returns True when the recomputed verdict equals the stored one, i.e. the
-    report is internally consistent.  This is the bit-for-bit replay: it uses
-    only the rationals inside the report.
-    """
+    """True when the verdict re-derived from the stored certificate alone
+    equals the stored one: the bit-for-bit replay, on the report's own rationals."""
     return _verdict(report.certificate, report.error) == report.verdict
 
 
@@ -161,12 +159,7 @@ def report_to_dict(report: WitnessReport) -> dict[str, Any]:
         "points": [[str(x), str(v)] for x, v in report.points],
         "verdict": report.verdict,
         "certificate": [
-            {
-                "label": c.label,
-                "relation": c.relation,
-                "lhs": str(c.lhs),
-                "rhs": str(c.rhs),
-            }
+            {"label": c.label, "relation": c.relation, "lhs": str(c.lhs), "rhs": str(c.rhs)}
             for c in report.certificate
         ],
         "error": report.error,
@@ -280,22 +273,27 @@ def document_chunks(
 #: ``str`` of a Fraction: an integer with no leading zero and no ``-0``,
 #: then optionally ``/`` and a denominator of at least 2.
 _CANONICAL_RATIONAL = re.compile(r"(?:0|-?[1-9][0-9]*)(?:/(?:[2-9]|[1-9][0-9]+))?")
+#: The keys of a case and of a check, exactly as ``report_to_dict`` writes them.
+_CASE_KEYS = ("certificate", "error", "inputs", "kind", "points", "verdict")
+_CHECK_KEYS = ("label", "lhs", "relation", "rhs")
 
 
-def _not_canonical(text: Any) -> ValueError:
-    return ValueError(f"not a rational as report_to_dict writes it: {text!r}")
+def _not_canonical(text: Any) -> NoReturn:
+    raise ValueError(f"not a rational as report_to_dict writes it: {text!r}")
+
+
+def _keys_refused(what: str, obj: Any, keys: tuple[str, ...]) -> ValueError:
+    got = (f"missing {[k for k in keys if k not in obj]}, unknown {[k for k in obj if k not in keys]}"
+           if type(obj) is dict else f"{obj!r:.40}")
+    return ValueError(f"{what} must be an object with exactly the keys {', '.join(keys)}; got {got}")
 
 
 @lru_cache(maxsize=512)
 def _canonical_rational(text: str) -> Rat:
-    """The Fraction whose ``str`` is ``text``, parsed on integers.
-
-    Cached because a report repeats its values: every certificate compares
-    against shared constants (0, 1, delta, margins, band ends).  A refused
-    text raises, so it is never cached.
-    """
+    """The Fraction whose ``str`` is ``text``, parsed on integers; cached, since
+    certificates share constants (0, 1, delta, band ends).  A refused text raises."""
     if _CANONICAL_RATIONAL.fullmatch(text) is None:
-        raise _not_canonical(text)
+        _not_canonical(text)
     numerator, _, denominator = text.partition("/")
     try:
         q = int(denominator or "1")
@@ -305,48 +303,51 @@ def _canonical_rational(text: str) -> Rat:
         raise ValueError(f"rational {shown!r} ({len(text)} characters) has a part past "
                          f"the {sys.get_int_max_str_digits()}-digit limit for reading an int") from None
     if value.denominator != q:  # not in lowest terms
-        raise _not_canonical(text)
+        _not_canonical(text)
     return value
 
 
-def _rational(text: Any) -> Rat:
-    """A rational read back from the text ``str`` wrote; ValueError for
-    any other value, a JSON number among them."""
-    if type(text) is not str:
-        raise _not_canonical(text)
-    return _canonical_rational(text)
-
-
-def _check(c: Any) -> Check:
-    if type(c) is not dict or type(c["label"]) is not str or type(c["relation"]) is not str:
-        raise ValueError(f"certificate entries must be checks with string fields, got {c!r}")
-    return Check(c["label"], c["relation"], _rational(c["lhs"]), _rational(c["rhs"]))
-
-
-def _point(p: Any) -> tuple[Rat, Rat]:
-    if type(p) is not list or len(p) != 2:
-        raise ValueError(f"points must be [x, value] pairs, got {p!r}")
-    return _rational(p[0]), _rational(p[1])
-
-
-def report_from_dict(data: Mapping[str, Any]) -> WitnessReport:
-    """The report ``report_to_dict`` gave ``data``; ValueError, naming the
-    field, on a value of a type or form the writer never writes."""
-    verdict, error, inputs = data["verdict"], data.get("error"), data["inputs"]
+def report_from_dict(data: Any) -> WitnessReport:
+    """The report ``report_to_dict`` gave ``data``; ValueError naming the field on any
+    value, form or key set the writer never writes.  One loop reads the points, one the checks."""
+    try:
+        verdict, error, inputs = data["verdict"], data["error"], data["inputs"]
+        kind, points, certificate = data["kind"], data["points"], data["certificate"]
+    except (KeyError, TypeError):  # TypeError: not a dict
+        raise _keys_refused("a case", data, _CASE_KEYS) from None
+    if type(data) is not dict or len(data) != 6:
+        raise _keys_refused("a case", data, _CASE_KEYS)
     if type(verdict) is not bool:
         raise ValueError(f"verdict must be a boolean, got {verdict!r}")
     if error is not None and type(error) is not str:
         raise ValueError(f"error must be null or a string, got {error!r}")
-    for field, kind in (("inputs", dict), ("points", list), ("certificate", list)):
-        if type(data[field]) is not kind:
-            raise ValueError(f"{field} must be a {kind.__name__}, got {data[field]!r}")
-    if not all(type(key) is str and type(value) is str for key, value in inputs.items()):
-        raise ValueError(f"inputs must map strings to strings, got {inputs!r}")
-    return WitnessReport(
-        kind=data["kind"],
-        inputs=tuple(inputs.items()),
-        points=tuple([_point(p) for p in data["points"]]),
-        verdict=verdict,
-        certificate=tuple([_check(c) for c in data["certificate"]]),
-        error=error,
-    )
+    for field, shape in (("inputs", dict), ("points", list), ("certificate", list)):
+        if type(data[field]) is not shape:
+            raise ValueError(f"{field} must be a {shape.__name__}, got {data[field]!r}")
+    for key, value in inputs.items():
+        if type(key) is not str or type(value) is not str:
+            raise ValueError(f"inputs must map strings to strings, got {inputs!r}")
+    parse, pairs, checks = _canonical_rational, [], []
+    for p in points:
+        if type(p) is not list or len(p) != 2:
+            raise ValueError(f"points must be [x, value] pairs, got {p!r}")
+        x, y = p
+        x = parse(x) if type(x) is str else _not_canonical(x)
+        pairs.append((x, parse(y) if type(y) is str else _not_canonical(y)))
+    for c in certificate:  # refused in order: type, keys, label and relation, lhs, rhs, relation
+        if type(c) is not dict:
+            raise ValueError(f"certificate entries must be checks with string fields, got {c!r}")
+        try:
+            label, relation, lhs, rhs = c["label"], c["relation"], c["lhs"], c["rhs"]
+        except KeyError:
+            raise _keys_refused("certificate entries", c, _CHECK_KEYS) from None
+        if len(c) != 4:
+            raise _keys_refused("certificate entries", c, _CHECK_KEYS)
+        if type(label) is not str or type(relation) is not str:
+            raise ValueError(f"certificate entries must be checks with string fields, got {c!r}")
+        lhs = parse(lhs) if type(lhs) is str else _not_canonical(lhs)
+        rhs = parse(rhs) if type(rhs) is str else _not_canonical(rhs)
+        if relation not in _RELATIONS:  # Check.__new__'s test, made here once
+            raise ValueError(f"unknown relation {relation!r}")
+        checks.append(tuple.__new__(Check, (label, relation, lhs, rhs)))
+    return WitnessReport(kind, tuple(inputs.items()), tuple(pairs), verdict, tuple(checks), error)

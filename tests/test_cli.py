@@ -981,7 +981,7 @@ PINNED_STDOUT = {
     "integrate --help":
         "34de91278aa18aac10fa0beb1241665c9f7505836bf9e4a1e59fa4373bf5f96b",
     "verify --help":
-        "04cd6ed149ea3d375c8fcca79bbf8fec4747c29c0b4324dc71e46f4ea0c2fd17",
+        "b67d63b28e9e8c16e92278f83c45a62683e8802709036c3353f17dd5c9dd03cf",
     "verify all":
         "defeb0b3ca0e3ed7e9b6c65629a0f6700e72ecf0c95c8f241c1926eb8c5cde77",
     "verify all --max-level 3 --count 4 --index-budget 2 --n-max 3":
@@ -1226,6 +1226,23 @@ def test_one_command_parser_prints_what_the_full_parser_prints(
         cli._shared_parser.cache_clear()
         assert invoke(argv.split())[2] == err
         assert max(map(len, err.splitlines())) <= 78
+
+
+@pytest.mark.parametrize("columns", ["30", "80", "200"])
+def test_verify_usage_and_help_keep_to_78_columns(
+    columns: str, monkeypatch: pytest.MonkeyPatch
+) -> None:
+    # the suite positional prints as SUITE, its choices named in wrapped help
+    monkeypatch.setenv("COLUMNS", columns)
+    cli._shared_parser.cache_clear()
+    code, out, err = invoke(["verify", "--help"])
+    assert (code, err) == (EXIT_OK, "")
+    assert "SUITE" in out and "integral-crosscheck" in out
+    assert max(map(len, out.splitlines())) <= 78
+    code, out, err = invoke(["verify", "all", "--count", "x"])
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err.endswith("argument --count: invalid int value: 'x'\n")
+    assert max(map(len, err.splitlines())) <= 78
 
 
 @pytest.mark.parametrize("columns", ["40", "80", "200"])

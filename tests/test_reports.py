@@ -374,6 +374,130 @@ def test_reader_on_the_whole_seed_1_document() -> None:
         assert values == [F(text) for text in texts]
 
 
+def _without(mapping: dict, key: str) -> dict:
+    return {k: v for k, v in mapping.items() if k != key}
+
+
+#: How the reader refuses a case, and a check, whose keys are not the writer's.
+CASE_KEYS = ("a case must be an object with exactly the keys "
+             "certificate, error, inputs, kind, points, verdict; got ")
+CHECK_KEYS = ("certificate entries must be an object with exactly the keys "
+              "label, lhs, relation, rhs; got ")
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        pytest.param([], CASE_KEYS + "[]", id="a list"),
+        pytest.param("x", CASE_KEYS + "'x'", id="a string"),
+        pytest.param(5, CASE_KEYS + "5", id="a number"),
+        pytest.param(None, CASE_KEYS + "None", id="null"),
+        pytest.param(list(range(100)), CASE_KEYS + repr(list(range(100)))[:40], id="a long list"),
+        pytest.param({"verdict": True}, CASE_KEYS + "missing ['certificate', 'error', "
+                     "'inputs', 'kind', 'points'], unknown []", id="only a verdict"),
+        pytest.param(_without(case_with(), "error"), CASE_KEYS + "missing ['error'], unknown []",
+                     id="no error key"),
+        pytest.param({**case_with(), "note": "x"}, CASE_KEYS + "missing [], unknown ['note']",
+                     id="a seventh key"),
+        pytest.param({**case_with(), "certificate": [{**CHECK, "note": "x"}]},
+                     CHECK_KEYS + "missing [], unknown ['note']", id="a check with a fifth key"),
+        pytest.param({**case_with(), "certificate": [_without(CHECK, "rhs")]},
+                     CHECK_KEYS + "missing ['rhs'], unknown []", id="a check with no rhs"),
+    ],
+)
+def test_reader_refuses_every_key_set_the_writer_never_writes(data: object, message: str) -> None:
+    with pytest.raises(ValueError) as info:
+        report_from_dict(data)
+    assert str(info.value) == message
+
+
+def _set(*path: object, to: object):
+    """A change to a case: the value at ``path`` (keys and indices) set to ``to``."""
+    def change(case: dict) -> None:
+        target = case
+        for step in path[:-1]:
+            target = target[step]
+        target[path[-1]] = to
+    return change
+
+
+#: One malformed field each, in the order the reader refuses them, with the
+#: text of the message it refuses each with.
+MALFORMED = [
+    ("a case key", _set("note", to="x"), "unknown ['note']"),
+    ("verdict", _set("verdict", to="true"), "verdict must be a boolean"),
+    ("error", _set("error", to=1), "error must be null or a string"),
+    ("inputs type", _set("inputs", to=["xy"]), "inputs must be a dict"),
+    ("points type", _set("points", to={}), "points must be a list"),
+    ("certificate type", _set("certificate", to=None), "certificate must be a list"),
+    ("an input value", _set("inputs", "x", to=1), "inputs must map strings to strings"),
+    ("a point", _set("points", 0, to=["1/2"]), "points must be [x, value] pairs"),
+    ("a point's x", _set("points", 0, 0, to="0.10"), "'0.10'"),
+    ("a point's value", _set("points", 0, 1, to="0.20"), "'0.20'"),
+    ("a check", _set("certificate", 0, to=5), "checks with string fields, got 5"),
+    ("a check key", _set("certificate", 0, "extra", to="x"), "unknown ['extra']"),
+    ("a label", _set("certificate", 0, "label", to=7), "string fields, got {'label': 7"),
+    ("an lhs", _set("certificate", 0, "lhs", to="0.30"), "'0.30'"),
+    ("an rhs", _set("certificate", 0, "rhs", to="0.40"), "'0.40'"),
+    ("a relation", _set("certificate", 0, "relation", to="<<"), "unknown relation '<<'"),
+    ("the kind", _set("kind", to="nosuch"), "unknown report kind 'nosuch'"),
+]
+
+
+@pytest.mark.parametrize(
+    "first, second",
+    [pytest.param(i, None, id=MALFORMED[i][0]) for i in range(len(MALFORMED))]
+    + [pytest.param(i, j, id=f"{MALFORMED[i][0]} and {MALFORMED[j][0]}")
+       for i in range(len(MALFORMED)) for j in range(i + 1, len(MALFORMED))],
+)
+def test_reader_refuses_the_first_malformed_field_in_a_fixed_order(
+    first: int, second: "int | None"
+) -> None:
+    def refusal(*indices: int) -> str:
+        case = case_with()
+        for i in indices:  # the later change first, so the earlier one lands whole
+            MALFORMED[i][1](case)
+        with pytest.raises(ValueError) as info:
+            report_from_dict(case)
+        return str(info.value)
+
+    if second is None:
+        assert MALFORMED[first][2] in refusal(first)
+    else:
+        # the words of the first are not in the second's own refusal, so
+        # finding them tells which of the two the reader reported
+        assert MALFORMED[first][2] not in refusal(second)
+        assert MALFORMED[first][2] in refusal(second, first)
+
+
+#: The lhs that moves a check across its relation, from its rhs.
+MOVE_ACROSS = {
+    "<": lambda rhs: rhs, "!=": lambda rhs: rhs, ">": lambda rhs: rhs,
+    "<=": lambda rhs: rhs + 1, "==": lambda rhs: rhs + 1, ">=": lambda rhs: rhs - 1,
+}
+
+
+def test_every_check_of_a_read_back_document_is_replayed() -> None:
+    # the replay gate on a small pinned document: every case rechecks, and
+    # moving any one check's lhs across its relation or flipping the verdict
+    # makes the copy fail
+    argv = "verify all --max-level 3 --count 4 --index-budget 2 --n-max 3".split()
+    out = io.StringIO()
+    assert cli.run(argv, stdout=out, stderr=io.StringIO()) == 0
+    cases = json.loads(out.getvalue())["cases"]
+    assert {case["kind"] for case in cases} == set(REPORT_KINDS)
+    for case in cases:
+        assert case["verdict"] is True and recheck(report_from_dict(case))
+        assert not recheck(report_from_dict({**case, "verdict": False}))
+        for i, c in enumerate(case["certificate"]):
+            copy = json.loads(json.dumps(case))
+            copy["certificate"][i]["lhs"] = str(MOVE_ACROSS[c["relation"]](F(c["rhs"])))
+            report = report_from_dict(copy)
+            assert not report.certificate[i].holds()
+            assert not recheck(report)
+    assert sum(len(case["certificate"]) for case in cases) > len(cases)
+
+
 # ---------------------------------------------------------------------------
 # the streamed document against json.dumps of the dict view
 # ---------------------------------------------------------------------------
