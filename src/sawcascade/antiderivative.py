@@ -34,6 +34,7 @@ from fractions import Fraction
 
 from sawcascade.cells import cell, level1_cell, locate, require_family_size
 from sawcascade.construction import (
+    ZERO,
     Certified,
     DomainError,
     Rat,
@@ -45,8 +46,6 @@ from sawcascade.construction import (
     require_unit_interval,
 )
 from sawcascade.reports import WitnessReport, check, make_report
-
-ZERO = Fraction(0)
 
 
 # ---------------------------------------------------------------------------

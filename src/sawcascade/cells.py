@@ -97,27 +97,19 @@ ROOT = Cell(address=(), lo=Fraction(-1), hi=Fraction(1), slope=1, intercept=0)
 # ---------------------------------------------------------------------------
 
 
-def tooth_slope(j: Level1Id) -> int:
-    """Slope of the base map on the level-1 cell with signed id j.
+def tooth(j: Level1Id) -> tuple[int, int]:
+    """Slope and intercept of the base map on the level-1 cell with signed id j.
 
-    2 on the middle ramp (id 0); (-1)^(n+1) 2n(n+1) on tooth n = |j| + 1,
-    the same for both mirror images because the map is odd.
+    2 and 0 on the middle ramp (id 0).  On tooth n = |j| + 1 the slope is
+    s = (-1)^(n+1) 2n(n+1), the same for both mirror images because the map
+    is odd, and the intercept (-1)^n - s (n-1)/n = (-1)^n (2n^2 - 1) (value
+    (-1)^n at 1 - 1/n), negated on the mirror -j.
     """
     if j == 0:
-        return 2
+        return 2, 0
     n = abs(j) + 1
-    return 2 * n * (n + 1) if n % 2 else -2 * n * (n + 1)
-
-
-def tooth_intercept(j: Level1Id) -> int:
-    """Intercept of the base map on the level-1 cell with signed id j: 0 on
-    the middle ramp, (-1)^n - s (n-1)/n = (-1)^n (2n^2 - 1) on tooth n = j + 1
-    (value (-1)^n at 1 - 1/n, slope s), negated on its mirror -j."""
-    if j == 0:
-        return 0
-    n = abs(j) + 1
-    c = 2 * n * n - 1 if n % 2 == 0 else 1 - 2 * n * n
-    return c if j > 0 else -c
+    s, c = (2 * n * (n + 1), 1 - 2 * n * n) if n % 2 else (-2 * n * (n + 1), 2 * n * n - 1)
+    return s, (c if j > 0 else -c)
 
 
 @lru_cache(maxsize=4096)
@@ -173,8 +165,8 @@ def child_cell(parent: Cell, j: Level1Id) -> Cell:
     s y + c composed with the parent's map: (s S) x + (s C + c), whose
     solutions of -+1 are the child's bounds.
     """
-    s = tooth_slope(j)
-    slope, intercept = s * parent.slope, s * parent.intercept + tooth_intercept(j)
+    s, c = tooth(j)
+    slope, intercept = s * parent.slope, s * parent.intercept + c
     size, c = (slope, intercept) if slope > 0 else (-slope, -intercept)
     lo, hi = Fraction(-1 - c, size), Fraction(1 - c, size)
     return Cell(parent.address + (j,), lo, hi, slope, intercept)
@@ -332,9 +324,10 @@ def locate(x: RatLike, k: int) -> list[Address]:
     branches: list[tuple[Address, int]] = [((), x.numerator)]
     for _ in range(k):
         branches = [
-            (prefix + (j,), tooth_slope(j) * p + tooth_intercept(j) * q)
+            (prefix + (j,), s * p + c * q)
             for prefix, p in branches
             for j in level1_ids_of(p, q)
+            for s, c in [tooth(j)]
         ]
     return sorted(prefix for prefix, _ in branches)
 

@@ -248,26 +248,22 @@ def document_chunks(
     envelope: Mapping[str, Any], reports: Iterable[WitnessReport]
 ) -> Iterator[str]:
     """The text of ``json.dumps({**envelope, "cases": [report_to_dict(r) for
-    r in reports]}, indent=2, sort_keys=True) + "\n"``, case by case.
+    r in reports]}, indent=2, sort_keys=True) + "\n"``, case by case, for an
+    envelope whose keys all sort after ``cases``; ValueError otherwise.
 
-    Each report is rendered as it is drawn and then let go.  The envelope
-    is rendered by ``json.dumps`` around an empty ``cases`` list twice: for
-    the keys before ``cases`` when the document opens, and for the keys
-    after it (``summary`` among them) once the last report is drawn, so a
-    value the caller completes while the reports are drawn is written whole.
+    Each report is rendered as it is drawn and then let go.  ``cases`` sorts
+    first, so the document opens with it, and ``json.dumps`` renders the
+    envelope once, after the last report is drawn: a value the caller
+    completes while the reports are drawn (``summary``) is written whole.
     """
-
-    def halves() -> list[str]:
-        # top-level keys are the only ones indented by exactly two spaces
-        text = json.dumps({**envelope, "cases": []}, indent=2, sort_keys=True)
-        return text.split('\n  "cases": []', 1)
-
-    head = halves()[0]
+    if any(key <= "cases" for key in envelope):
+        raise ValueError(f"envelope keys must sort after 'cases', got {sorted(envelope)}")
     drawn = False
     for report in reports:
-        yield (",\n" if drawn else head + '\n  "cases": [\n') + _case_json(report)
+        yield (",\n" if drawn else '{\n  "cases": [\n') + _case_json(report)
         drawn = True
-    yield ("\n  ]" if drawn else head + '\n  "cases": []') + halves()[1] + "\n"
+    rest = "," + json.dumps(envelope, indent=2, sort_keys=True)[1:] if envelope else "\n}"
+    yield ("\n  ]" if drawn else '{\n  "cases": []') + rest + "\n"
 
 
 #: ``str`` of a Fraction: an integer with no leading zero and no ``-0``,

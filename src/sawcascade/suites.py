@@ -100,9 +100,7 @@ def _random_rational(rng: random.Random, lo: Rat, hi: Rat, max_den: int) -> Rat:
         num_hi = ceil(hi * den) - 1
         if num_lo > num_hi:
             continue
-        x = F(rng.randint(num_lo, num_hi), den)
-        if lo < x < hi:
-            return x
+        return F(rng.randint(num_lo, num_hi), den)
 
 
 def _integer_root(base: int, power: int) -> int:

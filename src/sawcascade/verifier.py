@@ -44,7 +44,7 @@ from sawcascade.cells import (
     level1_ids_of,
     locate,
     require_family_size,
-    tooth_slope,
+    tooth,
 )
 from sawcascade.construction import (
     ZERO,
@@ -90,35 +90,29 @@ def require_positive_delta(delta: Rat) -> Rat:
 FanSide = tuple[int, int, int]
 
 
-def _side_cells(info: OrbitInfo) -> list[FanSide]:
-    """The cells of level m = first_level - 1 with endpoint x0 = info.start.
+def _endpoint(info: OrbitInfo) -> tuple[int, list[FanSide]]:
+    """f_m(x0) = +-1 at the endpoint x0 = info.start, m = first_level - 1
+    (f_0 is the identity), and the cells of level m with endpoint x0.
 
-    For first_level 1 (x0 = +-1) the level-0 root (0, 1, 0) stands in: the
-    fan of level-1 teeth accumulates at both domain ends.  Otherwise the
-    chain is read off the record's slopes.  No iterate before y_{m-1} is a
-    tooth endpoint (its image would be +-1 a step early), so the chain
-    branches only at its last step, into the one or two ids at y_{m-1}, in
-    ascending order as locate sorts them.  The record ends at y_m = +-1,
-    so m is its length, except at x0 = +-1, whose record is (0,).
+    The record ends at y_m = +-1, so m is its length, except at x0 = +-1,
+    whose record is (0,): there f_0(x0) = x0, and the level-0 root (0, 1, 0)
+    stands in, the fan of level-1 teeth accumulating at both domain ends.
+    Otherwise the chain is read off the record's slopes.  No iterate before
+    y_{m-1} is a tooth endpoint (its image would be +-1 a step early), so
+    the chain branches only at its last step, into the one or two ids at
+    y_{m-1}, in ascending order as locate sorts them.
     """
-    m = len(info.numerators) if info.numerators[-1] else 0
-    if m == 0:
-        return [(0, 1, 0)]
+    x0, end = info.start, info.numerators[-1]
+    if not end:
+        return x0.numerator, [(0, 1, 0)]
+    m = len(info.numerators)
     s, a = 1, 0
     for slope in info.slopes[: m - 1]:
         s *= slope
         a = 2 * a + s
-    x0 = info.start
     p = info.numerators[m - 2] if m > 1 else x0.numerator  # y_{m-1} over q
-    lasts = [s * tooth_slope(j) for j in level1_ids_of(p, x0.denominator)]
-    return [(m, last, 2 * a + last) for last in lasts]
-
-
-def _endpoint_value(info: OrbitInfo) -> int:
-    """f_m(x0) = +-1 at the endpoint x0 = info.start, m = first_level - 1
-    (f_0 is the identity): the record's last iterate, or x0 at x0 = +-1."""
-    last = info.numerators[-1]
-    return last // info.start.denominator if last else info.start.numerator
+    lasts = [s * tooth(j)[0] for j in level1_ids_of(p, x0.denominator)]
+    return end // x0.denominator, [(m, last, 2 * a + last) for last in lasts]
 
 
 def _fan_point(x0: Rat, v0: int, s: int, n: int) -> Rat:
@@ -233,9 +227,9 @@ def _endpoint_fan_report(
     """
     x0 = info.start
     fx0 = info.partial_sum(k - 1)
-    v0 = _endpoint_value(info)
+    v0, sides = _endpoint(info)
     above = below = None
-    for side in _side_cells(info):
+    for side in sides:
         a, b = _fan_scan(side, x0, v0, delta, fan_budget)
         above = a if above is None else above
         below = b if below is None else below
@@ -373,8 +367,8 @@ def non_extremum_witness(
     v = info.iterate(k + 1)
     # pull back the points of the teeth beside y's tooth whose image is v
     j0 = level1_ids_at(y)[0]
-    teeth = (level1_cell(j0 - 1), level1_cell(j0 + 1))
-    x1, x2 = sorted(x0 + ((v - t.intercept) / t.slope - y) / s for t in teeth)
+    teeth = map(tooth, (j0 - 1, j0 + 1))  # (slope, intercept) of each
+    x1, x2 = sorted(x0 + ((v - c) / t - y) / s for t, c in teeth)
     w1, w2 = orbit(x1, k + 1), orbit(x2, k + 1)
     s0, s1, s2 = info.partial_sum(k), w1.partial_sum(k), w2.partial_sum(k)
     certificate = [
@@ -422,9 +416,8 @@ def non_monotone_witness(
     if fl is not None:
         inputs["mode"] = "midpoint_fan"
         center = info
-        v0 = _endpoint_value(info)
-        delta = min(mid - a, b - mid)
-        sides = _side_cells(info)
+        v0, sides = _endpoint(info)
+        delta = mid - a  # = b - mid
     else:
         inputs["mode"] = "chain_cell_fan"
         side, y, err = _walk_chain(info, depth, a, b)

@@ -31,8 +31,9 @@ from sawcascade.cells import (
     level1_cell,
     level1_ids_at,
     locate,
+    tooth,
 )
-from sawcascade.construction import DomainError, eval_f1, eval_fk, orbit
+from sawcascade.construction import DomainError, eval_f1, eval_fk, f1_step, orbit
 
 F = Fraction
 
@@ -73,6 +74,18 @@ def test_level1_matches_base_map_at_endpoints_and_inside(j):
     assert c.value_at(probe) == eval_f1(probe)
     assert {abs(c.value_at(c.lo)), abs(c.value_at(c.hi))} == {1}
     assert c.value_at(c.lo) == -c.value_at(c.hi)
+
+
+def test_tooth_is_the_level1_cells_map_and_the_fused_step():
+    for j in range(-60, 61):
+        c = level1_cell(j)
+        assert tooth(j) == (c.slope, c.intercept), j
+        s, intercept = tooth(j)
+        # f1_step gives the numerator over q of f_1 and the leftmost tooth's
+        # slope; the midpoint and a third of the way in lie on tooth j alone
+        for x in (c.midpoint, c.lo + c.length / 3):
+            p, q = x.numerator, x.denominator
+            assert f1_step(p, q) == (s * p + intercept * q, s), (j, x)
 
 
 def test_level1_adjacent_cells_tile():

@@ -1245,6 +1245,32 @@ def test_verify_usage_and_help_keep_to_78_columns(
     assert max(map(len, err.splitlines())) <= 78
 
 
+@pytest.mark.parametrize(
+    "argv, choices",
+    [
+        ("eval --fn zz", tuple(cli.POINT_FUNCTIONS)),
+        ("sample --format xml", ("csv", "json")),
+        ("intervals --format xml", ("csv", "json")),
+        ("verify nosuch", tuple(suites.SUITE_ORDER)),
+        ("nosuch", tuple(cli.COMMANDS)),
+    ],
+)
+def test_an_invalid_choice_is_one_unwrapped_error_line_naming_every_choice(
+    argv: str, choices: tuple[str, ...], monkeypatch: pytest.MonkeyPatch
+) -> None:
+    # usage wraps at 78 columns; the error line is never broken, however
+    # long the list of choices makes it (up to 213 columns for verify)
+    monkeypatch.setenv("COLUMNS", "80")
+    cli._shared_parser.cache_clear()
+    code, out, err = invoke(argv.split())
+    assert (code, out) == (EXIT_USAGE, "")
+    *usage, last = err.splitlines()
+    assert usage and all("error:" not in line and len(line) <= 78 for line in usage)
+    listed = ", ".join(map(repr, choices))
+    assert last.startswith("sawcascade") and "error:" in last
+    assert last.endswith(f": invalid choice: {argv.split()[-1]!r} (choose from {listed})")
+
+
 @pytest.mark.parametrize("columns", ["40", "80", "200"])
 @pytest.mark.parametrize("command", cli.COMMANDS)
 def test_a_command_parser_prints_the_help_of_its_subparser(

@@ -22,7 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sawcascade.cells import level1_cell, level1_ids_at, level1_ids_of, tooth_slope
+from sawcascade.cells import level1_cell, level1_ids_at, level1_ids_of, tooth
 from sawcascade.construction import (
     Certified,
     DomainError,
@@ -244,8 +244,8 @@ def test_orbit_record_matches_reference_walk(points):
 
 def composed_step(p: int, q: int) -> tuple[int, int]:
     """The numerator over q of f_1(p/q) and the slope of the first level-1
-    id at p/q, composed from reference_f1, level1_ids_of and tooth_slope."""
-    return reference_f1(F(p, q)) * q, tooth_slope(level1_ids_of(p, q)[0])
+    id at p/q, composed from reference_f1, level1_ids_of and tooth."""
+    return reference_f1(F(p, q)) * q, tooth(level1_ids_of(p, q)[0])[0]
 
 
 @pytest.mark.parametrize("points", [named_points, small_points, seeded_points])

@@ -1,13 +1,19 @@
 """The top-level package surface: the README example runs against it, every
-name it exports resolves, and so does every name the benchmark tracer wraps."""
+name it exports resolves, and so does every name the benchmark tracer wraps;
+the benchmark harness runs each workload, timed and traced, on a tiny size."""
 
 from __future__ import annotations
 
 import importlib
 import importlib.util
+import json
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 from types import ModuleType
+
+import pytest
 
 import sawcascade
 
@@ -52,3 +58,17 @@ def test_every_name_the_benchmark_tracer_wraps_resolves() -> None:
     info = sawcascade.orbit(Fraction(1, 4), 10)
     assert info.values == (Fraction(1, 2), Fraction(1))
     assert info.absorbed_step == 2
+
+
+@pytest.mark.parametrize("trace", [0, 1])
+@pytest.mark.parametrize("workload", ["verify-all", "eval-points", "replay"])
+def test_the_benchmark_harness_runs_each_workload_tiny(workload: str, trace: int) -> None:
+    # a timed run stamps item times through make_report and counts each
+    # suite's Cases; a traced run patches every wrapped name and reads
+    # level1_cell.cache_info(): a refactor that breaks one fails here
+    argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", "1",
+            "--seconds", "0.2", "--tiny", "--trace", str(trace)]
+    done = subprocess.run(argv, cwd=README.parent, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout.splitlines()[-1])
+    assert result["correct"] is True and result["failed"] == 0, result

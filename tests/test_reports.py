@@ -8,6 +8,7 @@ replay to the same verdict from its stored numbers alone.
 from __future__ import annotations
 
 import io
+import itertools
 import json
 import re
 import sys
@@ -685,3 +686,18 @@ def test_streamed_document_prints_values_past_the_digit_limit() -> None:
         text = "".join(document_chunks(envelope, [report]))
         assert text == dumped(envelope, [report])
         assert json.loads(text)["cases"][0]["points"][0][1] == str(big)
+
+
+@pytest.mark.parametrize("size", range(5))
+def test_streamed_document_renders_every_subset_of_the_writer_envelope(size: int) -> None:
+    reports = [make_report("local_min", {"x": F(1, 8)}, [(F(1, 8), F(1, 4))], [check("c", "<", 0, 1)])]
+    for keys in itertools.combinations(EXAMPLE_ENVELOPE, size):
+        envelope = {key: EXAMPLE_ENVELOPE[key] for key in keys}
+        for drawn in ([], reports):
+            assert "".join(document_chunks(envelope, drawn)) == dumped(envelope, drawn), keys
+
+
+@pytest.mark.parametrize("key", ["cases", "a", "Z", "", "case", "cased"])
+def test_streamed_document_refuses_an_envelope_key_not_after_cases(key: str) -> None:
+    with pytest.raises(ValueError, match="sort after 'cases'"):
+        "".join(document_chunks({**EXAMPLE_ENVELOPE, key: 1}, []))

@@ -13,9 +13,12 @@ import sys
 import time
 import tracemalloc
 from fractions import Fraction as F
+from math import ceil, floor
 from typing import Any, Callable, Iterator
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from sawcascade import cells, cli, reports, suites
 from sawcascade.antiderivative import quotient_bound_check
@@ -455,3 +458,41 @@ def test_verify_all_makes_every_report_through_the_module_level_names(
     assert cli.run(["verify", "all"], stdout=out, stderr=err) == 0
     assert err.getvalue() == "suite all: 6922 passed, 0 failed\n"
     assert calls == {"make_report": 6922, "oscillation_witness": 5236}
+
+
+# ---------------------------------------------------------------------------
+# seeded draws
+# ---------------------------------------------------------------------------
+
+
+def loop_with_membership_test(rng: random.Random, lo: F, hi: F, max_den: int) -> F:
+    """The draw as it was written before its redundant ``lo < x < hi`` test
+    was dropped: the oracle for the draws' values and their number."""
+    while True:
+        den = rng.randint(2, max_den)
+        num_lo = floor(lo * den) + 1
+        num_hi = ceil(hi * den) - 1
+        if num_lo > num_hi:
+            continue
+        x = F(rng.randint(num_lo, num_hi), den)
+        if lo < x < hi:
+            return x
+
+
+@given(
+    seed=st.integers(0, 2**32),
+    lo_thousandths=st.integers(-1000, 990),
+    width_thousandths=st.integers(10, 2000),
+    max_den=st.integers(1000, 10**6),  # every den past 100 has a numerator inside
+)
+def test_random_rational_draws_strictly_inside_as_the_membership_loop_did(
+    seed: int, lo_thousandths: int, width_thousandths: int, max_den: int
+) -> None:
+    lo = F(lo_thousandths, 1000)
+    hi = min(F(1), lo + F(width_thousandths, 1000))
+    drawn, oracle = random.Random(seed), random.Random(seed)
+    for _ in range(5):
+        x = suites._random_rational(drawn, lo, hi, max_den)
+        assert lo < x < hi and x.denominator <= max_den
+        assert x == loop_with_membership_test(oracle, lo, hi, max_den)
+    assert drawn.getstate() == oracle.getstate()

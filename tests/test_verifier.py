@@ -30,10 +30,9 @@ from sawcascade.reports import recheck, report_from_dict, report_to_dict
 from sawcascade.suites import SUITES, SuiteConfig, tapered_endpoints
 from sawcascade.verifier import (
     NotAnEPointError,
-    _endpoint_value,
+    _endpoint,
     _fan_point,
     _fan_sign,
-    _side_cells,
     _walk_chain,
     integral_crosscheck,
     local_min_check,
@@ -135,7 +134,7 @@ def test_side_cells_from_the_orbit_record_match_locate():
             ancestors = [cell(side.address[:i]) for i in range(1, m + 1)]
             slope_sum = sum((c.slope / 2**c.level for c in ancestors), F(0))
             expected.append((m, side.slope, 2**m * slope_sum))
-        assert _side_cells(info) == expected
+        assert _endpoint(info)[1] == expected
 
 
 def test_fan_closed_form_matches_child_cells_and_partial_sums():
@@ -144,9 +143,9 @@ def test_fan_closed_form_matches_child_cells_and_partial_sums():
         info = orbit(x0, 40)
         m, k = first_level - 1, first_level
         fx0 = info.partial_sum(m)
-        v0 = _endpoint_value(info)
+        v0, side_list = _endpoint(info)
         margin = F(1, 2 ** (k + 1))
-        sides = zip(_side_cells(info), _side_cell_list(x0, first_level), strict=True)
+        sides = zip(side_list, _side_cell_list(x0, first_level), strict=True)
         for side, side_cell in sides:
             _m, s, a = side
             assert v0 == side_cell.value_at(x0)
@@ -178,7 +177,7 @@ def reference_fan_choice(side, info, delta, fan_budget):
     _m, s, _a = side
     if fan_budget < 1:
         return None, None
-    x0, v0, k = info.start, _endpoint_value(info), info.first_level
+    x0, v0, k = info.start, _endpoint(info)[0], info.first_level
     m0 = max(1, int(1 / (delta * abs(s))))
     fx0, margin = info.partial_sum(k - 1), F(1, 2 ** (k + 1))
     ends = sorted((m0 + 1, m0 + 2), key=lambda n: _fan_point(x0, v0, s, n))
@@ -203,8 +202,8 @@ def test_cached_fan_choice_equals_an_uncached_scan():
     seen = {"exhausted": 0, "found": 0}
     for x0, _first_level in tapered_endpoints(5, 50):
         info = orbit(x0, 40)
-        v0 = _endpoint_value(info)
-        for side in _side_cells(info):
+        v0, sides = _endpoint(info)
+        for side in sides:
             s = side[1]
             for delta in FAN_DELTAS:
                 for budget in FAN_BUDGETS:
@@ -222,8 +221,8 @@ def test_cached_fan_choice_equals_an_uncached_scan():
 def test_fan_choice_cache_keys_on_delta_and_budget():
     x0 = F(1, 2)
     info = orbit(x0, 40)
-    v0 = _endpoint_value(info)
-    side = _side_cells(info)[0]
+    v0, sides = _endpoint(info)
+    side = sides[0]
     verifier._fan_choice.cache_clear()
     calls = [(F(1, 10), 3), (F(1, 10), 3), (F(1, 10), 64), (F(1, 1000), 64), (F(1, 10), 0)]
     for delta, budget in calls:
