@@ -76,8 +76,10 @@ def _evaluate(fn: str, x: Rat, k: int, K: int) -> Certified:
 
 
 def _json_line(value: object, keys: Sequence[str]) -> Iterator[str]:
-    """The exact rationals ``value.<key>`` as one line of JSON."""
-    yield json.dumps({key: str(getattr(value, key)) for key in keys}, sort_keys=True) + "\n"
+    """The exact rationals ``value.<key>`` as one line of JSON: the text of
+    ``json.dumps(..., sort_keys=True)``, since neither a key nor a rational's
+    text needs escaping."""
+    yield "{" + ", ".join(f'"{key}": "{getattr(value, key)}"' for key in sorted(keys)) + "}\n"
 
 
 def _table(fields: Sequence[str], rows: Iterable[Sequence[object]], fmt: str) -> Iterator[str]:
@@ -251,21 +253,100 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
         parser = argparse.ArgumentParser(prog="sawcascade " + command, formatter_class=_FORMATTER)
         parsers = {command: parser}
     for name, p in parsers.items():
-        COMMANDS[name][1](p)
-        p.add_argument("--out", help="write output to this file instead of stdout")
+        _add_arguments(name, p)
     return parser
+
+
+def _add_arguments(command: str, p: argparse.ArgumentParser) -> None:
+    """Declare ``command``'s arguments, --out included, to ``p``."""
+    COMMANDS[command][1](p)
+    p.add_argument("--out", help="write output to this file instead of stdout")
 
 
 @functools.cache
 def _shared_parser(command: Optional[str]) -> argparse.ArgumentParser:
-    """The parser ``run`` reuses: ``command``'s own (one of COMMANDS), or the
-    full parser (None) for an argv with no command or unrecognized arguments.
+    """The parser ``run`` reuses for what ``_read`` leaves: ``command``'s own
+    (one of COMMANDS), or the full parser (None) for an argv with no command
+    or unrecognized arguments.
 
     Each is built on its first use rather than at import, so a program that
-    only evaluates builds one ArgumentParser, the ``eval`` one.  Parsing
-    leaves no state in a parser: each call gets a fresh namespace.
+    passes only canonical arguments builds none.  Parsing leaves no state in
+    a parser: each call gets a fresh namespace.
     """
     return build_parser(command)
+
+
+class _Recorder(list):
+    """Stands in for a parser: keeps what each add_argument is given."""
+
+    def add_argument(self, *flags: str, **kwargs: object) -> None:
+        self.append((flags, kwargs))
+
+
+@functools.cache
+def _declared(command: str) -> tuple:
+    """``command``'s arguments as ``_read`` takes them: its positional as
+    (dest, type, choices) or None, each flag but a nargs one by name as
+    (dest, type, choices), the dests of the required flags, and every
+    default as argparse fills it in (a str default through its type).
+    Each argument is declared with one name."""
+    recorder = _Recorder()
+    _add_arguments(command, recorder)
+    positional, options, required, defaults = None, {}, set(), {}
+    for (name,), kwargs in recorder:
+        spec = (name.lstrip("-").replace("-", "_"), kwargs.get("type", str), kwargs.get("choices"))
+        if not name.startswith("-"):
+            positional = spec
+        elif "nargs" not in kwargs:
+            options[name] = spec
+        if kwargs.get("required"):
+            required.add(spec[0])
+        default = kwargs.get("default")
+        defaults[spec[0]] = spec[1](default) if isinstance(default, str) else default
+    return positional, options, required, defaults
+
+
+def _read(command: str, argv: Sequence[str]) -> Optional[argparse.Namespace]:
+    """What ``command``'s parser parses from ``argv`` when ``argv`` is in
+    canonical form, read straight from the declarations; None otherwise,
+    and argparse then parses it, refuses it or prints help.
+
+    Canonical: the positional first when one is declared, then only
+    ``--name=value`` and ``--name value`` (the value not "-"-leading), each
+    name a full declared flag of one value, each value one its type takes
+    and its choices hold, every required flag given; a repeat wins.
+    """
+    positional, options, required, defaults = _declared(command)
+    texts = []
+    if positional is not None:
+        if not argv or argv[0][:1] == "-":
+            return None
+        texts.append((positional, argv[0]))
+    i = len(texts)  # past the positional
+    while i < len(argv):
+        name, eq, text = argv[i].partition("=")
+        i += 1
+        if not eq:
+            if i == len(argv) or argv[i][:1] == "-":  # dangling, or a "-"-leading value
+                return None
+            text = argv[i]
+            i += 1
+        # argparse strips a "--" value to an empty list
+        if name not in options or text == "--":
+            return None
+        texts.append((options[name], text))
+    values = {}
+    for (dest, convert, choices), text in texts:
+        try:
+            value = convert(text)
+        except ValueError:  # an int past the digit limit included
+            return None
+        if choices is not None and value not in choices:
+            return None
+        values[dest] = value
+    if not required.issubset(values):
+        return None
+    return argparse.Namespace(**{**defaults, **values})
 
 
 @contextmanager
@@ -333,23 +414,26 @@ def run(
     stdout: TextIO = sys.stdout,
     stderr: TextIO = sys.stderr,
 ) -> int:
-    """Execute one CLI invocation, parsing what follows a command name with
-    that command's own parser; returns the exit code.  Usage errors and
+    """Execute one CLI invocation; returns the exit code.  What follows a
+    command name is read from its declarations when it is canonical, and
+    is otherwise parsed by that command's own parser.  Usage errors and
     --help go to the given streams, like all other output.
     """
     argv = list(argv)
     command = argv[0] if argv and argv[0] in COMMANDS else None
-    try:
-        with redirect_stdout(stdout), redirect_stderr(stderr):
-            if command is None:  # --help, or an error of the full parser
-                args = _shared_parser(None).parse_args(argv)
-                command = args.command
-            else:
-                args, extra = _shared_parser(command).parse_known_args(argv[1:])
-                if extra:  # the full parser reports what a command's parser leaves
-                    _shared_parser(None).error(f"unrecognized arguments: {' '.join(extra)}")
-    except SystemExit as exc:
-        return int(exc.code or 0)
+    args = None if command is None else _read(command, argv[1:])
+    if args is None:  # no command, help, an abbreviation, a "-"-leading value or an error
+        try:
+            with redirect_stdout(stdout), redirect_stderr(stderr):
+                if command is None:  # --help, or an error of the full parser
+                    args = _shared_parser(None).parse_args(argv)
+                    command = args.command
+                else:
+                    args, extra = _shared_parser(command).parse_known_args(argv[1:])
+                    if extra:  # the full parser reports what a command's parser leaves
+                        _shared_parser(None).error(f"unrecognized arguments: {' '.join(extra)}")
+        except SystemExit as exc:
+            return int(exc.code or 0)
     try:
         # every refusal is raised here, before the first byte; the arguments
         # are parsed under the digit limit, lifted only to render the output

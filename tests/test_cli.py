@@ -19,8 +19,11 @@ import weakref
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction as F
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sawcascade
 from sawcascade import cli, construction, suites, verifier
@@ -418,6 +421,25 @@ def test_json_table_is_indented_json_dumps(addresses: list[list[int]]) -> None:
     expected = [dict(zip(fields, row)) for row in rows]
     text = "".join(cli._table(fields, rows, "json"))
     assert text == json.dumps(expected, indent=2, sort_keys=True) + "\n"
+
+
+#: Exact rationals, some with parts of thousands of digits.
+RATIONALS = st.builds(
+    F,
+    st.integers() | st.integers(-(10**5000), 10**5000),
+    st.integers(min_value=1) | st.integers(1, 10**5000),
+)
+
+
+@settings(deadline=None)  # the text of a 5000-digit rational takes a while
+@given(st.sampled_from([("center", "radius"), ("width", "lower", "upper")]),
+       st.lists(RATIONALS, min_size=3, max_size=3))
+def test_json_line_is_sorted_json_dumps(keys: tuple[str, ...], values: list[F]) -> None:
+    value = SimpleNamespace(**dict(zip(keys, values)))
+    with cli._all_digits():
+        line = "".join(cli._json_line(value, keys))
+        expected = json.dumps({key: str(getattr(value, key)) for key in keys}, sort_keys=True)
+    assert line == expected + "\n"
 
 
 def test_intervals_guard_against_explosion() -> None:
@@ -1138,30 +1160,37 @@ def test_run_builds_one_parser_across_calls(monkeypatch: pytest.MonkeyPatch) -> 
     monkeypatch.setattr(cli, "build_parser", counting_build_parser)
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
     cli._shared_parser.cache_clear()
-    calls = (["eval", "--fn", "f", "--x", "1/3"], ["eval", "--fn", "zz", "--x", "1"],
-             ["sample", "--fn", "F", "--count", "3"], ["eval", "--fn", "f", "--x", "1", "extra"],
-             ["--help"])
-    invoke(calls[0])
-    assert inits == ["sawcascade eval"]  # one ArgumentParser for a first eval call
-    for argv in calls[1:]:
-        invoke(argv)
-    assert built == ["eval", "sample", None]  # the full parser for the extra argument
-    inits.clear()
-    for argv in calls:
-        invoke(argv)
-    assert built == ["eval", "sample", None] and inits == []
+    # a well-formed call is read from the declarations: no ArgumentParser
+    for argv in (["eval", "--fn", "f", "--x", "1/3"], ["eval", "--fn=F", "--x=-1/3", "--K", "60"],
+                 ["sample", "--fn", "F", "--count", "3"]):
+        assert invoke(argv)[0] == EXIT_OK
+    assert built == [] and inits == []
+    # argparse decides the rest, building the command's parser, and the
+    # full one only for --help and an unrecognized extra argument
+    decided = {
+        "eval --f F --x 1/3": ["eval"],
+        "eval --fn zz --x 1": ["eval"],
+        "eval --fn F --x -1/3": ["eval"],
+        "eval --fn f --x 1 extra": ["eval", None],
+        "--help": [None],
+    }
+    for argv, parsers in decided.items():
+        cli._shared_parser.cache_clear()
+        built.clear()
+        inits.clear()
+        invoke(argv.split())
+        assert built == parsers, argv
+        if parsers == ["eval"]:
+            assert inits == ["sawcascade eval"]  # one ArgumentParser
+    # each parser is built once across calls
+    cli._shared_parser.cache_clear()
+    built.clear()
+    for argv in [*decided, *decided]:
+        invoke(argv.split())
+    assert built == ["eval", None]
     own = cli._shared_parser("eval")
     assert type(own) is argparse.ArgumentParser and own.prog == "sawcascade eval"
     assert not any(isinstance(a, argparse._SubParsersAction) for a in own._actions)
-    # only --help and the unrecognized extra argument need the full parser
-    full_builders = []
-    for argv in calls:
-        cli._shared_parser.cache_clear()
-        built.clear()
-        invoke(argv)
-        if None in built:
-            full_builders.append(argv)
-    assert full_builders == [calls[3], calls[4]]
 
 
 #: Argument lists whose output the parser decides: help, an abbreviated
@@ -1328,6 +1357,8 @@ INTERLEAVED_CALLS = [
     ["verify", "no-extrema", "--delta=-1", "--count", "3"],
     ["sample", "--fn", "f", "--count", "-1"],
     ["eval", "--fn", "F", "--x=-2/7", "--K", "30"],
+    ["eval", "--fn", "F", "--x", "-1/3"],
+    ["eval", "--fn", "F", "--x=-1/3"],
 ]
 
 
@@ -1338,4 +1369,120 @@ def test_shared_parser_prints_what_a_fresh_parser_prints() -> None:
         cli._shared_parser.cache_clear()
         fresh.append(invoke(argv))
     assert shared == fresh
-    assert [code for code, _, _ in shared] == [0, 2, 0, 2, 2, 2, 0]
+    assert [code for code, _, _ in shared] == [0, 2, 0, 2, 2, 2, 0, 2, 0]
+
+
+# ---------------------------------------------------------------------------
+# the reader of canonical argument lists, against argparse
+# ---------------------------------------------------------------------------
+
+#: Values that no option takes, or that argparse reads its own way.
+EDGE_VALUES = ["", "--", "-", "-2", "-1/3", "a b", "zz", "x", LONG_NUMBER]
+
+
+@st.composite
+def command_argv(draw, command: str) -> list[str]:
+    """An argv after ``command``, drawn from its parser's actions: options
+    of one value with values their type takes, in both forms and repeated,
+    then at most two odd items (an abbreviation, an edge value, a nargs
+    option, a dangling or unknown flag, a stray token)."""
+    parser = cli.build_parser(command)
+    options = [a for a in parser._actions if a.option_strings and a.dest != "help"]
+    [positional] = [a.choices for a in parser._actions if not a.option_strings] or [None]
+
+    def option(action: argparse.Action, odd: bool = False) -> st.SearchStrategy[list[str]]:
+        flag = action.option_strings[0]
+        if action.dest == "out":  # nothing a test may write to
+            good = [os.devnull, ""]
+        elif action.choices is not None:
+            good = list(action.choices)
+        elif action.type is int:
+            good = ["1", "2", "3", " 2", "+2", "2_0", "\u0662"]
+        else:
+            good = ["1/3", "0.25", "1"]
+        value = st.sampled_from(good + EDGE_VALUES * (odd and action.dest != "out"))
+        name = st.sampled_from([flag, flag[:-1]] if odd and len(flag) > 3 else [flag])
+        count = action.nargs if isinstance(action.nargs, int) else 1
+        separate = st.builds(lambda n, v: [n, *v], name,
+                             st.lists(value, min_size=count, max_size=count))
+        joined = st.builds(lambda n, v: [f"{n}={v}"], name, value)
+        dangling = st.builds(lambda n: [n], name)
+        return st.one_of(separate, joined, *[dangling] * odd)
+
+    stray = st.sampled_from([["extra"], [""], ["-h"], ["--help"], ["--"], ["--bogus", "1"],
+                             ["--bogus=1"]])
+    required = [draw(option(a)) for a in options if a.required and draw(st.integers(0, 9))]
+    well = draw(st.lists(st.one_of(*(option(a) for a in options if a.nargs is None)), max_size=4))
+    odd = draw(st.lists(st.one_of(*(option(a, odd=True) for a in options), stray), max_size=2))
+    argv = [token for item in draw(st.permutations(required + well + odd)) for token in item]
+    if positional is not None and draw(st.integers(0, 9)):
+        at = draw(st.sampled_from([0, 0, 0, len(argv)]))
+        argv.insert(at, draw(st.sampled_from([*positional, "nosuch"])))
+    return argv
+
+
+def outcome(argv: list[str]) -> object:
+    """What ``run`` prints and returns, or what it raises."""
+    try:
+        return invoke(argv)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.data())
+def test_the_reader_accepts_only_what_argparse_parses_alike(data: st.DataObject) -> None:
+    command = data.draw(st.sampled_from(list(cli.COMMANDS)))
+    argv = data.draw(command_argv(command))
+    read = cli._read(command, argv)
+    if read is not None:
+        assert cli._shared_parser(command).parse_known_args(argv) == (read, [])
+    with pytest.MonkeyPatch.context() as patch:
+        # verify echoes every setting in its envelope; its suites are skipped
+        patch.setattr(cli, "run_suite_reports", lambda name, cfg: iter(()))
+        read_or_parsed = outcome([command, *argv])
+        patch.setattr(cli, "_read", lambda command, argv: None)
+        assert outcome([command, *argv]) == read_or_parsed
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "eval --fn F --x 1/3 -h",
+        "eval --help",
+        "eval --f F --x 1/3",
+        "eval --fn F --x -1/3",
+        "eval --fn F --x 1/3 --bogus 1",
+        "eval --x 1/3",
+        "eval --fn zz --x 1",
+        "eval --fn F --x",
+        "eval --fn F --x=--",
+        "eval --fn F --x 1/3 extra",
+        f"eval --fn F --x 1/3 --K {LONG_NUMBER}",
+        "intervals --window 0 1",
+        "intervals --window=0",
+        "verify --count 2 all",
+        "verify",
+    ],
+)
+def test_the_reader_leaves_help_abbreviations_and_errors_to_argparse(argv: str) -> None:
+    command, *rest = argv.split()
+    assert cli._read(command, rest) is None
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "eval --fn F --x=-1/3 --K 60",
+        "eval --fn=G --x 0.25 --k 2 --k=3",
+        "sample --fn f --count \u0665 --a=-1/2 --format json",
+        "intervals --k 2 --format=json",
+        "integrate --k 1 --upto=",
+        "verify all --seed=5 --delta 1/7 --count +5",
+    ],
+)
+def test_the_reader_parses_canonical_argv_as_argparse_does(argv: str) -> None:
+    command, *rest = argv.split()
+    read = cli._read(command, rest)
+    assert read is not None
+    assert cli._shared_parser(command).parse_known_args(rest) == (read, [])

@@ -72,3 +72,6 @@ def test_the_benchmark_harness_runs_each_workload_tiny(workload: str, trace: int
     assert done.returncode == 0, done.stderr
     result = json.loads(done.stdout.splitlines()[-1])
     assert result["correct"] is True and result["failed"] == 0, result
+    if workload == "eval-points" and trace:
+        # every eval call of the benchmark is canonical: no parser is built
+        assert result["metrics"]["cli.build_parser.calls"]["value"] == 0
