@@ -129,27 +129,35 @@ def enclose_integral(k: int, upto: RatLike, index_budget: int) -> Certified:
 # ---------------------------------------------------------------------------
 
 
-def eval_F(x: RatLike, K: int) -> Certified:
-    """Certified running integral from -1 of the full series at x.
-
-    Center: exact sum of the first K weighted layer integrals, summed by
-    Horner's rule on integers as acc / (2 q^2 den) with
-    acc = 2 s_(k-1) acc + p_k^2 - q^2 and den = prod 2 s_(k-1), so one
-    Fraction is built per call.  Radius: the dropped layers have sup at
-    most 2^-K in total, integrated over a window of length at most 2,
-    hence 2^(1-K).
-    """
-    x = require_unit_interval(as_rational(x))
-    require_at_least(K, 1, "truncation K")
-    p, q, q2 = x.numerator, x.denominator, x.denominator ** 2
-    acc, den = 0, 1
+def _layer_sum(x: Rat, K: int) -> tuple[int, int]:
+    """The exact sum of the first K weighted layer integrals at x as acc / D,
+    on integers: Horner's rule gives acc = t acc + p_k^2 - q^2 and
+    D = 2 q^2 prod t over the steps k = 1..K, with t = 2 s_(k-1)."""
+    p, q = x.numerator, x.denominator
+    q2 = q * q
+    acc, D = 0, 2 * q2
     for _ in range(K):
         if abs(p) == q:  # every deeper layer vanishes at a cell endpoint
             break
         p, s = f1_step(p, q)
-        acc = acc * 2 * s + p * p - q2
-        den *= 2 * s
-    return Certified(Fraction(acc, 2 * q2 * den), Fraction(2, 2**K))
+        t = 2 * s
+        acc = acc * t + p * p - q2
+        D *= t
+    return acc, D
+
+
+def eval_F(x: RatLike, K: int) -> Certified:
+    """Certified running integral from -1 of the full series at x.
+
+    Center: exact sum of the first K weighted layer integrals, the integer
+    quotient acc / D of ``_layer_sum``, so one Fraction is built per call.
+    Radius: the dropped layers have sup at most 2^-K in total, integrated
+    over a window of length at most 2, hence 2^(1-K).
+    """
+    x = require_unit_interval(as_rational(x))
+    require_at_least(K, 1, "truncation K")
+    acc, D = _layer_sum(x, K)
+    return Certified(Fraction(acc, D), Fraction(2, 2**K))
 
 
 def normalization_center(K: int) -> Rat:
@@ -167,15 +175,19 @@ def eval_G(x: RatLike, K: int) -> Certified:
 
     For x > 0 this is the running integral minus its value at 0; the signed
     series is even, so its antiderivative is odd and the x < 0 branch is the
-    reflection.  Exactly 0 at x = 0.  Radius doubles: both the running
-    integral and the anchor carry a 2^(1-K) tail.
+    reflection.  Exactly 0 at x = 0.  With the running integral acc / D of
+    ``_layer_sum`` and the anchor ``normalization_center(K)``, the center is
+    +-(6 4^K acc - (1 - 4^K) D) / (6 4^K D), built as one Fraction.  Radius
+    doubles: both the running integral and the anchor carry a 2^(1-K) tail.
     """
     x = require_unit_interval(as_rational(x))
     require_at_least(K, 1, "truncation K")
     if x == 0:
         return Certified(ZERO, ZERO)
-    anchored = eval_F(x, K).center - normalization_center(K)
-    center = anchored if x > 0 else -anchored
+    acc, D = _layer_sum(x, K)
+    power = 4**K
+    anchored = 6 * power * acc - (1 - power) * D
+    center = Fraction(anchored if x > 0 else -anchored, 6 * power * D)
     return Certified(center, Fraction(4, 2**K))
 
 

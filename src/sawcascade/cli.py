@@ -19,9 +19,10 @@ import argparse
 import dataclasses
 import functools
 import json
+import operator
 import os
 import sys
-from contextlib import contextmanager, redirect_stderr, redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Optional, Sequence, TextIO
 
@@ -75,11 +76,21 @@ def _evaluate(fn: str, x: Rat, k: int, K: int) -> Certified:
     return POINT_FUNCTIONS[fn](x, k, K)
 
 
-def _json_line(value: object, keys: Sequence[str]) -> Iterator[str]:
+@functools.cache
+def _line_template(keys: tuple[str, ...]) -> tuple[str, Callable[[object], tuple]]:
+    """The %-template of ``_json_line`` for ``keys`` and the getter of its
+    values, both in sorted key order."""
+    keys = sorted(keys)
+    return "{" + ", ".join(f'"{key}": "%s"' for key in keys) + "}\n", operator.attrgetter(*keys)
+
+
+def _json_line(value: object, keys: tuple[str, ...]) -> Iterator[str]:
     """The exact rationals ``value.<key>`` as one line of JSON: the text of
     ``json.dumps(..., sort_keys=True)``, since neither a key nor a rational's
-    text needs escaping."""
-    yield "{" + ", ".join(f'"{key}": "{getattr(value, key)}"' for key in sorted(keys)) + "}\n"
+    text needs escaping.  The line is rendered when it is drawn, so under
+    the digit limit ``_write`` lifts."""
+    template, values = _line_template(keys)
+    return map(template.__mod__, [values(value)])
 
 
 def _table(fields: Sequence[str], rows: Iterable[Sequence[object]], fmt: str) -> Iterator[str]:
@@ -346,26 +357,29 @@ def _read(command: str, argv: Sequence[str]) -> Optional[argparse.Namespace]:
         values[dest] = value
     if not required.issubset(values):
         return None
-    return argparse.Namespace(**{**defaults, **values})
+    args = argparse.Namespace()
+    vars(args).update(defaults, **values)
+    return args
 
 
-@contextmanager
-def _all_digits() -> Iterator[None]:
+class _all_digits:
     """Lift Python's int/str digit limit while exact output is rendered.
 
     The limit (4300 digits by default) guards the parsing of untrusted
     text, which happens before this; an exact center computed here may have
     more digits.  The previous limit is restored on every exit.
     """
-    if not hasattr(sys, "set_int_max_str_digits"):  # Python without the limit
-        yield
-        return
-    previous = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
-        yield
-    finally:
-        sys.set_int_max_str_digits(previous)
+
+    limited = hasattr(sys, "set_int_max_str_digits")  # Python without the limit has none
+
+    def __enter__(self) -> None:
+        if self.limited:
+            self.previous = sys.get_int_max_str_digits()
+            sys.set_int_max_str_digits(0)
+
+    def __exit__(self, *exc_info: object) -> None:
+        if self.limited:
+            sys.set_int_max_str_digits(self.previous)
 
 
 def _write(chunks: Iterable[str], out: Optional[str], stdout: TextIO) -> None:
@@ -384,7 +398,13 @@ def _write(chunks: Iterable[str], out: Optional[str], stdout: TextIO) -> None:
     pipe) cannot be replaced and is written in place.
     """
     if out is None:
-        stdout.writelines(c[i:i + 65536] for c in chunks for i in range(0, len(c), 65536))
+        write = stdout.write
+        for chunk in chunks:
+            if len(chunk) <= 65536:
+                write(chunk)
+            else:
+                for i in range(0, len(chunk), 65536):
+                    write(chunk[i:i + 65536])
         return
     target = os.path.realpath(out)
     in_place = os.path.exists(target) and not os.path.isfile(target)
@@ -434,6 +454,12 @@ def run(
                         _shared_parser(None).error(f"unrecognized arguments: {' '.join(extra)}")
         except SystemExit as exc:
             return int(exc.code or 0)
+        # argparse strips a "--" value to an empty list, which no flag of one value takes
+        _, options, _, _ = _declared(command)
+        for name, (dest, _, _) in options.items():
+            if getattr(args, dest) == []:
+                stderr.write(f"error: argument {name}: expected one value, got '--'\n")
+                return EXIT_USAGE
     try:
         # every refusal is raised here, before the first byte; the arguments
         # are parsed under the digit limit, lifted only to render the output

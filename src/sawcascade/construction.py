@@ -52,6 +52,11 @@ def as_rational(value: RatLike) -> Rat:
         return Fraction(value)
     if isinstance(value, str):
         try:
+            # the common case, "-?digits/digits" in ASCII, read on integers
+            numerator, slash, denominator = value.partition("/")
+            digits = numerator[1:] if numerator[:1] == "-" else numerator
+            if slash and digits.isdigit() and denominator.isdigit() and value.isascii():
+                return Fraction(int(numerator), int(denominator))
             _, _, exponent = value.strip().lower().partition("e")
             if not exponent or abs(int(exponent)) <= MAX_DECIMAL_EXPONENT:
                 return Fraction(value)

@@ -313,6 +313,27 @@ def test_signed_antiderivative_is_odd(x, K):
     assert eval_G(x, K).center == -eval_G(-x, K).center
 
 
+def _anchored_center(x: Fraction, K: int) -> Fraction:
+    """G's center by its definition: +-(F(x) - F(0)), with F(0) the closed
+    form ``normalization_center(K)``."""
+    anchored = eval_F(x, K).center - normalization_center(K)
+    return anchored if x > 0 else -anchored
+
+
+#: Both unit ends, and points absorbed into -1, 0 or 1 after a step or two.
+ABSORBED_POINTS = [F(1), F(1, 2), F(1, 4), F(2, 3), F(7, 12), F(3, 4), F(5, 6), F(1, 8)]
+
+
+@given(
+    st.fractions(min_value=F(-1), max_value=F(1), max_denominator=10**6).filter(bool)
+    | st.sampled_from(ABSORBED_POINTS + [-x for x in ABSORBED_POINTS]),
+    st.sampled_from([1, 2, 30, 60]),
+)
+@settings(max_examples=200, deadline=None)
+def test_signed_antiderivative_is_the_anchored_running_integral(x, K):
+    assert eval_G(x, K) == Certified(_anchored_center(x, K), F(4, 2**K))
+
+
 # ---------------------------------------------------------------------------
 # whole-domain integral
 # ---------------------------------------------------------------------------

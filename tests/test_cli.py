@@ -709,6 +709,27 @@ def _assert_one_line_usage_error(code: int, out: str, err: str) -> None:
 @pytest.mark.parametrize(
     "argv",
     [
+        "eval --fn f --x=--",
+        "sample --fn f --a=-- --count 2",
+        "verify local-min --count 2 --delta=--",
+        "eval --fn f --x 1 --out=--",
+        # flags with choices and an int flag
+        "eval --fn=-- --x 1",
+        "eval --fn F --x 1 --K=--",
+        "sample --fn f --format=-- --count 2",
+    ],
+)
+def test_a_double_dash_value_is_usage_error(argv: str) -> None:
+    # argparse strips the value "--" to an empty list
+    code, out, err = invoke(argv.split())
+    _assert_one_line_usage_error(code, out, err)
+    flag = argv.split("=--")[0].split()[-1]
+    assert err == f"error: argument {flag}: expected one value, got '--'\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
         ["verify", "no-extrema", "--count", "0"],
         ["verify", "local-min", "--count", "-5"],
         ["verify", "quotient-bound", "--n-max", "1"],
@@ -1078,6 +1099,11 @@ PINNED_STDOUT = {
         "fb6cc542f286031e117d9891d99165af49b5388dde344b34cc6f10f768d59249",
     "eval --fn f --x=-987654/999983 --K 60":
         "f05e40ca5b4905dfc6fa4a60d58ca82a9e31118037f7fa84f589b7fb49920d18",
+    # G's negated branch at the coarse depth; decimal text, read by Fraction
+    "eval --fn G --x=-123457/1000003 --K 30":
+        "275f3feb7e196e30dab0e075a876848bea0801aa3f1cc7ee0f72e70d08991c1b",
+    "eval --fn F --x 0.25 --K 60":
+        "c2f76da7e5ab0f5a7af8da02bd1e8edaaa47f2da0a574ebec82a69e3ec78b3d3",
 }
 
 #: Exit code of a pinned command, where it is not EXIT_OK.

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import random
 import re
+import sys
 import time
 from fractions import Fraction
 from math import gcd
@@ -24,6 +25,7 @@ from hypothesis import strategies as st
 
 from sawcascade.cells import level1_cell, level1_ids_at, level1_ids_of, tooth
 from sawcascade.construction import (
+    MAX_DECIMAL_EXPONENT,
     Certified,
     DomainError,
     as_rational,
@@ -295,6 +297,63 @@ def test_as_rational_refuses_text_that_is_no_exact_rational(text):
 )
 def test_as_rational_takes_text_up_to_its_bounds(text, value):
     assert as_rational(text) == value
+
+
+def _as_rational_before_the_integer_read(text: str) -> Fraction:
+    """``as_rational`` on text as it was before 'p/q' was read on integers:
+    every text through the exponent check and then ``Fraction(text)``."""
+    try:
+        _, _, exponent = text.strip().lower().partition("e")
+        if not exponent or abs(int(exponent)) <= MAX_DECIMAL_EXPONENT:
+            return Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise DomainError(f"not an exact rational: {text!r}") from exc
+    raise DomainError(
+        f"decimal exponent of {text!r} is out of range (limit {MAX_DECIMAL_EXPONENT})"
+    )
+
+
+#: Texts at the edge of the "-?digits/digits" form and just past it.
+P_OVER_Q_EDGES = [
+    "-0/5", "0/5", "007/0010", "-007/10", "1/0", "-1/0", "0/0", "--1/2", "1/-2", "+1/2",
+    " 1/2", "1/2 ", "1_0/3", "3/1_0", "\u0661/\u0662", "1/\u0662", "\u00b9/2", "1/2/3", "/2",
+    "1/", "-/2", "1/2e3", "1e3/2", "0.5/2", "1" * 5000 + "/3", "3/" + "7" * 5000,
+]
+P_OVER_Q_PIECES = st.one_of(
+    st.integers(0, 10**30).map(str),
+    st.sampled_from(["", "0", "00", "007", "1_0", "\u0663", "e5", "1" * 5000]),
+)
+P_OVER_Q_TEXTS = st.one_of(
+    st.sampled_from(P_OVER_Q_EDGES),
+    st.builds(
+        "{}{}{}{}{}".format,
+        st.sampled_from(["", "-", "+", "--", " "]),
+        P_OVER_Q_PIECES,
+        st.sampled_from(["/", "/", "", "//"]),
+        st.sampled_from(["", "", "-", " "]),
+        P_OVER_Q_PIECES,
+    ),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(P_OVER_Q_TEXTS, st.booleans())
+def test_as_rational_reads_p_over_q_text_as_before(text, lifted):
+    # the same Fraction, or the same DomainError message, under the default
+    # digit limit and with it lifted
+    def outcome(parse):
+        try:
+            return parse(text)
+        except DomainError as exc:
+            return str(exc)
+
+    default = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0 if lifted else default)
+    try:
+        got, want = outcome(as_rational), outcome(_as_rational_before_the_integer_read)
+    finally:
+        sys.set_int_max_str_digits(default)
+    assert type(got) is type(want) and got == want
 
 
 def test_as_rational_refuses_other_types():
