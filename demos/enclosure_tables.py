@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Print enclosure tables: layer integrals, integrability gap, quotients.
+"""Print enclosure tables: layer integrals, the Darboux bound, quotients.
 
 Run:  python3 demos/enclosure_tables.py
 
@@ -7,7 +7,9 @@ Three tables:
 
   1. the layer running integrals at 7/10 against the geometric oracle,
      tightening as the index budget grows;
-  2. the Darboux-style gap enclosure shrinking in both knobs;
+  2. the closed-form bound on U(P) - L(P) for the partition into the
+     level-M cells with ids at most B plus the gaps between them; it falls
+     in B at fixed M, but not monotonically in M;
   3. the reciprocal-distance quotient of the first layer antiderivative
      near -1, always within 1/n on the n-th band.
 """
@@ -37,14 +39,10 @@ def main() -> None:
                 f"  {enc.contains(exact)}"
             )
 
-    print("\nintegrability gap enclosure (must straddle 0)")
-    print(f"{'K':>3} {'budget':>7} {'lower':>12} {'upper':>12} {'width':>12}")
-    for K, budget in ((4, 10), (8, 30), (10, 60), (14, 120)):
-        enc = darboux_gap(K, budget)
-        print(
-            f"{K:>3} {budget:>7} {float(enc.lower):>12.6f}"
-            f" {float(enc.upper):>12.6f} {float(enc.width):>12.6f}"
-        )
+    print("\nbound on U - L over [-1, 1], level-M cells with ids <= B")
+    print(f"{'M':>3} {'B':>7} {'U - L <=':>12}")
+    for M, budget in ((8, 500), (10, 2000), (12, 5000), (14, 20000)):
+        print(f"{M:>3} {budget:>7} {float(darboux_gap(M, budget)):>12.6f}")
 
     print("\nfirst-layer quotient |F_1(x)| / (x + 1) on the n-th band")
     print(f"{'n':>3} {'band midpoint':>15} {'quotient':>12} {'bound 1/n':>10}  ok?")

@@ -1,4 +1,4 @@
-"""Layerwise antiderivatives, certified integrals, and the integral gap.
+"""Layerwise antiderivatives, certified integrals, and a Darboux bound.
 
 Each layer of the cascade has an exact running integral from -1: layer 0
 (the identity map) integrates to (x^2 - 1)/2, and the running integral of a
@@ -26,13 +26,16 @@ an interval of length at most 2, which is the certified radius 2^(1-K).
 relation above, only cell geometry (exact trapezoids on cells, plus a
 rigorous charge of +-1 per unit of length not covered by the enumerated
 cells).
+
+``darboux_gap`` bounds U - L, the upper minus the lower Darboux sum of the
+series on one partition of [-1, 1], in closed form: f is Riemann integrable.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from sawcascade.cells import cell, level1_cell, locate, require_family_size
+from sawcascade.cells import cell, locate
 from sawcascade.construction import (
     ZERO,
     Certified,
@@ -41,7 +44,6 @@ from sawcascade.construction import (
     RatLike,
     as_rational,
     f1_step,
-    partial_sum,
     require_at_least,
     require_unit_interval,
 )
@@ -192,36 +194,23 @@ def eval_G(x: RatLike, K: int) -> Certified:
 
 
 # ---------------------------------------------------------------------------
-# whole-domain integral of the truncated series
+# Riemann integrability: a closed-form bound on U - L
 # ---------------------------------------------------------------------------
 
 
-def darboux_gap(K: int, cells_budget: int) -> Certified:
-    """Certified enclosure of the integral of the full series over [-1, 1].
+def darboux_gap(level: int, index_budget: int) -> Rat:
+    """Exact upper bound on U(P) - L(P) for the full series over [-1, 1].
 
-    The K-term truncation is integrated tooth by tooth: on each complete
-    level-1 tooth the truncation's endpoint values are (+-1)/2 (the first
-    layer dominates, deeper layers vanish at tooth endpoints) and every
-    layer restricted to the tooth is a complete rescaled odd layer, so the
-    tooth's exact integral is its trapezoid, namely zero.  The computed sum
-    of trapezoids over ids |j| <= cells_budget is therefore exact, not an
-    approximation.  Each unenumerated tail decomposes into complete teeth
-    (zero again) plus at most one partial tooth, bounded by the longest
-    tail tooth's length times the sup bound 1.  The dropped series tail is
-    at most 2^-K pointwise, contributing 2^(1-K) over length 2.  Refuses,
-    before any tooth is summed, more than MAX_CELLS teeth 2 cells_budget + 1.
+    P is the partition into the level-M cells (M = level) whose ids are all
+    at most B = index_budget, plus the finitely many gaps between them.  On
+    a level-M cell the M-term partial sum is affine with slope a/2^M, the
+    cell has length 2/|s| and |a| <= M|s|, and the rest of the series is
+    2^-M f(f_M), so osc(f) <= (2M + 2)/2^M there; on a gap osc(f) <= 2,
+    since |f| <= 1.  With c = covered_length(M, B) the bound is
+    (2M + 2) c / 2^M + 2 (2 - c): no cell is built.
     """
-    require_at_least(K, 1, "truncation K")
-    require_at_least(cells_budget, 1, "cells budget")
-    require_family_size(1, cells_budget)
-    total = ZERO
-    for j in range(-cells_budget, cells_budget + 1):
-        tooth = level1_cell(j)
-        endpoint_sum = partial_sum(tooth.lo, K) + partial_sum(tooth.hi, K)
-        total += endpoint_sum / 2 * tooth.length
-    longest_tail_tooth = Fraction(1, (cells_budget + 2) * (cells_budget + 3))
-    radius = 2 * longest_tail_tooth + Fraction(2, 2**K)
-    return Certified(total, radius)
+    c = covered_length(level, index_budget)
+    return Fraction(2 * level + 2, 2**level) * c + 2 * (2 - c)
 
 
 # ---------------------------------------------------------------------------

@@ -38,6 +38,7 @@ REPORT_KINDS = (
     "quotient_bound",
     "structure",
     "integral_crosscheck",
+    "darboux",
 )
 
 _RELATIONS: dict[str, Callable[[Rat, Rat], bool]] = {

@@ -63,10 +63,8 @@ class SuiteConfig:
 
     seed: int = 20240601
     count: int = 100
-    K: int = 30
     depth: int = DEFAULT_DEPTH
     index_budget: int = 50
-    cells_budget: int = 60
     n_max: int = 50
     fan_budget: int = DEFAULT_FAN_BUDGET
     delta: Rat = F(1, 1000)
@@ -76,13 +74,10 @@ class SuiteConfig:
     )
 
     def __post_init__(self) -> None:
-        require_layer_index("--K", require_at_least(self.K, 1, "truncation K"))
         require_layer_index("--depth", require_depth(self.depth))
         require_layer_index("--structure-max-level", self.structure_max_level)
         require_positive_delta(self.delta)
         require_layer_index("--max-level", require_at_least(self.max_level, 1, "max level"))
-        require_at_least(self.cells_budget, 1, "cells budget")
-        require_family_size(1, self.cells_budget)  # darboux sums 2 B + 1 teeth
         if self.structure_max_level < 1:  # the structure suite's zero-case refusal
             raise DomainError("suite structure yields no cases with these settings")
         require_at_least(self.fan_budget, 0, "fan budget")
@@ -239,27 +234,29 @@ def suite_structure(cfg: SuiteConfig) -> Cases:
     return Cases(len(levels), (structure_check(k, budget) for k in levels))
 
 
-def _darboux_report(cfg: SuiteConfig) -> WitnessReport:
-    enc = darboux_gap(cfg.K, cfg.cells_budget)
+def _darboux_report(eps: Rat) -> WitnessReport:
+    """U(P) - L(P) <= eps for f and for g = G' on one partition P of [-1, 1].
+
+    M is the least level with 4(M + 1)/2^M <= eps/2, which bounds the cells'
+    share (2M + 2) c / 2^M of ``darboux_gap``, since c <= 2; B = ceil(8M/eps) - 2
+    bounds the gaps' share 2(2 - c) <= 4M/(B + 2) by eps/2.  g is +-f on
+    every piece but the central cell [-2^-M, 2^-M], the only one holding 0,
+    where osc(g) <= 2 adds at most 2 * 2^(1-M).
+    """
+    M = 1
+    while 8 * (M + 1) > eps * 2**M:
+        M += 1
+    B = ceil(8 * M / eps) - 2
+    gap = darboux_gap(M, B)
     certificate = [
-        check("integral_at_least", "<=", enc.lower, 0),
-        check("integral_at_most", "<=", 0, enc.upper),
+        check("f_gap_at_most_epsilon", "<=", gap, eps),
+        check("g_gap_at_most_epsilon", "<=", gap + F(4, 2**M), eps),
     ]
-    return make_report(
-        "integral_crosscheck",
-        {
-            "target": "whole_domain_series_integral",
-            "K": cfg.K,
-            "cells_budget": cfg.cells_budget,
-            "width": enc.width,
-        },
-        [(F(0), enc.center)],
-        certificate,
-    )
+    return make_report("darboux", {"epsilon": eps, "level": M, "index_budget": B}, [], certificate)
 
 
 def suite_darboux(cfg: SuiteConfig) -> Cases:
-    return Cases(1, map(_darboux_report, [cfg]))
+    return Cases(3, map(_darboux_report, (F(1, 10), F(1, 100), F(1, 1000))))
 
 
 SUITES: dict[str, Callable[[SuiteConfig], Cases]] = {

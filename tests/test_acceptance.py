@@ -23,6 +23,7 @@ from sawcascade.cells import cell
 from sawcascade.construction import eval_f1, eval_fk
 from sawcascade.suites import (
     SuiteConfig,
+    suite_darboux,
     suite_local_min,
     suite_no_extrema,
     suite_nowhere_monotone,
@@ -222,17 +223,21 @@ def test_criterion_09_local_min_sampled() -> None:
 
 
 # ---------------------------------------------------------------------------
-# 10. Darboux-style integrability gap
+# 10. Riemann integrability: U - L <= eps for f and for g
 # ---------------------------------------------------------------------------
 
 
-def test_criterion_10_darboux_gap() -> None:
+def test_criterion_10_darboux_bound_within_epsilon() -> None:
     def body() -> None:
-        enc = darboux_gap(10, 60)
-        assert enc.contains(F(0)), (enc.lower, enc.upper)
-        assert enc.width <= F(1, 128), enc.width
+        reports = list(suite_darboux(SuiteConfig()))
+        assert [r.input("epsilon") for r in reports] == ["1/10", "1/100", "1/1000"]
+        for report in reports:
+            eps, M = F(report.input("epsilon")), int(report.input("level"))
+            gap = darboux_gap(M, int(report.input("index_budget")))
+            assert gap <= eps and gap + F(4, 2**M) <= eps, (eps, gap)
+            assert report.verdict and [c.lhs for c in report.certificate] == [gap, gap + F(4, 2**M)]
 
-    _criterion(10, "integrability gap at (10, 60), width <= 2^-7", 30.0, body)
+    _criterion(10, "U - L <= eps for f and g, eps = 1/10, 1/100, 1/1000", 30.0, body)
 
 
 # ---------------------------------------------------------------------------

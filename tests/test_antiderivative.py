@@ -1,4 +1,4 @@
-"""Layer integrals, certified antiderivatives, integral gap, quotient bound.
+"""Layer integrals, certified antiderivatives, Darboux bound, quotient bound.
 
 Two independent routes are kept separate throughout: the one-pass layer
 integral (``eval_Fk``, also checked against a recursive reference kept
@@ -10,7 +10,7 @@ with no shared code path.
 
 from __future__ import annotations
 
-import time
+import random
 from fractions import Fraction
 from itertools import chain, islice, repeat
 from typing import Iterator
@@ -19,7 +19,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sawcascade import antiderivative
 from sawcascade.antiderivative import (
     covered_length,
     darboux_gap,
@@ -31,8 +30,8 @@ from sawcascade.antiderivative import (
     normalization_center,
     quotient_bound_check,
 )
-from sawcascade.cells import MAX_CELLS, cell, level1_cell, level1_ids_at
-from sawcascade.construction import Certified, DomainError, eval_f1, eval_fk, orbit
+from sawcascade.cells import cell, iter_cells, level1_cell, level1_ids_at
+from sawcascade.construction import Certified, DomainError, eval_f, eval_f1, eval_fk, orbit
 from sawcascade.reports import recheck
 
 F = Fraction
@@ -335,42 +334,49 @@ def test_signed_antiderivative_is_the_anchored_running_integral(x, K):
 
 
 # ---------------------------------------------------------------------------
-# whole-domain integral
+# Riemann integrability: the bound on U - L
 # ---------------------------------------------------------------------------
 
 
-def test_darboux_gap_frozen_width_and_zero():
-    enc = darboux_gap(10, 60)
-    assert enc.contains(0)
-    assert enc.center == 0  # the trapezoid sum is exactly zero
-    assert enc.width == F(2465, 499968)
-    assert enc.width <= F(1, 128)
+def test_cell_oscillation_oracle_is_within_the_lemma_bound():
+    # L7, osc(f, C) <= (2m + 2)/2^m on a level-m cell, against eval_f alone:
+    # the two ends and 40 seeded interior points of every cell with ids
+    # |j| <= 3, each enclosure counted with its radius
+    rng = random.Random(20240601)
+    for m in range(1, 5):
+        bound = F(2 * m + 2, 2**m)
+        for c in (c for c in iter_cells(m, 3) if c.level == m):
+            inner = [c.lo + c.length * F(rng.randint(1, 999), 1000) for _ in range(40)]
+            encs = [eval_f(x, m + 40) for x in [c.lo, c.hi, *inner]]
+            spread = max(e.upper for e in encs) - min(e.lower for e in encs)
+            assert spread <= bound, (c.address, spread, bound)
 
 
-def test_darboux_gap_small_budget_still_sound():
-    enc = darboux_gap(3, 5)
-    assert enc.contains(0)
-    assert enc.width == 2 * (F(2, 7 * 8) + F(2, 8))
+@pytest.mark.parametrize(
+    "M, B, rounded", [(8, 500, 0.2017), (10, 2000, 0.0627), (12, 5000, 0.0223), (14, 20000, 0.0065)]
+)
+def test_darboux_gap_is_the_closed_form(M, B, rounded):
+    c = 2 * (1 - F(1, B + 2)) ** M
+    assert darboux_gap(M, B) == F(2 * M + 2, 2**M) * c + 2 * (2 - c)
+    assert round(float(darboux_gap(M, B)), 4) == rounded
 
 
-def test_darboux_gap_tightens_with_both_knobs():
-    base = darboux_gap(10, 60)
-    assert darboux_gap(10, 120).width < base.width
-    assert darboux_gap(14, 60).width < base.width
+def test_darboux_gap_falls_strictly_in_the_budget():
+    for M in range(2, 20):  # at M = 1 the cell bound is the trivial 2, and the gap is 4
+        gaps = [darboux_gap(M, B) for B in range(0, 60)]
+        assert all(a > b for a, b in zip(gaps, gaps[1:])), M
+    assert {darboux_gap(1, B) for B in range(10)} == {4}
 
 
-def test_darboux_gap_refuses_more_teeth_than_max_cells_before_summing(monkeypatch):
-    # 2 * 10^8 + 1 teeth would take hours to sum; the refusal comes first
-    def no_tooth(j):
-        raise AssertionError("a tooth was summed before the size check")
-
-    monkeypatch.setattr(antiderivative, "level1_cell", no_tooth)
-    start = time.perf_counter()
-    with pytest.raises(DomainError, match=r"\(2\*100000000\+1\)\^1 cells is too large"):
-        darboux_gap(10, 10**8)
-    assert time.perf_counter() - start < 2
-    with pytest.raises(DomainError, match="too large"):
-        darboux_gap(10, MAX_CELLS // 2)  # 2 B + 1 = MAX_CELLS + 1
+@pytest.mark.parametrize("M", [1, 2, 3])
+@pytest.mark.parametrize("B", [0, 1, 2, 3])
+def test_partition_cells_are_counted_and_measured_in_closed_form(M, B):
+    cells = [c for c in iter_cells(M, B) if c.level == M]
+    assert len(cells) == (2 * B + 1) ** M
+    assert sum(c.length for c in cells) == covered_length(M, B)
+    assert all(a.hi <= b.lo for a, b in zip(cells, cells[1:]))  # disjoint, in order
+    central = [c for c in cells if c.contains(0)]  # the one piece where g is not +-f
+    assert [(c.lo, c.hi) for c in central] == [(-F(1, 2**M), F(1, 2**M))]
 
 
 # ---------------------------------------------------------------------------

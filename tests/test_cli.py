@@ -38,6 +38,7 @@ from sawcascade.cli import (
     run_suite,
 )
 from sawcascade.construction import DomainError, as_rational, eval_f1
+from sawcascade.reports import recheck, report_from_dict
 from sawcascade.suites import SuiteConfig
 
 
@@ -528,13 +529,28 @@ def test_verify_unknown_suite_is_usage_error(capsys: pytest.CaptureFixture) -> N
 def test_verify_out_file(tmp_path) -> None:
     target = tmp_path / "report.json"
     code, out, _ = invoke(
-        ["verify", "darboux", "--K", "8", "--cells-budget", "20",
-         "--out", str(target)]
+        ["verify", "darboux", "--out", str(target)]
     )
     assert code == EXIT_OK
     assert out == ""
     payload = json.loads(target.read_text())
     assert payload["summary"]["fail"] == 0
+
+
+def test_verify_darboux_cases_recheck_and_fail_at_half_their_epsilon() -> None:
+    code, out, _ = invoke(["verify", "darboux"])
+    assert code == EXIT_OK
+    cases = json.loads(out)["cases"]
+    assert [case["inputs"]["epsilon"] for case in cases] == ["1/10", "1/100", "1/1000"]
+    for case in cases:
+        assert case["kind"] == "darboux"
+        assert case["verdict"] is True and recheck(report_from_dict(case))
+        eps = F(case["inputs"]["epsilon"])
+        assert [(c["relation"], F(c["rhs"])) for c in case["certificate"]] == [("<=", eps)] * 2
+        for i in range(2):  # the bound for f, then for g
+            halved = json.loads(json.dumps(case))
+            halved["certificate"][i]["rhs"] = str(eps / 2)
+            assert not recheck(report_from_dict(halved))
 
 
 def test_verify_out_file_gets_the_stdout_bytes(tmp_path) -> None:
@@ -634,7 +650,7 @@ def test_verify_out_writes_a_pipe_in_place(tmp_path: Path) -> None:
     os.mkfifo(fifo)
     read_end = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
     try:
-        argv = ["verify", "darboux", "--K", "8", "--cells-budget", "20"]
+        argv = ["verify", "darboux"]
         assert invoke([*argv, "--out", str(fifo)])[:2] == (EXIT_OK, "")
         assert stat.S_ISFIFO(fifo.stat().st_mode)
         assert os.read(read_end, 1 << 16).decode("utf-8") == invoke(argv)[1]
@@ -689,7 +705,7 @@ def test_verify_restores_the_int_digit_limit() -> None:
         ("local-min", {"count": 5, "seed": 3}),
         ("oscillation", {"fan_budget": 0, "max_level": 2}),  # failed cases
         ("all", {"max_level": 2, "count": 2, "index_budget": 2, "n_max": 3,
-                 "structure_max_level": 1, "cells_budget": 12, "K": 8}),
+                 "structure_max_level": 1}),
     ],
 )
 def test_verify_stdout_is_the_indented_dump_of_run_suite(suite: str, settings: dict) -> None:
@@ -811,21 +827,15 @@ def test_verify_nonpositive_delta_is_usage_error_in_every_suite(argv: list[str])
     assert "window radius delta must be > 0" in err
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["verify", "local-min", "--K", "0", "--count", "2"],
-        ["verify", "quotient-bound", "--K", "-3", "--n-max", "3"],
-        ["verify", "all", "--K", "0"],
-    ],
-)
-def test_verify_truncation_below_one_is_usage_error_in_every_suite(argv: list[str]) -> None:
-    start = time.perf_counter()
-    code, out, err = invoke(argv)
-    assert time.perf_counter() - start < 2  # refused before any suite runs
-    _assert_one_line_usage_error(code, out, err)
-    K = argv[argv.index("--K") + 1]
-    assert err == f"error: truncation K must be >= 1, got {K}\n"
+@pytest.mark.parametrize("argv", ["verify all --K 8", "verify darboux --cells-budget 5"])
+def test_verify_refuses_the_settings_the_darboux_bound_retired(argv: str) -> None:
+    # no suite reads a truncation or a tooth budget: either flag is unknown
+    code, out, err = invoke(argv.split())
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.count("error:") == 1
+    flag = " ".join(argv.split()[2:])
+    assert err.endswith(f"\nsawcascade: error: unrecognized arguments: {flag}\n")
 
 
 @pytest.mark.parametrize(
@@ -857,7 +867,6 @@ def test_verify_depth_outside_its_bounds_is_usage_error_in_every_suite(
         ("intervals --k 30000000 --index-budget 1", "--k"),
         ("verify structure --structure-max-level 30000000", "--structure-max-level"),
         ("verify oscillation --max-level 300000", "--max-level"),
-        ("verify darboux --K 10000000 --cells-budget 1", "--K"),
     ],
 )
 def test_level_arguments_above_the_layer_bound_are_refused_at_once(argv: str, flag: str) -> None:
@@ -873,20 +882,15 @@ def test_level_arguments_above_the_layer_bound_are_refused_at_once(argv: str, fl
 @pytest.mark.parametrize(
     "settings, message",
     [
-        ({"K": 0}, "truncation K must be >= 1, got 0"),
         ({"depth": 5001}, "--depth must be at most 5000, got 5001"),
         ({"delta": F(0)}, "window radius delta must be > 0, got 0"),
         ({"max_level": -3}, "max level must be >= 1, got -3"),
-        ({"cells_budget": -5}, "cells budget must be >= 1, got -5"),
         ({"structure_max_level": -1}, "suite structure yields no cases with these settings"),
         ({"fan_budget": -7}, "fan budget must be >= 0, got -7"),
         ({"count": 0}, "count must be >= 1, got 0 (no cases)"),
         ({"n_max": 1}, "n max must be >= 2, got 1 (no cases)"),
-        ({"cells_budget": 250_000}, "enumerating (2*250000+1)^1 cells is too large "
-                                    "(limit 500000); narrow the budget or the level"),
         ({"max_level": 5001}, "--max-level must be at most 5000, got 5001"),
         ({"structure_max_level": 5001}, "--structure-max-level must be at most 5000, got 5001"),
-        ({"K": 5001}, "--K must be at most 5000, got 5001"),
     ],
 )
 def test_suite_config_refuses_what_verify_refuses(settings: dict, message: str) -> None:
@@ -900,18 +904,8 @@ def test_suite_config_refuses_what_verify_refuses(settings: dict, message: str) 
     assert err == f"error: {message}\n"
 
 
-def test_verify_darboux_refuses_a_cells_budget_past_max_cells_at_once() -> None:
-    # 2 * 10^8 + 1 teeth, each with two exact partial sums, would run for hours
-    start = time.perf_counter()
-    code, out, err = invoke(["verify", "darboux", "--cells-budget", "100000000"])
-    assert time.perf_counter() - start < 2
-    _assert_one_line_usage_error(code, out, err)
-    assert "(2*100000000+1)^1 cells is too large" in err
-    assert SuiteConfig(cells_budget=249_999).cells_budget == 249_999  # 2 B + 1 = MAX_CELLS - 1
-
-
 def test_suite_config_takes_settings_at_their_bounds() -> None:
-    cfg = SuiteConfig(count=1, K=1, depth=5000, delta=F(1, 10**9), max_level=1, cells_budget=1,
+    cfg = SuiteConfig(count=1, depth=5000, delta=F(1, 10**9), max_level=1,
                       structure_max_level=1, fan_budget=0, index_budget=0)
     assert run_suite("local-min", cfg)["summary"]["fail"] == 0
 
@@ -1024,17 +1018,17 @@ PINNED_STDOUT = {
     "integrate --help":
         "34de91278aa18aac10fa0beb1241665c9f7505836bf9e4a1e59fa4373bf5f96b",
     "verify --help":
-        "b67d63b28e9e8c16e92278f83c45a62683e8802709036c3353f17dd5c9dd03cf",
+        "440a360751782adf8f83e20492bfbcd6705123171bc7c47b36a9c7a4875c0467",
     "verify all":
-        "defeb0b3ca0e3ed7e9b6c65629a0f6700e72ecf0c95c8f241c1926eb8c5cde77",
+        "146ecf6bf82ec6e74a5314ac76df520b9fe29a6794777bc8c5be46a35a7ee752",
     "verify all --max-level 3 --count 4 --index-budget 2 --n-max 3":
-        "980ee33aedca024e5e494b3278235e2bcbf2a84ad9d11c2679f6d491cfa874d4",
+        "01dd95a427cb12c3302ca05faffc67c11f4628fcef37cf0309c4768b93d723a6",
     "verify structure":
-        "7503136c790c1e54959747ef595f8331d52d6d2b9d4aa18e108c0c26bc848583",
+        "15048450ab5d8b37205a094a9e6d422db68af2a28ec3bf8a6cb9184ebb14ff0e",
     "verify darboux":
-        "f6d10ca51b93ed92f4a01a68812b416b242b10c55bb7de524959cc1a985c8a4a",
+        "a876964e4d44eef1982294b25720129a96bc79e49c5d07eeca0538a39dff5550",
     "verify integral-crosscheck":
-        "da2d56a393c59e5f098ef1a31e0edbb0f918561ae044dda530dde661b0a4f815",
+        "63fb2d8e749f2070baabb0786a2d5eedcf39f49f7de7393df922fded4a298954",
     "intervals --k 2 --index-budget 5 --window 0 1 --format json":
         "3ba1d77f374efaa2bcba4f503b1b31ffc45e6499019bc2879d2761bd2a74db03",
     "intervals --k 3 --index-budget 4 --window 1/4 1/3":
@@ -1062,14 +1056,14 @@ PINNED_STDOUT = {
     # the endpoint fan off its defaults: failure reports with partial hits
     # (1408 passed, 78 failed), a tiny window, both non_monotone branches
     "verify oscillation --fan-budget 2 --max-level 5":
-        "9b6942c5473d82a74029ff3105c6ce56b9c2d7246e29eee93501ef6725015101",
+        "8a1af527bc2d95f40c3e7c88abc339cac1d4574445a1f790d9b469972481ded9",
     "verify oscillation --delta 1/1000000 --max-level 5":
-        "9fd4db84bbf081adf31b9dab9aeda273e0dd4c6c8933db10528bb28b71811e2b",
+        "530edd60b4e406222a1011091ba8406b95a42decfa34df8f12d4a5ed028f018d",
     # an endpoint family deeper than the default's: 9124 cases, 17 MB
     "verify oscillation --max-level 8":
-        "1e139226a9a03e24e8f86ed59fe1c18c5e47ee7c4da1cf2c422163711dd64a71",
+        "ab924257a88bd00db217900fe800d555894f708e0e7a5de8759897f04c827ffb",
     "verify nowhere-monotone --count 400 --seed 5":
-        "3983f00173ebc5f722aadedb454c0b61a3077510da801e839ae707f4b450ebd9",
+        "f72b1b7b8c485bed52b5889abb92cd6deea466361a3f1adec91d9a28ecb72459",
     # the integer layer kernel: a deep layer, a long grid, G off-center
     "eval --fn Fk --x=-123457/1000003 --k 60":
         "bd72dc1ddadc0d6cf24adaf809b9e9d293313f7f2a306ef9b890f23e93d6df90",
@@ -1080,15 +1074,15 @@ PINNED_STDOUT = {
     # the witnesses' cell chains: interior siblings on chains of both slope
     # signs, a 10^-6 window within depth 12, chain-cell fans within depth 6
     "verify no-extrema --count 300 --seed 7":
-        "85f2b1aa015e8e4f16d4a67d6c4eda0d02beb1c4691fdd16b213c0de903a663f",
+        "2d38a44a93763c4f4d2fe9e644836b6c2757b1a02cd302b3b957cb0679473818",
     "verify no-extrema --delta 1/1000000 --count 50 --depth 12":
-        "0297cc64d8c6d3ebcc6b4c9c087bc450cdd889d91a85c6e82a79ea3e91d69b4a",
+        "4ec5b9316e46a26818682b62f8e169ed3d145286a7b4dffacac563bf7b314a65",
     "verify nowhere-monotone --count 200 --depth 6":
-        "dea9e42007e566358a7583adf11e6c487af4172c76b2b718b5cd7a79176cb52d",
+        "09ae99acf35bef4518fa19a150cce3a0b0786bb5854196d3ce68f0f6d89ef86c",
     # deeper integer cells with large slopes: a level-4 structure scan, a
     # full level-4 family and a level-5 enclosure
     "verify structure --structure-max-level 4":
-        "18654197eb7d57f9ed64d0da6d7b08a96e45e827cc3ccb847241f860cd367891",
+        "6598c6b046c266da49053a986cd0ea8edcc50f8f0930a45b6ab3abcc01cf1c17",
     "intervals --k 4 --index-budget 3 --format json":
         "12d9c39d5c27f3a987655a70a2d921cd6ad89bb9842563befb6044e30b7aa361",
     "integrate --k 5 --upto 3/7 --index-budget 3":
@@ -1130,9 +1124,7 @@ def test_run_suite_report_shape() -> None:
 
 
 def test_run_suite_all_concatenates(capsys: pytest.CaptureFixture) -> None:
-    cfg = SuiteConfig(
-        count=2, max_level=2, n_max=3, structure_max_level=1, cells_budget=12, K=8
-    )
+    cfg = SuiteConfig(count=2, max_level=2, n_max=3, structure_max_level=1)
     report = run_suite("all", cfg)
     kinds = {case["kind"] for case in report["cases"]}
     assert {"structure", "oscillation", "local_min", "quotient_bound"} <= kinds

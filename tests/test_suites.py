@@ -34,9 +34,7 @@ from sawcascade.suites import (
 )
 from sawcascade.verifier import structure_check
 
-SMALL = SuiteConfig(
-    count=4, max_level=2, n_max=4, structure_max_level=1, cells_budget=12, K=8
-)
+SMALL = SuiteConfig(count=4, max_level=2, n_max=4, structure_max_level=1)
 
 
 def test_suite_registry_names() -> None:
@@ -72,7 +70,6 @@ def test_each_suite_is_deterministic(name: str) -> None:
 def test_seed_only_changes_sampled_suites() -> None:
     other = SuiteConfig(
         seed=999, count=4, max_level=2, n_max=4, structure_max_level=1,
-        cells_budget=12, K=8,
     )
     assert list(run_suite_reports("no-extrema", SMALL)) != list(run_suite_reports(
         "no-extrema", other
@@ -321,7 +318,7 @@ def test_oscillation_depth_refusal_builds_no_cell(monkeypatch: pytest.MonkeyPatc
 
 @pytest.mark.parametrize("name", sorted(SUITES))
 @pytest.mark.parametrize("cfg", [SMALL, SuiteConfig(
-    count=1, n_max=2, max_level=1, structure_max_level=1, index_budget=1, cells_budget=1, K=1
+    count=1, n_max=2, max_level=1, structure_max_level=1, index_budget=1
 )])
 def test_suite_length_is_its_number_of_reports(name: str, cfg: SuiteConfig) -> None:
     cases = SUITES[name](cfg)
@@ -456,8 +453,8 @@ def test_verify_all_makes_every_report_through_the_module_level_names(
                         monkeypatch.setattr(module, attr, wrapper)
     out, err = io.StringIO(), io.StringIO()
     assert cli.run(["verify", "all"], stdout=out, stderr=err) == 0
-    assert err.getvalue() == "suite all: 6922 passed, 0 failed\n"
-    assert calls == {"make_report": 6922, "oscillation_witness": 5236}
+    assert err.getvalue() == "suite all: 6924 passed, 0 failed\n"
+    assert calls == {"make_report": 6924, "oscillation_witness": 5236}
 
 
 # ---------------------------------------------------------------------------
