@@ -45,6 +45,7 @@ from sawcascade.construction import (
     as_rational,
     f1_step,
     require_at_least,
+    require_layer_index,
     require_unit_interval,
 )
 from sawcascade.reports import WitnessReport, check, make_report
@@ -97,6 +98,7 @@ def covered_length(k: int, index_budget: int) -> Rat:
     2 * (1 - 1/(B+2))^k with no enumeration.
     """
     require_at_least(k, 1, "level k")
+    require_layer_index("level k", k)
     require_at_least(index_budget, 0, "index budget")
     factor = 1 - Fraction(1, index_budget + 2)
     return 2 * factor**k

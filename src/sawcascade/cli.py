@@ -185,58 +185,54 @@ def run_suite(name: str, cfg: SuiteConfig) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _add_eval_arguments(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--fn", choices=POINT_FUNCTIONS, required=True)
-    p.add_argument("--x", required=True, help="rational point, e.g. 7/10 or 0.25")
-    p.add_argument("--k", type=int, default=1, help="iterate/layer index for fk and Fk")
-    p.add_argument("--K", type=int, default=30, help="series truncation depth")
+def _setting_flag(setting: dataclasses.Field) -> tuple[str, dict]:
+    """The ``verify`` flag of a SuiteConfig setting: an int, or text for a
+    rational setting (delta), which run parses with as_rational."""
+    text = isinstance(setting.default, Fraction)
+    default = str(setting.default) if text else setting.default
+    return "--" + setting.name.replace("_", "-"), {
+        "type": str if text else int, "default": default, "help": setting.metadata.get("help")}
 
 
-def _add_sample_arguments(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--fn", choices=POINT_FUNCTIONS, required=True)
-    p.add_argument("--a", default="-1", help="left end of the range")
-    p.add_argument("--b", default="1", help="right end of the range")
-    p.add_argument("--count", type=int, default=101)
-    p.add_argument("--k", type=int, default=1)
-    p.add_argument("--K", type=int, default=30)
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
-
-
-def _add_intervals_arguments(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--k", type=int, default=1, help="cell level")
-    p.add_argument("--index-budget", type=int, default=10)
-    p.add_argument("--window", nargs=2, default=["-1", "1"], metavar=("LO", "HI"))
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
-
-
-def _add_integrate_arguments(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--k", type=int, required=True, help="layer index")
-    p.add_argument("--upto", default="1", help="upper limit in [-1, 1]")
-    p.add_argument("--index-budget", type=int, default=50)
-
-
-def _add_verify_arguments(p: argparse.ArgumentParser) -> None:
-    # a metavar, since argparse never breaks the {a,b,...} of a choices list
-    p.add_argument("suite", choices=SUITE_ORDER, metavar="SUITE",
-                   help=f"{', '.join(SUITE_ORDER)}: the suite to run")
-    for setting in dataclasses.fields(SuiteConfig):
-        # a rational setting (delta) stays text, which run parses with as_rational
-        rational = isinstance(setting.default, Fraction)
-        p.add_argument(
-            "--" + setting.name.replace("_", "-"),
-            type=str if rational else int,
-            default=str(setting.default) if rational else setting.default,
-            help=setting.metadata.get("help"),
-        )
-
-
-#: Every command by name, as (help, function adding its arguments but --out).
-COMMANDS: dict[str, tuple[str, Callable[[argparse.ArgumentParser], None]]] = {
-    "eval": ("evaluate one function at one point", _add_eval_arguments),
-    "sample": ("evenly spaced certified samples", _add_sample_arguments),
-    "intervals": ("list linearity cells of a level", _add_intervals_arguments),
-    "integrate": ("certified enclosure of a layer integral from -1", _add_integrate_arguments),
-    "verify": ("run a verification suite", _add_verify_arguments),
+#: Every command by name, as (help, its arguments): each argument as its
+#: one name and the keywords of its add_argument, in the order help lists
+#: them, and --out, which every command takes, last.
+COMMANDS: dict[str, tuple[str, list[tuple[str, dict]]]] = {
+    name: (help_text, [*arguments, ("--out", {"help": "write output to this file instead of stdout"})])
+    for name, (help_text, arguments) in {
+        "eval": ("evaluate one function at one point", [
+            ("--fn", {"choices": POINT_FUNCTIONS, "required": True}),
+            ("--x", {"required": True, "help": "rational point, e.g. 7/10 or 0.25"}),
+            ("--k", {"type": int, "default": 1, "help": "iterate/layer index for fk and Fk"}),
+            ("--K", {"type": int, "default": 30, "help": "series truncation depth"}),
+        ]),
+        "sample": ("evenly spaced certified samples", [
+            ("--fn", {"choices": POINT_FUNCTIONS, "required": True}),
+            ("--a", {"default": "-1", "help": "left end of the range"}),
+            ("--b", {"default": "1", "help": "right end of the range"}),
+            ("--count", {"type": int, "default": 101}),
+            ("--k", {"type": int, "default": 1}),
+            ("--K", {"type": int, "default": 30}),
+            ("--format", {"choices": ("csv", "json"), "default": "csv"}),
+        ]),
+        "intervals": ("list linearity cells of a level", [
+            ("--k", {"type": int, "default": 1, "help": "cell level"}),
+            ("--index-budget", {"type": int, "default": 10}),
+            ("--window", {"nargs": 2, "default": ["-1", "1"], "metavar": ("LO", "HI")}),
+            ("--format", {"choices": ("csv", "json"), "default": "csv"}),
+        ]),
+        "integrate": ("certified enclosure of a layer integral from -1", [
+            ("--k", {"type": int, "required": True, "help": "layer index"}),
+            ("--upto", {"default": "1", "help": "upper limit in [-1, 1]"}),
+            ("--index-budget", {"type": int, "default": 50}),
+        ]),
+        "verify": ("run a verification suite", [
+            # a metavar, since argparse never breaks the {a,b,...} of a choices list
+            ("suite", {"choices": SUITE_ORDER, "metavar": "SUITE",
+                       "help": f"{', '.join(SUITE_ORDER)}: the suite to run"}),
+            *map(_setting_flag, dataclasses.fields(SuiteConfig)),
+        ]),
+    }.items()
 }
 
 
@@ -245,53 +241,30 @@ COMMANDS: dict[str, tuple[str, Callable[[argparse.ArgumentParser], None]]] = {
 _FORMATTER = functools.partial(argparse.HelpFormatter, width=78)
 
 
-def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
-    """The parser of every command, or ``command``'s own: it parses what
-    follows the command name and prints what the full parser's would."""
-    if command is None:
-        parser = argparse.ArgumentParser(
-            prog="sawcascade",
-            formatter_class=_FORMATTER,
-            description=(
-                "Exact evaluation and certified verification of the sawtooth "
-                "cascade series, its signed variant, and their antiderivatives."
-            ),
-        )
-        sub = parser.add_subparsers(dest="command", required=True)
-        parsers = {name: sub.add_parser(name, help=help_text, formatter_class=_FORMATTER)
-                   for name, (help_text, _) in COMMANDS.items()}
-    else:
-        parser = argparse.ArgumentParser(prog="sawcascade " + command, formatter_class=_FORMATTER)
-        parsers = {command: parser}
-    for name, p in parsers.items():
-        _add_arguments(name, p)
+def build_parser() -> argparse.ArgumentParser:
+    """The parser of every command, one subparser each, from COMMANDS."""
+    parser = argparse.ArgumentParser(
+        prog="sawcascade",
+        formatter_class=_FORMATTER,
+        description=(
+            "Exact evaluation and certified verification of the sawtooth "
+            "cascade series, its signed variant, and their antiderivatives."
+        ),
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, arguments) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text, formatter_class=_FORMATTER)
+        for flag, kwargs in arguments:
+            p.add_argument(flag, **kwargs)
     return parser
 
 
-def _add_arguments(command: str, p: argparse.ArgumentParser) -> None:
-    """Declare ``command``'s arguments, --out included, to ``p``."""
-    COMMANDS[command][1](p)
-    p.add_argument("--out", help="write output to this file instead of stdout")
-
-
 @functools.cache
-def _shared_parser(command: Optional[str]) -> argparse.ArgumentParser:
-    """The parser ``run`` reuses for what ``_read`` leaves: ``command``'s own
-    (one of COMMANDS), or the full parser (None) for an argv with no command
-    or unrecognized arguments.
-
-    Each is built on its first use rather than at import, so a program that
-    passes only canonical arguments builds none.  Parsing leaves no state in
-    a parser: each call gets a fresh namespace.
-    """
-    return build_parser(command)
-
-
-class _Recorder(list):
-    """Stands in for a parser: keeps what each add_argument is given."""
-
-    def add_argument(self, *flags: str, **kwargs: object) -> None:
-        self.append((flags, kwargs))
+def _shared_parser() -> argparse.ArgumentParser:
+    """The parser ``run`` reuses for what ``_read`` leaves, built on its
+    first use, so a program that passes only canonical arguments builds
+    none.  Parsing leaves no state in it: each call gets a fresh namespace."""
+    return build_parser()
 
 
 @functools.cache
@@ -299,12 +272,9 @@ def _declared(command: str) -> tuple:
     """``command``'s arguments as ``_read`` takes them: its positional as
     (dest, type, choices) or None, each flag but a nargs one by name as
     (dest, type, choices), the dests of the required flags, and every
-    default as argparse fills it in (a str default through its type).
-    Each argument is declared with one name."""
-    recorder = _Recorder()
-    _add_arguments(command, recorder)
+    default as argparse fills it in (a str default through its type)."""
     positional, options, required, defaults = None, {}, set(), {}
-    for (name,), kwargs in recorder:
+    for name, kwargs in COMMANDS[command][1]:
         spec = (name.lstrip("-").replace("-", "_"), kwargs.get("type", str), kwargs.get("choices"))
         if not name.startswith("-"):
             positional = spec
@@ -436,7 +406,7 @@ def run(
 ) -> int:
     """Execute one CLI invocation; returns the exit code.  What follows a
     command name is read from its declarations when it is canonical, and
-    is otherwise parsed by that command's own parser.  Usage errors and
+    is otherwise parsed by the one full parser.  Usage errors and
     --help go to the given streams, like all other output.
     """
     argv = list(argv)
@@ -445,15 +415,10 @@ def run(
     if args is None:  # no command, help, an abbreviation, a "-"-leading value or an error
         try:
             with redirect_stdout(stdout), redirect_stderr(stderr):
-                if command is None:  # --help, or an error of the full parser
-                    args = _shared_parser(None).parse_args(argv)
-                    command = args.command
-                else:
-                    args, extra = _shared_parser(command).parse_known_args(argv[1:])
-                    if extra:  # the full parser reports what a command's parser leaves
-                        _shared_parser(None).error(f"unrecognized arguments: {' '.join(extra)}")
+                args = _shared_parser().parse_args(argv)
         except SystemExit as exc:
             return int(exc.code or 0)
+        command = args.command
         # argparse strips a "--" value to an empty list, which no flag of one value takes
         _, options, _, _ = _declared(command)
         for name, (dest, _, _) in options.items():

@@ -31,7 +31,15 @@ from sawcascade.antiderivative import (
     quotient_bound_check,
 )
 from sawcascade.cells import cell, iter_cells, level1_cell, level1_ids_at
-from sawcascade.construction import Certified, DomainError, eval_f, eval_f1, eval_fk, orbit
+from sawcascade.construction import (
+    MAX_LAYER_INDEX,
+    Certified,
+    DomainError,
+    eval_f,
+    eval_f1,
+    eval_fk,
+    orbit,
+)
 from sawcascade.reports import recheck
 
 F = Fraction
@@ -366,6 +374,23 @@ def test_darboux_gap_falls_strictly_in_the_budget():
         gaps = [darboux_gap(M, B) for B in range(0, 60)]
         assert all(a > b for a, b in zip(gaps, gaps[1:])), M
     assert {darboux_gap(1, B) for B in range(10)} == {4}
+
+
+@pytest.mark.parametrize(
+    "at_level",
+    [
+        lambda k: covered_length(k, 10),
+        lambda k: darboux_gap(k, 10),
+        lambda k: enclose_integral(k, F(1, 3), 10),
+    ],
+    ids=["covered_length", "darboux_gap", "enclose_integral"],
+)
+def test_a_level_above_the_cap_is_refused_at_the_call(at_level):
+    # as the cell enumerators do; the time of an uncapped level grows
+    # quadratically with it
+    at_level(MAX_LAYER_INDEX)
+    with pytest.raises(DomainError, match="^level k must be at most 5000, got 5001$"):
+        at_level(MAX_LAYER_INDEX + 1)
 
 
 @pytest.mark.parametrize("M", [1, 2, 3])

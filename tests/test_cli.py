@@ -7,6 +7,7 @@ the installed script, including exit codes and output streams.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import io
 import json
@@ -1167,9 +1168,9 @@ def test_run_builds_one_parser_across_calls(monkeypatch: pytest.MonkeyPatch) -> 
     built, inits = [], []
     build, init = cli.build_parser, argparse.ArgumentParser.__init__
 
-    def counting_build_parser(command=None):
-        built.append(command)
-        return build(command)
+    def counting_build_parser():
+        built.append("full")
+        return build()
 
     def counting_init(self, *args, **kwargs):
         inits.append(kwargs.get("prog"))
@@ -1183,37 +1184,29 @@ def test_run_builds_one_parser_across_calls(monkeypatch: pytest.MonkeyPatch) -> 
                  ["sample", "--fn", "F", "--count", "3"]):
         assert invoke(argv)[0] == EXIT_OK
     assert built == [] and inits == []
-    # argparse decides the rest, building the command's parser, and the
-    # full one only for --help and an unrecognized extra argument
-    decided = {
-        "eval --f F --x 1/3": ["eval"],
-        "eval --fn zz --x 1": ["eval"],
-        "eval --fn F --x -1/3": ["eval"],
-        "eval --fn f --x 1 extra": ["eval", None],
-        "--help": [None],
-    }
-    for argv, parsers in decided.items():
+    # argparse decides the rest, with the one full parser: the top-level
+    # parser and a subparser for each command
+    decided = ["eval --f F --x 1/3", "eval --fn zz --x 1", "eval --fn F --x -1/3",
+               "eval --fn f --x 1 extra", "--help"]
+    for argv in decided:
         cli._shared_parser.cache_clear()
         built.clear()
         inits.clear()
         invoke(argv.split())
-        assert built == parsers, argv
-        if parsers == ["eval"]:
-            assert inits == ["sawcascade eval"]  # one ArgumentParser
-    # each parser is built once across calls
+        assert built == ["full"], argv
+        assert inits[0] == "sawcascade" and len(inits) == 1 + len(cli.COMMANDS), argv
+    # it is built once across calls
     cli._shared_parser.cache_clear()
     built.clear()
     for argv in [*decided, *decided]:
         invoke(argv.split())
-    assert built == ["eval", None]
-    own = cli._shared_parser("eval")
-    assert type(own) is argparse.ArgumentParser and own.prog == "sawcascade eval"
-    assert not any(isinstance(a, argparse._SubParsersAction) for a in own._actions)
+    assert built == ["full"]
+    assert cli._shared_parser().prog == "sawcascade"
 
 
 #: Argument lists whose output the parser decides: help, an abbreviated
-#: option, and a usage error of each kind argparse raises, in the command's
-#: parser or (an unrecognized trailing argument) in the top one.
+#: option, and a usage error of each kind argparse raises, in a command's
+#: subparser or (an unrecognized trailing argument) in the top parser.
 PARSER_ONLY_CALLS = [
     *(f"{command} --help" for command in cli.COMMANDS),
     "eval",
@@ -1246,9 +1239,7 @@ def test_one_command_parser_prints_what_the_full_parser_prints(
     monkeypatch.setenv("COLUMNS", columns)
     cli._shared_parser.cache_clear()
     code, out, err = invoke(argv.split())
-    unrecognized = "sawcascade: error: unrecognized arguments: " in err
-    # the command's own parser, and the full one only for what it leaves
-    assert cli._shared_parser.cache_info().currsize == (2 if unrecognized else 1)
+    assert cli._shared_parser.cache_info().currsize == 1  # the one full parser
     full_out, full_err = io.StringIO(), io.StringIO()
     with redirect_stdout(full_out), redirect_stderr(full_err):
         try:
@@ -1259,8 +1250,7 @@ def test_one_command_parser_prints_what_the_full_parser_prints(
     if argv == "eval --f F --x 1/3":  # an abbreviation of --fn
         assert (code, err, full_code) == (EXIT_OK, "", EXIT_OK)
         assert (full_out.getvalue(), full_err.getvalue()) == ("", "")
-        own, extra = cli._shared_parser("eval").parse_known_args(argv.split()[1:])
-        assert (argparse.Namespace(command="eval", **vars(own)), extra) == (namespace, [])
+        assert cli._shared_parser().parse_args(argv.split()) == namespace
         assert namespace.fn == "F" and out == invoke(["eval", "--fn", "F", "--x", "1/3"])[1]
         return
     assert (code, out, err) == (full_code, full_out.getvalue(), full_err.getvalue())
@@ -1316,17 +1306,6 @@ def test_an_invalid_choice_is_one_unwrapped_error_line_naming_every_choice(
     listed = ", ".join(map(repr, choices))
     assert last.startswith("sawcascade") and "error:" in last
     assert last.endswith(f": invalid choice: {argv.split()[-1]!r} (choose from {listed})")
-
-
-@pytest.mark.parametrize("columns", ["40", "80", "200"])
-@pytest.mark.parametrize("command", cli.COMMANDS)
-def test_a_command_parser_prints_the_help_of_its_subparser(
-    command: str, columns: str, monkeypatch: pytest.MonkeyPatch
-) -> None:
-    monkeypatch.setenv("COLUMNS", columns)
-    full = cli.build_parser()
-    [commands] = [a for a in full._actions if isinstance(a, argparse._SubParsersAction)]
-    assert cli.build_parser(command).format_help() == commands.choices[command].format_help()
 
 
 @pytest.mark.parametrize(
@@ -1398,13 +1377,20 @@ def test_shared_parser_prints_what_a_fresh_parser_prints() -> None:
 EDGE_VALUES = ["", "--", "-", "-2", "-1/3", "a b", "zz", "x", LONG_NUMBER]
 
 
+@functools.cache
+def subparser(command: str) -> argparse.ArgumentParser:
+    """``command``'s subparser in a full parser of its own."""
+    [commands] = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return commands.choices[command]
+
+
 @st.composite
 def command_argv(draw, command: str) -> list[str]:
-    """An argv after ``command``, drawn from its parser's actions: options
+    """An argv after ``command``, drawn from its subparser's actions: options
     of one value with values their type takes, in both forms and repeated,
     then at most two odd items (an abbreviation, an edge value, a nargs
     option, a dangling or unknown flag, a stray token)."""
-    parser = cli.build_parser(command)
+    parser = subparser(command)
     options = [a for a in parser._actions if a.option_strings and a.dest != "help"]
     [positional] = [a.choices for a in parser._actions if not a.option_strings] or [None]
 
@@ -1454,13 +1440,32 @@ def test_the_reader_accepts_only_what_argparse_parses_alike(data: st.DataObject)
     argv = data.draw(command_argv(command))
     read = cli._read(command, argv)
     if read is not None:
-        assert cli._shared_parser(command).parse_known_args(argv) == (read, [])
+        assert subparser(command).parse_known_args(argv) == (read, [])
     with pytest.MonkeyPatch.context() as patch:
         # verify echoes every setting in its envelope; its suites are skipped
         patch.setattr(cli, "run_suite_reports", lambda name, cfg: iter(()))
         read_or_parsed = outcome([command, *argv])
         patch.setattr(cli, "_read", lambda command, argv: None)
         assert outcome([command, *argv]) == read_or_parsed
+
+
+@pytest.mark.parametrize("command", cli.COMMANDS)
+@settings(deadline=None, max_examples=60)
+@given(data=st.data())
+def test_every_drawn_argv_keeps_the_exit_contract(command: str, data: st.DataObject) -> None:
+    # the README's contract: exit 0, 1 or 2, never an exception or a
+    # traceback, and a usage error is one error: line on stderr, its last,
+    # with nothing on stdout
+    argv = [command, *data.draw(command_argv(command))]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "run_suite_reports", lambda name, cfg: iter(()))
+        code, out, err = invoke(argv)
+    assert code in (EXIT_OK, EXIT_VERIFICATION_FAILED, EXIT_USAGE)
+    assert "Traceback" not in out + err
+    if code == EXIT_USAGE:
+        lines = err.splitlines()
+        assert out == "" and err.endswith("\n")
+        assert [i for i, line in enumerate(lines) if "error:" in line] == [len(lines) - 1]
 
 
 @pytest.mark.parametrize(
@@ -1503,4 +1508,4 @@ def test_the_reader_parses_canonical_argv_as_argparse_does(argv: str) -> None:
     command, *rest = argv.split()
     read = cli._read(command, rest)
     assert read is not None
-    assert cli._shared_parser(command).parse_known_args(rest) == (read, [])
+    assert subparser(command).parse_known_args(rest) == (read, [])

@@ -1,12 +1,16 @@
-"""The top-level package surface: the README example runs against it, every
-name it exports resolves, and so does every name the benchmark tracer wraps;
-the benchmark harness runs each workload, timed and traced, on a tiny size."""
+"""The top-level package surface: the README examples, Python and command
+line, run against it, and so does each demo; every name it exports resolves,
+and so does every name the benchmark tracer wraps; the benchmark harness runs
+each workload, timed and traced, on a tiny size."""
 
 from __future__ import annotations
 
 import importlib
 import importlib.util
+import io
 import json
+import os
+import shlex
 import subprocess
 import sys
 from fractions import Fraction
@@ -16,6 +20,7 @@ from types import ModuleType
 import pytest
 
 import sawcascade
+from sawcascade import cli
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -30,6 +35,43 @@ def test_readme_quick_start_runs() -> None:
     exec(compile(_quick_start_block(), "README quick start", "exec"), namespace)
     assert namespace["enc"].exact
     assert namespace["report"].verdict
+
+
+def _command_line_block() -> list[tuple[str, str | None]]:
+    """Each ``sawcascade`` line of the README's command-line block, with the
+    output its next line shows as a comment, or None."""
+    section = README.read_text(encoding="utf-8").split("## Command line", 1)[1]
+    lines = section.split("```sh\n", 1)[1].split("```", 1)[0].splitlines()
+    return [(line, following[2:] + "\n" if following.startswith("# ") else None)
+            for line, following in zip(lines, [*lines[1:], ""])
+            if line.startswith("sawcascade ")]
+
+
+@pytest.mark.parametrize("line, printed", _command_line_block(),
+                         ids=[line for line, _ in _command_line_block()])
+def test_readme_command_line_runs(line: str, printed: str | None, tmp_path: Path,
+                                  monkeypatch: pytest.MonkeyPatch) -> None:
+    monkeypatch.chdir(tmp_path)  # where --out F.csv and report.json land
+    out, err = io.StringIO(), io.StringIO()
+    assert cli.run(shlex.split(line)[1:], out, err) == cli.EXIT_OK, err.getvalue()
+    if printed is not None:
+        assert out.getvalue() == printed
+
+
+@pytest.mark.parametrize("demo", ["witness_walkthrough.py", "enclosure_tables.py", "plot_data.py"])
+def test_each_demo_runs(demo: str, tmp_path: Path) -> None:
+    # plot_data writes beside itself unless given --outdir
+    args = ["--outdir", str(tmp_path), "--count", "65"] if demo == "plot_data.py" else []
+    src = str(Path(sawcascade.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, str(README.parent / "demos" / demo), *args],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    if demo == "plot_data.py":
+        written = sorted(tmp_path.iterdir())
+        assert [p.name for p in written] == sorted(f"{fn}_samples.csv" for fn in "fgFG")
+        assert all(len(p.read_text(encoding="utf-8").splitlines()) == 65 + 1 for p in written)
 
 
 def test_every_exported_name_resolves() -> None:
