@@ -14,6 +14,7 @@ from __future__ import annotations
 from fractions import Fraction as F
 
 from sawcascade.reports import WitnessReport, recheck
+from sawcascade.suites import SuiteConfig, suite_no_extrema
 from sawcascade.verifier import (
     local_min_check,
     non_extremum_witness,
@@ -50,8 +51,17 @@ def main() -> None:
     # A generic interior point is not a local extremum: two neighbours
     # inside the window bracket its value from above and below.
     show(
-        "no strict extremum at x0 = 3/10, window 1/100",
-        non_extremum_witness(F(3, 10), F(1, 100), depth=40, fan_budget=64),
+        "no strict extremum at x0 = 1/7, window 1/100",
+        non_extremum_witness(F(1, 7), F(1, 100), depth=40, fan_budget=64),
+    )
+
+    # The same holds at every point off the cell endpoints at once: the
+    # level-8 chain cell there fits the window, and the search reaches
+    # level 9, where the tilt is nonzero if it vanished at level 8, by
+    # depth 10 (README, "No local extrema off the endpoints").
+    show(
+        "no strict extremum at any point off the cell endpoints, window 1/100",
+        next(r for r in suite_no_extrema(SuiteConfig()) if r.input("delta") == "1/100"),
     )
 
     # On any interval the derivative takes both signs; here the witness

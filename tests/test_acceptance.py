@@ -9,6 +9,7 @@ to see the line-per-criterion summary.
 
 from __future__ import annotations
 
+import random
 import time
 from fractions import Fraction as F
 from typing import Callable
@@ -23,6 +24,7 @@ from sawcascade.cells import cell
 from sawcascade.construction import eval_f1, eval_fk
 from sawcascade.suites import (
     SuiteConfig,
+    _random_rational,
     suite_darboux,
     suite_local_min,
     suite_no_extrema,
@@ -31,7 +33,7 @@ from sawcascade.suites import (
     suite_quotient_bound,
     tapered_endpoints,
 )
-from sawcascade.verifier import structure_check
+from sawcascade.verifier import non_extremum_witness, structure_check
 
 _WIDTH = 54
 
@@ -178,12 +180,17 @@ def test_criterion_06_oscillation_everywhere() -> None:
 
 def test_criterion_07_no_extrema_sampled() -> None:
     def body() -> None:
-        reports = list(suite_no_extrema(SuiteConfig(count=200)))
+        windows = (F(1, 10), F(1, 100), F(1, 1000))
+        rng = random.Random(SuiteConfig().seed)
+        xs = [_random_rational(rng, F(-1), F(1), 10**6) for _ in range(200)]
+        reports = [non_extremum_witness(x, delta) for x in xs for delta in windows]
         assert len(reports) == 200 * 3
-        deltas = {F(r.input("delta")) for r in reports}
-        assert deltas == {F(1, 10), F(1, 100), F(1, 1000)}
         bad = [r for r in reports if not r.verdict]
         assert not bad, [(r.input("x0"), r.error) for r in bad[:3]]
+        # the suite's closed form covers every point off the cell endpoints
+        closed = list(suite_no_extrema(SuiteConfig()))
+        assert [F(r.input("delta")) for r in closed] == list(windows)
+        assert all(r.verdict for r in closed)
 
     _criterion(7, "no-extremum witnesses, 200 points, deltas to 1/1000", 60.0, body)
 

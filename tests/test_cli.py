@@ -504,8 +504,8 @@ def test_verify_is_byte_identical_across_runs() -> None:
 
 
 def test_verify_seed_changes_cases() -> None:
-    _, a, _ = invoke(["verify", "no-extrema", "--count", "3", "--seed", "1"])
-    _, b, _ = invoke(["verify", "no-extrema", "--count", "3", "--seed", "2"])
+    _, a, _ = invoke(["verify", "nowhere-monotone", "--count", "3", "--seed", "1"])
+    _, b, _ = invoke(["verify", "nowhere-monotone", "--count", "3", "--seed", "2"])
     assert json.loads(a)["summary"] == json.loads(b)["summary"]
     assert a != b
 
@@ -552,6 +552,17 @@ def test_verify_darboux_cases_recheck_and_fail_at_half_their_epsilon() -> None:
             halved = json.loads(json.dumps(case))
             halved["certificate"][i]["rhs"] = str(eps / 2)
             assert not recheck(report_from_dict(halved))
+
+
+def test_verify_no_extrema_reads_no_setting() -> None:
+    code, out, _ = invoke(["verify", "no-extrema"])
+    assert code == EXIT_OK
+    cases = json.loads(out)["cases"]
+    assert [case["inputs"]["level"] for case in cases] == ["5", "8", "11"]
+    assert {case["inputs"]["mode"] for case in cases} == {"every_interior_point"}
+    for flags in (["--seed", "7"], ["--count", "1"], ["--fan-budget", "0"], ["--delta", "1/7"],
+                  ["--depth", "12"]):
+        assert json.loads(invoke(["verify", "no-extrema", *flags])[1])["cases"] == cases
 
 
 def test_verify_out_file_gets_the_stdout_bytes(tmp_path) -> None:
@@ -913,7 +924,7 @@ def test_suite_config_takes_settings_at_their_bounds() -> None:
 
 def test_verify_depth_at_its_bound_runs() -> None:
     assert cli.MAX_LAYER_INDEX == 5000
-    code, out, _ = invoke(["verify", "no-extrema", "--count", "1", "--depth", "5000"])
+    code, out, _ = invoke(["verify", "nowhere-monotone", "--count", "1", "--depth", "5000"])
     assert code == EXIT_OK
     assert json.loads(out)["parameters"]["depth"] == 5000
 
@@ -1021,9 +1032,9 @@ PINNED_STDOUT = {
     "verify --help":
         "440a360751782adf8f83e20492bfbcd6705123171bc7c47b36a9c7a4875c0467",
     "verify all":
-        "146ecf6bf82ec6e74a5314ac76df520b9fe29a6794777bc8c5be46a35a7ee752",
+        "935b763aed9b5e29d655ef1ee5c58b3bc255223efb88e9ecc142b3c348ebfcb7",
     "verify all --max-level 3 --count 4 --index-budget 2 --n-max 3":
-        "01dd95a427cb12c3302ca05faffc67c11f4628fcef37cf0309c4768b93d723a6",
+        "30147ba60f3fa10c10747f161c26e88a1ac36e1c31fb39ec5c2555aa641112a0",
     "verify structure":
         "15048450ab5d8b37205a094a9e6d422db68af2a28ec3bf8a6cb9184ebb14ff0e",
     "verify darboux":
@@ -1072,12 +1083,13 @@ PINNED_STDOUT = {
         "69749fab1a11879f60857c8b9707e38fa41dc3cda360455243bf8e7472bb4486",
     "sample --fn G --a=-1/3 --b 1/3 --count 41 --K 60 --format json":
         "3138e20f09fc6b88ea1313aac9b29922109e8545981479b92a1a3a44a11d9435",
-    # the witnesses' cell chains: interior siblings on chains of both slope
-    # signs, a 10^-6 window within depth 12, chain-cell fans within depth 6
+    # the no-extrema reports, which read no setting, so both lines print
+    # the three default windows (the witness's interior chains keep their
+    # pins in test_verifier.py), and chain-cell fans within depth 6
     "verify no-extrema --count 300 --seed 7":
-        "2d38a44a93763c4f4d2fe9e644836b6c2757b1a02cd302b3b957cb0679473818",
+        "e13c61f027aaccadd195ecf454817564abc2d07f528f638ff102ac7fff839760",
     "verify no-extrema --delta 1/1000000 --count 50 --depth 12":
-        "4ec5b9316e46a26818682b62f8e169ed3d145286a7b4dffacac563bf7b314a65",
+        "2c9badba24c154519da4277b19e2e71c993077a563b8109bb81cf8da93aab520",
     "verify nowhere-monotone --count 200 --depth 6":
         "09ae99acf35bef4518fa19a150cce3a0b0786bb5854196d3ce68f0f6d89ef86c",
     # deeper integer cells with large slopes: a level-4 structure scan, a
@@ -1387,9 +1399,10 @@ def subparser(command: str) -> argparse.ArgumentParser:
 @st.composite
 def command_argv(draw, command: str) -> list[str]:
     """An argv after ``command``, drawn from its subparser's actions: options
-    of one value with values their type takes, in both forms and repeated,
-    then at most two odd items (an abbreviation, an edge value, a nargs
-    option, a dangling or unknown flag, a stray token)."""
+    of one value with values their type takes or ``--``, which ``run``
+    refuses, in both forms and repeated, then at most two odd items (an
+    abbreviation, an edge value, a nargs option, a dangling or unknown flag,
+    a stray token)."""
     parser = subparser(command)
     options = [a for a in parser._actions if a.option_strings and a.dest != "help"]
     [positional] = [a.choices for a in parser._actions if not a.option_strings] or [None]
@@ -1404,6 +1417,7 @@ def command_argv(draw, command: str) -> list[str]:
             good = ["1", "2", "3", " 2", "+2", "2_0", "\u0662"]
         else:
             good = ["1/3", "0.25", "1"]
+        good += ["--"] * (action.nargs is None)  # argparse reads it as no value
         value = st.sampled_from(good + EDGE_VALUES * (odd and action.dest != "out"))
         name = st.sampled_from([flag, flag[:-1]] if odd and len(flag) > 3 else [flag])
         count = action.nargs if isinstance(action.nargs, int) else 1

@@ -7,7 +7,9 @@ enumeration so deep levels stay affordable.
 
 from __future__ import annotations
 
+import inspect
 import io
+import json
 import random
 import sys
 import time
@@ -71,10 +73,13 @@ def test_seed_only_changes_sampled_suites() -> None:
     other = SuiteConfig(
         seed=999, count=4, max_level=2, n_max=4, structure_max_level=1,
     )
-    assert list(run_suite_reports("no-extrema", SMALL)) != list(run_suite_reports(
+    assert list(run_suite_reports("nowhere-monotone", SMALL)) != list(run_suite_reports(
+        "nowhere-monotone", other
+    ))
+    # endpoint enumeration, structure scan and no-extrema windows do not sample at all
+    assert list(run_suite_reports("no-extrema", SMALL)) == list(run_suite_reports(
         "no-extrema", other
     ))
-    # endpoint enumeration and structure scan do not sample at all
     assert list(run_suite_reports("oscillation", SMALL)) == list(run_suite_reports(
         "oscillation", other
     ))
@@ -273,9 +278,8 @@ def test_suite_inputs_stay_in_required_domains() -> None:
         a, b = F(rep.input("a")), F(rep.input("b"))
         assert -1 <= a < b <= 1
         assert b - a >= F(1, 1000)
-    for rep in run_suite_reports("no-extrema", SMALL):
-        assert -1 < F(rep.input("x0")) < 1
-        assert F(rep.input("delta")) in (F(1, 10), F(1, 100), F(1, 1000))
+    windows = [rep.input("delta") for rep in run_suite_reports("no-extrema", SMALL)]
+    assert windows == ["1/10", "1/100", "1/1000"]
 
 
 @pytest.mark.parametrize(
@@ -346,11 +350,10 @@ class CountingRandom(random.Random):
 
 #: randint draws behind each seeded suite's first report at the default
 #: settings: a rational strictly inside a window takes two (denominator and
-#: numerator), so one point, an interval's two ends, nothing (the first
+#: numerator), so an interval's two ends, one point, nothing (the first
 #: quotient-bound probe is a band midpoint) and the four random points of
 #: the first integral cross-check.
 FIRST_REPORT_DRAWS = {
-    "no-extrema": 2,
     "nowhere-monotone": 4,
     "local-min": 2,
     "quotient-bound": 0,
@@ -428,6 +431,46 @@ def test_quotient_bound_draws_its_first_report_without_a_list_of_bands() -> None
 
 
 # ---------------------------------------------------------------------------
+# the no-extrema windows
+# ---------------------------------------------------------------------------
+
+
+def rebuilds(case: dict[str, Any]) -> bool:
+    """The audit rule of an ``every_interior_point`` case: it is exactly the
+    report its own ``delta`` builds."""
+    rebuilt = suites._no_extremum_report(F(case["inputs"]["delta"]))
+    return reports.report_to_dict(rebuilt) == case
+
+
+def test_every_interior_point_case_rebuilds_and_an_edited_copy_does_not() -> None:
+    out = io.StringIO()
+    assert cli.run(["verify", "all"], stdout=out, stderr=io.StringIO()) == 0
+    cases = [case for case in json.loads(out.getvalue())["cases"]
+             if case["inputs"].get("mode") == "every_interior_point"]
+    assert [case["inputs"]["level"] for case in cases] == ["5", "8", "11"]
+    for case in cases:
+        assert rebuilds(case)
+        for key, value in (("delta", "1/7"), ("level", "4")):
+            edited = json.loads(json.dumps(case))
+            edited["inputs"][key] = value
+            # the stored verdict still replays: only the rebuild catches the edit
+            assert reports.recheck(reports.report_from_dict(edited))
+            assert not rebuilds(edited), key
+
+
+def test_a_level_one_too_small_fails_the_fit_check(monkeypatch: pytest.MonkeyPatch) -> None:
+    source = inspect.getsource(suites._no_extremum_report)
+    mutant = source.replace(".bit_length() + 1", ".bit_length()")
+    assert mutant != source
+    namespace = dict(vars(suites))
+    exec(compile(mutant, "mutant _no_extremum_report", "exec"), namespace)
+    monkeypatch.setattr(suites, "_no_extremum_report", namespace["_no_extremum_report"])
+    for rep in suites.suite_no_extrema(SuiteConfig()):
+        assert [c.label for c in rep.failed_checks()] == ["cell_fits_window"]
+        assert not rep.verdict
+
+
+# ---------------------------------------------------------------------------
 # the hooks the benchmark times and traces
 # ---------------------------------------------------------------------------
 
@@ -453,8 +496,8 @@ def test_verify_all_makes_every_report_through_the_module_level_names(
                         monkeypatch.setattr(module, attr, wrapper)
     out, err = io.StringIO(), io.StringIO()
     assert cli.run(["verify", "all"], stdout=out, stderr=err) == 0
-    assert err.getvalue() == "suite all: 6924 passed, 0 failed\n"
-    assert calls == {"make_report": 6924, "oscillation_witness": 5236}
+    assert err.getvalue() == "suite all: 6627 passed, 0 failed\n"
+    assert calls == {"make_report": 6627, "oscillation_witness": 5236}
 
 
 # ---------------------------------------------------------------------------

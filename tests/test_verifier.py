@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import inspect
 import json
 import random
 import sys
@@ -27,7 +28,13 @@ import sawcascade.verifier as verifier
 from sawcascade.cells import ROOT, cell, child_cell, level1_ids_at, locate
 from sawcascade.construction import DomainError, eval_fk, f1_step, orbit, partial_sum
 from sawcascade.reports import recheck, report_from_dict, report_to_dict
-from sawcascade.suites import SUITES, SuiteConfig, tapered_endpoints
+from sawcascade.suites import (
+    SUITES,
+    SuiteConfig,
+    _no_extremum_report,
+    _random_rational,
+    tapered_endpoints,
+)
 from sawcascade.verifier import (
     NotAnEPointError,
     _endpoint,
@@ -47,6 +54,13 @@ F = Fraction
 
 def roundtrips(report) -> bool:
     return report_from_dict(report_to_dict(report)) == report
+
+
+def seeded_points(seed, count):
+    """The points the sampled no-extrema suite drew: ``count`` rationals in
+    (-1, 1) with denominators up to 10^6, from ``random.Random(seed)``."""
+    rng = random.Random(seed)
+    return [_random_rational(rng, F(-1), F(1), 10**6) for _ in range(count)]
 
 
 # ---------------------------------------------------------------------------
@@ -267,11 +281,20 @@ def test_fan_scan_walks_only_the_chosen_witnesses(monkeypatch):
         if name.split(".")[0] == "sawcascade" and getattr(module, "f1_step", None) is f1_step:
             monkeypatch.setattr(module, "f1_step", counting_step)
     cfg = SuiteConfig(max_level=4, count=30)
-    for suite in ("oscillation", "no-extrema", "nowhere-monotone"):
+    searches = {
+        "oscillation": lambda: SUITES["oscillation"](cfg),
+        # the points and windows the sampled no-extrema suite searched
+        "no-extrema": lambda: [
+            non_extremum_witness(x, F(1, 10**e), cfg.depth, cfg.fan_budget)
+            for x in seeded_points(cfg.seed, cfg.count) for e in (1, 2, 3)
+        ],
+        "nowhere-monotone": lambda: SUITES["nowhere-monotone"](cfg),
+    }
+    for suite, search in searches.items():
         walks.clear()
         records.clear()
         steps[0] = 0
-        reports = list(SUITES[suite](cfg))
+        reports = list(search())
         assert all(r.verdict for r in reports), suite
         assert steps[0] == sum(len(info.numerators) for info in records) > 0, suite
         if suite == "oscillation":
@@ -380,6 +403,84 @@ def test_non_extremum_generic_points(x0, e):
     assert rep.verdict, (x0, delta, rep.error)
     xs = [x for x, _v in rep.points]
     assert min(xs) >= x0 - delta and max(xs) <= x0 + delta
+
+
+#: sha256 of the sorted-key JSON list of the witness's reports at seeded
+#: points, as (seed, count, windows, depth): the draw and windows that
+#: ``verify no-extrema --count 300 --seed 7`` searched (interior chains of
+#: both slope signs and 9 endpoint fans; these are its 900 cases), and 50
+#: interior chains that fit a 10^-6 window within depth 12
+NON_EXTREMUM_DIGESTS = {
+    (7, 300, (F(1, 10), F(1, 100), F(1, 1000)), 40):
+        "fa836ef479f89f9a23f0d88b9e203f1380788df0f99e2b1fb129f22a28cf909d",
+    (20240601, 50, (F(1, 10**6),), 12):
+        "41568e75bb512b45eed268855b3550844d0ead62bb50d7f9b9b114786cdc3238",
+}
+
+
+@pytest.mark.parametrize("seed, count, windows, depth", sorted(NON_EXTREMUM_DIGESTS))
+def test_non_extremum_witness_at_seeded_points_is_byte_identical(seed, count, windows, depth):
+    reports = [non_extremum_witness(x, delta, depth)
+               for x in seeded_points(seed, count) for delta in windows]
+    assert all(rep.verdict for rep in reports)
+    text = json.dumps([report_to_dict(rep) for rep in reports], sort_keys=True)
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert digest == NON_EXTREMUM_DIGESTS[seed, count, windows, depth]
+
+
+@given(
+    st.fractions(min_value=-1, max_value=1, max_denominator=10**6),
+    st.one_of(
+        st.integers(min_value=0, max_value=3).map(lambda e: F(1, 10**e)),
+        st.integers(min_value=0, max_value=40).map(lambda r: F(1, 2**r)),
+    ),
+)
+@example(F(1, 100), F(1, 100))  # the level-7 chain has a = 0: the search takes level 8
+@example(F(0), F(1, 2**40))
+@settings(max_examples=300, deadline=None)
+def test_non_extremum_witness_passes_at_the_depth_the_window_report_names(x0, delta):
+    # the oracle of the no-extrema suite's closed form: at every interior
+    # point the search succeeds by level M + 1, so within depth M + 2
+    window = _no_extremum_report(delta)
+    assert window.verdict
+    rep = non_extremum_witness(x0, delta, depth=int(window.input("level")) + 2)
+    assume(rep.input("mode") == "interior_chain")
+    assert rep.verdict, (x0, delta, rep.error)
+
+
+def test_the_oracle_fails_at_a_zero_tilt_without_the_nonzero_tilt_test(monkeypatch):
+    x0 = delta = F(1, 100)
+    info = orbit(x0, 10)
+    assert _walk_chain(info, 10, x0 - delta, x0 + delta)[0] == (8, -18432, -18432)
+    source = inspect.getsource(verifier._walk_chain)
+    mutant = source.replace("a != 0\n            and ", "")
+    assert mutant != source
+    namespace = dict(vars(verifier))
+    exec(compile(mutant, "mutant _walk_chain", "exec"), namespace)
+    monkeypatch.setattr(verifier, "_walk_chain", namespace["_walk_chain"])
+    # level 7 fits the window too, where a = 2 * 384 - 768 = 0
+    assert verifier._walk_chain(info, 10, x0 - delta, x0 + delta)[0] == (7, -768, 0)
+    rep = non_extremum_witness(x0, delta, depth=10)
+    assert not rep.verdict
+    assert [c.label for c in rep.failed_checks()] == ["alternation", "chain_slope_nonzero"]
+
+
+def test_the_tilt_never_vanishes_at_two_consecutive_levels():
+    # L8: the tilt of a level-m chain cell, the slope sum_{i<=m} s_i / 2^i
+    # of the m-term truncation, over every chain with ids |j| <= 2 to level 7
+    zeros = chains = 0
+    stack = [(ROOT, F(0))]  # the level-0 root has tilt 0
+    while stack:
+        parent, tilt = stack.pop()
+        for j in range(-2, 3):
+            child = child_cell(parent, j)
+            child_tilt = tilt + F(child.slope, 2**child.level)
+            assert tilt != 0 or child_tilt != 0, child.address
+            chains += 1
+            zeros += child_tilt == 0
+            if child.level < 7:
+                stack.append((child, child_tilt))
+    assert (chains, zeros) == (97655, 10)
 
 
 # ---------------------------------------------------------------------------
