@@ -18,7 +18,9 @@ so every orbit and layer walk is a plain loop over one integer step,
 ``f1_step``: it finds the tooth once and returns the next numerator and the
 slope of the leftmost closed tooth holding p/q; an ``orbit`` record keeps
 both.  No Fraction is built per step, and a partial sum is one integer
-Horner sum over the numerators, divided by q 2^m once at the end.
+Horner sum over the numerators, divided by q 2^m once at the end.  A walk
+that needs only the sum and the last iterate (``eval_f``, the verifier's
+fan witnesses) keeps no record: ``_horner_walk`` sums as it steps.
 
 No float ever enters or leaves this module: every scalar is a
 ``fractions.Fraction`` (or an int, coerced exactly), and every comparison
@@ -298,13 +300,25 @@ def eval_f(x: RatLike, K: int) -> Certified:
     """
     x = require_unit_interval(as_rational(x))
     require_at_least(K, 1, "truncation K")
-    p, q, acc = x.numerator, x.denominator, 0  # Horner: acc / (q 2^m) over m terms
+    q = x.denominator
+    acc, m, p = _horner_walk(x.numerator, q, K)
+    if p == 0 or abs(p) == q:  # every later term vanishes
+        return Certified(Fraction(acc, q << m), ZERO)
+    return Certified(Fraction(acc, q << K), Fraction(1, 2**K))
+
+
+def _horner_walk(p: int, q: int, K: int) -> tuple[int, int, int]:
+    """(acc, m, p_m) for y = p/q, q >= 1, |p| <= q and K >= 1: the walk of
+    y for at most K steps, stopped after the first iterate in {-q, 0, q}.
+    acc / (q 2^m) is the m-term partial sum, and p_m / q is f_m(y), the last
+    iterate walked; if m < K, every iterate past m is 0."""
+    acc = 0
     for m in range(1, K + 1):
         p = f1_step(p, q)[0]
         acc = 2 * acc + p
-        if p == 0 or abs(p) == q:  # every later term vanishes
-            return Certified(Fraction(acc, q << m), ZERO)
-    return Certified(Fraction(acc, q << K), Fraction(1, 2**K))
+        if p == 0 or abs(p) == q:
+            return acc, m, p
+    return acc, K, p
 
 
 def partial_sum(x: RatLike, K: int) -> Rat:

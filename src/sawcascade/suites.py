@@ -81,10 +81,13 @@ class SuiteConfig:
         if self.structure_max_level < 1:  # the structure suite's zero-case refusal
             raise DomainError("suite structure yields no cases with these settings")
         require_at_least(self.fan_budget, 0, "fan budget")
-        # below these floors the sampled suites and quotient-bound yield no cases
-        for what, value, floor in (("count", self.count, 1), ("n max", self.n_max, 2)):
-            if value < floor:
-                raise DomainError(f"{what} must be >= {floor}, got {value} (no cases)")
+        for what, value, floor, readers in (
+            ("count", self.count, 1, "nowhere-monotone and local-min"),
+            ("n max", self.n_max, 2, "quotient-bound"),
+        ):
+            if value < floor:  # the suites that read the setting would yield no cases
+                raise DomainError(f"{what} must be >= {floor}, got {value} "
+                                  f"({readers} would yield no cases)")
 
 
 def _random_rational(rng: random.Random, lo: Rat, hi: Rat, max_den: int) -> Rat:

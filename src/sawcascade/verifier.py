@@ -15,9 +15,11 @@ x0 + ([-1, 1] - f_m(x0)) / s.  With v0 = f_m(x0) = +-1 and k = m + 1 the
 fan endpoints are y_n = x0 - v0 / (n s), n >= 2, and
 f(y_n) - f(x0) = v0 ((-1)^n / 2^k - a / (2^m n s)), so window and margin
 tests are integer comparisons.  The closed forms only choose the
-witnesses: each chosen point is walked once, into one orbit record that
-gives its series value and the iterate its certificate checks, so a wrong
-choice can only yield a failing report.
+witnesses, and each chosen point is walked once on its own numbers, so a
+wrong choice can only yield a failing report: a fan's center into its
+orbit record, whose slopes give its cells, and each fan witness by
+``eval_f``'s integer Horner walk, which gives its series value and the
+iterate its certificate checks without a record.
 
 For points whose deeper layers coincide (equal (k+1)-th iterates), series
 differences collapse to differences of k-term partial sums, which is what
@@ -52,6 +54,7 @@ from sawcascade.construction import (
     OrbitInfo,
     Rat,
     RatLike,
+    _horner_walk,
     as_rational,
     iterate_numerator,
     orbit,
@@ -235,9 +238,11 @@ def _endpoint_fan_report(
         below = b if below is None else below
         if above is not None and below is not None:
             break
-    walked = [orbit(y, k) for y in (above, below) if y is not None]
-    # a fan endpoint's record ends at f_k(y) = +-1
-    hits = [(w.start, w.partial_sum(k), abs(w.numerators[k - 1])) for w in walked]
+    # each witness walked k steps: f(y) = acc / (q 2^m), and |f_k(y)| is |p_m| / q
+    # (1 at a fan endpoint), or 0 if the walk absorbed before step k
+    walks = [(y, y.denominator, _horner_walk(y.numerator, y.denominator, k))
+             for y in (above, below) if y is not None]
+    hits = [(y, Fraction(acc, q << m), abs(p) if m == k else 0) for y, q, (acc, m, p) in walks]
     points = [(x0, fx0)] + [(y, fy) for y, fy, _ in hits]
     if len(hits) < 2:
         error = "fan budget exhausted before both witnesses appeared"

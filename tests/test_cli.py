@@ -786,9 +786,10 @@ def test_verify_refuses_a_suite_that_yields_no_case(
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (["verify", "structure", "--count", "0"], "count must be >= 1, got 0 (no cases)"),
+        (["verify", "structure", "--count", "0"],
+         "count must be >= 1, got 0 (nowhere-monotone and local-min would yield no cases)"),
         (["verify", "local-min", "--count", "2", "--n-max", "-4"],
-         "n max must be >= 2, got -4 (no cases)"),
+         "n max must be >= 2, got -4 (quotient-bound would yield no cases)"),
         (["verify", "local-min", "--count", "2", "--index-budget", "-5"],
          "index budget must be >= 0, got -5"),
         # endpoints of first level 6 whose orbit records cannot reach +-1
@@ -899,8 +900,9 @@ def test_level_arguments_above_the_layer_bound_are_refused_at_once(argv: str, fl
         ({"max_level": -3}, "max level must be >= 1, got -3"),
         ({"structure_max_level": -1}, "suite structure yields no cases with these settings"),
         ({"fan_budget": -7}, "fan budget must be >= 0, got -7"),
-        ({"count": 0}, "count must be >= 1, got 0 (no cases)"),
-        ({"n_max": 1}, "n max must be >= 2, got 1 (no cases)"),
+        ({"count": 0},
+         "count must be >= 1, got 0 (nowhere-monotone and local-min would yield no cases)"),
+        ({"n_max": 1}, "n max must be >= 2, got 1 (quotient-bound would yield no cases)"),
         ({"max_level": 5001}, "--max-level must be at most 5000, got 5001"),
         ({"structure_max_level": 5001}, "--structure-max-level must be at most 5000, got 5001"),
     ],

@@ -20,7 +20,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sawcascade.cells import level1_cell, level1_ids_at, level1_ids_of, tooth
@@ -28,6 +28,7 @@ from sawcascade.construction import (
     MAX_DECIMAL_EXPONENT,
     Certified,
     DomainError,
+    _horner_walk,
     as_rational,
     eval_f,
     eval_f1,
@@ -181,6 +182,22 @@ def test_orbit_kernel_matches_reference(x, steps):
         if k <= len(info.numerators) or info.absorbed:
             assert info.iterate(k) == y
             assert info.partial_sum(k) == total
+
+
+@given(kernel_points, st.integers(1, 40))
+@example(F(1), 5)  # +-1 and 0 stop after one step
+@example(F(-1), 1)
+@example(F(0), 3)
+@example(F(7, 10), 9)  # absorbs at step 4, before K
+@example(F(7, 10), 4)  # absorbs at step K
+@example(F(1, 7), 40)  # cycles, never absorbs
+def test_horner_walk_matches_the_orbit_record(x, K):
+    q = x.denominator
+    acc, m, p = _horner_walk(x.numerator, q, K)
+    info = orbit(x, K)
+    assert m == len(info.numerators)
+    assert F(acc, q << m) == info.partial_sum(K)
+    assert (p if m == K else 0) == info.iterate(K) * q
 
 
 # ---------------------------------------------------------------------------

@@ -120,6 +120,19 @@ def test_oscillation_budget_exhaustion_is_reported():
     assert recheck(rep) and roundtrips(rep)
 
 
+def test_a_wrong_fan_choice_yields_a_failing_report(monkeypatch):
+    # 2/3 has first level 2; 1/2 lies outside its window and its walk
+    # reaches +1 at step 1, so f_2(1/2) = 0: the report fails, not raises
+    scan = verifier._fan_scan
+    monkeypatch.setattr(verifier, "_fan_scan", lambda *args: (F(1, 2), scan(*args)[1]))
+    rep = oscillation_witness(F(2, 3), F(1, 1000))
+    assert not rep.verdict and rep.error is None
+    assert rep.input("first_level") == "2"
+    assert [c.label for c in rep.failed_checks()] == ["upper_inside_window", "upper_hits_unit"]
+    assert rep.points[1] == (F(1, 2), partial_sum(F(1, 2), 2))
+    assert recheck(rep) and roundtrips(rep)
+
+
 @pytest.mark.parametrize("witness", [oscillation_witness, non_extremum_witness])
 def test_endpoint_fan_failure_lists_the_partial_hit(witness):
     # one fan child at -4/5 yields a point below the margin but none above
@@ -249,11 +262,13 @@ def test_fan_choice_cache_keys_on_delta_and_budget():
 
 
 def test_fan_scan_walks_only_the_chosen_witnesses(monkeypatch):
-    # one orbit record per report's center and per chosen witness, and no
-    # other walk: the fan is judged in closed form, and the cell chains are
-    # read off the records, so every base-map step lands in a record
+    # one orbit record per report's center, one kernel walk per chosen
+    # witness, and no other walk: the fan is judged in closed form, and the
+    # cell chains are read off the records, so every base-map step lands in
+    # a record or in a witness's walk
     walks = []
     records = []
+    kernel_steps = []
     other_walks = []
     steps = [0]
 
@@ -261,6 +276,12 @@ def test_fan_scan_walks_only_the_chosen_witnesses(monkeypatch):
         walks.append((x, depth))
         records.append(orbit(x, depth))
         return records[-1]
+
+    def counting_kernel(p, q, K):
+        walks.append((F(p, q), K))
+        walked = construction._horner_walk(p, q, K)
+        kernel_steps.append(walked[1])
+        return walked
 
     def counting_step(p, q):
         steps[0] += 1
@@ -273,6 +294,7 @@ def test_fan_scan_walks_only_the_chosen_witnesses(monkeypatch):
         return wrapped
 
     monkeypatch.setattr(verifier, "orbit", counting_orbit)
+    monkeypatch.setattr(verifier, "_horner_walk", counting_kernel)
     for module in (construction, verifier):
         for name in ("partial_sum", "eval_fk"):
             if hasattr(module, name):
@@ -293,12 +315,15 @@ def test_fan_scan_walks_only_the_chosen_witnesses(monkeypatch):
     for suite, search in searches.items():
         walks.clear()
         records.clear()
+        kernel_steps.clear()
         steps[0] = 0
         reports = list(search())
         assert all(r.verdict for r in reports), suite
-        assert steps[0] == sum(len(info.numerators) for info in records) > 0, suite
+        recorded = sum(len(info.numerators) for info in records)
+        assert steps[0] == recorded + sum(kernel_steps) > 0, suite
         if suite == "oscillation":
             assert len(walks) == len(set(walks)) == 3 * len(reports) == 2208
+            assert len(records) == len(reports) and len(kernel_steps) == 2 * len(reports)
     assert other_walks == []
 
 
