@@ -14,7 +14,7 @@ from __future__ import annotations
 from fractions import Fraction as F
 
 from sawcascade.reports import WitnessReport, recheck
-from sawcascade.suites import SuiteConfig, suite_no_extrema
+from sawcascade.suites import SuiteConfig, suite_no_extrema, suite_nowhere_monotone
 from sawcascade.verifier import (
     local_min_check,
     non_extremum_witness,
@@ -64,11 +64,20 @@ def main() -> None:
         next(r for r in suite_no_extrema(SuiteConfig()) if r.input("delta") == "1/100"),
     )
 
-    # On any interval the derivative takes both signs; here the witness
-    # triple alternates inside [1/3, 1/3 + 1/500].
+    # f is monotone on no interval: three ordered points inside
+    # [1/3, 1/3 + 1/500] have differences of alternating signs.
     show(
-        "sign alternation inside [1/3, 1/3 + 1/500]",
+        "alternating differences inside [1/3, 1/3 + 1/500]",
         non_monotone_witness(F(1, 3), F(1, 3) + F(1, 500), depth=40, fan_budget=64),
+    )
+
+    # The same holds on every interval of length 1/100 at once: the level-9
+    # cell around its midpoint is shorter than half of it, so it lies
+    # inside, and the fan at that cell's left end reverses by its points
+    # 4m + 1 and 4m + 2 (README, "Nowhere monotone").
+    show(
+        "no interval of length 1/100 on which f is monotone",
+        next(r for r in suite_nowhere_monotone(SuiteConfig()) if r.input("length") == "1/100"),
     )
 
     # The signed series g = G' has a strict local minimum at 0: at any

@@ -3,12 +3,12 @@
 Each suite draws its sample points from an explicitly seeded Mersenne
 generator (integer draws only, so results are stable across platforms and
 Python versions), enumerates cell endpoints outright, or certifies a closed
-form per fixed window (no-extrema, darboux).  Called with a configuration,
-a suite makes its refusals and returns an iterator of reports that draws
-each report's inputs and certifies it when the report is drawn, so a
-caller that writes and drops each report holds one at a time, and no suite
-holds its inputs.  Given the same configuration the iterator yields the
-identical reports, certificate for certificate.
+form per fixed scale (no-extrema, nowhere-monotone, darboux).  Called with
+a configuration, a suite makes its refusals and returns an iterator of
+reports that draws each report's inputs and certifies it when it is drawn,
+so a caller that writes and drops each report holds one at a time, and no
+suite holds its inputs.  Given the same configuration the iterator yields
+the identical reports, certificate for certificate.
 
 The endpoint enumeration for the oscillation suite tapers its per-level
 index budget so that every level's cell family contributes about the same
@@ -22,7 +22,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain, islice
+from itertools import chain
 from math import ceil, floor
 from typing import Callable, Iterable, Iterator
 
@@ -41,13 +41,14 @@ from sawcascade.verifier import (
     DEFAULT_FAN_BUDGET,
     integral_crosscheck,
     local_min_check,
-    non_monotone_witness,
     oscillation_witness,
     require_positive_delta,
     structure_check,
 )
 
 F = Fraction
+
+SCALES = (F(1, 10), F(1, 100), F(1, 1000))  # no-extrema, nowhere-monotone, darboux
 
 
 @dataclass(frozen=True)
@@ -82,7 +83,7 @@ class SuiteConfig:
             raise DomainError("suite structure yields no cases with these settings")
         require_at_least(self.fan_budget, 0, "fan budget")
         for what, value, floor, readers in (
-            ("count", self.count, 1, "nowhere-monotone and local-min"),
+            ("count", self.count, 1, "local-min"),
             ("n max", self.n_max, 2, "quotient-bound"),
         ):
             if value < floor:  # the suites that read the setting would yield no cases
@@ -187,20 +188,19 @@ def _no_extremum_report(delta: Rat) -> WitnessReport:
 
 
 def suite_no_extrema(cfg: SuiteConfig) -> Cases:
-    return Cases(3, map(_no_extremum_report, (F(1, 10), F(1, 100), F(1, 1000))))
+    return Cases(len(SCALES), map(_no_extremum_report, SCALES))
+
+
+def _non_monotone_report(length: Rat) -> WitnessReport:
+    """f is monotone on no interval of length >= ``length`` (README, "Nowhere monotone")."""
+    M = (length.denominator // length.numerator).bit_length() + 2
+    certificate = [check("cell_fits_half_interval", "<", F(4, 2**M), length)]
+    inputs = {"mode": "every_interval", "length": length, "level": M}
+    return make_report("non_monotone", inputs, [], certificate)
 
 
 def suite_nowhere_monotone(cfg: SuiteConfig) -> Cases:
-    def intervals(rng: random.Random) -> Iterator[tuple[Rat, Rat]]:
-        while True:
-            u = _random_rational(rng, F(-1), F(1), 1000)
-            v = _random_rational(rng, F(-1), F(1), 1000)
-            if abs(u - v) >= F(1, 1000):
-                yield min(u, v), max(u, v)
-    return Cases(cfg.count, (
-        non_monotone_witness(a, b, cfg.depth, cfg.fan_budget)
-        for a, b in islice(intervals(random.Random(cfg.seed)), cfg.count)
-    ))
+    return Cases(len(SCALES), map(_non_monotone_report, SCALES))
 
 
 def suite_local_min(cfg: SuiteConfig) -> Cases:
@@ -264,7 +264,7 @@ def _darboux_report(eps: Rat) -> WitnessReport:
 
 
 def suite_darboux(cfg: SuiteConfig) -> Cases:
-    return Cases(3, map(_darboux_report, (F(1, 10), F(1, 100), F(1, 1000))))
+    return Cases(len(SCALES), map(_darboux_report, SCALES))
 
 
 SUITES: dict[str, Callable[[SuiteConfig], Cases]] = {

@@ -33,7 +33,7 @@ from sawcascade.suites import (
     suite_quotient_bound,
     tapered_endpoints,
 )
-from sawcascade.verifier import non_extremum_witness, structure_check
+from sawcascade.verifier import non_extremum_witness, non_monotone_witness, structure_check
 
 _WIDTH = 54
 
@@ -196,18 +196,26 @@ def test_criterion_07_no_extrema_sampled() -> None:
 
 
 # ---------------------------------------------------------------------------
-# 8. sign change of the derivative inside every sampled interval
+# 8. a reversal of f inside every sampled interval
 # ---------------------------------------------------------------------------
 
 
 def test_criterion_08_nowhere_monotone_sampled() -> None:
     def body() -> None:
-        reports = list(suite_nowhere_monotone(SuiteConfig(count=100)))
-        assert len(reports) == 100
-        for r in reports:
-            assert F(r.input("b")) - F(r.input("a")) >= F(1, 1000)
+        rng = random.Random(SuiteConfig().seed)
+        intervals = []
+        while len(intervals) < 100:
+            u = _random_rational(rng, F(-1), F(1), 1000)
+            v = _random_rational(rng, F(-1), F(1), 1000)
+            if abs(u - v) >= F(1, 1000):
+                intervals.append((min(u, v), max(u, v)))
+        reports = [non_monotone_witness(a, b) for a, b in intervals]
         bad = [r for r in reports if not r.verdict]
         assert not bad, [(r.input("a"), r.input("b"), r.error) for r in bad[:3]]
+        # the suite's closed form covers every interval of each length
+        closed = list(suite_nowhere_monotone(SuiteConfig()))
+        assert [F(r.input("length")) for r in closed] == [F(1, 10), F(1, 100), F(1, 1000)]
+        assert all(r.verdict for r in closed)
 
     _criterion(8, "non-monotony witnesses, 100 intervals >= 1/1000", 60.0, body)
 

@@ -496,7 +496,7 @@ def test_verify_local_min_small_count_passes() -> None:
 
 
 def test_verify_is_byte_identical_across_runs() -> None:
-    argv = ["verify", "nowhere-monotone", "--count", "6", "--seed", "7"]
+    argv = ["verify", "local-min", "--count", "6", "--seed", "7"]
     _, first, _ = invoke(argv)
     _, second, _ = invoke(argv)
     assert first == second
@@ -504,8 +504,8 @@ def test_verify_is_byte_identical_across_runs() -> None:
 
 
 def test_verify_seed_changes_cases() -> None:
-    _, a, _ = invoke(["verify", "nowhere-monotone", "--count", "3", "--seed", "1"])
-    _, b, _ = invoke(["verify", "nowhere-monotone", "--count", "3", "--seed", "2"])
+    _, a, _ = invoke(["verify", "local-min", "--count", "3", "--seed", "1"])
+    _, b, _ = invoke(["verify", "local-min", "--count", "3", "--seed", "2"])
     assert json.loads(a)["summary"] == json.loads(b)["summary"]
     assert a != b
 
@@ -554,15 +554,21 @@ def test_verify_darboux_cases_recheck_and_fail_at_half_their_epsilon() -> None:
             assert not recheck(report_from_dict(halved))
 
 
-def test_verify_no_extrema_reads_no_setting() -> None:
-    code, out, _ = invoke(["verify", "no-extrema"])
+@pytest.mark.parametrize("suite, levels, mode", [
+    ("no-extrema", ["5", "8", "11"], "every_interior_point"),
+    ("nowhere-monotone", ["6", "9", "12"], "every_interval"),
+])
+def test_verify_closed_form_suite_reads_no_setting(suite: str, levels: list[str], mode: str) -> None:
+    code, out, _ = invoke(["verify", suite])
     assert code == EXIT_OK
     cases = json.loads(out)["cases"]
-    assert [case["inputs"]["level"] for case in cases] == ["5", "8", "11"]
-    assert {case["inputs"]["mode"] for case in cases} == {"every_interior_point"}
+    assert [case["inputs"]["level"] for case in cases] == levels
+    assert {case["inputs"]["mode"] for case in cases} == {mode}
+    assert all(case["points"] == [] and case["verdict"] for case in cases)
     for flags in (["--seed", "7"], ["--count", "1"], ["--fan-budget", "0"], ["--delta", "1/7"],
-                  ["--depth", "12"]):
-        assert json.loads(invoke(["verify", "no-extrema", *flags])[1])["cases"] == cases
+                  ["--depth", "12"], ["--depth", "1"], ["--depth", "5000"],
+                  ["--count", "400", "--seed", "5"]):
+        assert json.loads(invoke(["verify", suite, *flags])[1])["cases"] == cases
 
 
 def test_verify_out_file_gets_the_stdout_bytes(tmp_path) -> None:
@@ -787,7 +793,7 @@ def test_verify_refuses_a_suite_that_yields_no_case(
     "argv, message",
     [
         (["verify", "structure", "--count", "0"],
-         "count must be >= 1, got 0 (nowhere-monotone and local-min would yield no cases)"),
+         "count must be >= 1, got 0 (local-min would yield no cases)"),
         (["verify", "local-min", "--count", "2", "--n-max", "-4"],
          "n max must be >= 2, got -4 (quotient-bound would yield no cases)"),
         (["verify", "local-min", "--count", "2", "--index-budget", "-5"],
@@ -901,7 +907,7 @@ def test_level_arguments_above_the_layer_bound_are_refused_at_once(argv: str, fl
         ({"structure_max_level": -1}, "suite structure yields no cases with these settings"),
         ({"fan_budget": -7}, "fan budget must be >= 0, got -7"),
         ({"count": 0},
-         "count must be >= 1, got 0 (nowhere-monotone and local-min would yield no cases)"),
+         "count must be >= 1, got 0 (local-min would yield no cases)"),
         ({"n_max": 1}, "n max must be >= 2, got 1 (quotient-bound would yield no cases)"),
         ({"max_level": 5001}, "--max-level must be at most 5000, got 5001"),
         ({"structure_max_level": 5001}, "--structure-max-level must be at most 5000, got 5001"),
@@ -926,7 +932,7 @@ def test_suite_config_takes_settings_at_their_bounds() -> None:
 
 def test_verify_depth_at_its_bound_runs() -> None:
     assert cli.MAX_LAYER_INDEX == 5000
-    code, out, _ = invoke(["verify", "nowhere-monotone", "--count", "1", "--depth", "5000"])
+    code, out, _ = invoke(["verify", "oscillation", "--max-level", "2", "--depth", "5000"])
     assert code == EXIT_OK
     assert json.loads(out)["parameters"]["depth"] == 5000
 
@@ -1034,9 +1040,9 @@ PINNED_STDOUT = {
     "verify --help":
         "440a360751782adf8f83e20492bfbcd6705123171bc7c47b36a9c7a4875c0467",
     "verify all":
-        "935b763aed9b5e29d655ef1ee5c58b3bc255223efb88e9ecc142b3c348ebfcb7",
+        "aaaa1eb6da7bb1a40c183bb8af24f4c8e9cc033b4c73c281b716db12b3c4b287",
     "verify all --max-level 3 --count 4 --index-budget 2 --n-max 3":
-        "30147ba60f3fa10c10747f161c26e88a1ac36e1c31fb39ec5c2555aa641112a0",
+        "137f98980203f983e8aa372b7536f80f3facec1056f5811606ecde6d877bd093",
     "verify structure":
         "15048450ab5d8b37205a094a9e6d422db68af2a28ec3bf8a6cb9184ebb14ff0e",
     "verify darboux":
@@ -1068,7 +1074,7 @@ PINNED_STDOUT = {
     "eval --fn fk --x 1/7 --k 300":
         "a23be6e944f135b5bd341cc9f7bbebbdd572cdc5c7045d67973c0f6ffa89e2db",
     # the endpoint fan off its defaults: failure reports with partial hits
-    # (1408 passed, 78 failed), a tiny window, both non_monotone branches
+    # (1408 passed, 78 failed) and a tiny window
     "verify oscillation --fan-budget 2 --max-level 5":
         "8a1af527bc2d95f40c3e7c88abc339cac1d4574445a1f790d9b469972481ded9",
     "verify oscillation --delta 1/1000000 --max-level 5":
@@ -1076,8 +1082,6 @@ PINNED_STDOUT = {
     # an endpoint family deeper than the default's: 9124 cases, 17 MB
     "verify oscillation --max-level 8":
         "ab924257a88bd00db217900fe800d555894f708e0e7a5de8759897f04c827ffb",
-    "verify nowhere-monotone --count 400 --seed 5":
-        "f72b1b7b8c485bed52b5889abb92cd6deea466361a3f1adec91d9a28ecb72459",
     # the integer layer kernel: a deep layer, a long grid, G off-center
     "eval --fn Fk --x=-123457/1000003 --k 60":
         "bd72dc1ddadc0d6cf24adaf809b9e9d293313f7f2a306ef9b890f23e93d6df90",
@@ -1085,15 +1089,15 @@ PINNED_STDOUT = {
         "69749fab1a11879f60857c8b9707e38fa41dc3cda360455243bf8e7472bb4486",
     "sample --fn G --a=-1/3 --b 1/3 --count 41 --K 60 --format json":
         "3138e20f09fc6b88ea1313aac9b29922109e8545981479b92a1a3a44a11d9435",
-    # the no-extrema reports, which read no setting, so both lines print
-    # the three default windows (the witness's interior chains keep their
-    # pins in test_verifier.py), and chain-cell fans within depth 6
+    # the no-extrema and nowhere-monotone reports, which read no setting,
+    # so both no-extrema lines print the three default windows (both
+    # witnesses keep their pins at seeded inputs in test_verifier.py)
     "verify no-extrema --count 300 --seed 7":
         "e13c61f027aaccadd195ecf454817564abc2d07f528f638ff102ac7fff839760",
     "verify no-extrema --delta 1/1000000 --count 50 --depth 12":
         "2c9badba24c154519da4277b19e2e71c993077a563b8109bb81cf8da93aab520",
-    "verify nowhere-monotone --count 200 --depth 6":
-        "09ae99acf35bef4518fa19a150cce3a0b0786bb5854196d3ce68f0f6d89ef86c",
+    "verify nowhere-monotone":
+        "0e6ede87a7b84a680a65bcc46a7f0e6ca87d37855ae86eb3493ba988019ebb85",
     # deeper integer cells with large slopes: a level-4 structure scan, a
     # full level-4 family and a level-5 enclosure
     "verify structure --structure-max-level 4":

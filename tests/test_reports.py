@@ -360,7 +360,7 @@ def test_reader_on_the_whole_seed_1_document() -> None:
     out = io.StringIO()
     assert cli.run(["verify", "all", "--seed", "1"], stdout=out, stderr=io.StringIO()) == 0
     cases = json.loads(out.getvalue())["cases"]
-    assert len(cases) == 6627
+    assert len(cases) == 6530
     maxsize = _canonical_rational.cache_info().maxsize
     assert maxsize is not None
     for case in cases:

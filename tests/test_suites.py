@@ -73,13 +73,12 @@ def test_seed_only_changes_sampled_suites() -> None:
     other = SuiteConfig(
         seed=999, count=4, max_level=2, n_max=4, structure_max_level=1,
     )
-    assert list(run_suite_reports("nowhere-monotone", SMALL)) != list(run_suite_reports(
-        "nowhere-monotone", other
+    assert list(run_suite_reports("local-min", SMALL)) != list(run_suite_reports(
+        "local-min", other
     ))
-    # endpoint enumeration, structure scan and no-extrema windows do not sample at all
-    assert list(run_suite_reports("no-extrema", SMALL)) == list(run_suite_reports(
-        "no-extrema", other
-    ))
+    # endpoint enumeration, structure scan and the closed forms do not sample at all
+    for name in ("no-extrema", "nowhere-monotone", "darboux"):
+        assert list(run_suite_reports(name, SMALL)) == list(run_suite_reports(name, other))
     assert list(run_suite_reports("oscillation", SMALL)) == list(run_suite_reports(
         "oscillation", other
     ))
@@ -274,12 +273,10 @@ def test_suite_inputs_stay_in_required_domains() -> None:
     for rep in run_suite_reports("local-min", SMALL):
         x = F(rep.input("x"))
         assert F(0) < x < F(1, 4)
-    for rep in run_suite_reports("nowhere-monotone", SMALL):
-        a, b = F(rep.input("a")), F(rep.input("b"))
-        assert -1 <= a < b <= 1
-        assert b - a >= F(1, 1000)
     windows = [rep.input("delta") for rep in run_suite_reports("no-extrema", SMALL)]
     assert windows == ["1/10", "1/100", "1/1000"]
+    lengths = [rep.input("length") for rep in run_suite_reports("nowhere-monotone", SMALL)]
+    assert lengths == ["1/10", "1/100", "1/1000"]
 
 
 @pytest.mark.parametrize(
@@ -350,11 +347,10 @@ class CountingRandom(random.Random):
 
 #: randint draws behind each seeded suite's first report at the default
 #: settings: a rational strictly inside a window takes two (denominator and
-#: numerator), so an interval's two ends, one point, nothing (the first
-#: quotient-bound probe is a band midpoint) and the four random points of
-#: the first integral cross-check.
+#: numerator), so one point, nothing (the first quotient-bound probe is a
+#: band midpoint) and the four random points of the first integral
+#: cross-check.
 FIRST_REPORT_DRAWS = {
-    "nowhere-monotone": 4,
     "local-min": 2,
     "quotient-bound": 0,
     "integral-crosscheck": 8,
@@ -431,26 +427,42 @@ def test_quotient_bound_draws_its_first_report_without_a_list_of_bands() -> None
 
 
 # ---------------------------------------------------------------------------
-# the no-extrema windows
+# the closed forms of no-extrema and nowhere-monotone
 # ---------------------------------------------------------------------------
+
+#: mode -> the report builder and the input it is built from
+CLOSED_FORMS = {
+    "every_interior_point": (suites._no_extremum_report, "delta"),
+    "every_interval": (suites._non_monotone_report, "length"),
+}
 
 
 def rebuilds(case: dict[str, Any]) -> bool:
-    """The audit rule of an ``every_interior_point`` case: it is exactly the
-    report its own ``delta`` builds."""
-    rebuilt = suites._no_extremum_report(F(case["inputs"]["delta"]))
-    return reports.report_to_dict(rebuilt) == case
+    """The audit rule of an ``every_interior_point`` or ``every_interval``
+    case: it is exactly the report its own ``delta`` or ``length`` builds."""
+    build, key = CLOSED_FORMS[case["inputs"]["mode"]]
+    return reports.report_to_dict(build(F(case["inputs"][key]))) == case
 
 
-def test_every_interior_point_case_rebuilds_and_an_edited_copy_does_not() -> None:
+@pytest.fixture(scope="module")
+def verify_all_cases() -> list[dict[str, Any]]:
     out = io.StringIO()
     assert cli.run(["verify", "all"], stdout=out, stderr=io.StringIO()) == 0
-    cases = [case for case in json.loads(out.getvalue())["cases"]
-             if case["inputs"].get("mode") == "every_interior_point"]
-    assert [case["inputs"]["level"] for case in cases] == ["5", "8", "11"]
+    return json.loads(out.getvalue())["cases"]
+
+
+@pytest.mark.parametrize("mode, levels, edits", [
+    ("every_interior_point", ["5", "8", "11"], (("delta", "1/7"), ("level", "4"))),
+    ("every_interval", ["6", "9", "12"], (("length", "1/7"), ("level", "5"))),
+])
+def test_closed_form_case_rebuilds_and_an_edited_copy_does_not(
+    verify_all_cases: list[dict[str, Any]], mode: str, levels: list[str], edits: tuple
+) -> None:
+    cases = [case for case in verify_all_cases if case["inputs"].get("mode") == mode]
+    assert [case["inputs"]["level"] for case in cases] == levels
     for case in cases:
         assert rebuilds(case)
-        for key, value in (("delta", "1/7"), ("level", "4")):
+        for key, value in edits:
             edited = json.loads(json.dumps(case))
             edited["inputs"][key] = value
             # the stored verdict still replays: only the rebuild catches the edit
@@ -458,15 +470,21 @@ def test_every_interior_point_case_rebuilds_and_an_edited_copy_does_not() -> Non
             assert not rebuilds(edited), key
 
 
-def test_a_level_one_too_small_fails_the_fit_check(monkeypatch: pytest.MonkeyPatch) -> None:
-    source = inspect.getsource(suites._no_extremum_report)
-    mutant = source.replace(".bit_length() + 1", ".bit_length()")
+@pytest.mark.parametrize("name, level, suite, label", [
+    ("_no_extremum_report", ".bit_length() + 1", "no-extrema", "cell_fits_window"),
+    ("_non_monotone_report", ".bit_length() + 2", "nowhere-monotone", "cell_fits_half_interval"),
+])
+def test_a_level_one_too_small_fails_the_fit_check(
+    name: str, level: str, suite: str, label: str, monkeypatch: pytest.MonkeyPatch
+) -> None:
+    source = inspect.getsource(getattr(suites, name))
+    mutant = source.replace(level, level + " - 1")
     assert mutant != source
     namespace = dict(vars(suites))
-    exec(compile(mutant, "mutant _no_extremum_report", "exec"), namespace)
-    monkeypatch.setattr(suites, "_no_extremum_report", namespace["_no_extremum_report"])
-    for rep in suites.suite_no_extrema(SuiteConfig()):
-        assert [c.label for c in rep.failed_checks()] == ["cell_fits_window"]
+    exec(compile(mutant, f"mutant {name}", "exec"), namespace)
+    monkeypatch.setattr(suites, name, namespace[name])
+    for rep in SUITES[suite](SuiteConfig()):
+        assert [c.label for c in rep.failed_checks()] == [label]
         assert not rep.verdict
 
 
@@ -496,8 +514,8 @@ def test_verify_all_makes_every_report_through_the_module_level_names(
                         monkeypatch.setattr(module, attr, wrapper)
     out, err = io.StringIO(), io.StringIO()
     assert cli.run(["verify", "all"], stdout=out, stderr=err) == 0
-    assert err.getvalue() == "suite all: 6627 passed, 0 failed\n"
-    assert calls == {"make_report": 6627, "oscillation_witness": 5236}
+    assert err.getvalue() == "suite all: 6530 passed, 0 failed\n"
+    assert calls == {"make_report": 6530, "oscillation_witness": 5236}
 
 
 # ---------------------------------------------------------------------------

@@ -32,6 +32,7 @@ from sawcascade.suites import (
     SUITES,
     SuiteConfig,
     _no_extremum_report,
+    _non_monotone_report,
     _random_rational,
     tapered_endpoints,
 )
@@ -61,6 +62,20 @@ def seeded_points(seed, count):
     (-1, 1) with denominators up to 10^6, from ``random.Random(seed)``."""
     rng = random.Random(seed)
     return [_random_rational(rng, F(-1), F(1), 10**6) for _ in range(count)]
+
+
+def seeded_intervals(seed, count):
+    """The intervals the sampled nowhere-monotone suite drew: ``count`` pairs
+    of rationals in (-1, 1) with denominators up to 1000, at least 1/1000
+    apart, from ``random.Random(seed)``."""
+    rng = random.Random(seed)
+    intervals = []
+    while len(intervals) < count:
+        u = _random_rational(rng, F(-1), F(1), 1000)
+        v = _random_rational(rng, F(-1), F(1), 1000)
+        if abs(u - v) >= F(1, 1000):
+            intervals.append((min(u, v), max(u, v)))
+    return intervals
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +325,11 @@ def test_fan_scan_walks_only_the_chosen_witnesses(monkeypatch):
             non_extremum_witness(x, F(1, 10**e), cfg.depth, cfg.fan_budget)
             for x in seeded_points(cfg.seed, cfg.count) for e in (1, 2, 3)
         ],
-        "nowhere-monotone": lambda: SUITES["nowhere-monotone"](cfg),
+        # the intervals the sampled nowhere-monotone suite searched
+        "nowhere-monotone": lambda: [
+            non_monotone_witness(a, b, cfg.depth, cfg.fan_budget)
+            for a, b in seeded_intervals(cfg.seed, cfg.count)
+        ],
     }
     for suite, search in searches.items():
         walks.clear()
@@ -508,6 +527,26 @@ def test_the_tilt_never_vanishes_at_two_consecutive_levels():
     assert (chains, zeros) == (97655, 10)
 
 
+def test_the_tilt_is_at_most_the_level_times_the_slope():
+    # L1: |a| <= m |s| on a level-m chain cell, over every chain with ids
+    # |j| <= 2 to level 7; equal exactly where every id past the first is
+    # the ramp's (slope 2), as on the all-ramp chain of 2^-m
+    chains = 0
+    stack = [(ROOT, 0)]  # (cell, a) with a / 2^m the slope of the truncation
+    while stack:
+        parent, a = stack.pop()
+        for j in range(-2, 3):
+            child = child_cell(parent, j)
+            m, s = child.level, child.slope
+            child_a = 2 * a + s
+            assert abs(child_a) <= m * abs(s), child.address
+            assert (abs(child_a) == m * abs(s)) == (set(child.address[1:]) <= {0}), child.address
+            chains += 1
+            if m < 7:
+                stack.append((child, child_a))
+    assert chains == 97655
+
+
 # ---------------------------------------------------------------------------
 # no interval of monotonicity
 # ---------------------------------------------------------------------------
@@ -576,6 +615,60 @@ def test_non_monotone_generic_intervals(a, width_scale):
     assert rep.verdict, (a, b, rep.error)
     ps = [p for p, _v in rep.points]
     assert ps == sorted(ps) and a < ps[0] and ps[-1] < b
+
+
+#: sha256 of the sorted-key JSON list of the witness's reports on seeded
+#: intervals, as (seed, count, depth): the draws that ``verify
+#: nowhere-monotone --count 400 --seed 5`` searched (both branches, 56
+#: midpoint fans), the default draws within depth 6 (all 200 pass), and
+#: within depth 4, where 16 chains run out of depth
+NON_MONOTONE_DIGESTS = {
+    (5, 400, 40): "baf5630fbfda984c7cf278597ed131d47138c1b9d1e697e1e5a989e4125c68b5",
+    (20240601, 200, 6): "faf2a25ce201399ccbab2616261cb15f0ce5d46e3b5f279701a373f2bb437423",
+    (20240601, 200, 4): "2d0a29049310a500493671180667f24d792cdcc805737ec556a71067f49de763",
+}
+
+
+@pytest.mark.parametrize("seed, count, depth", sorted(NON_MONOTONE_DIGESTS))
+def test_non_monotone_witness_on_seeded_intervals_is_byte_identical(seed, count, depth):
+    reports = [non_monotone_witness(a, b, depth) for a, b in seeded_intervals(seed, count)]
+    modes = {rep.input("mode") for rep in reports}
+    assert modes == {"midpoint_fan", "chain_cell_fan"}
+    assert sum(not rep.verdict for rep in reports) == (16 if depth == 4 else 0)
+    text = json.dumps([report_to_dict(rep) for rep in reports], sort_keys=True)
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert digest == NON_MONOTONE_DIGESTS[seed, count, depth]
+
+
+@st.composite
+def long_intervals(draw):
+    """(a, b, length) with -1 <= a < b <= 1 and b - a >= length."""
+    length = draw(st.one_of(
+        st.sampled_from((F(1, 10), F(1, 100), F(1, 1000))),
+        st.integers(min_value=1, max_value=2**36).map(lambda r: F(1, r)),
+        st.fractions(min_value=F(1, 10**4), max_value=2, max_denominator=10**4),
+    ))
+    a = min(draw(st.fractions(min_value=-1, max_value=1, max_denominator=10**6)), 1 - length)
+    stretch = draw(st.fractions(min_value=0, max_value=1, max_denominator=100))
+    return a, min(F(1), a + length * (1 + stretch)), length
+
+
+@given(long_intervals())
+@example((F(2, 5), F(3, 5), F(1, 10)))  # the midpoint 1/2 has first level 2
+@example((F(1, 2) - F(1, 2000), F(1, 2) + F(1, 2000), F(1, 1000)))
+@example((F(-1), F(1), F(2)))  # the midpoint 0 is no endpoint: the level-2 chain cell
+@example((F(5, 6) - F(1, 20), F(5, 6) + F(1, 20), F(1, 10)))  # f1(5/6) = 1: first level 2
+@settings(max_examples=300, deadline=None)
+def test_non_monotone_witness_passes_at_the_bounds_the_length_report_names(interval):
+    # the oracle of the nowhere-monotone suite's closed form: on every
+    # interval of length >= L the search succeeds by level M + 1 and fan
+    # point 4(M + 1) + 2, so within depth M + 2 and that fan budget
+    a, b, length = interval
+    report = _non_monotone_report(length)
+    assert report.verdict
+    M = int(report.input("level"))
+    rep = non_monotone_witness(a, b, depth=M + 2, fan_budget=4 * (M + 1) + 2)
+    assert rep.verdict, (a, b, length, rep.error)
 
 
 # ---------------------------------------------------------------------------
