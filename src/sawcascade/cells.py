@@ -19,8 +19,9 @@ chain (the first id ``level1_ids_of`` lists at each step) is the one a
 Every bulk listing reads one walk of the cell tree, depth first in spatial
 order: a cell with its fan of children, then each child left to right,
 followed by its subtree; so the structure scan checks each fan as the walk
-builds it.  A cell's endpoints enclose its subtree's, so the walk also gives
-the cell endpoints in ascending x.
+builds it.  A cell's endpoints enclose its subtree's, so the same walk also
+gives the cell endpoints in ascending x; ``_endpoints`` takes it on integer
+nodes (S, C), builds no Cell and one Fraction per endpoint.
 
 Everything here is exact: endpoints are rationals, and all geometric
 predicates (containment, adjacency, tiling) are exact comparisons.
@@ -271,16 +272,39 @@ def _endpoints(
 ) -> Iterator[tuple[Rat, int]]:
     """(x, first_level) for the endpoints of the cells ``_walk`` yields, in
     ascending x, each once; a level-m cell's carry m + 1, ROOT's (+-1) 1.
+
+    The same walk on integers: a node is (S, C, m, top), the iterate S x + C
+    on a level-m cell and the largest |id| of its address (None to leave
+    it), and the cell is [(u - 1)/n, (u + 1)/n] for n = |S|, u = -C sign(S).
     A cell's lo comes on entering it, its hi on leaving, after its subtree's
     (strictly inside it); the previous child's hi is the next child's lo,
-    told apart on its (numerator, denominator) pair."""
-    last = None
-    for c, fan in _walk(budgets, lo, hi):
-        x = c.lo if fan is not None else c.hi
-        key = x.numerator, x.denominator
-        if key != last:
-            yield x, c.level + 1
-        last = key
+    told apart by cross-multiplying, so no Cell and one Fraction per
+    endpoint is built."""
+    windowed = lo > ROOT.lo or hi < ROOT.hi  # else every cell meets [lo, hi]
+    a, b, c, d = lo.numerator, lo.denominator, hi.numerator, hi.denominator
+    last, last_n = 1, 0  # the previous endpoint, last / last_n
+    stack = [(1, 0, 0, 0)]  # ROOT, x on [-1, 1]
+    while stack:
+        S, C, m, top = stack.pop()
+        n, u = (S, -C) if S > 0 else (-S, C)
+        u += 1 if top is None else -1
+        if u * last_n != last * n:
+            yield Fraction(u, n), m + 1
+        last, last_n = u, n
+        if top is None:
+            continue
+        stack.append((S, C, m, None))
+        if m == len(budgets) or top > budgets[m]:
+            continue
+        b_m = budgets[m]  # the fan, pushed right to left
+        for j in range(b_m, -b_m - 1, -1) if S > 0 else range(-b_m, b_m + 1):
+            s, t = tooth(j)
+            S_j, C_j = s * S, s * C + t
+            if windowed:
+                n, u = (S_j, -C_j) if S_j > 0 else (-S_j, C_j)
+                if (u + 1) * b < a * n or (u - 1) * d > c * n:
+                    continue  # hi < lo or lo > hi
+            stack.append((S_j, C_j, m + 1, max(top, abs(j))))
 
 
 def children(address: Sequence[int], index_budget: int) -> list[Cell]:

@@ -20,7 +20,8 @@ slope of the leftmost closed tooth holding p/q; an ``orbit`` record keeps
 both.  No Fraction is built per step, and a partial sum is one integer
 Horner sum over the numerators, divided by q 2^m once at the end.  A walk
 that needs only the sum and the last iterate (``eval_f``, the verifier's
-fan witnesses) keeps no record: ``_horner_walk`` sums as it steps.
+fan witnesses) keeps no record: ``_horner_walk`` sums as it steps, and
+``_endpoint_walk`` also folds the slopes of a cell endpoint's chain.
 
 No float ever enters or leaves this module: every scalar is a
 ``fractions.Fraction`` (or an int, coerced exactly), and every comparison
@@ -319,6 +320,41 @@ def _horner_walk(p: int, q: int, K: int) -> tuple[int, int, int]:
         if p == 0 or abs(p) == q:
             return acc, m, p
     return acc, K, p
+
+
+def _sum_and_tail(x: Rat, k: int) -> tuple[Rat, Rat]:
+    """(k-term partial sum, f_(k+1)(x)) off one ``_horner_walk`` of x for
+    k + 1 steps; past an absorption at step m <= k every iterate is 0."""
+    q = x.denominator
+    acc, m, p = _horner_walk(x.numerator, q, k + 1)
+    if m <= k:
+        return Fraction(acc, q << m), ZERO
+    return Fraction((acc - p) // 2, q << k), Fraction(p, q)
+
+
+def _endpoint_walk(p: int, q: int, depth: int) -> Optional[tuple[int, int, int, int, int, int]]:
+    """(m, acc, s, a, p_(m-1), p_m) for x0 = p/q, q >= 1 and |p| <= q: the
+    walk of x0 for at most ``depth`` steps to its first iterate p_m / q at
+    +-1; m = 0 (and p_(-1) = p) at x0 = +-1.  acc / (q 2^m) is the m-term
+    partial sum; over every step but the last, s = S_(m-1) is the product of
+    the tooth slopes, S_i = s_0 ... s_(i-1) being the slope of f_i at x0, and
+    a = sum_{1<=i<m} S_i 2^(m-1-i) their Horner sum.  None where
+    ``orbit(x0, depth).first_level`` is None: the walk reached 0 first or ran
+    out of depth."""
+    if p == q or p == -q:
+        return 0, 0, 1, 0, p, p
+    acc, s, a = 0, 1, 0
+    for m in range(1, depth + 1):
+        before = p
+        p, slope = f1_step(p, q)
+        acc = 2 * acc + p
+        if p == q or p == -q:
+            return m, acc, s, a, before, p
+        if p == 0:
+            return None
+        s *= slope
+        a = 2 * a + s
+    return None
 
 
 def partial_sum(x: RatLike, K: int) -> Rat:

@@ -196,21 +196,21 @@ def _fixed(text: str) -> str:
     return _quote(text).replace("%", "%%")
 
 
-#: The shape of a check, (label, relation), and its two sides.
-_CHECK_SHAPE, _CHECK_SIDES = operator.itemgetter(0, 1), operator.itemgetter(2, 3)
+#: The label of a check, and its values in the order of ``_CHECK``'s holes.
+_CHECK_LABEL, _CHECK_VALUES = operator.itemgetter(0), operator.itemgetter(2, 1, 3)
 
 
 @lru_cache(maxsize=256)
 def _case_template(
-    kind: str, checks: tuple[tuple[str, str], ...], keys: tuple[str, ...], n_points: int
+    kind: str, labels: tuple[str, ...], keys: tuple[str, ...], n_points: int
 ) -> tuple[str, list[int]]:
     """The text of every case of one shape, with a ``%s`` hole for each
-    value: each check's lhs and rhs, the error, each input value, each
-    point's two rationals and the verdict, in that order; and the index in
-    ``keys`` of each input value, keys sorted and a repeated key's last, as
-    ``sorted(dict(inputs).items())`` orders them."""
+    value: each check's lhs, relation and rhs, the error, each input value,
+    each point's two rationals and the verdict, in that order; and the index
+    in ``keys`` of each input value, keys sorted and a repeated key's last,
+    as ``sorted(dict(inputs).items())`` orders them."""
     order = sorted({key: i for i, key in enumerate(keys)}.items())
-    certificate = [_CHECK % (_fixed(label), "%s", relation, "%s") for label, relation in checks]
+    certificate = [_CHECK % (_fixed(label), "%s", "%s", "%s") for label in labels]
     inputs = [f"{_fixed(key)}: %s" for key, _ in order]
     template = _CASE % (
         _block("[", certificate, "]"),
@@ -226,18 +226,18 @@ def _case_template(
 def _case_json(report: WitnessReport) -> str:
     """``report_to_dict(report)`` as indented JSON at depth 2.
 
-    The fixed text of a case (keys, labels, relations, input keys, layout)
-    depends only on its shape, so it is built once per shape into a
-    template; each case fills the holes with one ``%``, which writes a
-    rational with ``str``, as ``report_to_dict`` does."""
+    The fixed text of a case (keys, labels, input keys, layout) depends
+    only on its shape, so it is built once per shape into a template; each
+    case fills the holes with one ``%``, which writes a rational with
+    ``str``, as ``report_to_dict`` does, and a relation as it is."""
     certificate, inputs = report.certificate, report.inputs
     template, order = _case_template(
         report.kind,
-        tuple(map(_CHECK_SHAPE, certificate)),
+        tuple(map(_CHECK_LABEL, certificate)),
         tuple([key for key, _ in inputs]),
         len(report.points),
     )
-    holes = list(chain.from_iterable(map(_CHECK_SIDES, certificate)))
+    holes = list(chain.from_iterable(map(_CHECK_VALUES, certificate)))
     holes.append("null" if report.error is None else _quote(report.error))
     holes += [_quote(inputs[i][1]) for i in order]
     holes += chain.from_iterable(report.points)

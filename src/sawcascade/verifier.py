@@ -7,19 +7,19 @@ cell structure: endpoints of level-k cells have exactly known series values
 fan supplies points whose series values overshoot and undershoot by almost
 the full weight 2^-k of the k-th layer, beating the margin 2^-(k+1).
 
-Cell chains are read off a point's orbit record, which keeps the tooth
-slope of every step; no Cell is built.  A level-m cell at x0 is (m, s, a):
+Cell chains are folded from the tooth slopes of a point's walk; no Cell
+is built.  A level-m cell at x0 is (m, s, a):
 the slope s of f_m on it (a product of tooth slopes) and the Horner sum
 a = sum_{i<=m} s_i 2^(m-i) of the slopes of f_1..f_m; the cell is
 x0 + ([-1, 1] - f_m(x0)) / s.  With v0 = f_m(x0) = +-1 and k = m + 1 the
 fan endpoints are y_n = x0 - v0 / (n s), n >= 2, and
 f(y_n) - f(x0) = v0 ((-1)^n / 2^k - a / (2^m n s)), so window and margin
 tests are integer comparisons.  The closed forms only choose the
-witnesses, and each chosen point is walked once on its own numbers, so a
-wrong choice can only yield a failing report: a fan's center into its
-orbit record, whose slopes give its cells, and each fan witness by
-``eval_f``'s integer Horner walk, which gives its series value and the
-iterate its certificate checks without a record.
+witnesses, and each chosen point is walked on its own numbers, so a wrong
+choice can only yield a failing report: a fan's center by
+``_endpoint_walk``, which folds its cells as it goes, and each witness by
+``eval_f``'s integer Horner walk, which gives the values its certificate
+checks; only an interior chain keeps an orbit record.
 
 For points whose deeper layers coincide (equal (k+1)-th iterates), series
 differences collapse to differences of k-term partial sums, which is what
@@ -54,11 +54,14 @@ from sawcascade.construction import (
     OrbitInfo,
     Rat,
     RatLike,
+    _endpoint_walk,
     _horner_walk,
+    _sum_and_tail,
     as_rational,
-    iterate_numerator,
+    f1_step,
     orbit,
     require_at_least,
+    require_depth,
     require_layer_index,
     require_unit_interval,
 )
@@ -93,29 +96,18 @@ def require_positive_delta(delta: Rat) -> Rat:
 FanSide = tuple[int, int, int]
 
 
-def _endpoint(info: OrbitInfo) -> tuple[int, list[FanSide]]:
-    """f_m(x0) = +-1 at the endpoint x0 = info.start, m = first_level - 1
-    (f_0 is the identity), and the cells of level m with endpoint x0.
-
-    The record ends at y_m = +-1, so m is its length, except at x0 = +-1,
-    whose record is (0,): there f_0(x0) = x0, and the level-0 root (0, 1, 0)
+def _endpoint(q: int, center: tuple[int, ...]) -> tuple[int, list[FanSide], Rat]:
+    """v0 = f_m(x0) = +-1 at the endpoint x0 = p/q, m = first_level - 1
+    (f_0 is the identity), the cells of level m with endpoint x0, and f(x0),
+    off its walk ``center``.  At x0 = +-1 (m = 0) the level-0 root (0, 1, 0)
     stands in, the fan of level-1 teeth accumulating at both domain ends.
-    Otherwise the chain is read off the record's slopes.  No iterate before
-    y_{m-1} is a tooth endpoint (its image would be +-1 a step early), so
-    the chain branches only at its last step, into the one or two ids at
-    y_{m-1}, in ascending order as locate sorts them.
+    No iterate before y_{m-1} is a tooth endpoint (its image would be +-1 a
+    step early), so the chain branches only at its last step, into the one
+    or two ids at y_{m-1}, in ascending order as locate sorts them.
     """
-    x0, end = info.start, info.numerators[-1]
-    if not end:
-        return x0.numerator, [(0, 1, 0)]
-    m = len(info.numerators)
-    s, a = 1, 0
-    for slope in info.slopes[: m - 1]:
-        s *= slope
-        a = 2 * a + s
-    p = info.numerators[m - 2] if m > 1 else x0.numerator  # y_{m-1} over q
-    lasts = [s * tooth(j)[0] for j in level1_ids_of(p, x0.denominator)]
-    return end // x0.denominator, [(m, last, 2 * a + last) for last in lasts]
+    m, acc, s, a, before, end = center
+    lasts = [s * tooth(j)[0] for j in level1_ids_of(before, q)]  # none at +-1
+    return end // q, [(m, last, 2 * a + last) for last in lasts] or [(0, 1, 0)], Fraction(acc, q << m)
 
 
 def _fan_point(x0: Rat, v0: int, s: int, n: int) -> Rat:
@@ -217,20 +209,19 @@ def _witness_checks(
 
 
 def _endpoint_fan_report(
-    kind: str, info: OrbitInfo, k: int, delta: Rat, fan_budget: int, inputs: dict
+    kind: str, x0: Rat, center: tuple[int, ...], delta: Rat, fan_budget: int, inputs: dict
 ) -> WitnessReport:
-    """Report of the fan scan around the enumerable endpoint x0 = info.start,
-    whose first level is k.
+    """Report of the fan scan around the enumerable endpoint x0 walked by
+    ``center``, whose first level is k = m + 1.
 
     Scans the fans of the cells abutting x0 until one point above
     f(x0) + 2^-(k+1) and one below f(x0) - 2^-(k+1) turn up, and certifies
-    both together with why f(x0) is exactly known, read off the orbit record.
-    If the budget runs out first, the failure report lists whichever witness
+    both together with why f(x0) is exactly known, read off the walk.  If
+    the budget runs out first, the failure report lists whichever witness
     was found.
     """
-    x0 = info.start
-    fx0 = info.partial_sum(k - 1)
-    v0, sides = _endpoint(info)
+    k, end, q = center[0] + 1, center[5], x0.denominator
+    v0, sides, fx0 = _endpoint(q, center)
     above = below = None
     for side in sides:
         a, b = _fan_scan(side, x0, v0, delta, fan_budget)
@@ -238,27 +229,26 @@ def _endpoint_fan_report(
         below = b if below is None else below
         if above is not None and below is not None:
             break
-    # each witness walked k steps: f(y) = acc / (q 2^m), and |f_k(y)| is |p_m| / q
-    # (1 at a fan endpoint), or 0 if the walk absorbed before step k
+    # each witness y = n/e walked k steps: f(y) = acc / (e 2^m), and |f_k(y)| is
+    # |p_m| / e (1 at a fan endpoint), or 0 if the walk absorbed before step k
     walks = [(y, y.denominator, _horner_walk(y.numerator, y.denominator, k))
              for y in (above, below) if y is not None]
-    hits = [(y, Fraction(acc, q << m), abs(p) if m == k else 0) for y, q, (acc, m, p) in walks]
+    hits = [(y, Fraction(acc, e << m), abs(p) if m == k else 0) for y, e, (acc, m, p) in walks]
     points = [(x0, fx0)] + [(y, fy) for y, fy, _ in hits]
     if len(hits) < 2:
         error = "fan budget exhausted before both witnesses appeared"
         return make_report(kind, inputs, points, [], error=error)
     above, below = hits
-    # f(x0) + 2^-(k+1) and f(x0) - 2^-(k+1), over the denominator q 2^(k+1)
-    p, q, scale = fx0.numerator, fx0.denominator, 2 ** (k + 1)
-    high, low = Fraction(p * scale + q, q * scale), Fraction(p * scale - q, q * scale)
+    # f(x0) + 2^-(k+1) and f(x0) - 2^-(k+1), over the denominator d 2^(k+1)
+    n, d, scale = fx0.numerator, fx0.denominator, 2 ** (k + 1)
+    high, low = Fraction(n * scale + d, d * scale), Fraction(n * scale - d, d * scale)
     if k == 1:
         certificate = [Check("center_is_domain_end", "==", abs(x0), ONE)]
     else:
-        r, d = abs(info.numerators[k - 2]), x0.denominator  # |y_{k-1}| = r/d
-        last = ONE if r == d else Fraction(r, d)
+        r, after = abs(end), f1_step(end, q)[0]  # |y_(k-1)| = r/q, and y_k over q
         certificate = [
-            Check("center_hits_unit", "==", last, ONE),
-            Check("center_absorbed", "==", info.iterate(k), ZERO),
+            Check("center_hits_unit", "==", ONE if r == q else Fraction(r, q), ONE),
+            Check("center_absorbed", "==", Fraction(after, q) if after else ZERO, ZERO),
         ]
     certificate += _witness_checks(_UPPER, x0, above, ">", high, delta)
     certificate += _witness_checks(_LOWER, x0, below, "<", low, delta)
@@ -288,16 +278,15 @@ def oscillation_witness(
     """
     x0 = require_unit_interval(as_rational(x0), "x0")
     delta = require_positive_delta(as_rational(delta))
-    info = orbit(x0, depth)
-    fl = info.first_level
-    if fl is None:
+    center = _endpoint_walk(x0.numerator, x0.denominator, require_depth(depth))
+    if center is None:
         raise NotAnEPointError(
             f"orbit of {x0} does not hit +-1 within {depth} steps; "
             "the oscillation certificate needs an enumerable endpoint"
         )
-    inputs = {"x0": x0, "delta": delta, "first_level": fl,
+    inputs = {"x0": x0, "delta": delta, "first_level": center[0] + 1,
               "depth": depth, "fan_budget": fan_budget}
-    return _endpoint_fan_report("oscillation", info, fl, delta, fan_budget, inputs)
+    return _endpoint_fan_report("oscillation", x0, center, delta, fan_budget, inputs)
 
 
 # ---------------------------------------------------------------------------
@@ -355,16 +344,16 @@ def non_extremum_witness(
     """
     x0 = require_unit_interval(as_rational(x0), "x0")
     delta = require_positive_delta(as_rational(delta))
-    info = orbit(x0, depth)
-    fl = info.first_level
+    center = _endpoint_walk(x0.numerator, x0.denominator, require_depth(depth))
     inputs = {"x0": x0, "delta": delta, "depth": depth,
               "fan_budget": fan_budget}
-    if fl is not None:
+    if center is not None:
         inputs["mode"] = "endpoint_fan"
-        inputs["first_level"] = fl
-        return _endpoint_fan_report("non_extremum", info, fl, delta, fan_budget, inputs)
+        inputs["first_level"] = center[0] + 1
+        return _endpoint_fan_report("non_extremum", x0, center, delta, fan_budget, inputs)
 
     inputs["mode"] = "interior_chain"
+    info = orbit(x0, depth)
     side, y, err = _walk_chain(info, depth, x0 - delta, x0 + delta)
     if side is None:
         return make_report("non_extremum", inputs, [(x0, info.partial_sum(1))], [], error=err)
@@ -374,11 +363,11 @@ def non_extremum_witness(
     j0 = level1_ids_at(y)[0]
     teeth = map(tooth, (j0 - 1, j0 + 1))  # (slope, intercept) of each
     x1, x2 = sorted(x0 + ((v - c) / t - y) / s for t, c in teeth)
-    w1, w2 = orbit(x1, k + 1), orbit(x2, k + 1)
-    s0, s1, s2 = info.partial_sum(k), w1.partial_sum(k), w2.partial_sum(k)
+    (s1, v1), (s2, v2) = _sum_and_tail(x1, k), _sum_and_tail(x2, k)
+    s0 = info.partial_sum(k)
     certificate = [
-        check("left_tail_matches", "==", w1.iterate(k + 1), v),
-        check("right_tail_matches", "==", w2.iterate(k + 1), v),
+        check("left_tail_matches", "==", v1, v),
+        check("right_tail_matches", "==", v2, v),
         check("alternation", "<", (s1 - s0) * (s2 - s0), 0),
         check("left_inside_window", "<", x0 - x1, delta),
         check("right_inside_window", "<", x2 - x0, delta),
@@ -415,26 +404,24 @@ def non_monotone_witness(
     if a >= b:
         raise DomainError(f"need a < b, got a={a}, b={b}")
     mid = (a + b) / 2
-    info = orbit(mid, depth)
-    fl = info.first_level
+    center = _endpoint_walk(mid.numerator, mid.denominator, require_depth(depth))
     inputs = {"a": a, "b": b, "depth": depth, "fan_budget": fan_budget}
-    if fl is not None:
+    if center is not None:
         inputs["mode"] = "midpoint_fan"
-        center = info
-        v0, sides = _endpoint(info)
+        anchor = mid
+        v0, sides, _fx0 = _endpoint(mid.denominator, center)
         delta = mid - a  # = b - mid
     else:
         inputs["mode"] = "chain_cell_fan"
-        side, y, err = _walk_chain(info, depth, a, b)
+        side, y, err = _walk_chain(orbit(mid, depth), depth, a, b)
         if side is None:
             return make_report("non_monotone", inputs, [], [], error=err)
         m, s, _a = side
         v0 = -1 if s > 0 else 1  # f_m at the chain cell's left end
-        center = orbit(mid + (v0 - y) / s, m + 2)
+        anchor = mid + (v0 - y) / s
         delta = Fraction(2, abs(s))
         sides = [side]
     k = sides[0][0] + 1
-    anchor, fx0 = center.start, center.partial_sum(k)
     above = below = None
     for side in sides:
         above, below = _fan_scan(side, anchor, v0, delta, fan_budget)
@@ -442,11 +429,10 @@ def non_monotone_witness(
             break
     if above is None or below is None:
         return make_report(
-            "non_monotone", inputs, [(anchor, fx0)], [],
+            "non_monotone", inputs, [(anchor, _sum_and_tail(anchor, k)[0])], [],
             error="fan budget exhausted before a same-side pair appeared",
         )
-    walked = [center, orbit(above, k + 1), orbit(below, k + 1)]
-    triple = sorted((w.start, w.partial_sum(k), w.iterate(k + 1)) for w in walked)
+    triple = sorted((x, *_sum_and_tail(x, k)) for x in (anchor, above, below))
     (p1, v1, _), (p2, v2, _), (p3, v3, _) = triple
     certificate = [
         check("alternation", "<", (v2 - v1) * (v3 - v2), 0),
@@ -570,11 +556,13 @@ def structure_check(k: int, index_budget: int) -> WitnessReport:
             lvl, S, C = c.level, c.slope, c.intercept
             d = 3 * abs(S)
             base = -3 * C - 3 if S > 0 else 3 * C - 3
-            walked = {t: iterate_numerator(base + t, d, lvl) for t in (0, 2, 3, 4, 6)}
-            for t in (2, 3, 4):
-                if walked[t] != S * (base + t) + C * d:
-                    affinity_mismatches += 1
-            if {walked[0], walked[6]} != {-d, d}:
+            p0, p2, p3, p4, p6 = base, base + 2, base + 3, base + 4, base + 6
+            for _ in range(lvl):  # 0 and +-d both map to 0: no early stop
+                p0, p2, p3, p4, p6 = (f1_step(p0, d)[0], f1_step(p2, d)[0], f1_step(p3, d)[0],
+                                      f1_step(p4, d)[0], f1_step(p6, d)[0])
+            e = S * base + C * d  # S x + C at lo, over d
+            affinity_mismatches += (p2 != e + 2 * S) + (p3 != e + 3 * S) + (p4 != e + 4 * S)
+            if {p0, p6} != {-d, d}:
                 onto_failures += 1
             if abs(S) < 2**lvl:  # length 2/|S| > 2^(1-lvl)
                 length_violations += 1

@@ -489,6 +489,54 @@ def test_endpoints_are_the_distinct_ends_of_the_cells_the_walk_enters(budgets, l
     )
 
 
+def endpoints_off_the_cell_walk(budgets, lo, hi):
+    """(x, first_level) read off ``_walk``'s Cells, as ``_endpoints`` listed
+    them before it walked integer nodes: a cell's lo on entering it, its hi
+    on leaving it, and an end equal to the one before it dropped."""
+    last, ends = None, []
+    for c, fan in _walk(budgets, lo, hi):
+        x = c.lo if fan is not None else c.hi
+        if x != last:
+            ends.append((x, c.level + 1))
+        last = x
+    return ends
+
+
+#: Windows for the endpoint listing: the whole domain, a cut through the
+#: level-2 fans of two teeth and a tooth's negative mirror, windows whose
+#: edges are cell endpoints (shared by two children, or a tooth's own), and
+#: the one point 2/3 that two level-1 cells and their subtrees touch.
+ENDPOINT_WINDOWS = [
+    (ROOT.lo, ROOT.hi),
+    (F(1, 4), F(1, 3)),
+    (F(-7, 8), F(-3, 5)),
+    (cell((1, 2)).hi, cell((1, 0)).hi),
+    (level1_cell(1).lo, level1_cell(2).hi),
+    (F(-1), cell((0, -2)).lo),
+    (F(2, 3), F(2, 3)),
+]
+
+
+@pytest.mark.parametrize("budgets", [(), (0,), (3,), (2, 2), (3, 2, 1), (50, 7, 3, 2, 2)])
+@pytest.mark.parametrize("lo, hi", ENDPOINT_WINDOWS)
+def test_integer_endpoint_walk_equals_the_cell_walk(budgets, lo, hi):
+    got = list(_endpoints(budgets, lo, hi))
+    assert got == endpoints_off_the_cell_walk(budgets, lo, hi)
+    xs = [x for x, _ in got]
+    assert xs == sorted(set(xs))
+    # the window is closed: an endpoint on its edge is kept with its subtree
+    listed = dict(_endpoints(budgets))
+    for edge in (lo, hi):
+        if edge in listed:
+            assert (edge, listed[edge]) in got
+
+
+def test_the_endpoint_windows_have_listed_edges():
+    listed = dict(_endpoints((3, 2, 1)))
+    edges = [x for window in ENDPOINT_WINDOWS[3:] for x in window]
+    assert [listed[x] for x in edges] == [3, 3, 2, 2, 1, 3, 2, 2]
+
+
 def test_iter_cells_prunes_outside_the_closed_window():
     window = (F(1, 4), F(1, 3))
     kept = list(iter_cells(3, 4, window))

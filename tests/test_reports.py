@@ -25,6 +25,7 @@ from sawcascade.reports import (
     REPORT_KINDS,
     _canonical_rational,
     _case_json,
+    _case_template,
     Check,
     WitnessReport,
     check,
@@ -657,6 +658,25 @@ def test_a_report_read_back_renders_the_bytes_it_was_written_with() -> None:
     keys = [key for key, _ in WRITTEN.inputs]
     assert [key for key, _ in READ_BACK.inputs] == sorted(keys) != keys
     assert _case_json(READ_BACK) == _case_json(WRITTEN)
+
+
+def test_one_template_renders_cases_that_differ_only_in_relations() -> None:
+    # a verify all oscillation case, read back with its first ">" made ">=":
+    # same kind, labels, input keys and point count, so the same template
+    written = oscillation_witness(F(1, 2), F(1, 1000))
+    data = report_to_dict(written)
+    edited = next(c for c in data["certificate"] if c["relation"] == ">")
+    edited["relation"] = ">="
+    read_back = report_from_dict(data)
+    assert [c.label for c in read_back.certificate] == [c.label for c in written.certificate]
+    assert [c.relation for c in read_back.certificate] != [c.relation for c in written.certificate]
+    _case_template.cache_clear()
+    for reports in ([written], [read_back], [written, read_back], [read_back, written]):
+        assert "".join(document_chunks({}, reports)) == dumped({}, reports)
+    assert _case_template.cache_info().misses == 1
+    for report in (written, read_back):
+        indented = json.dumps(report_to_dict(report), indent=2, sort_keys=True)
+        assert _case_json(report) == "\n".join("    " + line for line in indented.split("\n"))
 
 
 def test_streamed_document_edge_cases() -> None:

@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 
 from sawcascade import cells, cli, reports, suites
 from sawcascade.antiderivative import quotient_bound_check
-from sawcascade.cells import Cell, first_level_of, iter_cells, require_family_size
+from sawcascade.cells import first_level_of, iter_cells, require_family_size
 from sawcascade.construction import MAX_LAYER_INDEX, DomainError
 from sawcascade.suites import (
     SUITE_ORDER,
@@ -190,48 +190,48 @@ def test_tapered_endpoints_equal_the_per_level_enumeration(
     assert len(suites.suite_oscillation(cfg)) == len(expected)  # the closed form
 
 
+def count_node_steps(monkeypatch: pytest.MonkeyPatch) -> list[str]:
+    """Record the caller of every ``cells.tooth`` call: the integer walk
+    of ``cells._endpoints`` takes one per cell it builds, as (S, C)."""
+    callers = []
+    real = cells.tooth
+
+    def counting(j: int) -> tuple[int, int]:
+        callers.append(sys._getframe(1).f_code.co_name)
+        return real(j)
+
+    monkeypatch.setattr(cells, "tooth", counting)
+    return callers
+
+
 def test_tapered_endpoints_build_each_cell_once(monkeypatch: pytest.MonkeyPatch) -> None:
-    calls = 0
-    real = cells.child_cell
-
-    def counting(parent: Cell, j: int) -> Cell:
-        nonlocal calls
-        calls += 1
-        return real(parent, j)
-
-    monkeypatch.setattr(cells, "child_cell", counting)
+    callers = count_node_steps(monkeypatch)
     list(tapered_endpoints(6, 50))
     # budgets 50, 7, 3, 2, 2 for levels 1..5: 101 + 15^2 + 7^3 + 5^4 + 5^5 cells
-    assert calls == 101 + 15**2 + 7**3 + 5**4 + 5**5 == 4419
+    assert len(callers) == 101 + 15**2 + 7**3 + 5**4 + 5**5 == 4419
+    assert set(callers) == {"_endpoints"}
 
 
 def test_tapered_endpoints_refuse_the_deepest_family_before_building(
     monkeypatch: pytest.MonkeyPatch,
 ) -> None:
-    def no_cell(parent: Cell, j: int) -> Cell:
+    def no_cell(j: int) -> tuple[int, int]:
         raise AssertionError("a cell was built before the size check")
 
-    monkeypatch.setattr(cells, "child_cell", no_cell)
+    monkeypatch.setattr(cells, "tooth", no_cell)
     with pytest.raises(DomainError, match=r"enumerating \(2\*1\+1\)\^19 cells is too large"):
         tapered_endpoints(20, 50)
 
 
 def test_tapered_endpoints_stream_with_one_fan_per_level(monkeypatch: pytest.MonkeyPatch) -> None:
-    calls = 0
-    real = cells.child_cell
-
-    def counting(parent: Cell, j: int) -> Cell:
-        nonlocal calls
-        calls += 1
-        return real(parent, j)
-
-    monkeypatch.setattr(cells, "child_cell", counting)
+    callers = count_node_steps(monkeypatch)
     endpoints = tapered_endpoints(8, 50)
-    assert calls == 0
+    assert callers == []
     first = [next(endpoints) for _ in range(3)]
     # budgets 50, 7, 3, 2, 2, 1, 1 for levels 1..7: at most one fan per level
     # is built by the third endpoint, where the whole family is 9122 cells
-    assert calls <= 101 + 15 + 7 + 5 + 5 + 3 + 3
+    assert 0 < len(callers) <= 101 + 15 + 7 + 5 + 5 + 3 + 3
+    assert set(callers) == {"_endpoints"}
     assert first == reference_tapered_endpoints(8, 50)[:3]
 
 
@@ -309,9 +309,7 @@ def test_oscillation_refuses_exactly_past_depth_plus_one(max_level: int, depth: 
 
 
 def test_oscillation_depth_refusal_builds_no_cell(monkeypatch: pytest.MonkeyPatch) -> None:
-    built = []
-    real = cells.child_cell
-    monkeypatch.setattr(cells, "child_cell", lambda parent, j: built.append(j) or real(parent, j))
+    built = count_node_steps(monkeypatch)
     with pytest.raises(DomainError, match="^max level 6 needs depth >= 5, got 2$"):
         SUITES["oscillation"](SuiteConfig(depth=2))
     assert built == []

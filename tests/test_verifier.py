@@ -25,8 +25,15 @@ from hypothesis import strategies as st
 
 import sawcascade.construction as construction
 import sawcascade.verifier as verifier
-from sawcascade.cells import ROOT, cell, child_cell, level1_ids_at, locate
-from sawcascade.construction import DomainError, eval_fk, f1_step, orbit, partial_sum
+from sawcascade.cells import ROOT, cell, child_cell, level1_ids_at, level1_ids_of, locate, tooth
+from sawcascade.construction import (
+    DomainError,
+    _endpoint_walk,
+    eval_fk,
+    f1_step,
+    orbit,
+    partial_sum,
+)
 from sawcascade.reports import recheck, report_from_dict, report_to_dict
 from sawcascade.suites import (
     SUITES,
@@ -55,6 +62,12 @@ F = Fraction
 
 def roundtrips(report) -> bool:
     return report_from_dict(report_to_dict(report)) == report
+
+
+def endpoint_of(x0, depth=40):
+    """(v0, sides, f(x0)) of the endpoint x0, off its walk to +-1."""
+    q = x0.denominator
+    return _endpoint(q, _endpoint_walk(x0.numerator, q, depth))
 
 
 def seeded_points(seed, count):
@@ -163,7 +176,7 @@ def _side_cell_list(x0, first_level):
     return [cell(a) for a in locate(x0, m)] if m else [ROOT]
 
 
-def test_side_cells_from_the_orbit_record_match_locate():
+def test_side_cells_from_the_endpoint_walk_match_locate():
     # same sides in the same order: scan order decides which witness is found
     points = list(tapered_endpoints(5, 50))
     assert len(points) > 1000
@@ -176,7 +189,59 @@ def test_side_cells_from_the_orbit_record_match_locate():
             ancestors = [cell(side.address[:i]) for i in range(1, m + 1)]
             slope_sum = sum((c.slope / 2**c.level for c in ancestors), F(0))
             expected.append((m, side.slope, 2**m * slope_sum))
-        assert _endpoint(info)[1] == expected
+        assert endpoint_of(x0)[1] == expected
+
+
+def reference_endpoint(info):
+    """(v0, sides, f(x0)) read off the orbit record of the endpoint
+    x0 = info.start, as the verifier read them before it walked the center
+    without a record: the chain's slopes s_0 .. s_(m-2) folded into (s, a),
+    then one side per level-1 id at y_(m-1), and the m-term sum."""
+    x0, q, m = info.start, info.start.denominator, info.first_level - 1
+    if not m:
+        return x0.numerator, [(0, 1, 0)], F(0)
+    s, a = 1, 0
+    for slope in info.slopes[: m - 1]:
+        s *= slope
+        a = 2 * a + s
+    before = info.numerators[m - 2] if m > 1 else x0.numerator
+    lasts = [s * tooth(j)[0] for j in level1_ids_of(before, q)]
+    return info.numerators[-1] // q, [(m, last, 2 * a + last) for last in lasts], info.partial_sum(m)
+
+
+endpoint_walk_points = st.one_of(
+    st.fractions(min_value=-1, max_value=1, max_denominator=10**9),
+    st.sampled_from([F(1), F(-1), F(0), F(1, 2), F(-1, 2)]),
+    st.builds(lambda n, sign: sign * (1 - F(1, n)), st.integers(2, 10**6), st.sampled_from([1, -1])),
+    st.sampled_from([x for x, _ in tapered_endpoints(5, 50)]),
+)
+
+
+@given(endpoint_walk_points, st.integers(1, 40))
+@example(F(1), 1)  # m = 0 at the domain ends, at any depth
+@example(F(-1), 40)
+@example(F(0), 5)  # absorbed at 0: no endpoint
+@example(F(7, 10), 4)  # reaches +-1 at step 4, the last walked
+@example(F(7, 10), 3)  # out of depth one step before it
+@example(F(1, 7), 40)  # cycles, never absorbs
+@example(F(-4, 5), 40)  # two sides
+@settings(max_examples=300, deadline=None)
+def test_endpoint_walk_matches_the_orbit_record(x, depth):
+    # the orbit record is the reference: m, f(x0), v0 and the sides
+    q = x.denominator
+    walked = _endpoint_walk(x.numerator, q, depth)
+    info = orbit(x, depth)
+    if info.first_level is None:
+        assert walked is None
+        return
+    m, acc, _s, _a, before, end = walked
+    assert m == info.first_level - 1
+    assert F(acc, q << m) == info.partial_sum(m)
+    assert abs(end) == q
+    if m:
+        assert end == info.numerators[m - 1]
+        assert before == (info.numerators[m - 2] if m > 1 else x.numerator)
+    assert _endpoint(q, walked) == reference_endpoint(info)
 
 
 def test_fan_closed_form_matches_child_cells_and_partial_sums():
@@ -185,7 +250,8 @@ def test_fan_closed_form_matches_child_cells_and_partial_sums():
         info = orbit(x0, 40)
         m, k = first_level - 1, first_level
         fx0 = info.partial_sum(m)
-        v0, side_list = _endpoint(info)
+        v0, side_list, walked_fx0 = endpoint_of(x0)
+        assert walked_fx0 == fx0
         margin = F(1, 2 ** (k + 1))
         sides = zip(side_list, _side_cell_list(x0, first_level), strict=True)
         for side, side_cell in sides:
@@ -219,7 +285,7 @@ def reference_fan_choice(side, info, delta, fan_budget):
     _m, s, _a = side
     if fan_budget < 1:
         return None, None
-    x0, v0, k = info.start, _endpoint(info)[0], info.first_level
+    x0, v0, k = info.start, endpoint_of(info.start)[0], info.first_level
     m0 = max(1, int(1 / (delta * abs(s))))
     fx0, margin = info.partial_sum(k - 1), F(1, 2 ** (k + 1))
     ends = sorted((m0 + 1, m0 + 2), key=lambda n: _fan_point(x0, v0, s, n))
@@ -244,7 +310,7 @@ def test_cached_fan_choice_equals_an_uncached_scan():
     seen = {"exhausted": 0, "found": 0}
     for x0, _first_level in tapered_endpoints(5, 50):
         info = orbit(x0, 40)
-        v0, sides = _endpoint(info)
+        v0, sides, _fx0 = endpoint_of(x0)
         for side in sides:
             s = side[1]
             for delta in FAN_DELTAS:
@@ -263,7 +329,7 @@ def test_cached_fan_choice_equals_an_uncached_scan():
 def test_fan_choice_cache_keys_on_delta_and_budget():
     x0 = F(1, 2)
     info = orbit(x0, 40)
-    v0, sides = _endpoint(info)
+    v0, sides, _fx0 = endpoint_of(x0)
     side = sides[0]
     verifier._fan_choice.cache_clear()
     calls = [(F(1, 10), 3), (F(1, 10), 3), (F(1, 10), 64), (F(1, 1000), 64), (F(1, 10), 0)]
@@ -277,12 +343,15 @@ def test_fan_choice_cache_keys_on_delta_and_budget():
 
 
 def test_fan_scan_walks_only_the_chosen_witnesses(monkeypatch):
-    # one orbit record per report's center, one kernel walk per chosen
-    # witness, and no other walk: the fan is judged in closed form, and the
-    # cell chains are read off the records, so every base-map step lands in
-    # a record or in a witness's walk
+    # one walk of each report's center to +-1, one kernel walk per point
+    # whose value a certificate reads, an orbit record only for an interior
+    # chain, and no other walk: the fan is judged in closed form and a
+    # center's cell chain is folded as it is walked, so every base-map step
+    # lands in one of these walks or in the one step past +-1 of a
+    # center_absorbed check
     walks = []
     records = []
+    centers = []
     kernel_steps = []
     other_walks = []
     steps = [0]
@@ -292,9 +361,16 @@ def test_fan_scan_walks_only_the_chosen_witnesses(monkeypatch):
         records.append(orbit(x, depth))
         return records[-1]
 
+    def counting_center(p, q, depth):
+        walks.append((F(p, q), depth))
+        centers.append((F(p, q), depth, construction._endpoint_walk(p, q, depth)))
+        return centers[-1][2]
+
+    kernel = construction._horner_walk
+
     def counting_kernel(p, q, K):
         walks.append((F(p, q), K))
-        walked = construction._horner_walk(p, q, K)
+        walked = kernel(p, q, K)
         kernel_steps.append(walked[1])
         return walked
 
@@ -309,9 +385,11 @@ def test_fan_scan_walks_only_the_chosen_witnesses(monkeypatch):
         return wrapped
 
     monkeypatch.setattr(verifier, "orbit", counting_orbit)
-    monkeypatch.setattr(verifier, "_horner_walk", counting_kernel)
+    monkeypatch.setattr(verifier, "_endpoint_walk", counting_center)
+    for module in (construction, verifier):  # _sum_and_tail walks in construction
+        monkeypatch.setattr(module, "_horner_walk", counting_kernel)
     for module in (construction, verifier):
-        for name in ("partial_sum", "eval_fk"):
+        for name in ("partial_sum", "eval_fk", "iterate_numerator"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
     for name, module in list(sys.modules.items()):
@@ -334,15 +412,24 @@ def test_fan_scan_walks_only_the_chosen_witnesses(monkeypatch):
     for suite, search in searches.items():
         walks.clear()
         records.clear()
+        centers.clear()
         kernel_steps.clear()
         steps[0] = 0
         reports = list(search())
+        walked = steps[0]
         assert all(r.verdict for r in reports), suite
+        # a center walk takes m steps to +-1, or the steps of the record
+        # it declines: to 0 or to the depth
+        center_steps = sum(len(orbit(x, depth).numerators) if c is None else c[0]
+                           for x, depth, c in centers)
+        absorbed = sum(c.label == "center_absorbed" for r in reports for c in r.certificate)
         recorded = sum(len(info.numerators) for info in records)
-        assert steps[0] == recorded + sum(kernel_steps) > 0, suite
+        assert walked == center_steps + absorbed + recorded + sum(kernel_steps) > 0, suite
+        assert len(centers) == len(reports), suite
         if suite == "oscillation":
             assert len(walks) == len(set(walks)) == 3 * len(reports) == 2208
-            assert len(records) == len(reports) and len(kernel_steps) == 2 * len(reports)
+            assert records == [] and len(kernel_steps) == 2 * len(reports)
+            assert absorbed == len(reports) - 2  # all but the domain ends +-1
     assert other_walks == []
 
 
