@@ -16,12 +16,14 @@ from its parent, and its bounds (-+1 - C)/S are the only rationals built.
 chain (the first id ``level1_ids_of`` lists at each step) is the one a
 ``construction.orbit`` record keeps, as its tooth slopes.
 
-Every bulk listing reads one walk of the cell tree, depth first in spatial
-order: a cell with its fan of children, then each child left to right,
-followed by its subtree; so the structure scan checks each fan as the walk
-builds it.  A cell's endpoints enclose its subtree's, so the same walk also
-gives the cell endpoints in ascending x; ``_endpoints`` takes it on integer
-nodes (S, C), builds no Cell and one Fraction per endpoint.
+Every bulk listing reads one walk of the cell tree, ``_walk``, depth first
+in spatial order: a cell with its fan of children, then each child left to
+right, followed by its subtree; so the structure scan checks each fan as the
+walk builds it.  The walk is on integers: a node is (address, S, C, lo, hi),
+the cell [lo/|S|, hi/|S|], and it builds no Cell and no Fraction.  A cell's
+endpoints enclose its subtree's, so the same walk also gives the cell
+endpoints in ascending x (``_endpoints``, one Fraction per endpoint), and
+``iter_cells`` builds a Cell only for a node it yields.
 
 Everything here is exact: endpoints are rationals, and all geometric
 predicates (containment, adjacency, tiling) are exact comparisons.
@@ -98,6 +100,7 @@ ROOT = Cell(address=(), lo=Fraction(-1), hi=Fraction(1), slope=1, intercept=0)
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=4096)
 def tooth(j: Level1Id) -> tuple[int, int]:
     """Slope and intercept of the base map on the level-1 cell with signed id j.
 
@@ -132,15 +135,14 @@ def level1_ids_of(p: int, q: int) -> list[Level1Id]:
     ascending order: level1_ids_at on integers, p/q not necessarily in lowest
     terms.  Two ids exactly at a shared tooth endpoint (n-1)/n, none at +-1.
     """
-    if p < 0:
-        return [-j for j in reversed(level1_ids_of(-p, q))]
-    ids = [0] if 2 * p <= q else []
-    if q <= 2 * p < 2 * q:
-        n = q // (q - p)  # tooth n holds [1 - 1/n, 1 - 1/(n+1))
-        if n >= 3 and n * p == (n - 1) * q:
+    r = -p if p < 0 else p  # the ids at -r/q mirror those at r/q
+    ids = [0] if 2 * r <= q else []
+    if q <= 2 * r < 2 * q:
+        n = q // (q - r)  # tooth n holds [1 - 1/n, 1 - 1/(n+1))
+        if n >= 3 and n * r == (n - 1) * q:
             ids.append(n - 2)
         ids.append(n - 1)
-    return ids
+    return ids if p >= 0 else [-j for j in reversed(ids)]
 
 
 def level1_ids_at(x: RatLike) -> list[Level1Id]:
@@ -168,9 +170,20 @@ def child_cell(parent: Cell, j: Level1Id) -> Cell:
     """
     s, c = tooth(j)
     slope, intercept = s * parent.slope, s * parent.intercept + c
-    size, c = (slope, intercept) if slope > 0 else (-slope, -intercept)
-    lo, hi = Fraction(-1 - c, size), Fraction(1 - c, size)
-    return Cell(parent.address + (j,), lo, hi, slope, intercept)
+    u = -intercept if slope > 0 else intercept
+    return _cell((parent.address + (j,), slope, intercept, u - 1, u + 1))
+
+
+#: A cell of the walk on integers: (address, S, C, lo, hi), the iterate S x + C
+#: on [lo/n, hi/n], n = |S|, with lo, hi = u -+ 1 for u = -C sign(S).
+Node = tuple[Address, int, int, int, int]
+
+
+def _cell(node: Node) -> Cell:
+    """The Cell of a node, its two bounds the only rationals built."""
+    address, S, C, lo, hi = node
+    n = S if S > 0 else -S
+    return Cell(address, Fraction(lo, n), Fraction(hi, n), S, C)
 
 
 def cell(address: Sequence[int]) -> Cell:
@@ -234,37 +247,44 @@ def iter_cells(
     require_at_least(index_budget, 0, "index budget")
     lo, hi = _checked_window(window or (ROOT.lo, ROOT.hi))
     require_family_size(k, index_budget)
-    return (c for c, fan in _walk((index_budget,) * k, lo, hi) if c.level and fan is not None)
-
-
-def _fan(parent: Cell, b: int) -> list[Cell]:
-    """The children of ``parent`` with ids |j| <= b, left to right: ids
-    ascending under a positive parent slope, descending under a negative."""
-    ids = range(-b, b + 1) if parent.slope > 0 else range(b, -b - 1, -1)
-    return [child_cell(parent, j) for j in ids]
+    nodes = _walk((index_budget,) * k, lo, hi)
+    return (_cell(node) for node, fan in nodes if fan is not None and node[0])
 
 
 def _walk(
     budgets: tuple[int, ...], lo: Rat, hi: Rat
-) -> Iterator[tuple[Cell, Optional[list[Cell]]]]:
-    """(cell, fan) on entering and (cell, None) on leaving each cell, depth
+) -> Iterator[tuple[Node, Optional[list[Node]]]]:
+    """(node, fan) on entering and (node, None) on leaving each cell, depth
     first in spatial order from ROOT, of the level-m cells whose ids are all
     within budgets[m - 1] (non-increasing in m) and that meet [lo, hi]; fan
-    lists the children the walk then enters, left to right, [] at the last
-    level.  A loop over a stack that holds at most one fan per level."""
-    stack = [(ROOT, 0)]  # a cell and the largest |id| of its address, None to leave
+    lists the children the walk then enters, left to right (ids ascending
+    under S > 0, descending under S < 0), [] at the last level.  A child is
+    (s S, s C + t) for tooth(j) = (s, t), the window is tested by
+    cross-multiplying, and no Cell and no Fraction is built.  A loop over a
+    stack that holds at most one fan per level."""
+    windowed = lo > ROOT.lo or hi < ROOT.hi  # else every cell meets [lo, hi]
+    a, b, c, d = lo.numerator, lo.denominator, hi.numerator, hi.denominator
+    stack = [(((), 1, 0, -1, 1), 0)]  # ROOT, and the largest |id| of an address, None to leave
     while stack:
-        parent, top = stack.pop()
+        node, top = stack.pop()
         fan = None
         if top is not None:
-            stack.append((parent, None))
-            m, fan = parent.level, []
+            stack.append((node, None))
+            address, S, C, _lo, _hi = node
+            m, fan = len(address), []
             if m < len(budgets) and top <= budgets[m]:
-                fan = _fan(parent, budgets[m])
-                if lo > ROOT.lo or hi < ROOT.hi:  # else every cell meets [lo, hi]
-                    fan = [c for c in fan if c.hi >= lo and c.lo <= hi]
-                stack.extend((c, max(top, abs(c.address[-1]))) for c in reversed(fan))
-        yield parent, fan
+                b_m = budgets[m]  # the fan, built and pushed right to left
+                for j in range(b_m, -b_m - 1, -1) if S > 0 else range(-b_m, b_m + 1):
+                    s, t = tooth(j)
+                    S_j, C_j = s * S, s * C + t
+                    n, u = (S_j, -C_j) if S_j > 0 else (-S_j, C_j)
+                    if windowed and ((u + 1) * b < a * n or (u - 1) * d > c * n):
+                        continue  # hi < lo or lo > hi
+                    child = (address + (j,), S_j, C_j, u - 1, u + 1)
+                    fan.append(child)
+                    stack.append((child, max(top, j, -j)))
+                fan.reverse()
+        yield node, fan
 
 
 def _endpoints(
@@ -273,38 +293,16 @@ def _endpoints(
     """(x, first_level) for the endpoints of the cells ``_walk`` yields, in
     ascending x, each once; a level-m cell's carry m + 1, ROOT's (+-1) 1.
 
-    The same walk on integers: a node is (S, C, m, top), the iterate S x + C
-    on a level-m cell and the largest |id| of its address (None to leave
-    it), and the cell is [(u - 1)/n, (u + 1)/n] for n = |S|, u = -C sign(S).
     A cell's lo comes on entering it, its hi on leaving, after its subtree's
     (strictly inside it); the previous child's hi is the next child's lo,
-    told apart by cross-multiplying, so no Cell and one Fraction per
-    endpoint is built."""
-    windowed = lo > ROOT.lo or hi < ROOT.hi  # else every cell meets [lo, hi]
-    a, b, c, d = lo.numerator, lo.denominator, hi.numerator, hi.denominator
+    told apart by cross-multiplying, so one Fraction per endpoint is built."""
     last, last_n = 1, 0  # the previous endpoint, last / last_n
-    stack = [(1, 0, 0, 0)]  # ROOT, x on [-1, 1]
-    while stack:
-        S, C, m, top = stack.pop()
-        n, u = (S, -C) if S > 0 else (-S, C)
-        u += 1 if top is None else -1
+    for (address, S, _C, u_lo, u_hi), fan in _walk(budgets, lo, hi):
+        n = S if S > 0 else -S
+        u = u_hi if fan is None else u_lo
         if u * last_n != last * n:
-            yield Fraction(u, n), m + 1
+            yield Fraction(u, n), len(address) + 1
         last, last_n = u, n
-        if top is None:
-            continue
-        stack.append((S, C, m, None))
-        if m == len(budgets) or top > budgets[m]:
-            continue
-        b_m = budgets[m]  # the fan, pushed right to left
-        for j in range(b_m, -b_m - 1, -1) if S > 0 else range(-b_m, b_m + 1):
-            s, t = tooth(j)
-            S_j, C_j = s * S, s * C + t
-            if windowed:
-                n, u = (S_j, -C_j) if S_j > 0 else (-S_j, C_j)
-                if (u + 1) * b < a * n or (u - 1) * d > c * n:
-                    continue  # hi < lo or lo > hi
-            stack.append((S_j, C_j, m + 1, max(top, abs(j))))
 
 
 def children(address: Sequence[int], index_budget: int) -> list[Cell]:
@@ -315,7 +313,8 @@ def children(address: Sequence[int], index_budget: int) -> list[Cell]:
     exact total length parent.length / (index_budget + 2).
     """
     require_at_least(index_budget, 0, "index budget")
-    return _fan(cell(address), index_budget)
+    parent, ids = cell(address), range(-index_budget, index_budget + 1)
+    return [child_cell(parent, j) for j in (ids if parent.slope > 0 else reversed(ids))]
 
 
 def child_map(parent: Cell) -> Callable[[RatLike], Rat]:
@@ -347,12 +346,12 @@ def locate(x: RatLike, k: int) -> list[Address]:
     # each branch walks the numerator p of its iterate over q: p -> s p + c q
     branches: list[tuple[Address, int]] = [((), x.numerator)]
     for _ in range(k):
-        branches = [
-            (prefix + (j,), s * p + c * q)
-            for prefix, p in branches
-            for j in level1_ids_of(p, q)
-            for s, c in [tooth(j)]
-        ]
+        grown = []
+        for prefix, p in branches:
+            for j in level1_ids_of(p, q):
+                s, c = tooth(j)
+                grown.append((prefix + (j,), s * p + c * q))
+        branches = grown
     return sorted(prefix for prefix, _ in branches)
 
 

@@ -19,7 +19,7 @@ witnesses, and each chosen point is walked on its own numbers, so a wrong
 choice can only yield a failing report: a fan's center by
 ``_endpoint_walk``, which folds its cells as it goes, and each witness by
 ``eval_f``'s integer Horner walk, which gives the values its certificate
-checks; only an interior chain keeps an orbit record.
+checks; a no-extremum or non-monotony center is walked into an orbit record.
 
 For points whose deeper layers coincide (equal (k+1)-th iterates), series
 differences collapse to differences of k-term partial sums, which is what
@@ -35,13 +35,13 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, islice, repeat
+from math import lcm
 from typing import Optional, Sequence
 
 from sawcascade.antiderivative import covered_length, enclose_integral, eval_Fk
 from sawcascade.cells import (
     ROOT,
     _walk,
-    level1_cell,
     level1_ids_at,
     level1_ids_of,
     locate,
@@ -344,16 +344,16 @@ def non_extremum_witness(
     """
     x0 = require_unit_interval(as_rational(x0), "x0")
     delta = require_positive_delta(as_rational(delta))
-    center = _endpoint_walk(x0.numerator, x0.denominator, require_depth(depth))
+    info = orbit(x0, depth)
     inputs = {"x0": x0, "delta": delta, "depth": depth,
               "fan_budget": fan_budget}
-    if center is not None:
+    if info.first_level is not None:  # an endpoint: walked again to fold its chain
         inputs["mode"] = "endpoint_fan"
-        inputs["first_level"] = center[0] + 1
+        inputs["first_level"] = info.first_level
+        center = _endpoint_walk(x0.numerator, x0.denominator, depth)
         return _endpoint_fan_report("non_extremum", x0, center, delta, fan_budget, inputs)
 
     inputs["mode"] = "interior_chain"
-    info = orbit(x0, depth)
     side, y, err = _walk_chain(info, depth, x0 - delta, x0 + delta)
     if side is None:
         return make_report("non_extremum", inputs, [(x0, info.partial_sum(1))], [], error=err)
@@ -404,16 +404,17 @@ def non_monotone_witness(
     if a >= b:
         raise DomainError(f"need a < b, got a={a}, b={b}")
     mid = (a + b) / 2
-    center = _endpoint_walk(mid.numerator, mid.denominator, require_depth(depth))
+    info = orbit(mid, depth)
     inputs = {"a": a, "b": b, "depth": depth, "fan_budget": fan_budget}
-    if center is not None:
+    if info.first_level is not None:  # an endpoint: walked again to fold its chain
         inputs["mode"] = "midpoint_fan"
         anchor = mid
+        center = _endpoint_walk(mid.numerator, mid.denominator, depth)
         v0, sides, _fx0 = _endpoint(mid.denominator, center)
         delta = mid - a  # = b - mid
     else:
         inputs["mode"] = "chain_cell_fan"
-        side, y, err = _walk_chain(orbit(mid, depth), depth, a, b)
+        side, y, err = _walk_chain(info, depth, a, b)
         if side is None:
             return make_report("non_monotone", inputs, [], [], error=err)
         m, s, _a = side
@@ -500,27 +501,26 @@ def local_min_check(x: RatLike) -> WitnessReport:
 def structure_check(k: int, index_budget: int) -> WitnessReport:
     """Exhaustively verify the cell-system invariants up to level k.
 
-    Walks every cell whose ids stay within the index budget and checks,
-    with exact arithmetic: affinity of the iterate on each cell (probed
-    against plain iteration), onto [-1, 1] with opposite endpoint values,
-    child fans tiling their parent with the exact shortfall, length decay
-    2^(1-level), the total length at level k against covered_length, the
-    self-similarity of child fans under the parent's unit-interval map (each
-    end cross-multiplied on integers, the fan's length checked too), and
-    locate round-trips at level-k midpoints.  One pass checks each fan as
-    the walk builds it, against the parent the walk is entering, then each
-    of its cells; a cell not addressed under that parent is a tiling
-    failure.  The certificate aggregates exact mismatch counts (all must be
-    zero) and the exact coverage identities.
+    Reads the walk's integer node of every cell whose ids stay within the
+    index budget and checks, each bound cross-multiplied: affinity of the
+    iterate on each cell (probed against plain iteration), onto [-1, 1]
+    with opposite endpoint values, child fans tiling their parent with the
+    exact shortfall, length decay 2^(1-level), the self-similarity of child
+    fans under the parent's unit-interval map (the fan's length too), the
+    total length at level k against covered_length, and locate round-trips
+    at level-k midpoints, the one Fraction built per cell.  Each fan is
+    checked as the walk enters its parent; a cell not addressed under that
+    parent is a tiling failure.  The certificate aggregates exact mismatch
+    counts (all must be zero) and the exact coverage identities.
     """
     require_at_least(k, 1, "level k")
     require_at_least(index_budget, 1, "index budget")
     require_family_size(k, index_budget)  # before any cell is built
     # self-similarity: the parent's unit-interval map x -> (x - sign(S) C)/|S|
-    # carries the level-1 family onto each child fan, so the fan pulled back
-    # by its inverse, left to right, must be the family in ascending ids
-    level1 = [(f.lo.numerator, f.lo.denominator, f.hi.numerator, f.hi.denominator)
-              for f in map(level1_cell, range(-index_budget, index_budget + 1))]
+    # carries the level-1 family, (lo, hi, n) for [lo/n, hi/n] in ascending
+    # ids, onto each child fan, so the fan pulled back must be that family
+    level1 = [(-c - 1, 1 - c, s) if s > 0 else (c - 1, c + 1, -s)
+              for s, c in map(tooth, range(-index_budget, index_budget + 1))]
 
     affinity_mismatches = 0
     onto_failures = 0
@@ -528,49 +528,50 @@ def structure_check(k: int, index_budget: int) -> WitnessReport:
     tiling_failures = 0
     family_mismatches = 0
     locate_mismatches = 0
-    count = 0
-    total = ZERO
-    for parent, fan in _walk((index_budget,) * k, ROOT.lo, ROOT.hi):
+    sizes: dict[int, int] = {}  # level-k cells per |S|
+    for (address, S, C, lo, hi), fan in _walk((index_budget,) * k, ROOT.lo, ROOT.hi):
         if not fan:  # leaving a cell, or a level-k cell
             continue
-        if not (parent.lo < fan[0].lo and fan[-1].hi < parent.hi):
+        # every bound is a numerator over its node's |S|: cross-multiplied
+        N, ns = abs(S), [abs(f[1]) for f in fan]
+        (lo_0, n_0), (hi_z, n_z) = (fan[0][3], ns[0]), (fan[-1][4], ns[-1])
+        if not (lo * n_0 < lo_0 * N and hi_z * N < hi * n_z):
             tiling_failures += 1
-        tiling_failures += sum(a.hi != b.lo for a, b in zip(fan, fan[1:]))
-        tiling_failures += sum(c.address[:-1] != parent.address for c in fan)
-        span = fan[-1].hi - fan[0].lo
-        if parent.length - span != parent.length / (index_budget + 2):
+        tiling_failures += sum(f[4] * n_g != g[3] * n_f
+                               for f, g, n_f, n_g in zip(fan, fan[1:], ns, ns[1:]))
+        tiling_failures += sum(f[0][:-1] != address for f in fan)
+        # the parent's length 2/N less the fan's span is 2/(N (B + 2))
+        if (2 * n_0 * n_z - (hi_z * n_0 - lo_0 * n_z) * N) * (index_budget + 2) != 2 * n_0 * n_z:
             tiling_failures += 1
-        # a fan end p/q pulls back to (p |S| + shift q)/q, compared on
-        # integers with the family's end a/b or c/d by cross-multiplying
-        scale = abs(parent.slope)
-        shift = parent.intercept if parent.slope > 0 else -parent.intercept
+        # a fan end p/n pulls back to (p N + shift n)/n, compared with the
+        # family's end a/b by cross-multiplying
+        shift = C if S > 0 else -C
         if len(fan) != len(level1) or any(
-            (f.lo.numerator * scale + shift * f.lo.denominator) * b != a * f.lo.denominator
-            or (f.hi.numerator * scale + shift * f.hi.denominator) * d != c * f.hi.denominator
-            for f, (a, b, c, d) in zip(fan, level1)
+            (f[3] * N + shift * n) * b != a * n or (f[4] * N + shift * n) * b != c * n
+            for f, n, (a, c, b) in zip(fan, ns, level1)
         ):
             family_mismatches += 1
-        for c in fan:
+        for (address_f, S_f, C_f, _lo, _hi), n in zip(fan, ns):
             # numerators over d = 3|S|: lo, lo + L/3, midpoint, lo + 2L/3 and
             # hi are base + 0, 2, 3, 4 and 6; affinity expects 0 at the midpoint
-            lvl, S, C = c.level, c.slope, c.intercept
-            d = 3 * abs(S)
-            base = -3 * C - 3 if S > 0 else 3 * C - 3
+            lvl, d = len(address_f), 3 * n
+            base = -3 * C_f - 3 if S_f > 0 else 3 * C_f - 3
             p0, p2, p3, p4, p6 = base, base + 2, base + 3, base + 4, base + 6
             for _ in range(lvl):  # 0 and +-d both map to 0: no early stop
                 p0, p2, p3, p4, p6 = (f1_step(p0, d)[0], f1_step(p2, d)[0], f1_step(p3, d)[0],
                                       f1_step(p4, d)[0], f1_step(p6, d)[0])
-            e = S * base + C * d  # S x + C at lo, over d
-            affinity_mismatches += (p2 != e + 2 * S) + (p3 != e + 3 * S) + (p4 != e + 4 * S)
+            e = S_f * base + C_f * d  # S x + C at lo, over d
+            affinity_mismatches += (p2 != e + 2 * S_f) + (p3 != e + 3 * S_f) + (p4 != e + 4 * S_f)
             if {p0, p6} != {-d, d}:
                 onto_failures += 1
-            if abs(S) < 2**lvl:  # length 2/|S| > 2^(1-lvl)
+            if n < 2**lvl:  # length 2/|S| > 2^(1-lvl)
                 length_violations += 1
             if lvl == k:
-                count += 1
-                total += c.length
-                if locate(c.midpoint, k) != [c.address]:
+                sizes[n] = sizes.get(n, 0) + 1
+                if locate(Fraction(-C_f, S_f), k) != [address_f]:  # the midpoint
                     locate_mismatches += 1
+    scale = lcm(*sizes)  # the level-k lengths 2/n summed over one denominator
+    total = Fraction(sum(2 * count * (scale // n) for n, count in sizes.items()), scale)
 
     expected_total = covered_length(k, index_budget)
 
@@ -581,7 +582,7 @@ def structure_check(k: int, index_budget: int) -> WitnessReport:
         check("tiling_failures", "==", tiling_failures, 0),
         check("self_similarity_mismatches", "==", family_mismatches, 0),
         check("locate_mismatches", "==", locate_mismatches, 0),
-        check("level_k_cell_count", "==", count, (2 * index_budget + 1) ** k),
+        check("level_k_cell_count", "==", sum(sizes.values()), (2 * index_budget + 1) ** k),
         check("total_length_closed_form", "==", total, expected_total),
         check("coverage_shortfall", "==", 2 - total, 2 - expected_total),
     ]

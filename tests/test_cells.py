@@ -30,10 +30,12 @@ from sawcascade.cells import (
     iter_cells,
     level1_cell,
     level1_ids_at,
+    level1_ids_of,
     locate,
     tooth,
 )
 from sawcascade.construction import DomainError, eval_f1, eval_fk, f1_step, orbit
+from sawcascade.suites import tapered_endpoints
 
 F = Fraction
 
@@ -130,6 +132,47 @@ def test_level1_ids_are_exactly_the_containing_cells(x):
     for j in range(-50, 51):
         if level1_cell(j).contains(x):
             assert j in ids
+
+
+def reference_level1_ids_of(p: int, q: int) -> list[int]:
+    """level1_ids_of as first written: a negative numerator mirrored by
+    recursing on -p."""
+    if p < 0:
+        return [-j for j in reversed(reference_level1_ids_of(-p, q))]
+    ids = [0] if 2 * p <= q else []
+    if q <= 2 * p < 2 * q:
+        n = q // (q - p)
+        if n >= 3 and n * p == (n - 1) * q:
+            ids.append(n - 2)
+        ids.append(n - 1)
+    return ids
+
+
+def test_level1_ids_of_equal_the_recursive_definition_up_to_q_400():
+    for q in range(1, 401):
+        for p in range(-q, q + 1):
+            assert level1_ids_of(p, q) == reference_level1_ids_of(p, q), (p, q)
+
+
+@given(st.integers(min_value=1, max_value=10**12).flatmap(
+    lambda q: st.tuples(st.integers(min_value=-q, max_value=q), st.just(q))
+))
+@settings(max_examples=300)
+def test_level1_ids_of_equal_the_recursive_definition(pq):
+    assert level1_ids_of(*pq) == reference_level1_ids_of(*pq)
+
+
+def test_level1_ids_of_list_both_teeth_at_a_shared_endpoint():
+    # (n - 1)/n is shared by teeth n - 1 and n (ids n - 2 and n - 1), 1/2 by
+    # the middle ramp and tooth 2, in any terms p/q; the mirrors negated
+    for n in range(3, 200):
+        for scale in (1, 7):
+            p, q = (n - 1) * scale, n * scale
+            assert level1_ids_of(p, q) == [n - 2, n - 1] == reference_level1_ids_of(p, q)
+            assert level1_ids_of(-p, q) == [1 - n, 2 - n] == reference_level1_ids_of(-p, q)
+    for q in (2, 4, 10**12):
+        assert level1_ids_of(q // 2, q) == [0, 1] and level1_ids_of(-(q // 2), q) == [-1, 0]
+    assert level1_ids_of(5, 5) == level1_ids_of(-5, 5) == []
 
 
 # ---------------------------------------------------------------------------
@@ -271,6 +314,20 @@ def test_locate_matches_the_recursive_descent_at_endpoints():
             assert found == reference_locate(x, k)
             branched += len(found) == 2
     assert branched > 100  # the walk really branches at these points
+
+
+def test_locate_at_tooth_endpoints_the_domain_ends_and_inside_cells():
+    # a shared tooth endpoint lies in two level-1 cells and, its image being
+    # +-1, in no deeper one; +-1 lie in none; a cell's midpoint in it alone
+    for n in range(2, 60):
+        for x in (1 - F(1, n), F(1, n) - 1):
+            assert len(locate(x, 1)) == 2 and locate(x, 1) == reference_locate(x, 1)
+            assert locate(x, 2) == reference_locate(x, 2) == []
+    for x in (F(1), F(-1)):
+        for k in range(1, 5):
+            assert locate(x, k) == reference_locate(x, k) == []
+    for c in iter_cells(3, 3):
+        assert locate(c.midpoint, c.level) == reference_locate(c.midpoint, c.level) == [c.address]
 
 
 def test_children_frozen_fan():
@@ -431,6 +488,26 @@ def test_iter_cells_walks_depth_first_in_spatial_order():
             assert left.hi <= right.lo  # meet or ascend
 
 
+def reference_cell_walk(budgets, lo, hi):
+    """The walk of the cell tree on Cells built with ``child_cell``, as
+    ``_walk`` ran before it walked integer nodes: (cell, fan) on entering
+    and (cell, None) on leaving each cell, depth first in spatial order."""
+    stack = [(ROOT, 0)]  # a cell and the largest |id| of its address, None to leave
+    while stack:
+        parent, top = stack.pop()
+        fan = None
+        if top is not None:
+            stack.append((parent, None))
+            m, fan = parent.level, []
+            if m < len(budgets) and top <= budgets[m]:
+                ids = range(-budgets[m], budgets[m] + 1)
+                fan = [child_cell(parent, j) for j in (ids if parent.slope > 0 else reversed(ids))]
+                if lo > ROOT.lo or hi < ROOT.hi:
+                    fan = [c for c in fan if c.hi >= lo and c.lo <= hi]
+                stack.extend((c, max(top, abs(c.address[-1]))) for c in reversed(fan))
+        yield parent, fan
+
+
 def test_walk_hands_over_each_fan_on_entering_its_parent():
     # (cell, fan) on entering, the fan being the cell's children in spatial
     # order and [] at the last level; (cell, None) on leaving
@@ -447,7 +524,10 @@ def test_walk_hands_over_each_fan_on_entering_its_parent():
             yield from expected(child)
         yield address, None
 
-    events = list(_walk((1, 1), ROOT.lo, ROOT.hi))
+    nodes = [(node[0], fan if fan is None else [f[0] for f in fan])
+             for node, fan in _walk((1, 1), ROOT.lo, ROOT.hi)]
+    assert nodes == list(expected(()))
+    events = list(reference_cell_walk((1, 1), ROOT.lo, ROOT.hi))
     got = [(c.address, fan if fan is None else [f.address for f in fan]) for c, fan in events]
     assert got == list(expected(()))
     for parent, fan in events:
@@ -476,7 +556,7 @@ def _negative_fan_windows() -> list[tuple[tuple[int, ...], Fraction, Fraction]]:
 
 @pytest.mark.parametrize("budgets, lo, hi", _negative_fan_windows())
 def test_endpoints_are_the_distinct_ends_of_the_cells_the_walk_enters(budgets, lo, hi):
-    walk = list(_walk(budgets, lo, hi))
+    walk = list(reference_cell_walk(budgets, lo, hi))
     entered = [c for c, fan in walk if fan is not None]
     expected = sorted({(x, c.level + 1) for c in entered for x in (c.lo, c.hi)})
     got = list(_endpoints(budgets, lo, hi))
@@ -490,11 +570,12 @@ def test_endpoints_are_the_distinct_ends_of_the_cells_the_walk_enters(budgets, l
 
 
 def endpoints_off_the_cell_walk(budgets, lo, hi):
-    """(x, first_level) read off ``_walk``'s Cells, as ``_endpoints`` listed
-    them before it walked integer nodes: a cell's lo on entering it, its hi
-    on leaving it, and an end equal to the one before it dropped."""
+    """(x, first_level) read off the reference walk's Cells, as
+    ``_endpoints`` listed them before it walked integer nodes: a cell's lo
+    on entering it, its hi on leaving it, and an end equal to the one
+    before it dropped."""
     last, ends = None, []
-    for c, fan in _walk(budgets, lo, hi):
+    for c, fan in reference_cell_walk(budgets, lo, hi):
         x = c.lo if fan is not None else c.hi
         if x != last:
             ends.append((x, c.level + 1))
@@ -516,8 +597,45 @@ ENDPOINT_WINDOWS = [
     (F(2, 3), F(2, 3)),
 ]
 
+#: Per-level budgets of the endpoint listing, from ROOT alone to the
+#: tapered budgets of the oscillation suite's default six levels.
+ENDPOINT_BUDGETS = [(), (0,), (3,), (2, 2), (3, 2, 1), (50, 7, 3, 2, 2)]
 
-@pytest.mark.parametrize("budgets", [(), (0,), (3,), (2, 2), (3, 2, 1), (50, 7, 3, 2, 2)])
+
+def as_cell_data(node):
+    """A node's address, S, C and its bounds as Fractions over |S|."""
+    address, S, C, lo, hi = node
+    return address, S, C, F(lo, abs(S)), F(hi, abs(S))
+
+
+@pytest.mark.parametrize("budgets", ENDPOINT_BUDGETS)
+@pytest.mark.parametrize("lo, hi", ENDPOINT_WINDOWS)
+def test_the_node_walk_equals_the_cell_walk(budgets, lo, hi):
+    def data(c):
+        return c.address, c.slope, c.intercept, c.lo, c.hi
+
+    got = [(as_cell_data(node), fan if fan is None else [as_cell_data(f) for f in fan])
+           for node, fan in _walk(budgets, lo, hi)]
+    expected = [(data(c), fan if fan is None else [data(f) for f in fan])
+                for c, fan in reference_cell_walk(budgets, lo, hi)]
+    assert got == expected
+    assert all(type(x) is int for node, _ in _walk(budgets, lo, hi) for x in node[1:])
+
+
+@pytest.mark.parametrize("lo, hi", ENDPOINT_WINDOWS)
+def test_the_cell_listings_equal_the_cell_walk(lo, hi):
+    for k, budget in [(1, 0), (1, 6), (2, 3), (3, 2)]:
+        expected = [c for c, fan in reference_cell_walk((budget,) * k, lo, hi)
+                    if c.level and fan is not None]
+        assert list(iter_cells(k, budget, (lo, hi))) == expected
+        ends = endpoints_off_the_cell_walk((budget,) * k, lo, hi)
+        assert e_points(k + 1, (lo, hi), budget) == [(x, m) for x, m in ends if lo <= x <= hi]
+    assert list(tapered_endpoints(6, 50)) == endpoints_off_the_cell_walk(
+        ENDPOINT_BUDGETS[-1], ROOT.lo, ROOT.hi
+    )
+
+
+@pytest.mark.parametrize("budgets", ENDPOINT_BUDGETS)
 @pytest.mark.parametrize("lo, hi", ENDPOINT_WINDOWS)
 def test_integer_endpoint_walk_equals_the_cell_walk(budgets, lo, hi):
     got = list(_endpoints(budgets, lo, hi))

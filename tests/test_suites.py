@@ -192,7 +192,8 @@ def test_tapered_endpoints_equal_the_per_level_enumeration(
 
 def count_node_steps(monkeypatch: pytest.MonkeyPatch) -> list[str]:
     """Record the caller of every ``cells.tooth`` call: the integer walk
-    of ``cells._endpoints`` takes one per cell it builds, as (S, C)."""
+    ``cells._walk``, which ``cells._endpoints`` reads, takes one per node it
+    builds, as (S, C)."""
     callers = []
     real = cells.tooth
 
@@ -209,7 +210,7 @@ def test_tapered_endpoints_build_each_cell_once(monkeypatch: pytest.MonkeyPatch)
     list(tapered_endpoints(6, 50))
     # budgets 50, 7, 3, 2, 2 for levels 1..5: 101 + 15^2 + 7^3 + 5^4 + 5^5 cells
     assert len(callers) == 101 + 15**2 + 7**3 + 5**4 + 5**5 == 4419
-    assert set(callers) == {"_endpoints"}
+    assert set(callers) == {"_walk"}
 
 
 def test_tapered_endpoints_refuse_the_deepest_family_before_building(
@@ -231,7 +232,7 @@ def test_tapered_endpoints_stream_with_one_fan_per_level(monkeypatch: pytest.Mon
     # budgets 50, 7, 3, 2, 2, 1, 1 for levels 1..7: at most one fan per level
     # is built by the third endpoint, where the whole family is 9122 cells
     assert 0 < len(callers) <= 101 + 15 + 7 + 5 + 5 + 3 + 3
-    assert set(callers) == {"_endpoints"}
+    assert set(callers) == {"_walk"}
     assert first == reference_tapered_endpoints(8, 50)[:3]
 
 

@@ -9,20 +9,19 @@ a serialization round trip.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import inspect
 import json
 import random
 import sys
 import time
-import weakref
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import sawcascade.cells as cells
 import sawcascade.construction as construction
 import sawcascade.verifier as verifier
 from sawcascade.cells import ROOT, cell, child_cell, level1_ids_at, level1_ids_of, locate, tooth
@@ -418,18 +417,22 @@ def test_fan_scan_walks_only_the_chosen_witnesses(monkeypatch):
         reports = list(search())
         walked = steps[0]
         assert all(r.verdict for r in reports), suite
-        # a center walk takes m steps to +-1, or the steps of the record
-        # it declines: to 0 or to the depth
-        center_steps = sum(len(orbit(x, depth).numerators) if c is None else c[0]
-                           for x, depth, c in centers)
+        # a center walk takes m steps to +-1, and none is declined: a
+        # witness walks an interior center only into its orbit record
+        assert all(c is not None for _x, _depth, c in centers), suite
+        center_steps = sum(c[0] for _x, _depth, c in centers)
         absorbed = sum(c.label == "center_absorbed" for r in reports for c in r.certificate)
         recorded = sum(len(info.numerators) for info in records)
         assert walked == center_steps + absorbed + recorded + sum(kernel_steps) > 0, suite
-        assert len(centers) == len(reports), suite
         if suite == "oscillation":
+            assert len(centers) == len(reports)
             assert len(walks) == len(set(walks)) == 3 * len(reports) == 2208
             assert records == [] and len(kernel_steps) == 2 * len(reports)
             assert absorbed == len(reports) - 2  # all but the domain ends +-1
+        else:
+            # one orbit record per report, then a center walk at an endpoint
+            endpoints = sum(r.input("mode") in ("endpoint_fan", "midpoint_fan") for r in reports)
+            assert len(records) == len(reports) and len(centers) == endpoints, suite
     assert other_walks == []
 
 
@@ -856,17 +859,27 @@ def _structure_counts(rep) -> dict:
     return {c.label: c.lhs for c in rep.certificate if c.label.endswith(counted)}
 
 
-def _replace_one_cell(monkeypatch, address, changes) -> None:
-    """Let structure_check walk the true cells but one, whose fields are
-    replaced by ``changes(cell)`` where it is entered and in its parent's fan."""
+#: The fields of a node of the cell walk: the cell [lo/|S|, hi/|S|] on which
+#: the iterate is S x + C.
+NODE_FIELDS = ("address", "S", "C", "lo", "hi")
+
+
+def _replace_one_node(monkeypatch, address, changes) -> None:
+    """Let structure_check walk the true nodes but one, whose fields named in
+    ``changes(fields)`` are replaced where it is entered and in its parent's
+    fan; ``fields`` maps NODE_FIELDS to the true node's entries."""
     real = verifier._walk
 
-    def replaced(c):
-        return dataclasses.replace(c, **changes(c)) if c.address == address else c
+    def replaced(node):
+        if node[0] != address:
+            return node
+        fields = dict(zip(NODE_FIELDS, node))
+        fields.update(changes(fields))
+        return tuple(fields[name] for name in NODE_FIELDS)
 
     def patched(budgets, lo, hi):
-        for c, fan in real(budgets, lo, hi):
-            yield replaced(c), (fan if fan is None else [replaced(f) for f in fan])
+        for node, fan in real(budgets, lo, hi):
+            yield replaced(node), (fan if fan is None else [replaced(f) for f in fan])
 
     monkeypatch.setattr(verifier, "_walk", patched)
 
@@ -874,7 +887,7 @@ def _replace_one_cell(monkeypatch, address, changes) -> None:
 @pytest.mark.parametrize("address", [(0,), (2,), (1, -2), (-3, 0, 2), (3, 3, -3)])
 def test_structure_check_catches_an_intercept_off_by_one(monkeypatch, address):
     assert structure_check(3, 3).verdict
-    _replace_one_cell(monkeypatch, address, lambda c: {"intercept": c.intercept + 1})
+    _replace_one_node(monkeypatch, address, lambda c: {"C": c["C"] + 1})
     rep = structure_check(3, 3)
     counts = _structure_counts(rep)
     # the shifted cell puts a probe on a true endpoint, where the iterate is
@@ -886,14 +899,15 @@ def test_structure_check_catches_an_intercept_off_by_one(monkeypatch, address):
 def test_structure_check_counts_a_wrong_midpoint_once(monkeypatch):
     # the midpoint's zero is the affinity probe at t = 3; the onto check
     # reads only the two endpoints
-    _replace_one_cell(monkeypatch, (1, -2), lambda c: {"intercept": c.intercept + 1})
+    _replace_one_node(monkeypatch, (1, -2), lambda c: {"C": c["C"] + 1})
     counts = _structure_counts(structure_check(2, 3))
     assert (counts["affinity_mismatches"], counts["onto_failures"]) == (3, 1)
 
 
 @pytest.mark.parametrize("address", [(0,), (2,), (1, -2), (-3, 0, 2), (3, 3, -3)])
 def test_structure_check_catches_a_wrong_lower_bound(monkeypatch, address):
-    _replace_one_cell(monkeypatch, address, lambda c: {"lo": c.lo - F(1, 10**9)})
+    # the lower bound moved left by 1/|S|, its least step over the node's |S|
+    _replace_one_node(monkeypatch, address, lambda c: {"lo": c["lo"] - 1})
     rep = structure_check(3, 3)
     counts = _structure_counts(rep)
     caught = (
@@ -909,36 +923,51 @@ def test_structure_check_catches_a_wrong_lower_bound(monkeypatch, address):
 )
 def test_structure_check_counts_a_cell_under_a_wrong_parent(monkeypatch, address, moved):
     # the cell stays in place in the walk, but its address names another parent
-    _replace_one_cell(monkeypatch, address, lambda c: {"address": moved})
+    _replace_one_node(monkeypatch, address, lambda c: {"address": moved})
     rep = structure_check(3, 3)
     assert _structure_counts(rep)["tiling_failures"] > 0
     assert not rep.verdict
 
 
+@pytest.mark.parametrize("end", ["lo", "hi"])
+def test_structure_check_counts_a_parent_not_holding_its_fan_once(monkeypatch, end):
+    # ROOT's bounds moved to 0, so the level-1 fan pokes out of [lo, hi]; no
+    # fan holds ROOT, and nothing else reads its bounds
+    _replace_one_node(monkeypatch, (), lambda c: {end: 0})
+    assert _structure_counts(structure_check(2, 3))["tiling_failures"] == 1
+
+
 def test_structure_check_holds_one_fan_per_level(monkeypatch):
-    """Each cell is let go once the walk has left it: of the 399 cells of
-    levels 1..3, at most (k + 1)(2B + 1) + k are alive at once."""
+    """Each node is let go once the walk has left it: of the 399 cells of
+    levels 1..3, at most (k + 1)(2B + 1) + k are handed out (entered, or in
+    a fan handed over) and not yet left at once, read off the events."""
     real = verifier._walk
-    alive: weakref.WeakSet = weakref.WeakSet()
+    alive: set = set()
     peak = 0
 
     def recorded(budgets, lo, hi):
         nonlocal peak
-        for c, fan in real(budgets, lo, hi):
-            alive.update([c, *(fan or [])])
+        for node, fan in real(budgets, lo, hi):
+            if fan is None:
+                alive.remove(node[0])
+            else:
+                alive.update([node[0], *(f[0] for f in fan)])
             peak = max(peak, len(alive))
-            yield c, fan
+            yield node, fan
 
     monkeypatch.setattr(verifier, "_walk", recorded)
     assert structure_check(3, 3).verdict
+    assert alive == set()
     assert 0 < peak <= (3 + 1) * (2 * 3 + 1) + 3
 
 
 @pytest.mark.parametrize("end", ["lo", "hi"])
 def test_structure_check_counts_a_fan_off_the_family_once(monkeypatch, end):
-    # one end of one member of the fan of (2,) moved by 1/10^9
-    _replace_one_cell(monkeypatch, (2, -1), lambda c: {end: getattr(c, end) + F(1, 10**9)})
-    assert _structure_counts(structure_check(2, 3))["self_similarity_mismatches"] == 1
+    # one end of one member of the fan of (2,) moved by 1/|S|, which parts it
+    # from its neighbor inside the fan
+    _replace_one_node(monkeypatch, (2, -1), lambda c: {end: c[end] + 1})
+    counts = _structure_counts(structure_check(2, 3))
+    assert (counts["self_similarity_mismatches"], counts["tiling_failures"]) == (1, 1)
 
 
 def test_structure_check_counts_a_fan_missing_its_last_member(monkeypatch):
@@ -947,8 +976,8 @@ def test_structure_check_counts_a_fan_missing_its_last_member(monkeypatch):
     real = verifier._walk
 
     def shortened(budgets, lo, hi):
-        for c, fan in real(budgets, lo, hi):
-            yield c, (fan[:-1] if fan and c.address == (1,) else fan)
+        for node, fan in real(budgets, lo, hi):
+            yield node, (fan[:-1] if fan and node[0] == (1,) else fan)
 
     monkeypatch.setattr(verifier, "_walk", shortened)
     assert _structure_counts(structure_check(2, 3))["self_similarity_mismatches"] == 1
@@ -956,10 +985,22 @@ def test_structure_check_counts_a_fan_missing_its_last_member(monkeypatch):
 
 def test_structure_check_counts_a_cell_longer_than_its_level_allows(monkeypatch):
     # the middle ramp's data at level 2: slope 2 < 2^2, so length 1 > 2^-1
-    _replace_one_cell(monkeypatch, (0, 0), lambda c: {"slope": 2, "lo": F(-1, 2), "hi": F(1, 2)})
+    _replace_one_node(monkeypatch, (0, 0), lambda c: {"S": 2, "lo": -1, "hi": 1})
     rep = structure_check(2, 3)
     assert _structure_counts(rep)["length_violations"] == 1
     assert not rep.verdict
+
+
+def test_structure_check_builds_no_cell(monkeypatch):
+    # the scan reads the walk's integer nodes; a Cell built anywhere fails it
+    def no_cell(*args, **kwargs):
+        raise AssertionError("structure_check built a Cell")
+
+    monkeypatch.setattr(cells, "child_cell", no_cell)
+    monkeypatch.setattr(cells.Cell, "__init__", no_cell)
+    with pytest.raises(AssertionError, match="built a Cell"):
+        cells.cell((0,))
+    assert structure_check(3, 3).verdict
 
 
 #: sha256 of the sorted-key JSON of structure_check(k, b), as the scan that
