@@ -23,7 +23,8 @@ walk builds it.  The walk is on integers: a node is (address, S, C, lo, hi),
 the cell [lo/|S|, hi/|S|], and it builds no Cell and no Fraction.  A cell's
 endpoints enclose its subtree's, so the same walk also gives the cell
 endpoints in ascending x (``_endpoints``, one Fraction per endpoint), and
-``iter_cells`` builds a Cell only for a node it yields.
+``iter_cells`` builds a Cell only for a node it yields; a caller that keeps
+some of those cells filters ``_cell_nodes`` first and builds only its own.
 
 Everything here is exact: endpoints are rationals, and all geometric
 predicates (containment, adjacency, tiling) are exact comparisons.
@@ -243,12 +244,20 @@ def iter_cells(
     [-1, 1], a level k above MAX_LAYER_INDEX and a level-k family larger
     than MAX_CELLS.
     """
+    return (_cell(node) for node in _cell_nodes(k, index_budget, window))
+
+
+def _cell_nodes(
+    k: int, index_budget: int, window: Optional[tuple[Rat, Rat]] = None
+) -> Iterator[Node]:
+    """The node of each cell ``iter_cells`` lists, in its order, refused at
+    the call as it refuses; a caller that keeps some cells builds only those."""
     require_at_least(k, 1, "level k")
     require_at_least(index_budget, 0, "index budget")
     lo, hi = _checked_window(window or (ROOT.lo, ROOT.hi))
     require_family_size(k, index_budget)
     nodes = _walk((index_budget,) * k, lo, hi)
-    return (_cell(node) for node, fan in nodes if fan is not None and node[0])
+    return (node for node, fan in nodes if fan is not None and node[0])
 
 
 def _walk(

@@ -32,7 +32,7 @@ from sawcascade.antiderivative import (
     eval_Fk,
     eval_G,
 )
-from sawcascade.cells import iter_cells
+from sawcascade.cells import _cell, _cell_nodes
 from sawcascade.construction import (  # re-exports MAX_LAYER_INDEX and require_layer_index
     MAX_LAYER_INDEX,
     ZERO,
@@ -138,10 +138,8 @@ def emit_samples(fn: str, a: Rat, b: Rat, count: int, k: int, K: int, fmt: str) 
 
 def render_intervals(k: int, index_budget: int, window: tuple[Rat, Rat], fmt: str) -> Iterator[str]:
     """The level-k cells meeting the window, in spatial order, one row per chunk."""
-    rows = (
-        [list(c.address), str(c.lo), str(c.hi), str(c.slope), str(c.intercept)]
-        for c in iter_cells(k, index_budget, window) if c.level == k
-    )
+    cells = (_cell(node) for node in _cell_nodes(k, index_budget, window) if len(node[0]) == k)
+    rows = ([list(c.address), str(c.lo), str(c.hi), str(c.slope), str(c.intercept)] for c in cells)
     return _table(("address", "lo", "hi", "slope", "intercept"), rows, fmt)
 
 

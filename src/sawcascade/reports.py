@@ -4,14 +4,17 @@ Every verification routine returns a ``WitnessReport`` whose certificate is
 a list of concrete rational comparisons.  The verdict is, by construction,
 the conjunction of those comparisons (and the absence of a search failure),
 so ``recheck`` can re-decide it from the stored numbers alone, without
-re-running any search.  Rationals are serialized as exact "p/q" strings; no
-float appears anywhere.  ``report_from_dict`` reads back exactly what the
-writer writes: a case with exactly the keys certificate, error, inputs,
-kind, points, verdict; each check with exactly label, lhs, relation, rhs;
-each rational as ``str`` of a Fraction (``-?p`` or ``-?p/q`` in ASCII
-digits, lowest terms, q > 1, no ``-0``).  Every other shape (a missing or
-extra key, a decimal, an exponent, a JSON number, padding, a sign ``+``, an
-unreduced fraction) raises ValueError naming the field.
+re-running any search.  A check keeps each side as a lowest-terms integer
+pair, numerator over a positive denominator, so it is decided by one
+cross-multiplication, written and read back on integers; its ``lhs`` and
+``rhs`` are Fractions built when read.  Rationals are serialized as exact
+"p/q" strings; no float appears anywhere.  ``report_from_dict`` reads back
+exactly what the writer writes: a case with exactly the keys certificate,
+error, inputs, kind, points, verdict; each check with exactly label, lhs,
+relation, rhs; each rational as ``str`` of a Fraction (``-?p`` or ``-?p/q``
+in ASCII digits, lowest terms, q > 1, no ``-0``).  Every other shape (a
+missing or extra key, a decimal, an exponent, a JSON number, padding, a
+sign ``+``, an unreduced fraction) raises ValueError naming the field.
 """
 
 from __future__ import annotations
@@ -20,11 +23,11 @@ import json
 import operator
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
 from json.encoder import encode_basestring_ascii as _quote
+from math import gcd
 from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple, NoReturn, Optional, Sequence
 
 from sawcascade.construction import Rat, as_rational
@@ -41,7 +44,7 @@ REPORT_KINDS = (
     "darboux",
 )
 
-_RELATIONS: dict[str, Callable[[Rat, Rat], bool]] = {
+_RELATIONS: dict[str, Callable[[int, int], bool]] = {
     "<": operator.lt,
     "<=": operator.le,
     "==": operator.eq,
@@ -51,39 +54,77 @@ _RELATIONS: dict[str, Callable[[Rat, Rat], bool]] = {
 }
 
 
-class _CheckFields(NamedTuple):
-    label: str
-    relation: str
-    lhs: Rat
-    rhs: Rat
+class Check(tuple):
+    """One exact comparison: ``lhs relation rhs`` with rational sides.
 
-
-class Check(_CheckFields):
-    """One exact comparison: ``lhs relation rhs`` with rational sides."""
+    Stored as (label, relation, lhs_num, lhs_den, rhs_num, rhs_den), each
+    side in lowest terms over a positive denominator; ``lhs`` and ``rhs``
+    are Fractions built when read.  Each side is coerced by ``as_rational``
+    (an int, a Fraction or exact text), and anything it refuses is refused
+    here, at construction.
+    """
 
     __slots__ = ()
 
-    def __new__(cls, label: str, relation: str, lhs: Rat, rhs: Rat) -> "Check":
+    def __new__(cls, label: str, relation: str, lhs: Any, rhs: Any) -> "Check":
         if relation not in _RELATIONS:
             raise ValueError(f"unknown relation {relation!r}")
-        return tuple.__new__(cls, (label, relation, lhs, rhs))
+        lhs, rhs = as_rational(lhs), as_rational(rhs)
+        return tuple.__new__(
+            cls, (label, relation, lhs.numerator, lhs.denominator, rhs.numerator, rhs.denominator)
+        )
+
+    label = property(operator.itemgetter(0))
+    relation = property(operator.itemgetter(1))
+
+    @property
+    def lhs(self) -> Rat:
+        return Fraction(self[2], self[3])
+
+    @property
+    def rhs(self) -> Rat:
+        return Fraction(self[4], self[5])
+
+    def __getnewargs__(self) -> tuple[str, str, Rat, Rat]:  # for copy and pickle
+        return self.label, self.relation, self.lhs, self.rhs
+
+    def __repr__(self) -> str:
+        label, relation, lhs, rhs = self.__getnewargs__()
+        return f"Check(label={label!r}, relation={relation!r}, lhs={lhs!r}, rhs={rhs!r})"
 
     def holds(self) -> bool:
         """Decided on integers: with positive denominators, p/q R r/s holds
         exactly when p s R r q does."""
-        _label, relation, lhs, rhs = self
-        return _RELATIONS[relation](
-            lhs.numerator * rhs.denominator, rhs.numerator * lhs.denominator
-        )
+        _label, relation, p, q, r, s = self
+        return _RELATIONS[relation](p * s, r * q)
+
+
+def _check(label: str, relation: str, p: int, q: int, r: int, s: int) -> Check:
+    """The check p/q relation r/s from ints, q and s positive and the relation
+    known: each side is reduced here, where the verifier builds its checks."""
+    g, h = gcd(p, q), gcd(r, s)
+    if g != 1:
+        p, q = p // g, q // g
+    if h != 1:
+        r, s = r // h, s // h
+    return tuple.__new__(Check, (label, relation, p, q, r, s))
 
 
 def check(label: str, relation: str, lhs: Any, rhs: Any) -> Check:
-    """Build a Check, coercing both sides to exact rationals."""
-    return Check(label, relation, as_rational(lhs), as_rational(rhs))
+    """Build a Check, coercing both sides to exact rationals, as ``Check`` does."""
+    return Check(label, relation, lhs, rhs)
 
 
-@dataclass(frozen=True)
-class WitnessReport:
+class _ReportFields(NamedTuple):
+    kind: str
+    inputs: tuple[tuple[str, str], ...]
+    points: tuple[tuple[Rat, Rat], ...]
+    verdict: bool
+    certificate: tuple[Check, ...]
+    error: Optional[str] = None
+
+
+class WitnessReport(_ReportFields):
     """Outcome of one verification with its self-contained certificate.
 
     ``points`` lists the witness abscissas with their exact function values
@@ -92,16 +133,20 @@ class WitnessReport:
     certificate was complete; such reports always carry verdict False.
     """
 
-    kind: str
-    inputs: tuple[tuple[str, str], ...]
-    points: tuple[tuple[Rat, Rat], ...]
-    verdict: bool
-    certificate: tuple[Check, ...]
-    error: Optional[str] = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.kind not in REPORT_KINDS:
-            raise ValueError(f"unknown report kind {self.kind!r}")
+    def __new__(
+        cls,
+        kind: str,
+        inputs: tuple[tuple[str, str], ...],
+        points: tuple[tuple[Rat, Rat], ...],
+        verdict: bool,
+        certificate: tuple[Check, ...],
+        error: Optional[str] = None,
+    ) -> "WitnessReport":
+        if kind not in REPORT_KINDS:
+            raise ValueError(f"unknown report kind {kind!r}")
+        return tuple.__new__(cls, (kind, inputs, points, verdict, certificate, error))
 
     def input(self, key: str) -> str:
         for k, v in self.inputs:
@@ -115,8 +160,14 @@ class WitnessReport:
 
 def _verdict(certificate: Sequence[Check], error: Optional[str]) -> bool:
     """The one verdict rule: no search error, at least one check, and every
-    check holds exactly."""
-    return error is None and bool(certificate) and all(map(Check.holds, certificate))
+    check holds exactly, each decided as ``Check.holds`` decides it."""
+    if error is not None or not certificate:
+        return False
+    relations = _RELATIONS
+    for _label, relation, p, q, r, s in certificate:
+        if not relations[relation](p * s, r * q):
+            return False
+    return True
 
 
 def make_report(
@@ -160,8 +211,9 @@ def report_to_dict(report: WitnessReport) -> dict[str, Any]:
         "points": [[str(x), str(v)] for x, v in report.points],
         "verdict": report.verdict,
         "certificate": [
-            {"label": c.label, "relation": c.relation, "lhs": str(c.lhs), "rhs": str(c.rhs)}
-            for c in report.certificate
+            {"label": label, "relation": relation,
+             "lhs": str(p) if q == 1 else f"{p}/{q}", "rhs": str(r) if s == 1 else f"{r}/{s}"}
+            for label, relation, p, q, r, s in report.certificate
         ],
         "error": report.error,
     }
@@ -196,8 +248,8 @@ def _fixed(text: str) -> str:
     return _quote(text).replace("%", "%%")
 
 
-#: The label of a check, and its values in the order of ``_CHECK``'s holes.
-_CHECK_LABEL, _CHECK_VALUES = operator.itemgetter(0), operator.itemgetter(2, 1, 3)
+#: The label of a check.
+_CHECK_LABEL = operator.itemgetter(0)
 
 
 @lru_cache(maxsize=256)
@@ -228,8 +280,9 @@ def _case_json(report: WitnessReport) -> str:
 
     The fixed text of a case (keys, labels, input keys, layout) depends
     only on its shape, so it is built once per shape into a template; each
-    case fills the holes with one ``%``, which writes a rational with
-    ``str``, as ``report_to_dict`` does, and a relation as it is."""
+    case fills the holes with one ``%``, which writes a point's rational
+    with ``str``, as ``report_to_dict`` does, a check side from its integer
+    pair as ``report_to_dict`` writes it, and a relation as it is."""
     certificate, inputs = report.certificate, report.inputs
     template, order = _case_template(
         report.kind,
@@ -237,7 +290,9 @@ def _case_json(report: WitnessReport) -> str:
         tuple([key for key, _ in inputs]),
         len(report.points),
     )
-    holes = list(chain.from_iterable(map(_CHECK_VALUES, certificate)))
+    holes: list[Any] = []
+    for _label, relation, p, q, r, s in certificate:
+        holes += (p if q == 1 else f"{p}/{q}", relation, r if s == 1 else f"{r}/{s}")
     holes.append("null" if report.error is None else _quote(report.error))
     holes += [_quote(inputs[i][1]) for i in order]
     holes += chain.from_iterable(report.points)
@@ -286,27 +341,28 @@ def _keys_refused(what: str, obj: Any, keys: tuple[str, ...]) -> ValueError:
 
 
 @lru_cache(maxsize=512)
-def _canonical_rational(text: str) -> Rat:
-    """The Fraction whose ``str`` is ``text``, parsed on integers; cached, since
-    certificates share constants (0, 1, delta, band ends).  A refused text raises."""
+def _canonical_pair(text: str) -> tuple[int, int]:
+    """The lowest-terms pair (p, q), q > 0, of the rational whose ``str`` is
+    ``text``, parsed on integers; cached, since certificates share constants
+    (0, 1, delta, band ends).  A refused text raises."""
     if _CANONICAL_RATIONAL.fullmatch(text) is None:
         _not_canonical(text)
     numerator, _, denominator = text.partition("/")
     try:
-        q = int(denominator or "1")
-        value = Fraction(int(numerator), q)
+        p, q = int(numerator), int(denominator or "1")
     except ValueError:  # Python's digit limit, kept: it bars a quadratic-time parse
         shown = f"{text[:20]}...{text[-20:]}"
         raise ValueError(f"rational {shown!r} ({len(text)} characters) has a part past "
                          f"the {sys.get_int_max_str_digits()}-digit limit for reading an int") from None
-    if value.denominator != q:  # not in lowest terms
+    if gcd(p, q) != 1:  # not in lowest terms
         _not_canonical(text)
-    return value
+    return p, q
 
 
 def report_from_dict(data: Any) -> WitnessReport:
     """The report ``report_to_dict`` gave ``data``; ValueError naming the field on any
-    value, form or key set the writer never writes.  One loop reads the points, one the checks."""
+    value, form or key set the writer never writes.  One loop reads the points, one the
+    checks, whose sides go straight into their integer pairs."""
     try:
         verdict, error, inputs = data["verdict"], data["error"], data["inputs"]
         kind, points, certificate = data["kind"], data["points"], data["certificate"]
@@ -324,13 +380,14 @@ def report_from_dict(data: Any) -> WitnessReport:
     for key, value in inputs.items():
         if type(key) is not str or type(value) is not str:
             raise ValueError(f"inputs must map strings to strings, got {inputs!r}")
-    parse, pairs, checks = _canonical_rational, [], []
+    parse, pairs, checks = _canonical_pair, [], []
     for p in points:
         if type(p) is not list or len(p) != 2:
             raise ValueError(f"points must be [x, value] pairs, got {p!r}")
         x, y = p
         x = parse(x) if type(x) is str else _not_canonical(x)
-        pairs.append((x, parse(y) if type(y) is str else _not_canonical(y)))
+        y = parse(y) if type(y) is str else _not_canonical(y)
+        pairs.append((Fraction(*x), Fraction(*y)))
     for c in certificate:  # refused in order: type, keys, label and relation, lhs, rhs, relation
         if type(c) is not dict:
             raise ValueError(f"certificate entries must be checks with string fields, got {c!r}")
@@ -346,5 +403,5 @@ def report_from_dict(data: Any) -> WitnessReport:
         rhs = parse(rhs) if type(rhs) is str else _not_canonical(rhs)
         if relation not in _RELATIONS:  # Check.__new__'s test, made here once
             raise ValueError(f"unknown relation {relation!r}")
-        checks.append(tuple.__new__(Check, (label, relation, lhs, rhs)))
+        checks.append(tuple.__new__(Check, (label, relation) + lhs + rhs))
     return WitnessReport(kind, tuple(inputs.items()), tuple(pairs), verdict, tuple(checks), error)

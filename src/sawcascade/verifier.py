@@ -65,9 +65,7 @@ from sawcascade.construction import (
     require_layer_index,
     require_unit_interval,
 )
-from sawcascade.reports import Check, WitnessReport, check, make_report
-
-ONE = Fraction(1)
+from sawcascade.reports import Check, WitnessReport, _check, check, make_report
 
 DEFAULT_DEPTH = 40
 DEFAULT_FAN_BUDGET = 64
@@ -191,20 +189,20 @@ _LOWER = ("lower_beats_margin", "lower_inside_window", "lower_distinct", "lower_
 
 def _witness_checks(
     labels: tuple[str, ...], x0: Rat, hit: tuple[Rat, Rat, int], relation: str,
-    bound: Rat, delta: Rat,
+    bound: tuple[int, int], delta: tuple[int, int],
 ) -> list[Check]:
     """Checks on the witness y with series value f(y) and |f_k(y)| = p/q, q
     the denominator of y: hit = (y, f(y), p), where f(y) relation bound must
-    hold.  Every side is already exact, and |f_k(y)| is ONE when p == q."""
+    hold; bound and delta are (numerator, positive denominator) pairs."""
     y, fy, fk = hit
     a, b, c, d = y.numerator, y.denominator, x0.numerator, x0.denominator
-    gap = Fraction(abs(a * d - c * b), b * d)  # |y - x0|
+    gap, over = abs(a * d - c * b), b * d  # |y - x0| = gap / over
     beats, inside, distinct, unit = labels
     return [
-        Check(beats, relation, fy, bound),
-        Check(inside, "<", gap, delta),
-        Check(distinct, ">", gap, ZERO),
-        Check(unit, "==", ONE if fk == b else Fraction(fk, b), ONE),
+        _check(beats, relation, fy.numerator, fy.denominator, *bound),
+        _check(inside, "<", gap, over, *delta),
+        _check(distinct, ">", gap, over, 0, 1),
+        _check(unit, "==", fk, b, 1, 1),
     ]
 
 
@@ -241,17 +239,18 @@ def _endpoint_fan_report(
     above, below = hits
     # f(x0) + 2^-(k+1) and f(x0) - 2^-(k+1), over the denominator d 2^(k+1)
     n, d, scale = fx0.numerator, fx0.denominator, 2 ** (k + 1)
-    high, low = Fraction(n * scale + d, d * scale), Fraction(n * scale - d, d * scale)
+    high, low = (n * scale + d, d * scale), (n * scale - d, d * scale)
     if k == 1:
-        certificate = [Check("center_is_domain_end", "==", abs(x0), ONE)]
+        certificate = [_check("center_is_domain_end", "==", abs(x0.numerator), q, 1, 1)]
     else:
         r, after = abs(end), f1_step(end, q)[0]  # |y_(k-1)| = r/q, and y_k over q
         certificate = [
-            Check("center_hits_unit", "==", ONE if r == q else Fraction(r, q), ONE),
-            Check("center_absorbed", "==", Fraction(after, q) if after else ZERO, ZERO),
+            _check("center_hits_unit", "==", r, q, 1, 1),
+            _check("center_absorbed", "==", after, q, 0, 1),
         ]
-    certificate += _witness_checks(_UPPER, x0, above, ">", high, delta)
-    certificate += _witness_checks(_LOWER, x0, below, "<", low, delta)
+    window = (delta.numerator, delta.denominator)
+    certificate += _witness_checks(_UPPER, x0, above, ">", high, window)
+    certificate += _witness_checks(_LOWER, x0, below, "<", low, window)
     return make_report(kind, inputs, points, certificate)
 
 

@@ -16,7 +16,6 @@ import stat
 import subprocess
 import sys
 import time
-import weakref
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction as F
 from pathlib import Path
@@ -29,6 +28,7 @@ from hypothesis import strategies as st
 import sawcascade
 from sawcascade import cli, construction, suites, verifier
 from sawcascade.antiderivative import eval_F, eval_G
+from sawcascade.cells import Cell
 from sawcascade.cli import (
     EXIT_OK,
     EXIT_USAGE,
@@ -39,7 +39,7 @@ from sawcascade.cli import (
     run_suite,
 )
 from sawcascade.construction import DomainError, as_rational, eval_f1
-from sawcascade.reports import recheck, report_from_dict
+from sawcascade.reports import WitnessReport, recheck, report_from_dict
 from sawcascade.suites import SuiteConfig
 
 
@@ -396,20 +396,23 @@ def test_intervals_window_without_a_level_k_cell_is_an_empty_table(
 def test_render_intervals_draws_each_cell_when_its_row_is_drawn(
     fmt: str, monkeypatch: pytest.MonkeyPatch
 ) -> None:
+    # a Cell is built for each printed row only, as its row is drawn: none
+    # for the 9 + 9^2 cells of levels 1 and 2 that the walk passes through
     drawn = []
-    real = cli.iter_cells
+    real = Cell.__init__
 
-    def counting(*args):
-        for c in real(*args):
-            drawn.append(c.address)
-            yield c
+    def counting(self, *args):
+        drawn.append(args[0])
+        real(self, *args)
 
-    monkeypatch.setattr(cli, "iter_cells", counting)
+    monkeypatch.setattr(Cell, "__init__", counting)
     chunks = render_intervals(3, 4, (F(-1), F(1)), fmt)
-    next(chunks)
-    assert len(drawn) <= 3  # (-4,), (-4, -4) and (-4, -4, -4) at most
-    assert sum(1 for _ in chunks) >= 9**3
-    assert len(drawn) == 9 + 9**2 + 9**3
+    first = next(chunks)
+    assert len(drawn) <= 1  # (-4, -4, -4) at most
+    text = first + "".join(chunks)
+    rows = len(text.splitlines()) - 1 if fmt == "csv" else len(json.loads(text))
+    assert rows == len(drawn) == 9**3
+    assert all(len(address) == 3 for address in drawn)
 
 
 @pytest.mark.parametrize(
@@ -590,26 +593,33 @@ def test_verify_error_exit_creates_no_out_file(tmp_path) -> None:
 def test_verify_holds_at_most_two_reports_at_any_write(monkeypatch: pytest.MonkeyPatch) -> None:
     # each case is written as it is certified and then let go: whenever the
     # output is written, at most the case being written and the one being
-    # built are alive, however many cases the suite has
-    refs: list[weakref.ref] = []
+    # built are alive, however many cases the suite has.  A report is a
+    # tuple, which cannot be weakly referenced, so each is made as a subclass
+    # that counts itself out when it is freed
+    made, freed = [0], [0]
     live_at_write: list[int] = []
     make_report = verifier.make_report
 
+    class Counted(WitnessReport):
+        __slots__ = ()
+
+        def __del__(self) -> None:
+            freed[0] += 1
+
     def tracked(*args, **kwargs):
-        report = make_report(*args, **kwargs)
-        refs.append(weakref.ref(report))
-        return report
+        made[0] += 1
+        return Counted(*make_report(*args, **kwargs))
 
     class CountingOut(io.StringIO):
         def write(self, text: str) -> int:
-            live_at_write.append(sum(ref() is not None for ref in refs))
+            live_at_write.append(made[0] - freed[0])
             return super().write(text)
 
     monkeypatch.setattr(verifier, "make_report", tracked)
     out = CountingOut()
     code = run(["verify", "oscillation", "--max-level", "4"], stdout=out, stderr=io.StringIO())
     assert code == EXIT_OK
-    assert len(refs) == len(json.loads(out.getvalue())["cases"]) > 700
+    assert made[0] == len(json.loads(out.getvalue())["cases"]) > 700
     assert len(live_at_write) > 700
     assert max(live_at_write) <= 2
 

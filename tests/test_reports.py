@@ -14,6 +14,7 @@ import re
 import sys
 from contextlib import contextmanager
 from fractions import Fraction as F
+from math import gcd
 from typing import Iterator
 
 import pytest
@@ -21,11 +22,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sawcascade import cli
+from sawcascade.construction import DomainError
 from sawcascade.reports import (
     REPORT_KINDS,
-    _canonical_rational,
+    _canonical_pair,
     _case_json,
     _case_template,
+    _check,
     Check,
     WitnessReport,
     check,
@@ -36,6 +39,7 @@ from sawcascade.reports import (
     report_from_dict,
     report_to_dict,
 )
+from sawcascade.suites import SuiteConfig, run_suite_reports
 from sawcascade.verifier import oscillation_witness
 
 # ---------------------------------------------------------------------------
@@ -75,6 +79,88 @@ def test_check_helper_coerces_ints_and_strings() -> None:
 def test_check_helper_rejects_floats() -> None:
     with pytest.raises(TypeError):
         check("probe", "==", 0.5, F(1, 2))
+
+
+def test_check_coerces_each_side_as_check_does() -> None:
+    c = Check("c", "<", F(1, 2), True)
+    assert c == check("c", "<", F(1, 2), 1) and type(c.rhs) is F and c.rhs == 1
+    case = report_to_dict(make_report("structure", {}, [], [c]))
+    assert case["certificate"][0]["rhs"] == "1"
+    assert report_from_dict(case).certificate == (c,)
+    assert Check("c", "<", "2/8", 2) == Check("c", "<", F(1, 4), F(2))
+
+
+@pytest.mark.parametrize(
+    "side,error",
+    [(0.5, TypeError), (None, TypeError), ([1], TypeError), ("one half", DomainError), ("1/0", DomainError)],
+)
+def test_check_refuses_a_side_it_cannot_certify_at_construction(side: object, error: type) -> None:
+    for lhs, rhs in ((side, F(1, 2)), (F(1, 2), side)):
+        with pytest.raises(error):
+            Check("c", "<", lhs, rhs)
+
+
+def test_check_stores_each_side_as_a_lowest_terms_pair() -> None:
+    c = Check("c", "<=", F(-6, 4), 3)
+    assert tuple(c) == ("c", "<=", -3, 2, 3, 1)
+    assert (c.label, c.relation, c.lhs, c.rhs) == ("c", "<=", F(-3, 2), F(3))
+    assert repr(c) == "Check(label='c', relation='<=', lhs=Fraction(-3, 2), rhs=Fraction(3, 1))"
+
+
+@given(
+    relation=st.sampled_from(["<", "<=", "==", "!=", ">", ">="]),
+    a=st.integers(min_value=-(10**30), max_value=10**30),
+    b=st.integers(min_value=1, max_value=10**30),
+    c=st.integers(min_value=-(10**30), max_value=10**30),
+    d=st.integers(min_value=1, max_value=10**30),
+    g=st.integers(min_value=1, max_value=10**6),
+    h=st.integers(min_value=1, max_value=10**6),
+)
+@example(relation="==", a=0, b=7, c=4, d=4, g=1, h=1)
+def test_an_int_built_check_is_the_fraction_built_check(
+    relation: str, a: int, b: int, c: int, d: int, g: int, h: int
+) -> None:
+    # built from a/b and c/d with the common factors g and h, as the verifier builds its checks
+    built = _check("c", relation, a * g, b * g, c * h, d * h)
+    expected = Check("c", relation, F(a, b), F(c, d))
+    assert built == expected and type(built) is Check
+    _label, _relation, p, q, r, s = built
+    assert gcd(p, q) == gcd(r, s) == 1 and q > 0 and s > 0
+    assert (built.lhs, built.rhs) == (F(a, b), F(c, d))
+    assert built.holds() is expected.holds()
+    reports = [make_report("structure", {}, [], [one]) for one in (built, expected)]
+    assert reports[0].verdict is expected.holds()
+    assert report_to_dict(reports[0]) == report_to_dict(reports[1])
+    assert _case_json(reports[0]) == _case_json(reports[1])
+
+
+@pytest.mark.parametrize("settings", [{}, {"index_budget": 4, "count": 50}])
+def test_every_check_of_verify_all_is_stored_in_lowest_terms(settings: dict) -> None:
+    # at the default settings and at the replay document's
+    checks, kinds = 0, set()
+    for report in run_suite_reports("all", SuiteConfig(**settings)):
+        for _label, _relation, p, q, r, s in report.certificate:
+            assert all(type(n) is int for n in (p, q, r, s))
+            assert q > 0 and s > 0 and gcd(p, q) == 1 and gcd(r, s) == 1
+        checks += len(report.certificate)
+        kinds.add(report.kind)
+    assert kinds == set(REPORT_KINDS) and checks > 9000
+
+
+def test_witness_report_is_an_immutable_tuple_of_its_fields() -> None:
+    a = Check("a", "<", 0, 1)
+    report = WitnessReport("structure", (("k", "1"),), ((F(1, 2), F(0)),), True, (a,))
+    assert report._fields == ("kind", "inputs", "points", "verdict", "certificate", "error")
+    assert tuple(report) == ("structure", (("k", "1"),), ((F(1, 2), F(0)),), True, (a,), None)
+    assert report == WitnessReport(
+        kind="structure", inputs=(("k", "1"),), points=((F(1, 2), F(0)),), verdict=True, certificate=(a,)
+    )
+    assert report.input("k") == "1" and report.failed_checks() == []
+    for name in ("verdict", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(report, name, False)
+    with pytest.raises(ValueError, match="unknown report kind 'nope'"):
+        WitnessReport("nope", (), (), False, ())
 
 
 # ---------------------------------------------------------------------------
@@ -350,11 +436,11 @@ def test_reader_refuses_a_rational_past_the_digit_limit(tmp_path) -> None:
 
 
 def test_reader_caches_no_refused_text() -> None:
-    before = _canonical_rational.cache_info().currsize
+    before = _canonical_pair.cache_info().currsize
     for text in ("2/20", "0.1", "-0"):
         with pytest.raises(ValueError):
-            _canonical_rational(text)
-    assert _canonical_rational.cache_info().currsize == before
+            _canonical_pair(text)
+    assert _canonical_pair.cache_info().currsize == before
 
 
 def test_reader_on_the_whole_seed_1_document() -> None:
@@ -362,13 +448,13 @@ def test_reader_on_the_whole_seed_1_document() -> None:
     assert cli.run(["verify", "all", "--seed", "1"], stdout=out, stderr=io.StringIO()) == 0
     cases = json.loads(out.getvalue())["cases"]
     assert len(cases) == 6530
-    maxsize = _canonical_rational.cache_info().maxsize
+    maxsize = _canonical_pair.cache_info().maxsize
     assert maxsize is not None
     for case in cases:
         report = report_from_dict(case)
         assert report_to_dict(report) == case
         assert recheck(report)
-        assert _canonical_rational.cache_info().currsize <= maxsize
+        assert _canonical_pair.cache_info().currsize <= maxsize
         texts = [text for point in case["points"] for text in point]
         texts += [c[side] for c in case["certificate"] for side in ("lhs", "rhs")]
         values = [v for point in report.points for v in point]
